@@ -1,7 +1,8 @@
 """Command-line scenario runner.
 
 Subcommands: send, receive, transfer, sweep.  Exit codes: 0 ok,
-1 config error, 2 solver non-convergence, 3 strict-mode regime failure.
+1 config error, 2 pulse-solve non-convergence, 3 strict-mode regime
+failure.  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .pipeline import (
     write_sender_csv,
     write_sweep_csv,
 )
+from .receiver import PulseSolveError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -187,8 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # solver and numeric failures
-        print(f"error: {exc}", file=sys.stderr)
+    except PulseSolveError as exc:
+        print(f"pulse solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,15 +32,27 @@ def _require(table: dict, key: str, where: str) -> Any:
     return table[key]
 
 
+def _finite(value: Any, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    # json parses NaN and +-Infinity; NaN and ints beyond float range fail too.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _number(table: dict, key: str, where: str, default: Optional[float] = None) -> float:
     if key not in table:
         if default is None:
             raise ConfigError(f"missing field {where}.{key}")
         return default
-    value = table[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _finite(table[key], f"{where}.{key}")
+
+
+def _pair(raw: Any, name: str) -> tuple[float, float]:
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+        raise ConfigError(f"{name} must be a pair of numbers")
+    return _finite(raw[0], f"{name}[0]"), _finite(raw[1], f"{name}[1]")
 
 
 @dataclass(frozen=True)
@@ -159,13 +172,7 @@ def default_config_dict(qutrit: bool = False) -> dict:
 
 
 def _parse_amplitude(raw: Any, name: str) -> complex:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ConfigError(f"initial_state.{name} must be a [re, im] pair")
-    re_part, im_part = raw
-    for v in (re_part, im_part):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"initial_state.{name} entries must be numbers")
-    return complex(re_part, im_part)
+    return complex(*_pair(raw, f"initial_state.{name}"))
 
 
 def _parse_state(doc: dict) -> SuperpositionState:
@@ -238,23 +245,17 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
     free = raw.get("free", "center")
     if free not in ("center", "amplitude"):
         raise ConfigError(f"pulse2.free must be 'center' or 'amplitude', got {free!r}")
-    t2_range = raw.get("T2_range_us", [0.02, 20.0])
-    if not (isinstance(t2_range, (list, tuple)) and len(t2_range) == 2):
-        raise ConfigError("pulse2.T2_range_us must be [low, high]")
-    center_range = raw.get("center_range_us")
-    if center_range is not None and not (
-        isinstance(center_range, (list, tuple)) and len(center_range) == 2
-    ):
-        raise ConfigError("pulse2.center_range_us must be [low, high]")
     cfg = Pulse2Config(
         mode=mode,
         family=family,
         free=free,
         tol=_number(raw, "tol", "pulse2", default=1e-6),
         center_us=(_number(raw, "center_us", "pulse2") if "center_us" in raw else None),
-        t2_range_us=(float(t2_range[0]), float(t2_range[1])),
+        t2_range_us=_pair(raw.get("T2_range_us", [0.02, 20.0]), "pulse2.T2_range_us"),
         center_range_us=(
-            (float(center_range[0]), float(center_range[1])) if center_range else None
+            _pair(raw["center_range_us"], "pulse2.center_range_us")
+            if raw.get("center_range_us") is not None
+            else None
         ),
         t2_us=(_number(raw, "T2_us", "pulse2") if "T2_us" in raw else None),
         omega2_mhz=(_number(raw, "omega2_mhz", "pulse2") if "omega2_mhz" in raw else None),
@@ -286,6 +287,15 @@ def parse_config(doc: dict) -> ScenarioConfig:
         p_em=_number(ch_raw, "p_em", "channel", default=1.0),
         p_abs=_number(ch_raw, "p_abs", "channel", default=1.0),
     )
+    if channel.length_km < 0.0:
+        raise ConfigError(f"channel.L0_km must be >= 0, got {channel.length_km!r}")
+    if channel.atten_db_per_km <= 0.0:
+        raise ConfigError(
+            f"channel.atten_db_per_km must be > 0, got {channel.atten_db_per_km!r}"
+        )
+    for key, p in (("p_em", channel.p_em), ("p_abs", channel.p_abs)):
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"channel.{key} must lie in [0, 1], got {p!r}")
     out_raw = doc.get("outputs", {})
     which = out_raw.get("which", ["sender", "photonics", "receiver", "report"])
     if not isinstance(which, (list, tuple)):
@@ -298,6 +308,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
         directory=out_raw.get("directory", "out"),
         which=tuple(which),
     )
+    strict = doc.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ConfigError(f"strict must be true or false, got {strict!r}")
     return ScenarioConfig(
         params=_parse_params(doc),
         initial_state=_parse_state(doc),
@@ -307,7 +320,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         channel=channel,
         outputs=outputs,
         regime_min_ratio=_number(doc, "regime_min_ratio", "config", default=5.0),
-        strict=bool(doc.get("strict", False)),
+        strict=strict,
         raw=doc,
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -33,13 +34,11 @@ from .receiver import (
     final_state,
     gamma_analytic,
     pulse_areas,
-    simulate_receiver_ode,
     solve_pulse_shape,
 )
 from .sender import PulseShape, SenderTrajectory, amplitudes_beta, pump_exposure
 
 US = 1e-6
-PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,6 +142,17 @@ def _resolve_pulse2(
     return solve.pulse, solve.omega2, solve
 
 
+def _link(config: ScenarioConfig) -> ChannelModel:
+    ch = config.channel
+    return ChannelModel(
+        length_km=ch.length_km,
+        atten_db_per_km=ch.atten_db_per_km,
+        phase_rate_rad_per_km=ch.phase_rate,
+        p_emission=ch.p_em,
+        p_absorption=ch.p_abs,
+    )
+
+
 def run_transfer(config: ScenarioConfig) -> TransferResult:
     """Full pipeline: send, shape the receiving control, absorb, budget."""
     send = run_send(config)
@@ -152,29 +162,13 @@ def run_transfer(config: ScenarioConfig) -> TransferResult:
     obs = send.observables
     c = config.initial_state
 
-    on_analytic_branch = (
-        abs(math.remainder(params.phi2 - math.pi / 2, 2.0 * math.pi)) <= PHASE_TOL
-    )
-    if on_analytic_branch:
-        eta, zeta = pulse_areas(pulse2, obs.phi1, obs.phi2, g2_coupling, params.k, send.grid)
-        receiver = gamma_analytic(eta, zeta, c, phi2=params.phi2)
-    else:
-        receiver = simulate_receiver_ode(
-            pulse2, obs.phi1, obs.phi2, g2_coupling, params.k, params.phi2, c, send.grid
-        )
-
+    eta, zeta = pulse_areas(pulse2, obs.phi1, obs.phi2, g2_coupling, params.k, send.grid)
+    receiver = gamma_analytic(eta, zeta, c, phi2=params.phi2)
     residual = conservation_check(receiver, obs.n_out, obs.flux_total, params.k)
     final = final_state(receiver, c)
 
-    link = ChannelModel(
-        length_km=config.channel.length_km,
-        atten_db_per_km=config.channel.atten_db_per_km,
-        phase_rate_rad_per_km=config.channel.phase_rate,
-        p_emission=config.channel.p_em,
-        p_absorption=config.channel.p_abs,
-    )
     report = build_report(
-        channel=link,
+        channel=_link(config),
         populations=c.populations,
         fidelity=final.fidelity,
         r_sn=send.derived.r_sn,
@@ -381,15 +375,8 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> list[dic
         cfg = _config_with(config, axis, float(value))
         if channel_only:
             # The transfer itself is unchanged; rebuild only the link budget.
-            link = ChannelModel(
-                length_km=cfg.channel.length_km,
-                atten_db_per_km=cfg.channel.atten_db_per_km,
-                phase_rate_rad_per_km=cfg.channel.phase_rate,
-                p_emission=cfg.channel.p_em,
-                p_absorption=cfg.channel.p_abs,
-            )
             report = build_report(
-                channel=link,
+                channel=_link(cfg),
                 populations=cfg.initial_state.populations,
                 fidelity=base.report.fidelity,
                 r_sn=base.report.r_sn,
@@ -400,16 +387,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> list[dic
                 conservation_residual_max=base.report.conservation_residual_max,
                 n_out_final=base.report.n_out_final,
             )
-            result = TransferResult(
-                send=base.send,
-                pulse2=base.pulse2,
-                omega2=base.omega2,
-                solve=base.solve,
-                receiver=base.receiver,
-                residual=base.residual,
-                final=base.final,
-                report=report,
-            )
+            result = dataclasses.replace(base, report=report)
         else:
             result = run_transfer(cfg)
         row = {axis.split(".")[-1]: float(value)}

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pnsslink import cli as cli_mod
 from pnsslink.cli import main
 from pnsslink.config import (
     ConfigError,
@@ -14,6 +15,7 @@ from pnsslink.config import (
     parse_config,
 )
 from pnsslink.pipeline import run_sweep, run_transfer
+from pnsslink.receiver import PulseSolveError
 
 from conftest import load_csv
 
@@ -79,6 +81,21 @@ class TestConfigParsing:
         doc = small_doc()
         doc["pulse2"] = {"mode": "solve", "free": "amplitude"}
         with pytest.raises(ConfigError, match="center_us"):
+            parse_config(doc)
+
+    def test_strict_must_be_boolean(self):
+        doc = small_doc(strict="false")
+        with pytest.raises(ConfigError, match="strict"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("L0_km", -0.01), ("atten_db_per_km", 0.0), ("p_em", 1.5), ("p_abs", -0.1)],
+    )
+    def test_rejects_out_of_range_channel(self, key, value):
+        doc = small_doc()
+        doc["channel"][key] = value
+        with pytest.raises(ConfigError, match=f"channel.{key}"):
             parse_config(doc)
 
     def test_invalid_json_location(self, tmp_path):
@@ -154,6 +171,41 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["solved_pulse"]["converged"] is False
         assert abs(report["diagnostics"]["zeta_residual"]) > 1e-6
+
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("params", "phi2_rad", float("nan"), "params.phi2_rad"),
+            ("params", "omega1_mhz", float("inf"), "params.omega1_mhz"),
+            ("initial_state", "c_0", [float("nan"), 0.0], "initial_state.c_0"),
+            ("pulse2", "T2_range_us", [0.02, float("inf")], "pulse2.T2_range_us"),
+        ],
+    )
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, section, key, value, field):
+        doc = small_doc()
+        doc[section][key] = value
+        path = write_doc(tmp_path, doc)
+        code = main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unexpected_error_is_not_a_solver_failure(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli_mod, "run_transfer", broken)
+        path = write_doc(tmp_path, small_doc())
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+
+    def test_raised_pulse_solve_error_exit_code(self, tmp_path, monkeypatch):
+        def unsolvable(config):
+            raise PulseSolveError("no bracket")
+
+        monkeypatch.setattr(cli_mod, "run_transfer", unsolvable)
+        path = write_doc(tmp_path, small_doc())
+        assert main(["transfer", "--config", str(path)]) == 2
 
     def test_sweep_monotone_in_length(self, tmp_path):
         path = write_doc(tmp_path, small_doc())

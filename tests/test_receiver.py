@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnsslink import receiver as receiver_mod
+from pnsslink.config import default_config_dict, parse_config
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
 from pnsslink.photonics import fluxes_and_modes, mean_photon_number
+from pnsslink.pipeline import run_transfer
 from pnsslink.receiver import (
     PulseSolveError,
     ReceiverTrajectory,
@@ -98,10 +101,18 @@ class TestGammaAnalytic:
         assert abs(traj.g_0_1[-1]) ** 2 == pytest.approx(0.5 * x, rel=1e-12)
         assert abs(traj.g_m1_0[-1]) ** 2 == pytest.approx(0.25 * x, rel=1e-12)
 
-    def test_rejects_other_phase(self, qubit_state):
-        grid = TimeGrid(0.0, 1.0, 11)
-        with pytest.raises(ValueError, match="ode"):
-            gamma_analytic(_ramp(grid, 1.0), _ramp(grid, 1.0), qubit_state, phi2=0.3)
+    @pytest.mark.parametrize("phase", [0.3, math.pi])
+    def test_matches_ode_off_phase(self, modes, grid, stock_params, solved, qutrit_state, phase):
+        _, phi1, phi2 = modes
+        g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
+        ode = simulate_receiver_ode(
+            solved.pulse, phi1, phi2, g2c, stock_params.k, phase, qutrit_state, grid
+        )
+        eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
+        ana = gamma_analytic(eta, zeta, qutrit_state, phi2=phase)
+        for field in ("g_0_0", "g_1_1", "g_m1_0", "g_0_1", "g_1_2", "g_1_0"):
+            dev = np.max(np.abs(getattr(ode, field) - getattr(ana, field)))
+            assert dev <= 1e-6, field
 
     def test_accepts_phase_mod_two_pi(self, qubit_state):
         grid = TimeGrid(0.0, 1.0, 11)
@@ -341,3 +352,40 @@ def test_unitarity_for_any_areas(eta_f, zeta_f):
     traj = gamma_analytic(_ramp(grid, eta_f), _ramp(grid, zeta_f), state)
     total = traj.rho_m1 + traj.rho_0 + traj.rho_p1
     assert np.max(np.abs(total - 1.0)) <= 1e-12
+
+
+def _block_propagator(hamiltonian: np.ndarray, area: float) -> np.ndarray:
+    """exp(i * area * H) for Hermitian H, by eigendecomposition."""
+    w, v = np.linalg.eigh(hamiltonian)
+    return (v * np.exp(1j * area * w)) @ v.conj().T
+
+
+def test_off_phase_transfer_never_integrates(monkeypatch):
+    def no_ode(*args, **kwargs):
+        raise AssertionError("run_transfer reached the ODE integrator")
+
+    monkeypatch.setattr(receiver_mod, "integrate_ode", no_ode)
+    phase = 0.7
+    doc = default_config_dict(qutrit=True)
+    doc["params"]["phi2_rad"] = phase
+    doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
+    config = parse_config(doc)
+    result = run_transfer(config)
+
+    # Independent propagator: the eta generator couples (g_0_0, g_1_1) and
+    # the zeta generator the ladder (g_m1_0, g_0_1, g_1_2), each as
+    # i * area * H with H Hermitian and the control phase on its couplings.
+    ep = np.exp(1j * phase)
+    h_a = 0.5 * np.array([[0.0, np.conj(ep)], [ep, 0.0]])
+    s2 = 1.0 / math.sqrt(2.0)
+    h_b = s2 * np.array(
+        [[0.0, np.conj(ep), 0.0], [ep, 0.0, np.conj(ep)], [0.0, ep, 0.0]]
+    )
+    c = config.initial_state
+    a_0 = (_block_propagator(h_a, result.receiver.eta[-1]) @ [0.0, c.c_0])[0]
+    a_m1 = (_block_propagator(h_b, result.receiver.zeta[-1]) @ [0.0, 0.0, c.c_m1])[0]
+    stored = np.array([a_m1, a_0, c.c_p1])
+    stored /= np.linalg.norm(stored)
+    expected = abs(np.vdot([c.c_m1, c.c_0, c.c_p1], stored)) ** 2
+    assert abs(result.final.fidelity - expected) <= 1e-9
+    assert result.final.fidelity < 0.99
