@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of every CLI output for the stock scenarios.
+
+Runs ``pnsslink transfer`` on ``configs/qubit.json`` and
+``configs/qutrit.json`` and a short ``channel.L0_km`` sweep of the qutrit
+scenario, in-process and into a temporary directory, then prints one
+``sha256  file`` line per output.  The package is imported from this
+checkout's ``src/``, so running the script in two checkouts and diffing
+the printed lines tells whether their outputs are byte-identical.
+
+Usage: python scripts/output_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pnsslink.cli import main as cli_main  # noqa: E402
+
+RUNS = {
+    "qubit": ["transfer", "--config", str(ROOT / "configs" / "qubit.json")],
+    "qutrit": ["transfer", "--config", str(ROOT / "configs" / "qutrit.json")],
+    "qutrit-sweep": [
+        "sweep", "--config", str(ROOT / "configs" / "qutrit.json"),
+        "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", "11",
+    ],
+}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in RUNS.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv + ["--out", str(Path(tmp) / name)])
+            if code != 0:
+                print(f"{name}: exit {code}", file=sys.stderr)
+                return code
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file():
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.relative_to(tmp).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

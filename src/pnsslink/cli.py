@@ -76,6 +76,8 @@ def _load(args) -> ScenarioConfig:
     if args.strict:
         config = dataclasses.replace(config, strict=True)
     if args.tol is not None:
+        if not args.tol > 0.0:
+            raise ConfigError(f"--tol must be > 0, got {args.tol!r}")
         config = dataclasses.replace(
             config, pulse2=dataclasses.replace(config.pulse2, tol=args.tol)
         )
@@ -114,15 +116,10 @@ def _cmd_send(args) -> int:
     return EXIT_OK
 
 
-def _run_full(args, config: ScenarioConfig):
-    result = run_transfer(config)
-    code = _print_regime(result.send, config.strict)
-    return result, code
-
-
 def _cmd_transfer(args) -> int:
     config = _load(args)
-    result, code = _run_full(args, config)
+    result = run_transfer(config)
+    code = _print_regime(result.send, config.strict)
     if code != EXIT_OK:
         return code
     out = _out_dir(args, config)
@@ -153,7 +150,8 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_receive(args) -> int:
     config = _load(args)
-    result, code = _run_full(args, config)
+    result = run_transfer(config)
+    code = _print_regime(result.send, config.strict)
     if code != EXIT_OK:
         return code
     out = _out_dir(args, config)
@@ -166,6 +164,8 @@ def _cmd_receive(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.num < 1:
+        raise ConfigError(f"--num must be at least 1, got {args.num}")
     config = _load(args)
     values = np.linspace(args.start, args.stop, args.num)
     rows = run_sweep(config, args.axis, values)

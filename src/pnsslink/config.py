@@ -20,6 +20,8 @@ from typing import Any, Optional
 from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState
 
 RENORM_TOL = 1e-6
+# ~0.7 kB per grid point (67 MB peak at 48 001, 201 MB at 240 001): at most ~0.7 GB.
+MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -41,12 +43,24 @@ def _finite(value: Any, name: str) -> float:
     return float(value)
 
 
-def _number(table: dict, key: str, where: str, default: Optional[float] = None) -> float:
+def _number(
+    table: dict, key: str, where: str, default: Optional[float] = None, above: float = -math.inf
+) -> float:
     if key not in table:
         if default is None:
             raise ConfigError(f"missing field {where}.{key}")
         return default
-    return _finite(table[key], f"{where}.{key}")
+    value = _finite(table[key], f"{where}.{key}")
+    if not value > above:
+        raise ConfigError(f"{where}.{key} must be > {above:g}, got {value!r}")
+    return value
+
+
+def _count(table: dict, key: str, where: str, default: Optional[int] = None) -> int:
+    value = _number(table, key, where, default, above=0.0)
+    if value != int(value):
+        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _pair(raw: Any, name: str) -> tuple[float, float]:
@@ -229,7 +243,7 @@ def _parse_pulse1(doc: dict) -> Pulse1Config:
         raise ConfigError(f"pulse1.shape {shape!r} not supported in configs")
     return Pulse1Config(
         shape=shape,
-        t1_us=_number(raw, "T1_us", "pulse1", default=0.3),
+        t1_us=_number(raw, "T1_us", "pulse1", default=0.3, above=0.0),
         center_us=_number(raw, "center_us", "pulse1", default=0.0),
     )
 
@@ -249,7 +263,7 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
         mode=mode,
         family=family,
         free=free,
-        tol=_number(raw, "tol", "pulse2", default=1e-6),
+        tol=_number(raw, "tol", "pulse2", default=1e-6, above=0.0),
         center_us=(_number(raw, "center_us", "pulse2") if "center_us" in raw else None),
         t2_range_us=_pair(raw.get("T2_range_us", [0.02, 20.0]), "pulse2.T2_range_us"),
         center_range_us=(
@@ -259,7 +273,7 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
         ),
         t2_us=(_number(raw, "T2_us", "pulse2") if "T2_us" in raw else None),
         omega2_mhz=(_number(raw, "omega2_mhz", "pulse2") if "omega2_mhz" in raw else None),
-        max_iterations=int(_number(raw, "max_iterations", "pulse2", default=80)),
+        max_iterations=_count(raw, "max_iterations", "pulse2", default=80),
     )
     if cfg.mode == "explicit" and cfg.t2_us is None:
         raise ConfigError("pulse2.mode = 'explicit' needs T2_us")
@@ -274,25 +288,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError("top-level config must be a JSON object")
     grid_raw = doc.get("grid", {})
     grid = GridConfig(
-        span_in_t1=_number(grid_raw, "span_in_T1", "grid", default=12.0),
-        points=(int(_number(grid_raw, "points", "grid")) if "points" in grid_raw else None),
+        span_in_t1=_number(grid_raw, "span_in_T1", "grid", default=12.0, above=0.0),
+        points=(_count(grid_raw, "points", "grid") if "points" in grid_raw else None),
     )
-    if grid.n_points() < 2:
-        raise ConfigError("grid.points must be at least 2")
+    if not 2 <= grid.n_points() <= MAX_GRID_POINTS:
+        field = "grid.points" if grid.points is not None else "grid.span_in_T1"
+        raise ConfigError(f"{field} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
     ch_raw = doc.get("channel", {})
     channel = ChannelConfig(
         length_km=_number(ch_raw, "L0_km", "channel", default=0.0),
-        atten_db_per_km=_number(ch_raw, "atten_db_per_km", "channel", default=2.0),
+        atten_db_per_km=_number(ch_raw, "atten_db_per_km", "channel", default=2.0, above=0.0),
         phase_rate=_number(ch_raw, "phase_rate", "channel", default=0.1),
         p_em=_number(ch_raw, "p_em", "channel", default=1.0),
         p_abs=_number(ch_raw, "p_abs", "channel", default=1.0),
     )
     if channel.length_km < 0.0:
         raise ConfigError(f"channel.L0_km must be >= 0, got {channel.length_km!r}")
-    if channel.atten_db_per_km <= 0.0:
-        raise ConfigError(
-            f"channel.atten_db_per_km must be > 0, got {channel.atten_db_per_km!r}"
-        )
     for key, p in (("p_em", channel.p_em), ("p_abs", channel.p_abs)):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"channel.{key} must lie in [0, 1], got {p!r}")

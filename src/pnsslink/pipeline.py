@@ -201,78 +201,70 @@ def run_transfer(config: ScenarioConfig) -> TransferResult:
 # output files
 
 
+def _write_table(path: str | Path, table: dict[str, np.ndarray], config: ScenarioConfig) -> Path:
+    return write_csv(path, list(table), list(table.values()), config.config_hash())
+
+
 def write_sender_csv(send: SendResult, path: str | Path) -> Path:
     traj = send.trajectory
     t = send.grid.values
-    kt = send.params.k * t
-    cols = [
-        ("t_s", t),
-        ("kt", kt),
-        ("theta", traj.theta),
-        ("sigma_m1", traj.sigma_m1),
-        ("sigma_0", traj.sigma_0),
-        ("sigma_p1", traj.sigma_p1),
-        ("re_coh_m1_0", traj.coh_m1_0.real),
-        ("im_coh_m1_0", traj.coh_m1_0.imag),
-        ("re_coh_0_p1", traj.coh_0_p1.real),
-        ("im_coh_0_p1", traj.coh_0_p1.imag),
-        ("re_coh_m1_p1", traj.coh_m1_p1.real),
-        ("im_coh_m1_p1", traj.coh_m1_p1.imag),
-        ("beta2_m1_0", np.abs(traj.beta_m1_0) ** 2),
-        ("beta2_0_0", np.abs(traj.beta_0_0) ** 2),
-        ("beta2_0_1", np.abs(traj.beta_0_1) ** 2),
-        ("beta2_p1_0", np.abs(traj.beta_p1_0) ** 2),
-        ("beta2_p1_1", np.abs(traj.beta_p1_1) ** 2),
-        ("beta2_p1_2", np.abs(traj.beta_p1_2) ** 2),
-    ]
-    return write_csv(
-        path, [c[0] for c in cols], [c[1] for c in cols], send.config.config_hash()
-    )
+    table = {
+        "t_s": t,
+        "kt": send.params.k * t,
+        "theta": traj.theta,
+        "sigma_m1": traj.sigma_m1,
+        "sigma_0": traj.sigma_0,
+        "sigma_p1": traj.sigma_p1,
+        "re_coh_m1_0": traj.coh_m1_0.real,
+        "im_coh_m1_0": traj.coh_m1_0.imag,
+        "re_coh_0_p1": traj.coh_0_p1.real,
+        "im_coh_0_p1": traj.coh_0_p1.imag,
+        "re_coh_m1_p1": traj.coh_m1_p1.real,
+        "im_coh_m1_p1": traj.coh_m1_p1.imag,
+        "beta2_m1_0": np.abs(traj.beta_m1_0) ** 2,
+        "beta2_0_0": np.abs(traj.beta_0_0) ** 2,
+        "beta2_0_1": np.abs(traj.beta_0_1) ** 2,
+        "beta2_p1_0": np.abs(traj.beta_p1_0) ** 2,
+        "beta2_p1_1": np.abs(traj.beta_p1_1) ** 2,
+        "beta2_p1_2": np.abs(traj.beta_p1_2) ** 2,
+    }
+    return _write_table(path, table, send.config)
 
 
 def write_photonics_csv(send: SendResult, path: str | Path) -> Path:
     obs = send.observables
-    kt = send.params.k * send.grid.values
-    cols = [
-        ("kt", kt),
-        ("P0", obs.p0),
-        ("P1", obs.p1),
-        ("P2", obs.p2),
-        ("flux_total", obs.flux_total),
-        ("flux_I", obs.flux_one),
-        ("flux_II", obs.flux_two),
-        ("n_out", obs.n_out),
-        ("g2", obs.g2),
-    ]
-    return write_csv(
-        path, [c[0] for c in cols], [c[1] for c in cols], send.config.config_hash()
-    )
+    table = {
+        "kt": send.params.k * send.grid.values,
+        "P0": obs.p0,
+        "P1": obs.p1,
+        "P2": obs.p2,
+        "flux_total": obs.flux_total,
+        "flux_I": obs.flux_one,
+        "flux_II": obs.flux_two,
+        "n_out": obs.n_out,
+        "g2": obs.g2,
+    }
+    return _write_table(path, table, send.config)
 
 
 def write_receiver_csv(result: TransferResult, path: str | Path) -> Path:
     rec = result.receiver
-    kt = result.send.params.k * result.send.grid.values
-    cols = [
-        ("kt", kt),
-        ("eta", rec.eta),
-        ("zeta", rec.zeta),
-        ("gamma2_0_0", np.abs(rec.g_0_0) ** 2),
-        ("gamma2_1_1", np.abs(rec.g_1_1) ** 2),
-        ("gamma2_m1_0", np.abs(rec.g_m1_0) ** 2),
-        ("gamma2_0_1", np.abs(rec.g_0_1) ** 2),
-        ("gamma2_1_2", np.abs(rec.g_1_2) ** 2),
-        ("gamma2_1_0", np.abs(rec.g_1_0) ** 2),
-        ("rho_m1", rec.rho_m1),
-        ("rho_0", rec.rho_0),
-        ("rho_p1", rec.rho_p1),
-        ("residual", result.residual),
-    ]
-    return write_csv(
-        path,
-        [c[0] for c in cols],
-        [c[1] for c in cols],
-        result.send.config.config_hash(),
-    )
+    table = {
+        "kt": result.send.params.k * result.send.grid.values,
+        "eta": rec.eta,
+        "zeta": rec.zeta,
+        "gamma2_0_0": np.abs(rec.g_0_0) ** 2,
+        "gamma2_1_1": np.abs(rec.g_1_1) ** 2,
+        "gamma2_m1_0": np.abs(rec.g_m1_0) ** 2,
+        "gamma2_0_1": np.abs(rec.g_0_1) ** 2,
+        "gamma2_1_2": np.abs(rec.g_1_2) ** 2,
+        "gamma2_1_0": np.abs(rec.g_1_0) ** 2,
+        "rho_m1": rec.rho_m1,
+        "rho_0": rec.rho_0,
+        "rho_p1": rec.rho_p1,
+        "residual": result.residual,
+    }
+    return _write_table(path, table, result.send.config)
 
 
 def report_document(result: TransferResult) -> dict:
@@ -292,23 +284,21 @@ def report_document(result: TransferResult) -> dict:
     return doc
 
 
-def write_report_json(result: TransferResult, path: str | Path) -> Path:
+def _write_json(path: str | Path, doc: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report_document(result), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+def write_report_json(result: TransferResult, path: str | Path) -> Path:
+    return _write_json(path, report_document(result))
 
 
 def write_regime_json(send: SendResult, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = send.regime.to_dict()
     doc["config_hash"] = send.config.config_hash()
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return _write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +391,4 @@ def write_sweep_csv(
 ) -> Path:
     if not rows:
         raise ValueError("empty sweep")
-    columns = list(rows[0].keys())
-    arrays = [np.array([row[c] for row in rows]) for c in columns]
-    return write_csv(path, columns, arrays, config.config_hash())
+    return _write_table(path, {c: np.array([row[c] for row in rows]) for c in rows[0]}, config)

@@ -8,6 +8,7 @@ import pytest
 from pnsslink import cli as cli_mod
 from pnsslink.cli import main
 from pnsslink.config import (
+    MAX_GRID_POINTS,
     ConfigError,
     default_config,
     default_config_dict,
@@ -97,6 +98,14 @@ class TestConfigParsing:
         doc["channel"][key] = value
         with pytest.raises(ConfigError, match=f"channel.{key}"):
             parse_config(doc)
+
+    def test_integral_floats_are_counts(self):
+        # Sweeps write every axis value as a float.
+        doc = small_doc(grid={"span_in_T1": 12.0, "points": 4001.0})
+        doc["pulse2"]["max_iterations"] = 40.0
+        config = parse_config(doc)
+        assert config.grid.n_points() == 4001 and isinstance(config.grid.points, int)
+        assert config.pulse2.max_iterations == 40
 
     def test_invalid_json_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -188,6 +197,62 @@ class TestCli:
         code = main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("grid", {"span_in_T1": 0.0}, "grid.span_in_T1"),
+            ("grid", {"span_in_T1": -12.0, "points": 4001}, "grid.span_in_T1"),
+            ("pulse1", {"T1_us": 0.0}, "pulse1.T1_us"),
+            ("pulse1", {"T1_us": -0.3}, "pulse1.T1_us"),
+            ("pulse2", {"tol": 0.0}, "pulse2.tol"),
+            ("pulse2", {"tol": -1e-6}, "pulse2.tol"),
+            ("pulse2", {"max_iterations": 0}, "pulse2.max_iterations"),
+            ("pulse2", {"max_iterations": 2.5}, "pulse2.max_iterations"),
+            ("grid", {"span_in_T1": 12.0, "points": 2.5}, "grid.points"),
+            ("grid", {"span_in_T1": 12.0, "points": 1}, "grid.points"),
+            # Validation only: both are rejected before any array exists.
+            ("grid", {"span_in_T1": 12.0, "points": MAX_GRID_POINTS + 1}, "grid.points"),
+            ("grid", {"span_in_T1": 1e4}, "grid.span_in_T1"),
+        ],
+    )
+    def test_out_of_range_setting_exit_code(self, tmp_path, capsys, section, value, field):
+        doc = small_doc()
+        if section == "grid":
+            doc["grid"] = value
+        else:
+            doc[section].update(value)
+        with pytest.raises(ConfigError, match=field):
+            parse_config(doc)
+        path = write_doc(tmp_path, doc)
+        code = main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
+    def test_tol_flag_must_be_positive(self, tmp_path, capsys, tol):
+        path = write_doc(tmp_path, small_doc())
+        out = tmp_path / "out"
+        code = main(["transfer", "--config", str(path), "--out", str(out), f"--tol={tol}"])
+        assert code == 1
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("num", ["0", "-3"])
+    def test_sweep_needs_a_sample(self, tmp_path, capsys, monkeypatch, num):
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        path = write_doc(tmp_path, small_doc())
+        code = main([
+            "sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", num,
+        ])
+        assert code == 1
+        assert "--num" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unexpected_error_is_not_a_solver_failure(self, tmp_path, monkeypatch):
