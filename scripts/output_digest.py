@@ -2,7 +2,8 @@
 """Print a SHA-256 digest of every CLI output for the stock scenarios.
 
 Runs ``pnsslink transfer`` on ``configs/qubit.json`` and
-``configs/qutrit.json`` and a short ``channel.L0_km`` sweep of the qutrit
+``configs/qutrit.json``, a short ``channel.L0_km`` sweep of the qutrit
+scenario and a 41-point ``initial_state.p_m1`` sweep of the qubit
 scenario, in-process and into a temporary directory, then prints one
 ``sha256  file`` line per output.  The package is imported from this
 checkout's ``src/``, so running the script in two checkouts and diffing
@@ -29,6 +30,10 @@ RUNS = {
     "qutrit-sweep": [
         "sweep", "--config", str(ROOT / "configs" / "qutrit.json"),
         "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", "11",
+    ],
+    "qubit-state-sweep": [
+        "sweep", "--config", str(ROOT / "configs" / "qubit.json"),
+        "--axis", "initial_state.p_m1", "--start", "0.05", "--stop", "0.9", "--num", "41",
     ],
 }
 

@@ -39,21 +39,26 @@ from .numerics import (
     integrate_ode,
 )
 from .photonics import (
+    EmissionModes,
     PhotonObservables,
-    fluxes_and_modes,
+    emission_modes,
     g2_zero_delay,
     mean_photon_number,
     mode_overlap,
     photon_distribution,
+    photon_fluxes,
     photon_observables,
 )
 from .pipeline import (
+    Link,
     SendResult,
     TransferResult,
     build_grid,
+    build_link,
     run_send,
     run_sweep,
     run_transfer,
+    run_transfer_on,
 )
 from .receiver import (
     FinalState,

@@ -2,7 +2,8 @@
 
 Subcommands: send, receive, transfer, sweep.  Exit codes: 0 ok,
 1 config error, 2 pulse-solve non-convergence, 3 strict-mode regime
-failure.  Any other exception is a bug and propagates with its traceback.
+failure (for ``sweep``, of any link it builds; nothing is written).  Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
+from .core import RegimeReport
 from .pipeline import (
+    RegimeFailure,
     run_send,
     run_sweep,
     run_transfer,
@@ -88,11 +91,11 @@ def _out_dir(args, config: ScenarioConfig) -> Path:
     return Path(args.out) if args.out else Path(config.outputs.directory)
 
 
-def _print_regime(send_result, strict: bool) -> int:
+def _print_regime(regime: RegimeReport, strict: bool) -> int:
     print("regime checks:")
-    for line in send_result.regime.summary_lines():
+    for line in regime.summary_lines():
         print(f"  {line}")
-    if strict and not send_result.regime.passed:
+    if strict and not regime.passed:
         print("strict mode: aborting on regime failure", file=sys.stderr)
         return EXIT_REGIME
     return EXIT_OK
@@ -101,7 +104,7 @@ def _print_regime(send_result, strict: bool) -> int:
 def _cmd_send(args) -> int:
     config = _load(args)
     result = run_send(config)
-    code = _print_regime(result, config.strict)
+    code = _print_regime(result.regime, config.strict)
     if code != EXIT_OK:
         return code
     out = _out_dir(args, config)
@@ -119,7 +122,7 @@ def _cmd_send(args) -> int:
 def _cmd_transfer(args) -> int:
     config = _load(args)
     result = run_transfer(config)
-    code = _print_regime(result.send, config.strict)
+    code = _print_regime(result.send.regime, config.strict)
     if code != EXIT_OK:
         return code
     out = _out_dir(args, config)
@@ -151,7 +154,7 @@ def _cmd_transfer(args) -> int:
 def _cmd_receive(args) -> int:
     config = _load(args)
     result = run_transfer(config)
-    code = _print_regime(result.send, config.strict)
+    code = _print_regime(result.send.regime, config.strict)
     if code != EXIT_OK:
         return code
     out = _out_dir(args, config)
@@ -168,7 +171,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--num must be at least 1, got {args.num}")
     config = _load(args)
     values = np.linspace(args.start, args.stop, args.num)
-    rows = run_sweep(config, args.axis, values)
+    try:
+        rows = run_sweep(config, args.axis, values)
+    except RegimeFailure as exc:
+        return _print_regime(exc.regime, strict=True)
     out = _out_dir(args, config)
     path = write_sweep_csv(rows, config, out / "sweep.csv")
     print(f"wrote {path}")

@@ -4,7 +4,9 @@ The emitted field is carried in two distinct temporal modes: the first
 photon occupies Phi1 and, when the input has weight on the m=-1
 sublevel, a second photon follows in Phi2.  Both mode functions are
 real and non-negative (they inherit the control-field phase, taken to
-be zero), with units of s**-1/2.
+be zero), with units of s**-1/2.  They depend on the exposure theta(t)
+alone (``emission_modes``); the input state only weights them
+(``photon_fluxes``, ``photon_observables``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,16 @@ class PhotonObservables:
     n_out: np.ndarray
     g2: np.ndarray
     g2_defined: np.ndarray
-    overlap: float
+
+
+@dataclass(frozen=True)
+class EmissionModes:
+    """The two temporal modes of one sending pulse; the input state does not enter."""
+
+    pulse: PulseShape
+    alpha1: float
+    phi1: np.ndarray
+    phi2: np.ndarray
 
 
 def photon_distribution(traj: SenderTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -51,34 +62,44 @@ def photon_distribution(traj: SenderTrajectory) -> tuple[np.ndarray, np.ndarray,
     return p0, p1, p2
 
 
-def fluxes_and_modes(
-    theta: SampledFunction,
-    pulse: PulseShape,
-    alpha1: float,
-    c: SuperpositionState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Photon fluxes and the two temporal mode functions.
+def emission_modes(theta: SampledFunction, pulse: PulseShape, alpha1: float) -> EmissionModes:
+    """Mode functions |phi1|^2 = alpha1*f1*exp(-theta), |phi2|^2 = theta*|phi1|^2.
 
-    Returns ``(flux_total, flux_one, flux_two, phi1, phi2)`` where
-    |phi1|^2 = alpha1*f1*exp(-theta) and |phi2|^2 carries the extra
-    factor theta, so the second photon always peaks later than the
-    first.  The branch weights satisfy
+    The factor theta makes the second photon always peak later than the
+    first.
+    """
+    rate, decay = _rate_and_decay(theta, pulse, alpha1)
+    phi1 = np.sqrt(rate * decay)
+    phi2 = np.sqrt(np.maximum(rate * theta.samples * decay, 0.0))
+    return EmissionModes(pulse=pulse, alpha1=alpha1, phi1=phi1, phi2=phi2)
+
+
+def _rate_and_decay(
+    theta: SampledFunction, pulse: PulseShape, alpha1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    # alpha1*f1(t) and exp(-theta).  Recomputed per call, not kept in
+    # EmissionModes: a link keeps its modes while every state is sent over
+    # it, and two more grid arrays would raise a transfer's peak memory.
+    rate = alpha1 * np.asarray(pulse.evaluate(theta.grid.values), dtype=float)
+    return rate, np.exp(-theta.samples)
+
+
+def photon_fluxes(
+    theta: SampledFunction, modes: EmissionModes, c: SuperpositionState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Photon fluxes ``(flux_total, flux_one, flux_two)`` of input ``c``.
+
+    The branch weights satisfy
     flux_total = (|c_m1|^2 + |c_0|^2)*phi1^2 + |c_m1|^2*phi2^2,
     which for a two-sublevel input is the plain mode-decomposition
     identity flux_total = phi1^2 + |c_m1|^2*phi2^2.
     """
-    th = theta.samples
-    f1 = np.asarray(pulse.evaluate(theta.grid.values), dtype=float)
-    e_full = np.exp(-th)
+    rate, decay = _rate_and_decay(theta, modes.pulse, modes.alpha1)
     p_m1, p_0, _ = c.populations
-
-    rate = alpha1 * f1
-    phi1 = np.sqrt(rate * e_full)
-    phi2 = np.sqrt(np.maximum(rate * th * e_full, 0.0))
-    flux_one = (p_m1 + p_0) * phi1**2
-    flux_two = p_m1 * phi2**2
-    flux_total = rate * (p_m1 * (1.0 + th) + p_0) * e_full
-    return flux_total, flux_one, flux_two, phi1, phi2
+    flux_one = (p_m1 + p_0) * modes.phi1**2
+    flux_two = p_m1 * modes.phi2**2
+    flux_total = rate * (p_m1 * (1.0 + theta.samples) + p_0) * decay
+    return flux_total, flux_one, flux_two
 
 
 def mean_photon_number(theta: SampledFunction, c: SuperpositionState) -> np.ndarray:
@@ -137,17 +158,14 @@ def mode_overlap(phi1: np.ndarray, phi2: np.ndarray, grid: TimeGrid) -> float:
 
 def photon_observables(
     theta: SampledFunction,
-    pulse: PulseShape,
-    alpha1: float,
+    modes: EmissionModes,
     c: SuperpositionState,
     traj: SenderTrajectory,
 ) -> PhotonObservables:
-    """Assemble every output-field observable for one sender run."""
+    """Assemble every output-field observable of input ``c`` for one sender run."""
     p0, p1, p2 = photon_distribution(traj)
-    flux_total, flux_one, flux_two, phi1, phi2 = fluxes_and_modes(theta, pulse, alpha1, c)
-    n_out = mean_photon_number(theta, c)
-    g2, g2_defined = g2_zero_delay(phi1, phi2, c)
-    overlap = mode_overlap(phi1, phi2, theta.grid)
+    flux_total, flux_one, flux_two = photon_fluxes(theta, modes, c)
+    g2, g2_defined = g2_zero_delay(modes.phi1, modes.phi2, c)
     return PhotonObservables(
         grid=theta.grid,
         p0=p0,
@@ -156,10 +174,9 @@ def photon_observables(
         flux_total=flux_total,
         flux_one=flux_one,
         flux_two=flux_two,
-        phi1=phi1,
-        phi2=phi2,
-        n_out=n_out,
+        phi1=modes.phi1,
+        phi2=modes.phi2,
+        n_out=mean_photon_number(theta, c),
         g2=g2,
         g2_defined=g2_defined,
-        overlap=overlap,
     )

@@ -1,4 +1,19 @@
-"""Scenario execution: send, transfer and sweep runs plus their outputs."""
+"""Scenario execution: send, transfer and sweep runs plus their outputs.
+
+A transfer runs in two stages.  The link stage (``build_link``) holds
+everything that depends only on the physics: derived rates, regime
+checks, the grid, the sending pulse, its exposure theta(t), the two
+photon mode functions and their overlap, the receiving control pulse
+(solved or explicit) and its areas eta(t), zeta(t).  The pi-area
+conditions involve only the mode functions, so one solved link serves
+every input state and every fiber channel.  The per-state stage
+(``run_transfer_on``) sends one input state over a link: emission
+amplitudes, photon observables, absorption amplitudes, bookkeeping
+residual, stored state and the report.  ``run_send`` uses only the
+sender half of the link stage and never solves a pulse; ``run_sweep``
+builds a new link only when a sample's physics differs from the
+previous sample's.
+"""
 
 from __future__ import annotations
 
@@ -24,7 +39,13 @@ from .core import (
 )
 from .csvio import write_csv
 from .numerics import SampledFunction, TimeGrid
-from .photonics import PhotonObservables, photon_observables
+from .photonics import (
+    EmissionModes,
+    PhotonObservables,
+    emission_modes,
+    mode_overlap,
+    photon_observables,
+)
 from .receiver import (
     FinalState,
     PulseSolveError,
@@ -39,6 +60,46 @@ from .receiver import (
 from .sender import PulseShape, SenderTrajectory, amplitudes_beta, pump_exposure
 
 US = 1e-6
+
+
+class RegimeFailure(Exception):
+    """A strict run met a link that fails a regime check."""
+
+    def __init__(self, regime: RegimeReport):
+        super().__init__("regime check failed")
+        self.regime = regime
+
+
+@dataclass(frozen=True)
+class SenderLink:
+    """The sending node's half of a link: no input state enters."""
+
+    params: PhysicalParams
+    derived: DerivedQuantities
+    regime: RegimeReport
+    grid: TimeGrid
+    pulse1: PulseShape
+    theta: SampledFunction
+    modes: EmissionModes
+    overlap: float
+
+
+def _physics(config: ScenarioConfig) -> tuple:
+    """The parsed fields a link is built from."""
+    return (config.params, config.pulse1, config.pulse2, config.grid, config.regime_min_ratio)
+
+
+@dataclass(frozen=True)
+class Link:
+    """A sender half plus the receiving control pulse and its areas."""
+
+    physics: tuple  # _physics of the config it was built from
+    sender: SenderLink
+    pulse2: PulseShape
+    omega2: float
+    solve: Optional[PulseSolveResult]
+    eta: SampledFunction
+    zeta: SampledFunction
 
 
 @dataclass(frozen=True)
@@ -79,8 +140,8 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
     return TimeGrid(center - half, center + half, config.grid.n_points())
 
 
-def run_send(config: ScenarioConfig) -> SendResult:
-    """Emit the photon state: regime checks, atomic dynamics, observables."""
+def build_sender(config: ScenarioConfig) -> SenderLink:
+    """Regime checks, grid, exposure and photon modes of the sending node."""
     params = config.params
     derived = derive(params)
     t1 = config.pulse1.t1_us * US
@@ -88,26 +149,44 @@ def run_send(config: ScenarioConfig) -> SendResult:
     grid = build_grid(config)
     pulse1 = PulseShape(kind="gaussian", duration=t1, center=config.pulse1.center_us * US)
     theta = pump_exposure(pulse1, derived.alpha1, grid)
-    trajectory = amplitudes_beta(theta, config.initial_state)
-    observables = photon_observables(theta, pulse1, derived.alpha1, config.initial_state, trajectory)
-    return SendResult(
-        config=config,
+    modes = emission_modes(theta, pulse1, derived.alpha1)
+    return SenderLink(
         params=params,
         derived=derived,
         regime=regime,
         grid=grid,
         pulse1=pulse1,
         theta=theta,
-        trajectory=trajectory,
-        observables=observables,
+        modes=modes,
+        overlap=mode_overlap(modes.phi1, modes.phi2, grid),
     )
 
 
+def _send(sender: SenderLink, config: ScenarioConfig) -> SendResult:
+    c = config.initial_state
+    trajectory = amplitudes_beta(sender.theta, c)
+    return SendResult(
+        config=config,
+        params=sender.params,
+        derived=sender.derived,
+        regime=sender.regime,
+        grid=sender.grid,
+        pulse1=sender.pulse1,
+        theta=sender.theta,
+        trajectory=trajectory,
+        observables=photon_observables(sender.theta, sender.modes, c, trajectory),
+    )
+
+
+def run_send(config: ScenarioConfig) -> SendResult:
+    """Emit the photon state: regime checks, atomic dynamics, observables."""
+    return _send(build_sender(config), config)
+
+
 def _resolve_pulse2(
-    config: ScenarioConfig, send: SendResult
+    config: ScenarioConfig, sender: SenderLink
 ) -> tuple[PulseShape, float, Optional[PulseSolveResult]]:
     p2 = config.pulse2
-    obs = send.observables
     if p2.mode == "explicit":
         omega2 = (
             config.params.omega2
@@ -124,9 +203,9 @@ def _resolve_pulse2(
         center_bracket = (p2.center_range_us[0] * US, p2.center_range_us[1] * US)
     try:
         solve = solve_pulse_shape(
-            obs.phi1,
-            obs.phi2,
-            send.grid,
+            sender.modes.phi1,
+            sender.modes.phi2,
+            sender.grid,
             config.params,
             mode=mode,
             center=(p2.center_us * US if p2.center_us is not None else None),
@@ -142,7 +221,32 @@ def _resolve_pulse2(
     return solve.pulse, solve.omega2, solve
 
 
-def _link(config: ScenarioConfig) -> ChannelModel:
+def build_link(config: ScenarioConfig, strict: bool = False) -> Link:
+    """The state-free stage of a transfer: sender half, receiving pulse, areas.
+
+    With ``strict``, a failed regime check raises ``RegimeFailure``
+    before the pulse solve.
+    """
+    sender = build_sender(config)
+    if strict and not sender.regime.passed:
+        raise RegimeFailure(sender.regime)
+    pulse2, omega2, solve = _resolve_pulse2(config, sender)
+    params = sender.params
+    g2_coupling = params.g * omega2 / abs(params.delta)
+    modes = sender.modes
+    eta, zeta = pulse_areas(pulse2, modes.phi1, modes.phi2, g2_coupling, params.k, sender.grid)
+    return Link(
+        physics=_physics(config),
+        sender=sender,
+        pulse2=pulse2,
+        omega2=omega2,
+        solve=solve,
+        eta=eta,
+        zeta=zeta,
+    )
+
+
+def _channel(config: ScenarioConfig) -> ChannelModel:
     ch = config.channel
     return ChannelModel(
         length_km=ch.length_km,
@@ -153,48 +257,63 @@ def _link(config: ScenarioConfig) -> ChannelModel:
     )
 
 
-def run_transfer(config: ScenarioConfig) -> TransferResult:
-    """Full pipeline: send, shape the receiving control, absorb, budget."""
-    send = run_send(config)
-    pulse2, omega2, solve = _resolve_pulse2(config, send)
-    params = send.params
-    g2_coupling = params.g * omega2 / abs(params.delta)
-    obs = send.observables
-    c = config.initial_state
-
-    eta, zeta = pulse_areas(pulse2, obs.phi1, obs.phi2, g2_coupling, params.k, send.grid)
-    receiver = gamma_analytic(eta, zeta, c, phi2=params.phi2)
-    residual = conservation_check(receiver, obs.n_out, obs.flux_total, params.k)
-    final = final_state(receiver, c)
-
+def _transfer_result(
+    link: Link,
+    send: SendResult,
+    receiver: ReceiverTrajectory,
+    residual: np.ndarray,
+    final: FinalState,
+) -> TransferResult:
+    """Assemble a transfer and its report for ``send.config``'s channel."""
+    solve = link.solve
     report = build_report(
-        channel=_link(config),
-        populations=c.populations,
+        channel=_channel(send.config),
+        populations=send.config.initial_state.populations,
         fidelity=final.fidelity,
-        r_sn=send.derived.r_sn,
-        mode_overlap=obs.overlap,
+        r_sn=link.sender.derived.r_sn,
+        mode_overlap=link.sender.overlap,
         eta_residual=float(receiver.eta[-1] - math.pi),
         zeta_residual=float(receiver.zeta[-1] - math.pi),
         leakage=final.leakage,
         conservation_residual_max=float(np.max(np.abs(residual))),
-        n_out_final=float(obs.n_out[-1]),
-        solved_duration_s=pulse2.duration,
-        solved_center_s=pulse2.center,
-        solved_omega2=omega2,
+        n_out_final=float(send.observables.n_out[-1]),
+        solved_duration_s=link.pulse2.duration,
+        solved_center_s=link.pulse2.center,
+        solved_omega2=link.omega2,
         solver_iterations=(solve.iterations if solve else None),
         solver_mode=(solve.mode if solve else "explicit"),
         solver_converged=(solve.converged if solve else None),
     )
     return TransferResult(
         send=send,
-        pulse2=pulse2,
-        omega2=omega2,
+        pulse2=link.pulse2,
+        omega2=link.omega2,
         solve=solve,
         receiver=receiver,
         residual=residual,
         final=final,
         report=report,
     )
+
+
+def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
+    """The per-state stage: send ``config``'s input state over ``link``.
+
+    ``config`` must have the physics ``link`` was built from.
+    """
+    if _physics(config) != link.physics:
+        raise ValueError("config's physics differs from the link's")
+    send = _send(link.sender, config)
+    c = config.initial_state
+    obs = send.observables
+    receiver = gamma_analytic(link.eta, link.zeta, c, phi2=send.params.phi2)
+    residual = conservation_check(receiver, obs.n_out, obs.flux_total, send.params.k)
+    return _transfer_result(link, send, receiver, residual, final_state(receiver, c))
+
+
+def run_transfer(config: ScenarioConfig) -> TransferResult:
+    """Full pipeline: send, shape the receiving control, absorb, budget."""
+    return run_transfer_on(build_link(config), config)
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +476,27 @@ def _row_from_transfer(result: TransferResult, cfg: ScenarioConfig) -> dict:
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> list[dict]:
-    """One transfer (or channel-only) evaluation per axis sample, in order."""
+    """One row per axis sample, in order.
+
+    Every sample is parsed before the first link is built, so a bad
+    value fails before any pulse solve.  A sample whose physics equals
+    the previous sample's reuses that link; if its input state matches
+    too, it reuses the whole transfer and rebuilds only the report.
+    With ``config.strict`` each new link's regime is checked as it is
+    built (``RegimeFailure``).
+    """
+    samples = [_config_with(config, axis, float(value)) for value in values]
     rows = []
-    channel_only = axis.startswith("channel.")
-    base: Optional[TransferResult] = run_transfer(config) if channel_only else None
-    for value in values:
-        cfg = _config_with(config, axis, float(value))
-        if channel_only:
-            # The transfer itself is unchanged; rebuild only the link budget.
-            report = build_report(
-                channel=_link(cfg),
-                populations=cfg.initial_state.populations,
-                fidelity=base.report.fidelity,
-                r_sn=base.report.r_sn,
-                mode_overlap=base.report.mode_overlap,
-                eta_residual=base.report.eta_residual,
-                zeta_residual=base.report.zeta_residual,
-                leakage=base.report.leakage,
-                conservation_residual_max=base.report.conservation_residual_max,
-                n_out_final=base.report.n_out_final,
-            )
-            result = dataclasses.replace(base, report=report)
+    link: Optional[Link] = None
+    for value, cfg in zip(values, samples):
+        if link is None or _physics(cfg) != link.physics:
+            link = build_link(cfg, strict=config.strict)
+            result = run_transfer_on(link, cfg)
+        elif cfg.initial_state != result.send.config.initial_state:
+            result = run_transfer_on(link, cfg)
         else:
-            result = run_transfer(cfg)
+            send = dataclasses.replace(result.send, config=cfg)
+            result = _transfer_result(link, send, result.receiver, result.residual, result.final)
         row = {axis.split(".")[-1]: float(value)}
         row.update(_row_from_transfer(result, cfg))
         rows.append(row)

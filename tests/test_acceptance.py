@@ -30,7 +30,7 @@ from pnsslink.channel import attenuation_length, transmission_efficiency
 from pnsslink.cli import main
 from pnsslink.config import default_config, default_config_dict, parse_config
 from pnsslink.core import SuperpositionState, derive
-from pnsslink.photonics import photon_observables
+from pnsslink.photonics import emission_modes, photon_observables
 from pnsslink.pipeline import run_transfer, write_photonics_csv
 from pnsslink.receiver import (
     final_state,
@@ -158,9 +158,8 @@ def test_05_antibunching(qubit_outcome):
     send = qubit_outcome.send
     single = SuperpositionState(0.0, 1.0)
     single_traj = amplitudes_beta(send.theta, single)
-    single_obs = photon_observables(
-        send.theta, send.pulse1, send.derived.alpha1, single, single_traj
-    )
+    single_modes = emission_modes(send.theta, send.pulse1, send.derived.alpha1)
+    single_obs = photon_observables(send.theta, single_modes, single, single_traj)
     all_zero = bool(np.all(single_obs.g2 == 0.0))
     check(
         "05 antibunching",

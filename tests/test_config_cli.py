@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pnsslink import cli as cli_mod
+from pnsslink import pipeline as pipeline_mod
 from pnsslink.cli import main
 from pnsslink.config import (
     MAX_GRID_POINTS,
@@ -15,7 +16,14 @@ from pnsslink.config import (
     load_config,
     parse_config,
 )
-from pnsslink.pipeline import run_sweep, run_transfer
+from pnsslink.pipeline import (
+    _config_with,
+    _row_from_transfer,
+    build_link,
+    run_sweep,
+    run_transfer,
+    run_transfer_on,
+)
 from pnsslink.receiver import PulseSolveError
 
 from conftest import load_csv
@@ -255,6 +263,45 @@ class TestCli:
         assert "--num" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bad_sweep_sample_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # The qutrit input keeps 0.2 on c_p1, so p_m1 = 0.815 (sample 36
+        # of 41) leaves no weight for c_0.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("pulse solve ran")
+
+        monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", no_solve)
+        doc = default_config_dict(qutrit=True)
+        doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
+        path = write_doc(tmp_path, doc)
+        code = main([
+            "sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--axis", "initial_state.p_m1", "--start", "0.05", "--stop", "0.9", "--num", "41",
+        ])
+        assert code == 1
+        assert "leaves no weight for c_0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_strict_sweep_aborts_on_regime_failure(self, tmp_path, capsys, monkeypatch, how):
+        # Stock physics fails cavity_decay_vs_raman_coupling (2.5 < 5); the
+        # link's regime is checked before its pulse solve.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("pulse solve ran")
+
+        monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", no_solve)
+        doc = small_doc(strict=True) if how == "config" else small_doc()
+        path = write_doc(tmp_path, doc)
+        argv = [
+            "sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--axis", "initial_state.p_m1", "--start", "0.1", "--stop", "0.9", "--num", "3",
+        ]
+        code = main(argv + ["--strict"] if how == "flag" else argv)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "cavity_decay_vs_raman_coupling" in captured.out
+        assert "strict mode" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_unexpected_error_is_not_a_solver_failure(self, tmp_path, monkeypatch):
         def broken(config):
             raise RuntimeError("bug")
@@ -329,6 +376,55 @@ class TestSweepSemantics:
         rows = run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, 5))
         n_out = [row["n_out_inf"] for row in rows]
         assert all(b > a for a, b in zip(n_out, n_out[1:]))
+
+    @pytest.mark.parametrize(
+        "qutrit, axis, start, stop, solves",
+        [
+            (False, "initial_state.p_m1", 0.0, 1.0, 1),
+            (True, "initial_state.p_m1", 0.05, 0.8, 1),
+            (False, "channel.L0_km", 0.0, 5.0, 1),
+            (False, "params.g_mhz", 11.5, 12.5, 5),
+        ],
+    )
+    def test_reused_rows_are_exact(self, monkeypatch, qutrit, axis, start, stop, solves):
+        doc = default_config_dict(qutrit=qutrit)
+        doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
+        config = parse_config(doc)
+        values = np.linspace(start, stop, 5)
+        calls = []
+        reports = []
+        solve, report = pipeline_mod.solve_pulse_shape, pipeline_mod.build_report
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        def keeping_report(**kwargs):
+            reports.append(report(**kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", counting_solve)
+        monkeypatch.setattr(pipeline_mod, "build_report", keeping_report)
+        rows = run_sweep(config, axis, values)
+        assert len(calls) == solves
+        assert len(reports) == len(values)
+        for report_ in reports:
+            assert report_.solved_duration_s is not None
+            assert report_.solved_omega2 is not None
+            assert report_.solver_converged is True
+        for value, row in zip(values, rows):
+            cfg = _config_with(config, axis, float(value))
+            expected = {axis.split(".")[-1]: float(value)}
+            expected.update(_row_from_transfer(run_transfer(cfg), cfg))
+            assert row == expected
+
+    def test_link_refuses_other_physics(self):
+        config = parse_config(small_doc())
+        link = build_link(config)
+        other = _config_with(config, "initial_state.p_m1", 0.4)
+        assert run_transfer_on(link, other).final.fidelity == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ValueError, match="physics"):
+            run_transfer_on(link, _config_with(config, "params.g_mhz", 12.5))
 
     def test_halved_grid_keeps_invariants(self):
         config = parse_config(small_doc())

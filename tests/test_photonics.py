@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
 from pnsslink.photonics import (
-    fluxes_and_modes,
+    emission_modes,
     g2_zero_delay,
     mean_photon_number,
     mode_overlap,
     photon_distribution,
+    photon_fluxes,
     photon_observables,
 )
 from pnsslink.sender import PulseShape, amplitudes_beta, pump_exposure
@@ -24,7 +25,9 @@ from conftest import make_grid
 def scenario(stock_derived, grid, pulse1, qubit_state):
     theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
     traj = amplitudes_beta(theta, qubit_state)
-    obs = photon_observables(theta, pulse1, stock_derived.alpha1, qubit_state, traj)
+    obs = photon_observables(
+        theta, emission_modes(theta, pulse1, stock_derived.alpha1), qubit_state, traj
+    )
     return theta, traj, obs
 
 
@@ -75,10 +78,9 @@ class TestFluxesAndModes:
         grid = TimeGrid(0.0, 1e-6, 51)
         off = PulseShape(kind="tabulated", duration=1.0, table=SampledFunction(grid, np.zeros(51)))
         theta = pump_exposure(off, stock_derived.alpha1, grid)
-        flux_total, flux_one, flux_two, phi1, phi2 = fluxes_and_modes(
-            theta, off, stock_derived.alpha1, qubit_state
-        )
-        for arr in (flux_total, flux_one, flux_two, phi1, phi2):
+        modes = emission_modes(theta, off, stock_derived.alpha1)
+        fluxes = photon_fluxes(theta, modes, qubit_state)
+        for arr in (*fluxes, modes.phi1, modes.phi2):
             assert np.all(arr == 0.0)
 
     def test_second_photon_lags_first(self, scenario):
@@ -116,7 +118,9 @@ class TestMeanPhotonNumber:
     def test_qutrit_counts_identity(self, stock_derived, grid, pulse1, qutrit_state):
         theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
         traj = amplitudes_beta(theta, qutrit_state)
-        obs = photon_observables(theta, pulse1, stock_derived.alpha1, qutrit_state, traj)
+        obs = photon_observables(
+            theta, emission_modes(theta, pulse1, stock_derived.alpha1), qutrit_state, traj
+        )
         assert np.max(np.abs(obs.n_out - obs.p1 - 2.0 * obs.p2)) <= 1e-8
 
     def test_small_exposure_linear(self, stock_derived, pulse1, qubit_state):
@@ -148,10 +152,8 @@ class TestG2:
 
     def test_zero_without_two_photon_component(self, scenario, stock_derived, grid, pulse1):
         theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
-        _, _, _, phi1, phi2 = fluxes_and_modes(
-            theta, pulse1, stock_derived.alpha1, SuperpositionState(0.0, 1.0)
-        )
-        g2, _ = g2_zero_delay(phi1, phi2, SuperpositionState(0.0, 1.0))
+        modes = emission_modes(theta, pulse1, stock_derived.alpha1)
+        g2, _ = g2_zero_delay(modes.phi1, modes.phi2, SuperpositionState(0.0, 1.0))
         assert np.all(g2 == 0.0)
 
     def test_equality_case(self):
@@ -199,15 +201,13 @@ class TestModeOverlap:
 
     def test_stock_scenario_value(self, scenario):
         _, _, obs = scenario
-        assert obs.overlap == pytest.approx(0.8879, abs=5e-4)
+        assert mode_overlap(obs.phi1, obs.phi2, obs.grid) == pytest.approx(0.8879, abs=5e-4)
 
     def test_high_energy_limit(self, stock_derived, pulse1, qubit_state):
         # At large total exposure the overlap approaches
         # gamma(3/2) = sqrt(pi)/2 (substitution u = exposure).
         grid = make_grid(32001)
         theta = pump_exposure(pulse1, stock_derived.alpha1 * 10.0, grid)
-        _, _, _, phi1, phi2 = fluxes_and_modes(
-            theta, pulse1, stock_derived.alpha1 * 10.0, qubit_state
-        )
+        modes = emission_modes(theta, pulse1, stock_derived.alpha1 * 10.0)
         limit = math.gamma(1.5)
-        assert mode_overlap(phi1, phi2, grid) == pytest.approx(limit, abs=2e-3)
+        assert mode_overlap(modes.phi1, modes.phi2, grid) == pytest.approx(limit, abs=2e-3)

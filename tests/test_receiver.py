@@ -9,7 +9,7 @@ from pnsslink import receiver as receiver_mod
 from pnsslink.config import default_config_dict, parse_config
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
-from pnsslink.photonics import fluxes_and_modes, mean_photon_number
+from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes
 from pnsslink.pipeline import run_transfer
 from pnsslink.receiver import (
     PulseSolveError,
@@ -28,10 +28,10 @@ from conftest import T1, random_states
 
 
 @pytest.fixture(scope="module")
-def modes(stock_derived, grid, pulse1, qubit_state):
+def modes(stock_derived, grid, pulse1):
     theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
-    _, _, _, phi1, phi2 = fluxes_and_modes(theta, pulse1, stock_derived.alpha1, qubit_state)
-    return theta, phi1, phi2
+    emitted = emission_modes(theta, pulse1, stock_derived.alpha1)
+    return theta, emitted.phi1, emitted.phi2
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +284,8 @@ class TestConservationCheck:
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
         traj = gamma_analytic(eta, zeta, qubit_state)
-        flux, _, _, _, _ = fluxes_and_modes(theta, pulse1, stock_derived.alpha1, qubit_state)
+        emitted = emission_modes(theta, pulse1, stock_derived.alpha1)
+        flux, _, _ = photon_fluxes(theta, emitted, qubit_state)
         n_out = mean_photon_number(theta, qubit_state)
         residual = conservation_check(traj, n_out, flux, stock_params.k)
         assert abs(residual[0]) <= 1e-12
@@ -298,7 +299,8 @@ class TestConservationCheck:
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
         traj = gamma_analytic(eta, zeta, qubit_state)
-        flux, _, _, _, _ = fluxes_and_modes(theta, pulse1, stock_derived.alpha1, qubit_state)
+        emitted = emission_modes(theta, pulse1, stock_derived.alpha1)
+        flux, _, _ = photon_fluxes(theta, emitted, qubit_state)
         n_out = mean_photon_number(theta, qubit_state)
         residual = conservation_check(traj, n_out, flux, stock_params.k)
         deficit = 1.7 - n_out[-1]
