@@ -9,7 +9,6 @@ other exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -75,16 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    config = load_config(args.config)
+    # Flags are written into the document, so the hash and every sweep
+    # sample carry them.
+    overrides = {}
     if args.strict:
-        config = dataclasses.replace(config, strict=True)
+        overrides["strict"] = True
     if args.tol is not None:
         if not args.tol > 0.0:
             raise ConfigError(f"--tol must be > 0, got {args.tol!r}")
-        config = dataclasses.replace(
-            config, pulse2=dataclasses.replace(config.pulse2, tol=args.tol)
-        )
-    return config
+        overrides["pulse2.tol"] = args.tol
+    return load_config(args.config, overrides)
 
 
 def _out_dir(args, config: ScenarioConfig) -> Path:

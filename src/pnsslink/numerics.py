@@ -92,18 +92,31 @@ def _check_uniform(grid: TimeGrid) -> None:
 
 
 def cumulative_integral(f: SampledFunction) -> SampledFunction:
-    """Cumulative trapezoidal integral of ``f`` from the grid start.
+    """Fourth-order cumulative integral of ``f`` from the grid start.
 
+    Each interval is integrated over the cubic through its four nearest
+    samples: h/24 (-f[i-1] + 13 f[i] + 13 f[i+1] - f[i+2]) inside, and the
+    one-sided h/24 (9 f[0] + 19 f[1] - 5 f[2] + f[3]) on the first
+    interval, mirrored on the last.  The rule is exact on cubics and its
+    error falls as h**4.  Grids of fewer than 4 points use the trapezoid.
     The first sample is exactly 0 and the last approximates the integral
     over the whole grid.
     """
     _check_uniform(f.grid)
     if np.iscomplexobj(f.samples):
         raise ValueError("cumulative_integral expects real-valued samples")
-    y = f.samples
-    out = np.zeros_like(y, dtype=float)
-    np.cumsum(0.5 * (y[1:] + y[:-1]), out=out[1:])
-    out[1:] *= f.grid.dt
+    y = np.asarray(f.samples, dtype=float)
+    out = np.zeros_like(y)
+    if y.size < 4:
+        np.cumsum(0.5 * (y[1:] + y[:-1]), out=out[1:])
+        out[1:] *= f.grid.dt
+        return SampledFunction(f.grid, out)
+    panels = np.empty(y.size - 1)
+    panels[1:-1] = 13.0 * (y[1:-2] + y[2:-1]) - (y[:-3] + y[3:])
+    panels[0] = 9.0 * y[0] + 19.0 * y[1] - 5.0 * y[2] + y[3]
+    panels[-1] = 9.0 * y[-1] + 19.0 * y[-2] - 5.0 * y[-3] + y[-4]
+    np.cumsum(panels, out=out[1:])
+    out[1:] *= f.grid.dt / 24.0
     return SampledFunction(f.grid, out)
 
 

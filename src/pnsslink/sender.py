@@ -87,8 +87,13 @@ class SenderTrajectory:
 def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFunction:
     """Accumulated exposure theta(t) = alpha1 * cumulative integral of f1.
 
-    theta is dimensionless, starts at 0 and is non-decreasing; its final
-    value is proportional to the total pulse energy.
+    theta is dimensionless, starts at 0 and its final value is
+    proportional to the total pulse energy.  The integral is the
+    fourth-order cumulative rule (``numerics.cumulative_integral``), one
+    path for every pulse kind; on the default grid of a gaussian it is
+    within ~4e-12 of the erf closed form.  It is non-decreasing wherever
+    the grid resolves the pulse; a grid far coarser than the pulse width
+    can give dips of the size of the unresolved tail.
     """
     if alpha1 < 0.0:
         raise ValueError("alpha1 must be non-negative")

@@ -47,7 +47,7 @@ class TestConfigParsing:
     def test_default_parses(self):
         config = default_config()
         assert config.params.g == pytest.approx(2 * math.pi * 12e6)
-        assert config.grid.n_points() == 48001
+        assert config.grid.n_points() == 6001
 
     def test_hash_stable(self):
         a = parse_config(default_config_dict())
@@ -248,6 +248,14 @@ class TestCli:
         assert "--tol" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tol_flag_needs_a_pulse2_table(self, tmp_path, capsys):
+        path = write_doc(tmp_path, small_doc(pulse2=[1e-6]))
+        out = tmp_path / "out"
+        code = main(["transfer", "--config", str(path), "--out", str(out), "--tol", "1e-9"])
+        assert code == 1
+        assert "pulse2.tol" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("num", ["0", "-3"])
     def test_sweep_needs_a_sample(self, tmp_path, capsys, monkeypatch, num):
         def no_sweep(*args):
@@ -348,6 +356,29 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert abs(report["diagnostics"]["eta_residual"]) <= 1e-9
 
+    def test_tol_flag_reaches_every_sweep_sample(self, tmp_path, monkeypatch):
+        parsed = []
+        parse = pipeline_mod.parse_config
+
+        def recording_parse(doc):
+            parsed.append(parse(doc))
+            return parsed[-1]
+
+        monkeypatch.setattr(pipeline_mod, "parse_config", recording_parse)
+        sweep = ["sweep", "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", "3"]
+        path = write_doc(tmp_path, small_doc())
+        flag_run = ["--config", str(path), "--out", str(tmp_path / "flag"), "--tol", "1e-9"]
+        assert main(sweep + flag_run) == 0
+        assert [cfg.pulse2.tol for cfg in parsed] == [1e-9] * 3
+        doc = small_doc()
+        doc["pulse2"]["tol"] = 1e-9
+        path = write_doc(tmp_path, doc, name="tol.json")
+        assert main(sweep + ["--config", str(path), "--out", str(tmp_path / "file")]) == 0
+        flag_csv = (tmp_path / "flag" / "sweep.csv").read_text().splitlines()
+        file_csv = (tmp_path / "file" / "sweep.csv").read_text().splitlines()
+        assert flag_csv[0].startswith("# config_hash: ")
+        assert flag_csv[0] == file_csv[0]
+
     def test_csv_format(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
         main(["send", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -425,6 +456,20 @@ class TestSweepSemantics:
         assert run_transfer_on(link, other).final.fidelity == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(ValueError, match="physics"):
             run_transfer_on(link, _config_with(config, "params.g_mhz", 12.5))
+
+    def test_default_grid_agrees_with_4x_grid(self):
+        # The default grid's discretisation error, estimated against a 4x
+        # denser grid on the stock qubit scenario.
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "qubit.json")
+        dense_doc = json.loads(json.dumps(config.raw))
+        dense_doc["grid"]["points"] = 4 * (config.grid.n_points() - 1) + 1
+        assert dense_doc["grid"]["points"] == 24001
+        default, dense = run_transfer(config), run_transfer(parse_config(dense_doc))
+        assert default.pulse2.duration == pytest.approx(dense.pulse2.duration, rel=1e-9)
+        assert default.omega2 == pytest.approx(dense.omega2, rel=1e-9)
+        assert default.report.conservation_residual_max == pytest.approx(
+            dense.report.conservation_residual_max, rel=0.0, abs=1e-9
+        )
 
     def test_halved_grid_keeps_invariants(self):
         config = parse_config(small_doc())

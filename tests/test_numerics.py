@@ -65,6 +65,33 @@ class TestCumulativeIntegral:
             out = cumulative_integral(SampledFunction(grid, np.ones(n)))
             assert out.final == pytest.approx(1.0, abs=1e-14)
 
+    def test_cubic_exact_including_end_panels(self):
+        grid = TimeGrid(0.0, 1.0, 11)
+        t = grid.values
+        f = 4.0 * t**3 - 3.0 * t**2 + 2.0 * t - 1.0
+        out = cumulative_integral(SampledFunction(grid, f))
+        np.testing.assert_allclose(out.samples, t**4 - t**3 + t**2 - t, rtol=0.0, atol=1e-14)
+
+    def test_fourth_order_on_gaussian(self):
+        # The window [0, 2] keeps the integrand large at the far end, so the
+        # end panels set the error, not the decaying-tail spectral accuracy.
+        def err(n):
+            grid = TimeGrid(0.0, 2.0, n)
+            t = grid.values
+            out = cumulative_integral(SampledFunction(grid, np.exp(-(t**2))))
+            exact = 0.5 * math.sqrt(math.pi) * np.array([math.erf(x) for x in t])
+            return np.max(np.abs(out.samples - exact))
+
+        errors = [err(n) for n in (21, 41, 81, 161)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
+
+    def test_short_grids_fall_back_to_trapezoid(self):
+        for n in (2, 3):
+            grid = TimeGrid(0.0, 1.0, n)
+            out = cumulative_integral(SampledFunction(grid, np.full(n, 2.5)))
+            np.testing.assert_allclose(out.samples, 2.5 * grid.values, rtol=0.0, atol=1e-15)
+
     def test_rejects_complex(self):
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(ValueError):
