@@ -3,8 +3,10 @@
 
 Runs ``pnsslink transfer`` on ``configs/qubit.json`` and
 ``configs/qutrit.json``, a short ``channel.L0_km`` sweep of the qutrit
-scenario and a 41-point ``initial_state.p_m1`` sweep of the qubit
-scenario, in-process and into a temporary directory, then prints one
+scenario, a 41-point ``initial_state.p_m1`` sweep of the qubit scenario
+and one of the qutrit scenario at an off-resonant control phase
+(``params.phi2_rad`` = 0.7, which exercises the any-phase receiver
+closed form), in-process and into a temporary directory, then prints one
 ``sha256  file`` line per output.  The package is imported from this
 checkout's ``src/``, so running the script in two checkouts and diffing
 the printed lines tells whether their outputs are byte-identical.
@@ -15,6 +17,7 @@ Usage: python scripts/output_digest.py
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from pnsslink.cli import main as cli_main  # noqa: E402
+
+# configs/qutrit.json with params.phi2_rad set to this, written at run time.
+OFFPHASE_CONFIG = "qutrit-offphase.json"
+OFFPHASE_PHI2_RAD = 0.7
 
 RUNS = {
     "qubit": ["transfer", "--config", str(ROOT / "configs" / "qubit.json")],
@@ -35,12 +42,21 @@ RUNS = {
         "sweep", "--config", str(ROOT / "configs" / "qubit.json"),
         "--axis", "initial_state.p_m1", "--start", "0.05", "--stop", "0.9", "--num", "41",
     ],
+    "qutrit-offphase-state-sweep": [
+        "sweep", "--config", OFFPHASE_CONFIG,
+        "--axis", "initial_state.p_m1", "--start", "0.05", "--stop", "0.8", "--num", "41",
+    ],
 }
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as config_dir:
+        offphase = Path(config_dir) / OFFPHASE_CONFIG
+        doc = json.loads((ROOT / "configs" / "qutrit.json").read_text(encoding="utf-8"))
+        doc["params"]["phi2_rad"] = OFFPHASE_PHI2_RAD
+        offphase.write_text(json.dumps(doc), encoding="utf-8")
         for name, argv in RUNS.items():
+            argv = [str(offphase) if arg == OFFPHASE_CONFIG else arg for arg in argv]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main(argv + ["--out", str(Path(tmp) / name)])
             if code != 0:

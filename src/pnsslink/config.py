@@ -34,6 +34,14 @@ def _require(table: dict, key: str, where: str) -> Any:
     return table[key]
 
 
+def _section(doc: dict, name: str) -> dict:
+    """An optional top-level table; absent means every field takes its default."""
+    raw = doc.get(name, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a table, got {raw!r}")
+    return raw
+
+
 def _finite(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -239,7 +247,7 @@ def _parse_params(doc: dict) -> PhysicalParams:
 
 
 def _parse_pulse1(doc: dict) -> Pulse1Config:
-    raw = doc.get("pulse1", {})
+    raw = _section(doc, "pulse1")
     shape = raw.get("shape", "gaussian")
     if shape != "gaussian":
         raise ConfigError(f"pulse1.shape {shape!r} not supported in configs")
@@ -251,7 +259,7 @@ def _parse_pulse1(doc: dict) -> Pulse1Config:
 
 
 def _parse_pulse2(doc: dict) -> Pulse2Config:
-    raw = doc.get("pulse2", {})
+    raw = _section(doc, "pulse2")
     mode = raw.get("mode", "solve")
     if mode not in ("solve", "explicit"):
         raise ConfigError(f"pulse2.mode must be 'solve' or 'explicit', got {mode!r}")
@@ -288,7 +296,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a scenario document and convert to internal units."""
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
-    grid_raw = doc.get("grid", {})
+    grid_raw = _section(doc, "grid")
     grid = GridConfig(
         span_in_t1=_number(grid_raw, "span_in_T1", "grid", default=12.0, above=0.0),
         points=(_count(grid_raw, "points", "grid") if "points" in grid_raw else None),
@@ -296,7 +304,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if not 2 <= grid.n_points() <= MAX_GRID_POINTS:
         field = "grid.points" if grid.points is not None else "grid.span_in_T1"
         raise ConfigError(f"{field} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
-    ch_raw = doc.get("channel", {})
+    ch_raw = _section(doc, "channel")
     channel = ChannelConfig(
         length_km=_number(ch_raw, "L0_km", "channel", default=0.0),
         atten_db_per_km=_number(ch_raw, "atten_db_per_km", "channel", default=2.0, above=0.0),
@@ -309,7 +317,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     for key, p in (("p_em", channel.p_em), ("p_abs", channel.p_abs)):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"channel.{key} must lie in [0, 1], got {p!r}")
-    out_raw = doc.get("outputs", {})
+    out_raw = _section(doc, "outputs")
     which = out_raw.get("which", ["sender", "photonics", "receiver", "report"])
     if not isinstance(which, (list, tuple)):
         raise ConfigError("outputs.which must be a list")

@@ -10,14 +10,14 @@ every input state and every fiber channel.  The per-state stage
 (``run_transfer_on``) sends one input state over a link: emission
 amplitudes, photon observables, absorption amplitudes, bookkeeping
 residual, stored state and the report.  ``run_send`` uses only the
-sender half of the link stage and never solves a pulse; ``run_sweep``
+sender half of the link stage and never solves a pulse.  ``run_sweep``
 builds a new link only when a sample's physics differs from the
-previous sample's.
+previous sample's, and evaluates the per-state closed forms at the
+link's terminal samples only: a sweep row holds end values alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +43,9 @@ from .photonics import (
     EmissionModes,
     PhotonObservables,
     emission_modes,
+    mean_photon_number,
     mode_overlap,
+    photon_distribution,
     photon_observables,
 )
 from .receiver import (
@@ -257,18 +259,23 @@ def _channel(config: ScenarioConfig) -> ChannelModel:
     )
 
 
-def _transfer_result(
-    link: Link,
-    send: SendResult,
-    receiver: ReceiverTrajectory,
-    residual: np.ndarray,
-    final: FinalState,
-) -> TransferResult:
-    """Assemble a transfer and its report for ``send.config``'s channel."""
+def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
+    """The per-state stage: send ``config``'s input state over ``link``.
+
+    ``config`` must have the physics ``link`` was built from.
+    """
+    if _physics(config) != link.physics:
+        raise ValueError("config's physics differs from the link's")
+    send = _send(link.sender, config)
+    c = config.initial_state
+    obs = send.observables
+    receiver = gamma_analytic(link.eta, link.zeta, c, phi2=send.params.phi2)
+    residual = conservation_check(receiver, obs.n_out, obs.flux_total, send.params.k)
+    final = final_state(receiver, c)
     solve = link.solve
     report = build_report(
-        channel=_channel(send.config),
-        populations=send.config.initial_state.populations,
+        channel=_channel(config),
+        populations=c.populations,
         fidelity=final.fidelity,
         r_sn=link.sender.derived.r_sn,
         mode_overlap=link.sender.overlap,
@@ -276,7 +283,7 @@ def _transfer_result(
         zeta_residual=float(receiver.zeta[-1] - math.pi),
         leakage=final.leakage,
         conservation_residual_max=float(np.max(np.abs(residual))),
-        n_out_final=float(send.observables.n_out[-1]),
+        n_out_final=float(obs.n_out[-1]),
         solved_duration_s=link.pulse2.duration,
         solved_center_s=link.pulse2.center,
         solved_omega2=link.omega2,
@@ -294,21 +301,6 @@ def _transfer_result(
         final=final,
         report=report,
     )
-
-
-def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
-    """The per-state stage: send ``config``'s input state over ``link``.
-
-    ``config`` must have the physics ``link`` was built from.
-    """
-    if _physics(config) != link.physics:
-        raise ValueError("config's physics differs from the link's")
-    send = _send(link.sender, config)
-    c = config.initial_state
-    obs = send.observables
-    receiver = gamma_analytic(link.eta, link.zeta, c, phi2=send.params.phi2)
-    residual = conservation_check(receiver, obs.n_out, obs.flux_total, send.params.k)
-    return _transfer_result(link, send, receiver, residual, final_state(receiver, c))
 
 
 def run_transfer(config: ScenarioConfig) -> TransferResult:
@@ -453,25 +445,41 @@ def _config_with(config: ScenarioConfig, axis: str, value: float) -> ScenarioCon
     return parse_config(doc)
 
 
-def _row_from_transfer(result: TransferResult, cfg: ScenarioConfig) -> dict:
-    report = result.report
-    obs = result.send.observables
-    link_cfg = cfg.channel
-    l_att = channel_mod.attenuation_length(link_cfg.atten_db_per_km)
+def _sweep_row(link: Link, cfg: ScenarioConfig) -> dict:
+    """The ``sweep.csv`` values of ``cfg``'s input state sent over ``link``.
+
+    Every per-state value in a row is read at the last grid sample.  The
+    closed forms are pointwise in theta, eta and zeta, so they run here on
+    the link's last two samples (the shortest grid there is) and give the
+    same floats as a full-grid ``run_transfer_on``.  The truncated grid
+    stays inside this function; only end values leave it.
+    """
+    c = cfg.initial_state
+    grid = link.sender.grid
+    end = TimeGrid(grid.values[-2], grid.values[-1], 2)
+
+    def at_end(f: SampledFunction) -> SampledFunction:
+        return SampledFunction(end, f.samples[-2:])
+
+    theta = at_end(link.sender.theta)
+    _, p1, p2 = photon_distribution(amplitudes_beta(theta, c))
+    receiver = gamma_analytic(at_end(link.eta), at_end(link.zeta), c, phi2=cfg.params.phi2)
+    ch = _channel(cfg)
+    l_att = channel_mod.attenuation_length(ch.atten_db_per_km)
     return {
-        "eta1": channel_mod.transmission_efficiency(link_cfg.length_km, l_att, 1),
-        "eta2": channel_mod.transmission_efficiency(link_cfg.length_km, l_att, 2),
-        "weighted_success": report.weighted_success,
-        "phase_rad": report.phase_drift_rad,
-        "fidelity": report.fidelity,
-        "n_out_inf": float(obs.n_out[-1]),
-        "P1_inf": float(obs.p1[-1]),
-        "P2_inf": float(obs.p2[-1]),
-        "T2_us": result.pulse2.duration / US,
-        "center2_us": result.pulse2.center / US,
-        "omega2_mhz": to_mhz(result.omega2),
-        "eta_residual": report.eta_residual,
-        "zeta_residual": report.zeta_residual,
+        "eta1": channel_mod.transmission_efficiency(ch.length_km, l_att, 1),
+        "eta2": channel_mod.transmission_efficiency(ch.length_km, l_att, 2),
+        "weighted_success": ch.weighted_success(c.populations),
+        "phase_rad": channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km),
+        "fidelity": final_state(receiver, c).fidelity,
+        "n_out_inf": float(mean_photon_number(theta, c)[-1]),
+        "P1_inf": float(p1[-1]),
+        "P2_inf": float(p2[-1]),
+        "T2_us": link.pulse2.duration / US,
+        "center2_us": link.pulse2.center / US,
+        "omega2_mhz": to_mhz(link.omega2),
+        "eta_residual": float(receiver.eta[-1] - math.pi),
+        "zeta_residual": float(receiver.zeta[-1] - math.pi),
     }
 
 
@@ -480,10 +488,12 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> list[dic
 
     Every sample is parsed before the first link is built, so a bad
     value fails before any pulse solve.  A sample whose physics equals
-    the previous sample's reuses that link; if its input state matches
-    too, it reuses the whole transfer and rebuilds only the report.
-    With ``config.strict`` each new link's regime is checked as it is
-    built (``RegimeFailure``).
+    the previous sample's reuses that link.  No sample runs the
+    full-grid per-state stage: an ``initial_state.*`` or ``channel.*``
+    sweep costs one link plus the per-state closed forms evaluated at
+    the link's terminal samples (``_sweep_row``).  With
+    ``config.strict`` each new link's regime is checked as it is built
+    (``RegimeFailure``).
     """
     samples = [_config_with(config, axis, float(value)) for value in values]
     rows = []
@@ -491,14 +501,8 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> list[dic
     for value, cfg in zip(values, samples):
         if link is None or _physics(cfg) != link.physics:
             link = build_link(cfg, strict=config.strict)
-            result = run_transfer_on(link, cfg)
-        elif cfg.initial_state != result.send.config.initial_state:
-            result = run_transfer_on(link, cfg)
-        else:
-            send = dataclasses.replace(result.send, config=cfg)
-            result = _transfer_result(link, send, result.receiver, result.residual, result.final)
         row = {axis.split(".")[-1]: float(value)}
-        row.update(_row_from_transfer(result, cfg))
+        row.update(_sweep_row(link, cfg))
         rows.append(row)
     return rows
 

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from pnsslink import cli as cli_mod
 from pnsslink import pipeline as pipeline_mod
+from pnsslink.channel import attenuation_length, transmission_efficiency
 from pnsslink.cli import main
 from pnsslink.config import (
     MAX_GRID_POINTS,
@@ -16,9 +18,10 @@ from pnsslink.config import (
     load_config,
     parse_config,
 )
+from pnsslink.core import to_mhz
 from pnsslink.pipeline import (
+    US,
     _config_with,
-    _row_from_transfer,
     build_link,
     run_sweep,
     run_transfer,
@@ -35,6 +38,31 @@ def small_doc(**overrides) -> dict:
     for key, value in overrides.items():
         doc[key] = value
     return doc
+
+
+def full_grid_row(cfg, axis: str, value: float) -> dict:
+    """The sweep row of one sample, read off an independent full-grid transfer."""
+    result = run_transfer(cfg)
+    report, obs = result.report, result.send.observables
+    assert report.solved_duration_s is not None and report.solved_omega2 is not None
+    assert report.solver_converged is True
+    l_att = attenuation_length(cfg.channel.atten_db_per_km)
+    return {
+        axis.split(".")[-1]: float(value),
+        "eta1": transmission_efficiency(cfg.channel.length_km, l_att, 1),
+        "eta2": transmission_efficiency(cfg.channel.length_km, l_att, 2),
+        "weighted_success": report.weighted_success,
+        "phase_rad": report.phase_drift_rad,
+        "fidelity": report.fidelity,
+        "n_out_inf": float(obs.n_out[-1]),
+        "P1_inf": float(obs.p1[-1]),
+        "P2_inf": float(obs.p2[-1]),
+        "T2_us": result.pulse2.duration / US,
+        "center2_us": result.pulse2.center / US,
+        "omega2_mhz": to_mhz(result.omega2),
+        "eta_residual": report.eta_residual,
+        "zeta_residual": report.zeta_residual,
+    }
 
 
 def write_doc(tmp_path: Path, doc: dict, name: str = "scenario.json") -> Path:
@@ -239,6 +267,17 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section", ["pulse1", "pulse2", "grid", "channel", "outputs"])
+    def test_section_must_be_a_table(self, tmp_path, capsys, section):
+        doc = small_doc(**{section: [1]})
+        with pytest.raises(ConfigError, match=f"{section} must be a table"):
+            parse_config(doc)
+        path = write_doc(tmp_path, doc)
+        code = main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{section} must be a table" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
     def test_tol_flag_must_be_positive(self, tmp_path, capsys, tol):
         path = write_doc(tmp_path, small_doc())
@@ -392,6 +431,22 @@ class TestCli:
         assert len(sig) <= 15
 
 
+REUSED_ROW_CASES = [
+    (False, math.pi / 2, "initial_state.p_m1", 0.0, 1.0, 1),
+    (True, math.pi / 2, "initial_state.p_m1", 0.05, 0.8, 1),
+    # Off-phase control: the receiver closed form's u = exp(i(pi/2 - phi2)).
+    (True, 0.7, "initial_state.p_m1", 0.05, 0.8, 1),
+    (False, math.pi / 2, "channel.L0_km", 0.0, 5.0, 1),
+    (False, math.pi / 2, "params.g_mhz", 11.5, 12.5, 5),
+]
+
+
+def _reused_row_id(qutrit, phi2, axis, start, stop, solves) -> str:
+    # Cases at the default control phase keep the ids they had before phi2 was a column.
+    phase = "" if phi2 == math.pi / 2 else f"phi2={phi2}-"
+    return f"{qutrit}-{phase}{axis}-{start}-{stop}-{solves}"
+
+
 class TestSweepSemantics:
     def test_single_point_matches_transfer(self):
         config = parse_config(small_doc())
@@ -409,17 +464,14 @@ class TestSweepSemantics:
         assert all(b > a for a, b in zip(n_out, n_out[1:]))
 
     @pytest.mark.parametrize(
-        "qutrit, axis, start, stop, solves",
-        [
-            (False, "initial_state.p_m1", 0.0, 1.0, 1),
-            (True, "initial_state.p_m1", 0.05, 0.8, 1),
-            (False, "channel.L0_km", 0.0, 5.0, 1),
-            (False, "params.g_mhz", 11.5, 12.5, 5),
-        ],
+        "qutrit, phi2, axis, start, stop, solves",
+        REUSED_ROW_CASES,
+        ids=[_reused_row_id(*case) for case in REUSED_ROW_CASES],
     )
-    def test_reused_rows_are_exact(self, monkeypatch, qutrit, axis, start, stop, solves):
+    def test_reused_rows_are_exact(self, monkeypatch, qutrit, phi2, axis, start, stop, solves):
         doc = default_config_dict(qutrit=qutrit)
         doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
+        doc["params"]["phi2_rad"] = phi2
         config = parse_config(doc)
         values = np.linspace(start, stop, 5)
         calls = []
@@ -438,16 +490,53 @@ class TestSweepSemantics:
         monkeypatch.setattr(pipeline_mod, "build_report", keeping_report)
         rows = run_sweep(config, axis, values)
         assert len(calls) == solves
-        assert len(reports) == len(values)
-        for report_ in reports:
-            assert report_.solved_duration_s is not None
-            assert report_.solved_omega2 is not None
-            assert report_.solver_converged is True
+        assert reports == []  # rows come from end values, not per-sample reports
+        monkeypatch.undo()
         for value, row in zip(values, rows):
             cfg = _config_with(config, axis, float(value))
-            expected = {axis.split(".")[-1]: float(value)}
-            expected.update(_row_from_transfer(run_transfer(cfg), cfg))
-            assert row == expected
+            assert row == full_grid_row(cfg, axis, float(value))
+
+    @pytest.mark.parametrize(
+        "axis, start, stop, num, links",
+        [("initial_state.p_m1", 0.05, 0.9, 41, 1), ("params.g_mhz", 11.5, 12.5, 3, 3)],
+    )
+    def test_sweep_reads_only_terminal_samples(self, monkeypatch, axis, start, stop, num, links):
+        config = parse_config(small_doc())
+        seen = []
+
+        def points(args) -> int:
+            for arg in args:
+                grid = getattr(arg, "grid", None)
+                if grid is not None:
+                    return grid.n_points
+                if isinstance(arg, np.ndarray):
+                    return arg.size
+            raise AssertionError("no grid-valued argument")
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.append((name, points(args)))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        closed_forms = [
+            "amplitudes_beta",
+            "photon_distribution",
+            "mean_photon_number",
+            "gamma_analytic",
+            "final_state",
+        ]
+        full_grid_only = ["photon_observables", "conservation_check"]
+        for name in ["pulse_areas", *closed_forms, *full_grid_only]:
+            monkeypatch.setattr(pipeline_mod, name, recording(name, getattr(pipeline_mod, name)))
+        rows = run_sweep(config, axis, np.linspace(start, stop, num))
+        assert len(rows) == num
+        full = [name for name, n in seen if n == config.grid.n_points()]
+        assert full == ["pulse_areas"] * links  # the link's areas, once per link
+        assert all(n == 2 for name, n in seen if name != "pulse_areas")
+        calls = Counter(name for name, _ in seen)
+        assert calls == {"pulse_areas": links, **{name: num for name in closed_forms}}
 
     def test_link_refuses_other_physics(self):
         config = parse_config(small_doc())
