@@ -2,8 +2,8 @@
 """Print a SHA-256 digest of every CLI output for the stock scenarios.
 
 Runs ``pnsslink transfer`` on ``configs/qubit.json`` and
-``configs/qutrit.json``, a short ``channel.L0_km`` sweep of the qutrit
-scenario, a 41-point ``initial_state.p_m1`` sweep of the qubit scenario
+``configs/qutrit.json``, ``pnsslink send`` on ``configs/qutrit.json``, a
+short ``channel.L0_km`` sweep of the qutrit scenario, a 41-point ``initial_state.p_m1`` sweep of the qubit scenario
 and one of the qutrit scenario at an off-resonant control phase
 (``params.phi2_rad`` = 0.7, which exercises the any-phase receiver
 closed form), in-process and into a temporary directory, then prints one
@@ -34,6 +34,7 @@ OFFPHASE_PHI2_RAD = 0.7
 RUNS = {
     "qubit": ["transfer", "--config", str(ROOT / "configs" / "qubit.json")],
     "qutrit": ["transfer", "--config", str(ROOT / "configs" / "qutrit.json")],
+    "qutrit-send": ["send", "--config", str(ROOT / "configs" / "qutrit.json")],
     "qutrit-sweep": [
         "sweep", "--config", str(ROOT / "configs" / "qutrit.json"),
         "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", "11",

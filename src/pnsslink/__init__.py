@@ -5,8 +5,9 @@ sublevels onto a traveling field whose photon number is superposed
 (vacuum / one / two photons), the field crosses a fiber link, and a
 second atom absorbs it back into the same internal superposition under
 a solved control pulse.  This package simulates the emission, the
-absorption, the control-pulse conditions and the link budget, with
-closed forms cross-checked against fixed-step ODE oracles.
+absorption, the control-pulse conditions and the link budget in closed
+form; the tests check the closed forms against fixed-step ODE oracles
+(``tests/oracles.py``).
 """
 
 from .channel import (
@@ -31,12 +32,10 @@ from .core import (
 )
 from .numerics import (
     BracketError,
-    IntegrationError,
     SampledFunction,
     TimeGrid,
     cumulative_integral,
     find_root,
-    integrate_ode,
 )
 from .photonics import (
     EmissionModes,
@@ -69,16 +68,13 @@ from .receiver import (
     final_state,
     gamma_analytic,
     pulse_areas,
-    simulate_receiver_ode,
     solve_pulse_shape,
 )
 from .sender import (
     PulseShape,
     SenderTrajectory,
     amplitudes_beta,
-    populations_analytic,
     pump_exposure,
-    simulate_sender_ode,
 )
 
 __version__ = "0.1.0"

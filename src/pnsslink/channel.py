@@ -83,7 +83,11 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class TransferReport:
-    """End-to-end summary of one transfer run."""
+    """End-to-end summary of one transfer run.
+
+    ``solver_iterations`` and ``solver_converged`` are None, and
+    ``solver_mode`` is ``"explicit"``, for an explicit receiving pulse.
+    """
 
     fidelity: float
     success_one_photon: float
@@ -99,85 +103,9 @@ class TransferReport:
     leakage: float
     conservation_residual_max: float
     n_out_final: float
-    solved_duration_s: Optional[float] = None
-    solved_center_s: Optional[float] = None
-    solved_omega2: Optional[float] = None
-    solver_iterations: Optional[int] = None
-    solver_mode: Optional[str] = None
-    solver_converged: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "success": {
-                "one_photon": self.success_one_photon,
-                "two_photon": self.success_two_photon,
-                "weighted": self.weighted_success,
-                "end_to_end": self.end_to_end,
-            },
-            "phase_drift_rad": self.phase_drift_rad,
-            "phase_warning": self.phase_warning,
-            "diagnostics": {
-                "r_sn": self.r_sn,
-                "mode_overlap": self.mode_overlap,
-                "eta_residual": self.eta_residual,
-                "zeta_residual": self.zeta_residual,
-                "leakage": self.leakage,
-                "conservation_residual_max": self.conservation_residual_max,
-                "n_out_final": self.n_out_final,
-            },
-            "solved_pulse": {
-                "duration_s": self.solved_duration_s,
-                "center_s": self.solved_center_s,
-                "omega2_rad_per_s": self.solved_omega2,
-                "iterations": self.solver_iterations,
-                "mode": self.solver_mode,
-                "converged": self.solver_converged,
-            },
-        }
-
-
-def build_report(
-    *,
-    channel: ChannelModel,
-    populations: tuple[float, float, float],
-    fidelity: float,
-    r_sn: float,
-    mode_overlap: float,
-    eta_residual: float,
-    zeta_residual: float,
-    leakage: float,
-    conservation_residual_max: float,
-    n_out_final: float,
-    solved_duration_s: Optional[float] = None,
-    solved_center_s: Optional[float] = None,
-    solved_omega2: Optional[float] = None,
-    solver_iterations: Optional[int] = None,
-    solver_mode: Optional[str] = None,
-    solver_converged: Optional[bool] = None,
-) -> TransferReport:
-    """Combine receiver results with the link budget into one report."""
-    weighted = channel.weighted_success(populations)
-    drift = phase_drift(channel.length_km, channel.phase_rate_rad_per_km)
-    return TransferReport(
-        fidelity=fidelity,
-        success_one_photon=channel.branch_success(1),
-        success_two_photon=channel.branch_success(2),
-        weighted_success=weighted,
-        end_to_end=fidelity * weighted,
-        phase_drift_rad=drift,
-        phase_warning=drift > PHASE_WARN_THRESHOLD,
-        r_sn=r_sn,
-        mode_overlap=mode_overlap,
-        eta_residual=eta_residual,
-        zeta_residual=zeta_residual,
-        leakage=leakage,
-        conservation_residual_max=conservation_residual_max,
-        n_out_final=n_out_final,
-        solved_duration_s=solved_duration_s,
-        solved_center_s=solved_center_s,
-        solved_omega2=solved_omega2,
-        solver_iterations=solver_iterations,
-        solver_mode=solver_mode,
-        solver_converged=solver_converged,
-    )
+    solved_duration_s: float
+    solved_center_s: float
+    solved_omega2: float
+    solver_iterations: Optional[int]
+    solver_mode: str
+    solver_converged: Optional[bool]

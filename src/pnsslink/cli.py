@@ -1,9 +1,10 @@
 """Command-line scenario runner.
 
-Subcommands: send, receive, transfer, sweep.  Exit codes: 0 ok,
-1 config error, 2 pulse-solve non-convergence, 3 strict-mode regime
-failure (for ``sweep``, of any link it builds; nothing is written).  Any
-other exception is a bug and propagates with its traceback.
+Subcommands: send, transfer, sweep.  Exit codes: 0 ok, 1 config or
+usage error (an unknown subcommand or flag, a missing ``--config``),
+2 pulse-solve non-convergence, 3 strict-mode regime failure (for
+``sweep``, of any link it builds; nothing is written).  Any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -36,8 +37,16 @@ EXIT_SOLVER = 2
 EXIT_REGIME = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with the config-error code on a usage error; 2 means a solver failure here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pnsslink",
         description=(
             "Simulate deterministic atom-to-atom state transfer over a "
@@ -47,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("send", "run the sending node and write sender/photonics CSVs"),
-        ("receive", "run the full link and write the receiver CSV"),
         ("transfer", "run the full link and write all CSVs plus the report"),
         ("sweep", "evaluate a scenario across one scalar config axis"),
     ):
@@ -150,21 +158,6 @@ def _cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _cmd_receive(args) -> int:
-    config = _load(args)
-    result = run_transfer(config)
-    code = _print_regime(result.send.regime, config.strict)
-    if code != EXIT_OK:
-        return code
-    out = _out_dir(args, config)
-    path = write_receiver_csv(result, out / "receiver.csv")
-    print(f"wrote {path}")
-    if result.solve is not None and not result.solve.converged:
-        print("pulse solve did not converge", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
-
-
 def _cmd_sweep(args) -> int:
     if args.num < 1:
         raise ConfigError(f"--num must be at least 1, got {args.num}")
@@ -185,7 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "send": _cmd_send,
-        "receive": _cmd_receive,
         "transfer": _cmd_transfer,
         "sweep": _cmd_sweep,
     }

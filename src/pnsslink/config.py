@@ -79,7 +79,6 @@ def _pair(raw: Any, name: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Pulse1Config:
-    shape: str = "gaussian"
     t1_us: float = 0.3
     center_us: float = 0.0
 
@@ -87,7 +86,6 @@ class Pulse1Config:
 @dataclass(frozen=True)
 class Pulse2Config:
     mode: str = "solve"  # "solve" | "explicit"
-    family: str = "gaussian"
     free: str = "center"  # "center" | "amplitude"
     tol: float = 1e-6
     center_us: Optional[float] = None
@@ -248,11 +246,12 @@ def _parse_params(doc: dict) -> PhysicalParams:
 
 def _parse_pulse1(doc: dict) -> Pulse1Config:
     raw = _section(doc, "pulse1")
+    # Both pulses are gaussian.  pulse1.shape and pulse2.family are still
+    # read, because the shipped configs spell them out, and accept only that.
     shape = raw.get("shape", "gaussian")
     if shape != "gaussian":
         raise ConfigError(f"pulse1.shape {shape!r} not supported in configs")
     return Pulse1Config(
-        shape=shape,
         t1_us=_number(raw, "T1_us", "pulse1", default=0.3, above=0.0),
         center_us=_number(raw, "center_us", "pulse1", default=0.0),
     )
@@ -271,7 +270,6 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
         raise ConfigError(f"pulse2.free must be 'center' or 'amplitude', got {free!r}")
     cfg = Pulse2Config(
         mode=mode,
-        family=family,
         free=free,
         tol=_number(raw, "tol", "pulse2", default=1e-6, above=0.0),
         center_us=(_number(raw, "center_us", "pulse2") if "center_us" in raw else None),
@@ -323,12 +321,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError("outputs.which must be a list")
     known = {"sender", "photonics", "receiver", "report", "regime"}
     for item in which:
-        if item not in known:
+        if not isinstance(item, str) or item not in known:
             raise ConfigError(f"outputs.which contains unknown entry {item!r}")
-    outputs = OutputsConfig(
-        directory=out_raw.get("directory", "out"),
-        which=tuple(which),
-    )
+    directory = out_raw.get("directory", "out")
+    if not isinstance(directory, str):
+        raise ConfigError(f"outputs.directory must be a string, got {directory!r}")
+    outputs = OutputsConfig(directory=directory, which=tuple(which))
     strict = doc.get("strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"strict must be true or false, got {strict!r}")

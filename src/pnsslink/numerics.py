@@ -1,9 +1,9 @@
-"""Grids, quadrature, fixed-step ODE integration, and root finding.
+"""Grids, quadrature and root finding.
 
 Everything here is deliberately fixed-step and deterministic: identical
 inputs give bit-identical outputs, and grid density is the only accuracy
-knob.  The dynamics this package integrates are smooth and bounded, so
-classical order-4 stepping at the trajectory grid resolution is both
+knob.  The curves this package integrates are smooth and bounded, so a
+fixed fourth-order rule at the trajectory grid resolution is both
 simpler and more reproducible than adaptive control.
 """
 
@@ -15,10 +15,6 @@ from typing import Callable
 import numpy as np
 
 UNIFORMITY_RTOL = 1e-12
-
-
-class IntegrationError(RuntimeError):
-    """Raised when an ODE right-hand side stops being finite."""
 
 
 class BracketError(ValueError):
@@ -51,10 +47,6 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         return (self.t_end - self.t_start) / (self.n_points - 1)
-
-    def refined(self) -> "TimeGrid":
-        """Grid with an extra sample at every midpoint (for RK4 stages)."""
-        return TimeGrid(self.t_start, self.t_end, 2 * self.n_points - 1)
 
 
 @dataclass(frozen=True)
@@ -123,43 +115,6 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
 def trapezoid(samples: np.ndarray, dt: float) -> float:
     """Plain trapezoidal quadrature over uniformly spaced samples."""
     return float(dt * (np.sum(samples) - 0.5 * (samples[0] + samples[-1])))
-
-
-def integrate_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    init: np.ndarray,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Classical fixed-step order-4 integration on the grid.
-
-    ``rhs(t, y)`` may return any array broadcastable to ``y``; the state
-    can be a single vector or a batch (extra leading axes).  Returns the
-    trajectory with shape ``(grid.n_points,) + init.shape``.
-
-    Raises
-    ------
-    IntegrationError
-        If the state stops being finite, with the offending step index
-        and time in the message.
-    """
-    y = np.array(init, dtype=complex)
-    t = grid.values
-    h = grid.dt
-    traj = np.empty((grid.n_points,) + y.shape, dtype=complex)
-    traj[0] = y
-    for i in range(grid.n_points - 1):
-        t0 = t[i]
-        k1 = rhs(t0, y)
-        k2 = rhs(t0 + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t0 + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t0 + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y.view(float))):
-            raise IntegrationError(
-                f"non-finite state after step {i + 1} (t = {t[i + 1]:.6e} s)"
-            )
-        traj[i + 1] = y
-    return traj
 
 
 def find_root(

@@ -50,8 +50,6 @@ class EmissionModes:
 
 def photon_distribution(traj: SenderTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P_j(t): probability that j photons have been emitted, j = 0, 1, 2."""
-    if not traj.has_beta:
-        raise ValueError("trajectory has no emission amplitudes")
     p0 = (
         np.abs(traj.beta_m1_0) ** 2
         + np.abs(traj.beta_0_0) ** 2

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel as channel_mod
-from .channel import ChannelModel, TransferReport, build_report
+from .channel import ChannelModel, TransferReport
 from .config import ConfigError, ScenarioConfig, parse_config
 from .core import (
     DerivedQuantities,
@@ -273,10 +273,17 @@ def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
     residual = conservation_check(receiver, obs.n_out, obs.flux_total, send.params.k)
     final = final_state(receiver, c)
     solve = link.solve
-    report = build_report(
-        channel=_channel(config),
-        populations=c.populations,
+    ch = _channel(config)
+    weighted = ch.weighted_success(c.populations)
+    drift = channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km)
+    report = TransferReport(
         fidelity=final.fidelity,
+        success_one_photon=ch.branch_success(1),
+        success_two_photon=ch.branch_success(2),
+        weighted_success=weighted,
+        end_to_end=final.fidelity * weighted,
+        phase_drift_rad=drift,
+        phase_warning=drift > channel_mod.PHASE_WARN_THRESHOLD,
         r_sn=link.sender.derived.r_sn,
         mode_overlap=link.sender.overlap,
         eta_residual=float(receiver.eta[-1] - math.pi),
@@ -379,20 +386,48 @@ def write_receiver_csv(result: TransferResult, path: str | Path) -> Path:
 
 
 def report_document(result: TransferResult) -> dict:
-    doc = result.report.to_dict()
-    doc["config_hash"] = result.send.config.config_hash()
-    doc["regime"] = result.send.regime.to_dict()
-    doc["solved_pulse"]["T2_us"] = result.pulse2.duration / US
-    doc["solved_pulse"]["center_us"] = result.pulse2.center / US
-    doc["solved_pulse"]["omega2_mhz"] = to_mhz(result.omega2)
+    """The ``report.json`` document of one transfer."""
+    rep = result.report
     out = result.final.state
-    doc["state_out"] = {
-        "c_m1": [out.c_m1.real, out.c_m1.imag],
-        "c_0": [out.c_0.real, out.c_0.imag],
-        "c_p1": [out.c_p1.real, out.c_p1.imag],
+    return {
+        "config_hash": result.send.config.config_hash(),
+        "regime": result.send.regime.to_dict(),
+        "fidelity": rep.fidelity,
+        "success": {
+            "one_photon": rep.success_one_photon,
+            "two_photon": rep.success_two_photon,
+            "weighted": rep.weighted_success,
+            "end_to_end": rep.end_to_end,
+        },
+        "phase_drift_rad": rep.phase_drift_rad,
+        "phase_warning": rep.phase_warning,
+        "diagnostics": {
+            "r_sn": rep.r_sn,
+            "mode_overlap": rep.mode_overlap,
+            "eta_residual": rep.eta_residual,
+            "zeta_residual": rep.zeta_residual,
+            "leakage": rep.leakage,
+            "conservation_residual_max": rep.conservation_residual_max,
+            "n_out_final": rep.n_out_final,
+        },
+        "solved_pulse": {
+            "duration_s": rep.solved_duration_s,
+            "center_s": rep.solved_center_s,
+            "omega2_rad_per_s": rep.solved_omega2,
+            "iterations": rep.solver_iterations,
+            "mode": rep.solver_mode,
+            "converged": rep.solver_converged,
+            "T2_us": result.pulse2.duration / US,
+            "center_us": result.pulse2.center / US,
+            "omega2_mhz": to_mhz(result.omega2),
+        },
+        "state_out": {
+            "c_m1": [out.c_m1.real, out.c_m1.imag],
+            "c_0": [out.c_0.real, out.c_0.imag],
+            "c_p1": [out.c_p1.real, out.c_p1.imag],
+        },
+        "leakage_warning": result.final.leakage_warning,
     }
-    doc["leakage_warning"] = result.final.leakage_warning
-    return doc
 
 
 def _write_json(path: str | Path, doc: dict) -> Path:

@@ -6,7 +6,8 @@ three-level ladder fed by the two-photon component.  Both reaching pi
 at late times means every incoming photon is mapped onto the atom and
 nothing leaks back out of the second cavity.  The amplitudes are closed
 forms in (eta, zeta) at every control phase (:func:`gamma_analytic`);
-:func:`simulate_receiver_ode` integrates them in time as a test oracle.
+the tests check them against a time integration of the amplitude
+equations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .numerics import (
     TimeGrid,
     cumulative_integral,
     find_root,
-    integrate_ode,
     trapezoid,
 )
 from .sender import PulseShape
@@ -145,102 +145,6 @@ def gamma_analytic(
         g_1_2=(0.5 * c.c_m1 * (1.0 + np.cos(z))).astype(complex),
         g_1_0=np.full(n, c.c_p1, dtype=complex),
     )
-
-
-def initial_amplitudes(c: SuperpositionState) -> np.ndarray:
-    """Receiver amplitude vector before any photon arrives.
-
-    Order: [g_0_0, g_1_1, g_m1_0, g_0_1, g_1_2, g_1_0].
-    """
-    return np.array([0.0, c.c_0, 0.0, 0.0, c.c_m1, c.c_p1], dtype=complex)
-
-
-def simulate_receiver_ode(
-    pulse2: PulseShape,
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    G2: float,
-    k: float,
-    control_phase: float,
-    c: SuperpositionState | np.ndarray,
-    grid: TimeGrid,
-) -> ReceiverTrajectory | np.ndarray:
-    """Test oracle: integrate the amplitude equations in time.
-
-    The two blocks evolve in their own area variables; here both are
-    re-parameterized to t through the area rates and integrated jointly
-    with fixed-step order-4 stepping, for any control phase.  A Python
-    loop over the grid, it checks :func:`gamma_analytic` in the tests and
-    is not on the transfer path.  The one-photon amplitude g_0_1
-    addresses the symmetric superposition of the two single-photon modes,
-    which is where the sqrt(2) couplings of the three-level ladder
-    originate.
-
-    Accepts either one input state (returns a
-    :class:`ReceiverTrajectory`) or a batch of initial amplitude vectors
-    with shape (m, 6) in :func:`initial_amplitudes` order (returns the
-    raw complex trajectory of shape (n_points, m, 6)).
-    """
-    ep = np.exp(1j * control_phase)
-    em = np.conj(ep)
-    s2 = 1.0 / math.sqrt(2.0)
-    # State order: [g_0_0, g_1_1, g_m1_0, g_0_1, g_1_2, g_1_0].
-    gen_eta = np.zeros((6, 6), dtype=complex)
-    gen_eta[0, 1] = 0.5j * em
-    gen_eta[1, 0] = 0.5j * ep
-    gen_zeta = np.zeros((6, 6), dtype=complex)
-    gen_zeta[2, 3] = 1j * s2 * em
-    gen_zeta[3, 4] = 1j * s2 * em
-    gen_zeta[3, 2] = 1j * s2 * ep
-    gen_zeta[4, 3] = 1j * s2 * ep
-
-    # Drive samples on the grid and its midpoints, so every RK4 stage
-    # sees a consistently interpolated rate.
-    fine = grid.refined()
-    sqrt_f2 = np.sqrt(np.asarray(pulse2.evaluate(fine.values), dtype=float))
-    phi1_f = _with_midpoints(phi1)
-    phi2_f = _with_midpoints(phi2)
-    pref = abs(G2) / math.sqrt(k)
-    eta_rate = 2.0 * pref * sqrt_f2 * phi1_f
-    zeta_rate = pref * sqrt_f2 * (phi1_f + phi2_f)
-
-    t0 = fine.t_start
-    half_dt = fine.dt
-    gen_eta_t = gen_eta.T
-    gen_zeta_t = gen_zeta.T
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        j = int(round((t - t0) / half_dt))
-        return eta_rate[j] * (y @ gen_eta_t) + zeta_rate[j] * (y @ gen_zeta_t)
-
-    if isinstance(c, SuperpositionState):
-        y0 = initial_amplitudes(c)
-    else:
-        y0 = np.asarray(c, dtype=complex)
-    traj = integrate_ode(rhs, y0, grid)
-    if not isinstance(c, SuperpositionState):
-        return traj
-
-    eta, zeta = pulse_areas(pulse2, phi1, phi2, G2, k, grid)
-    return ReceiverTrajectory(
-        grid=grid,
-        eta=eta.samples,
-        zeta=zeta.samples,
-        g_0_0=traj[:, 0],
-        g_1_1=traj[:, 1],
-        g_m1_0=traj[:, 2],
-        g_0_1=traj[:, 3],
-        g_1_2=traj[:, 4],
-        g_1_0=traj[:, 5],
-    )
-
-
-def _with_midpoints(samples: np.ndarray) -> np.ndarray:
-    """Interleave linear-midpoint values between consecutive samples."""
-    out = np.empty(2 * len(samples) - 1, dtype=samples.dtype)
-    out[0::2] = samples
-    out[1::2] = 0.5 * (samples[1:] + samples[:-1])
-    return out
 
 
 def solve_pulse_shape(

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SuperpositionState
-from .numerics import SampledFunction, TimeGrid, cumulative_integral, integrate_ode
+from .numerics import SampledFunction, TimeGrid, cumulative_integral
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class SenderTrajectory:
 
     ``sigma_*`` are the ground-sublevel populations, ``coh_*`` the three
     independent ground-state coherences, and ``beta_m_j`` the joint
-    amplitudes for (atom in sublevel m, j photons emitted).  The beta
-    fields are None on trajectories produced by the population-only
-    paths.
+    amplitudes for (atom in sublevel m, j photons emitted).
     """
 
     grid: TimeGrid
@@ -72,16 +70,12 @@ class SenderTrajectory:
     coh_m1_0: np.ndarray
     coh_0_p1: np.ndarray
     coh_m1_p1: np.ndarray
-    beta_m1_0: Optional[np.ndarray] = None
-    beta_0_0: Optional[np.ndarray] = None
-    beta_0_1: Optional[np.ndarray] = None
-    beta_p1_0: Optional[np.ndarray] = None
-    beta_p1_1: Optional[np.ndarray] = None
-    beta_p1_2: Optional[np.ndarray] = None
-
-    @property
-    def has_beta(self) -> bool:
-        return self.beta_m1_0 is not None
+    beta_m1_0: np.ndarray
+    beta_0_0: np.ndarray
+    beta_0_1: np.ndarray
+    beta_p1_0: np.ndarray
+    beta_p1_1: np.ndarray
+    beta_p1_2: np.ndarray
 
 
 def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFunction:
@@ -102,15 +96,22 @@ def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFu
     return SampledFunction(grid, alpha1 * integral.samples)
 
 
-def populations_analytic(theta: SampledFunction, c: SuperpositionState) -> SenderTrajectory:
-    """Closed-form populations and coherences for a given exposure history.
+def amplitudes_beta(theta: SampledFunction, c: SuperpositionState) -> SenderTrajectory:
+    """Closed-form atomic moments and joint atom-field amplitudes beta_{m,j}(t).
 
-    The initially populated m=+1 sublevel of a qutrit input neither gains
-    nor loses population, so sigma_p1 generalizes to 1 - sigma_m1 - sigma_0
+    Everything depends on the exposure history theta(t) alone.  The
+    initially populated m=+1 sublevel of a qutrit input neither gains nor
+    loses population, so sigma_p1 generalizes to 1 - sigma_m1 - sigma_0
     and reduces to the two-level-input expression when c_p1 = 0.  The
     coherence forms are the unique solutions of the (linear) transfer
     equations for product initial conditions; the qutrit branch is
-    validated against the ODE oracle rather than asserted independently.
+    validated against the moment-equation oracle of the tests rather than
+    asserted independently.
+
+    The squared amplitudes reconstruct the sublevel populations exactly:
+    sum_j |beta_{m,j}|^2 equals sigma_m at every grid point.  For a
+    qutrit input the extra branch is beta_{+1,0}(t) = c_p1, constant,
+    because that sublevel never scatters a photon.
     """
     th = theta.samples
     e_full = np.exp(-th)
@@ -119,7 +120,6 @@ def populations_analytic(theta: SampledFunction, c: SuperpositionState) -> Sende
 
     sigma_m1 = p_m1 * e_full
     sigma_0 = (p_0 + p_m1 * th) * e_full
-    sigma_p1 = 1.0 - sigma_m1 - sigma_0
 
     q_m10 = np.conj(c.c_m1) * c.c_0
     q_0p1 = np.conj(c.c_0) * c.c_p1
@@ -128,123 +128,23 @@ def populations_analytic(theta: SampledFunction, c: SuperpositionState) -> Sende
     coh_0_p1 = (q_0p1 + 2.0 * q_m10) * e_half - 2.0 * q_m10 * e_full
     coh_m1_p1 = q_m1p1 * e_half
 
+    one_photon = np.sqrt(np.maximum(th * e_full, 0.0))
+    survive_1 = np.sqrt(np.maximum(1.0 - e_full, 0.0))
+    survive_2 = np.sqrt(np.maximum(1.0 - (1.0 + th) * e_full, 0.0))
+
     return SenderTrajectory(
         grid=theta.grid,
         theta=th,
         sigma_m1=sigma_m1,
         sigma_0=sigma_0,
-        sigma_p1=sigma_p1,
+        sigma_p1=1.0 - sigma_m1 - sigma_0,
         coh_m1_0=coh_m1_0.astype(complex),
         coh_0_p1=coh_0_p1.astype(complex),
         coh_m1_p1=coh_m1_p1.astype(complex),
-    )
-
-
-def amplitudes_beta(theta: SampledFunction, c: SuperpositionState) -> SenderTrajectory:
-    """Joint atom-field amplitudes beta_{m,j}(t) plus the atomic moments.
-
-    The squared amplitudes reconstruct the sublevel populations exactly:
-    sum_j |beta_{m,j}|^2 equals sigma_m at every grid point.  For a
-    qutrit input the extra branch is beta_{+1,0}(t) = c_p1, constant,
-    because that sublevel never scatters a photon.
-    """
-    traj = populations_analytic(theta, c)
-    th = traj.theta
-    e_full = np.exp(-th)
-    e_half = np.exp(-0.5 * th)
-    one_photon = np.sqrt(np.maximum(th * e_full, 0.0))
-    survive_1 = np.sqrt(np.maximum(1.0 - e_full, 0.0))
-    survive_2 = np.sqrt(np.maximum(1.0 - (1.0 + th) * e_full, 0.0))
-
-    n = theta.grid.n_points
-    return SenderTrajectory(
-        grid=traj.grid,
-        theta=traj.theta,
-        sigma_m1=traj.sigma_m1,
-        sigma_0=traj.sigma_0,
-        sigma_p1=traj.sigma_p1,
-        coh_m1_0=traj.coh_m1_0,
-        coh_0_p1=traj.coh_0_p1,
-        coh_m1_p1=traj.coh_m1_p1,
         beta_m1_0=c.c_m1 * e_half,
         beta_0_0=c.c_0 * e_half,
         beta_0_1=c.c_m1 * one_photon,
-        beta_p1_0=np.full(n, c.c_p1, dtype=complex),
+        beta_p1_0=np.full(theta.grid.n_points, c.c_p1, dtype=complex),
         beta_p1_1=c.c_0 * survive_1,
         beta_p1_2=c.c_m1 * survive_2,
-    )
-
-
-# Generator of the moment equations in the exposure variable,
-# d/dtheta [s_m1, s_0, s_p1, coh_m1_0, coh_0_p1, coh_m1_p1] = M @ state.
-# Population flows one step up the sublevel ladder; the step function at
-# the stationary m=0 argument must count as 1 (right-continuous
-# convention), otherwise the m=0 population would neither fill nor empty
-# and the closed forms above could not be reproduced.
-_MOMENT_GENERATOR = np.array(
-    [
-        [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, -0.5, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, -0.5],
-    ],
-    dtype=complex,
-)
-
-
-def initial_moments(c: SuperpositionState) -> np.ndarray:
-    """Moment vector of the pure input state (populations + coherences)."""
-    p_m1, p_0, p_p1 = c.populations
-    return np.array(
-        [
-            p_m1,
-            p_0,
-            p_p1,
-            np.conj(c.c_m1) * c.c_0,
-            np.conj(c.c_0) * c.c_p1,
-            np.conj(c.c_m1) * c.c_p1,
-        ],
-        dtype=complex,
-    )
-
-
-def simulate_sender_ode(
-    pulse: PulseShape,
-    alpha1: float,
-    c: SuperpositionState | np.ndarray,
-    grid: TimeGrid,
-) -> SenderTrajectory | np.ndarray:
-    """Brute-force oracle: integrate the moment equations in time.
-
-    Accepts either a single input state (returns a
-    :class:`SenderTrajectory` without beta fields) or a pre-assembled
-    batch of initial moment vectors with shape (m, 6) (returns the raw
-    trajectory array of shape (n_points, m, 6), for oracle sweeps).
-    """
-    mt = _MOMENT_GENERATOR.T
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return (alpha1 * pulse.evaluate(t)) * (y @ mt)
-
-    if isinstance(c, SuperpositionState):
-        y0 = initial_moments(c)
-    else:
-        y0 = np.asarray(c, dtype=complex)
-
-    traj = integrate_ode(rhs, y0, grid)
-    if not isinstance(c, SuperpositionState):
-        return traj
-
-    theta = pump_exposure(pulse, alpha1, grid)
-    return SenderTrajectory(
-        grid=grid,
-        theta=theta.samples,
-        sigma_m1=traj[:, 0].real,
-        sigma_0=traj[:, 1].real,
-        sigma_p1=traj[:, 2].real,
-        coh_m1_0=traj[:, 3],
-        coh_0_p1=traj[:, 4],
-        coh_m1_p1=traj[:, 5],
     )

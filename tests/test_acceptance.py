@@ -32,21 +32,17 @@ from pnsslink.config import default_config, default_config_dict, parse_config
 from pnsslink.core import SuperpositionState, derive
 from pnsslink.photonics import emission_modes, photon_observables
 from pnsslink.pipeline import run_transfer, write_photonics_csv
-from pnsslink.receiver import (
-    final_state,
-    gamma_analytic,
-    initial_amplitudes,
-    pulse_areas,
-    simulate_receiver_ode,
-)
-from pnsslink.sender import (
-    amplitudes_beta,
-    initial_moments,
-    populations_analytic,
-    simulate_sender_ode,
-)
+from pnsslink.receiver import final_state, gamma_analytic, pulse_areas
+from pnsslink.sender import amplitudes_beta
 
 from conftest import load_csv, random_states
+from oracles import (
+    MOMENTS,
+    initial_amplitudes,
+    initial_moments,
+    simulate_receiver_ode,
+    simulate_sender_ode,
+)
 
 
 def check(label: str, ok: bool, detail: str) -> None:
@@ -76,7 +72,7 @@ def test_01_population_conservation(qubit_outcome, sender_ode_qubit):
     traj = qubit_outcome.send.trajectory
     analytic_dev = float(np.max(np.abs(traj.sigma_m1 + traj.sigma_0 + traj.sigma_p1 - 1.0)))
     ode = sender_ode_qubit
-    ode_dev = float(np.max(np.abs(ode.sigma_m1 + ode.sigma_0 + ode.sigma_p1 - 1.0)))
+    ode_dev = float(np.max(np.abs(ode["sigma_m1"] + ode["sigma_0"] + ode["sigma_p1"] - 1.0)))
     check(
         "01 population conservation",
         analytic_dev <= 1e-10 and ode_dev <= 1e-6,
@@ -89,11 +85,8 @@ def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
     theta = send.theta
 
     def closed_form_dev(ode_traj, state):
-        ana = populations_analytic(theta, state)
-        fields = ("sigma_m1", "sigma_0", "sigma_p1", "coh_m1_0", "coh_0_p1", "coh_m1_p1")
-        return max(
-            float(np.max(np.abs(getattr(ode_traj, f) - getattr(ana, f)))) for f in fields
-        )
+        ana = amplitudes_beta(theta, state)
+        return max(float(np.max(np.abs(ode_traj[f] - getattr(ana, f)))) for f in MOMENTS)
 
     worst = closed_form_dev(sender_ode_qubit, send.config.initial_state)
 
@@ -101,7 +94,7 @@ def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
     batch = np.stack([initial_moments(s) for s in states])
     traj = simulate_sender_ode(send.pulse1, send.derived.alpha1, batch, send.grid)
     for i, state in enumerate(states):
-        ana = populations_analytic(theta, state)
+        ana = amplitudes_beta(theta, state)
         stacked = np.stack(
             [
                 ana.sigma_m1.astype(complex),

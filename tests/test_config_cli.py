@@ -108,6 +108,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="movie"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "outputs, field",
+        [
+            ({"which": [["report"]]}, "outputs.which"),
+            ({"which": ["report", 5]}, "outputs.which"),
+            ({"directory": 5}, "outputs.directory"),
+        ],
+        ids=["nested-list", "non-string-entry", "non-string-directory"],
+    )
+    def test_outputs_fields_must_be_strings(self, tmp_path, capsys, monkeypatch, outputs, field):
+        doc = small_doc(outputs=outputs)
+        with pytest.raises(ConfigError, match=field):
+            parse_config(doc)
+        # No --out, so a directory of 5 would reach Path(...).
+        path = write_doc(tmp_path, doc)
+        monkeypatch.chdir(tmp_path)
+        assert main(["transfer", "--config", str(path)]) == 1
+        assert field in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_explicit_pulse_needs_duration(self):
         doc = small_doc()
         doc["pulse2"] = {"mode": "explicit"}
@@ -184,12 +204,32 @@ class TestCli:
         rows = load_csv(tmp_path / "out" / "sender.csv")
         assert rows["sigma_p1"][-1] >= 0.98
 
-    def test_receive_writes_receiver_csv(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["receive", "--config", "CONFIG"],
+            ["transfer"],
+            ["transfer", "--config", "CONFIG", "--frobnicate"],
+        ],
+        ids=["receive", "no-config", "unknown-flag"],
+    )
+    def test_usage_error_exit_code(self, tmp_path, capsys, args):
+        # A usage error is the caller's input, like a bad config: exit 1,
+        # never 2, which means the pulse solve failed.  ``receive`` is gone;
+        # ``transfer`` writes the same receiver.csv.
         path = write_doc(tmp_path, small_doc())
-        code = main(["receive", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 0
-        assert (tmp_path / "out" / "receiver.csv").exists()
-        assert not (tmp_path / "out" / "sender.csv").exists()
+        argv = [str(path) if arg == "CONFIG" else arg for arg in args]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert "usage: pnsslink" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transfer", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_strict_mode_aborts_on_regime_failure(self, tmp_path):
         # The stock parameters leave the coupling-vs-decay separation at
@@ -476,7 +516,7 @@ class TestSweepSemantics:
         values = np.linspace(start, stop, 5)
         calls = []
         reports = []
-        solve, report = pipeline_mod.solve_pulse_shape, pipeline_mod.build_report
+        solve, report = pipeline_mod.solve_pulse_shape, pipeline_mod.TransferReport
 
         def counting_solve(*args, **kwargs):
             calls.append(1)
@@ -487,7 +527,7 @@ class TestSweepSemantics:
             return reports[-1]
 
         monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", counting_solve)
-        monkeypatch.setattr(pipeline_mod, "build_report", keeping_report)
+        monkeypatch.setattr(pipeline_mod, "TransferReport", keeping_report)
         rows = run_sweep(config, axis, values)
         assert len(calls) == solves
         assert reports == []  # rows come from end values, not per-sample reports

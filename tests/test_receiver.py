@@ -1,11 +1,13 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnsslink import receiver as receiver_mod
+import pnsslink
 from pnsslink.config import default_config_dict, parse_config
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
@@ -17,14 +19,14 @@ from pnsslink.receiver import (
     conservation_check,
     final_state,
     gamma_analytic,
-    initial_amplitudes,
     pulse_areas,
-    simulate_receiver_ode,
     solve_pulse_shape,
 )
 from pnsslink.sender import PulseShape, pump_exposure
 
+import oracles
 from conftest import T1, random_states
+from oracles import initial_amplitudes, simulate_receiver_ode
 
 
 @pytest.fixture(scope="module")
@@ -362,11 +364,21 @@ def _block_propagator(hamiltonian: np.ndarray, area: float) -> np.ndarray:
     return (v * np.exp(1j * area * w)) @ v.conj().T
 
 
+def test_no_module_ships_an_ode_oracle():
+    # The time integrations are test oracles (tests/oracles.py), not a
+    # second production path beside the closed forms.
+    oracle_names = {"integrate_ode", "simulate_sender_ode", "simulate_receiver_ode"}
+    for info in pkgutil.walk_packages(pnsslink.__path__, "pnsslink."):
+        module = importlib.import_module(info.name)
+        assert not oracle_names & set(vars(module)), info.name
+    assert not oracle_names & set(vars(pnsslink))
+
+
 def test_off_phase_transfer_never_integrates(monkeypatch):
     def no_ode(*args, **kwargs):
         raise AssertionError("run_transfer reached the ODE integrator")
 
-    monkeypatch.setattr(receiver_mod, "integrate_ode", no_ode)
+    monkeypatch.setattr(oracles, "integrate_ode", no_ode)
     phase = 0.7
     doc = default_config_dict(qutrit=True)
     doc["params"]["phi2_rad"] = phase

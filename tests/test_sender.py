@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid
-from pnsslink.sender import (
-    PulseShape,
-    amplitudes_beta,
-    initial_moments,
-    populations_analytic,
-    pump_exposure,
-    simulate_sender_ode,
-)
+from pnsslink.sender import PulseShape, amplitudes_beta, pump_exposure
 
 from conftest import T1, make_grid
+from oracles import MOMENTS, initial_moments, simulate_sender_ode
 
 
 def _theta(stock_derived, grid, pulse1):
@@ -66,7 +60,7 @@ class TestPopulationsAnalytic:
     def test_initial_values_at_zero_exposure(self, qutrit_state):
         grid = TimeGrid(0.0, 1.0, 5)
         theta = SampledFunction(grid, np.zeros(5))
-        traj = populations_analytic(theta, qutrit_state)
+        traj = amplitudes_beta(theta, qutrit_state)
         p = qutrit_state.populations
         assert traj.sigma_m1[0] == pytest.approx(p[0], abs=1e-15)
         assert traj.sigma_0[0] == pytest.approx(p[1], abs=1e-15)
@@ -79,19 +73,19 @@ class TestPopulationsAnalytic:
         )
 
     def test_terminal_population_transfer(self, stock_derived, grid, pulse1, qubit_state):
-        traj = populations_analytic(_theta(stock_derived, grid, pulse1), qubit_state)
+        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qubit_state)
         assert traj.sigma_p1[-1] == pytest.approx(1.0, abs=1e-2)
         assert np.all(np.diff(traj.sigma_m1) <= 1e-15)
 
     def test_conservation(self, stock_derived, grid, pulse1, qutrit_state):
-        traj = populations_analytic(_theta(stock_derived, grid, pulse1), qutrit_state)
+        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qutrit_state)
         total = traj.sigma_m1 + traj.sigma_0 + traj.sigma_p1
         assert np.max(np.abs(total - 1.0)) <= 1e-10
 
     def test_coherence_bound(self, stock_derived, grid, pulse1, qubit_state):
         # |<m|rho|m'>|^2 <= population product, saturated by the lowest
         # coherence at zero exposure.
-        traj = populations_analytic(_theta(stock_derived, grid, pulse1), qubit_state)
+        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qubit_state)
         pairs = [
             (traj.coh_m1_0, traj.sigma_m1, traj.sigma_0),
             (traj.coh_0_p1, traj.sigma_0, traj.sigma_p1),
@@ -106,8 +100,8 @@ class TestPopulationsAnalytic:
         tabulated = PulseShape(kind="tabulated", duration=T1, table=table)
         theta_a = pump_exposure(gaussian, stock_derived.alpha1, grid)
         theta_b = pump_exposure(tabulated, stock_derived.alpha1, grid)
-        a = populations_analytic(theta_a, qubit_state)
-        b = populations_analytic(theta_b, qubit_state)
+        a = amplitudes_beta(theta_a, qubit_state)
+        b = amplitudes_beta(theta_b, qubit_state)
         assert np.max(np.abs(a.sigma_0 - b.sigma_0)) <= 1e-12
 
 
@@ -155,17 +149,17 @@ class TestSenderOde:
     def test_matches_closed_forms(self, stock_derived, pulse1, qubit_state):
         grid = make_grid(16001)
         ode = simulate_sender_ode(pulse1, stock_derived.alpha1, qubit_state, grid)
-        ana = populations_analytic(pump_exposure(pulse1, stock_derived.alpha1, grid), qubit_state)
-        for field in ("sigma_m1", "sigma_0", "sigma_p1", "coh_m1_0", "coh_0_p1", "coh_m1_p1"):
-            dev = np.max(np.abs(getattr(ode, field) - getattr(ana, field)))
+        ana = amplitudes_beta(pump_exposure(pulse1, stock_derived.alpha1, grid), qubit_state)
+        for field in MOMENTS:
+            dev = np.max(np.abs(ode[field] - getattr(ana, field)))
             assert dev <= 1e-6, field
 
     def test_qutrit_matches_closed_forms(self, stock_derived, pulse1, qutrit_state):
         grid = make_grid(16001)
         ode = simulate_sender_ode(pulse1, stock_derived.alpha1, qutrit_state, grid)
-        ana = populations_analytic(pump_exposure(pulse1, stock_derived.alpha1, grid), qutrit_state)
-        for field in ("sigma_m1", "sigma_0", "sigma_p1", "coh_m1_0", "coh_0_p1", "coh_m1_p1"):
-            dev = np.max(np.abs(getattr(ode, field) - getattr(ana, field)))
+        ana = amplitudes_beta(pump_exposure(pulse1, stock_derived.alpha1, grid), qutrit_state)
+        for field in MOMENTS:
+            dev = np.max(np.abs(ode[field] - getattr(ana, field)))
             assert dev <= 1e-6, field
 
     def test_zero_pulse_is_constant(self, stock_derived, qutrit_state):
@@ -174,13 +168,13 @@ class TestSenderOde:
             kind="tabulated", duration=1.0, table=SampledFunction(grid, np.zeros(101))
         )
         traj = simulate_sender_ode(off, stock_derived.alpha1, qutrit_state, grid)
-        assert traj.sigma_m1[-1] == pytest.approx(traj.sigma_m1[0], abs=1e-15)
-        assert traj.coh_0_p1[-1] == pytest.approx(traj.coh_0_p1[0], abs=1e-15)
+        assert traj["sigma_m1"][-1] == pytest.approx(traj["sigma_m1"][0], abs=1e-15)
+        assert traj["coh_0_p1"][-1] == pytest.approx(traj["coh_0_p1"][0], abs=1e-15)
 
     def test_stretched_coherence_stays_zero(self, stock_derived, pulse1, qubit_state):
         grid = make_grid(8001)
         traj = simulate_sender_ode(pulse1, stock_derived.alpha1, qubit_state, grid)
-        assert np.max(np.abs(traj.coh_m1_p1)) <= 1e-9
+        assert np.max(np.abs(traj["coh_m1_p1"])) <= 1e-9
 
     def test_batch_input(self, stock_derived, pulse1, qubit_state, qutrit_state):
         grid = make_grid(2001)
@@ -188,7 +182,7 @@ class TestSenderOde:
         traj = simulate_sender_ode(pulse1, stock_derived.alpha1, batch, grid)
         assert traj.shape == (2001, 2, 6)
         single = simulate_sender_ode(pulse1, stock_derived.alpha1, qubit_state, grid)
-        np.testing.assert_allclose(traj[:, 0, 0].real, single.sigma_m1, atol=1e-14)
+        np.testing.assert_allclose(traj[:, 0, 0].real, single["sigma_m1"], atol=1e-14)
 
 
 @given(chi=st.floats(0.0, 2.0 * math.pi))
