@@ -11,10 +11,16 @@ closed form), in-process and into a temporary directory, then prints one
 checkout's ``src/``, so running the script in two checkouts and diffing
 the printed lines tells whether their outputs are byte-identical.
 
-Usage: python scripts/output_digest.py
+With ``--check FILE`` it prints nothing on a match and exits 0; otherwise
+it prints a diff against FILE and exits 1.  ``tests/data/output_digests.txt``
+holds the committed digests, so a change to any output byte must update it.
+
+Usage: python scripts/output_digest.py [--check FILE]
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -50,7 +56,9 @@ RUNS = {
 }
 
 
-def main() -> int:
+def digest_lines() -> list[str]:
+    """One ``sha256  file`` line per output of the runs, sorted by file."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as config_dir:
         offphase = Path(config_dir) / OFFPHASE_CONFIG
         doc = json.loads((ROOT / "configs" / "qutrit.json").read_text(encoding="utf-8"))
@@ -61,13 +69,27 @@ def main() -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main(argv + ["--out", str(Path(tmp) / name)])
             if code != 0:
-                print(f"{name}: exit {code}", file=sys.stderr)
-                return code
+                raise RuntimeError(f"{name}: exit {code}")
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(tmp).as_posix()}")
-    return 0
+                lines.append(f"{digest}  {path.relative_to(tmp).as_posix()}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE", help="compare with the digests in FILE")
+    args = parser.parse_args(argv)
+    lines = digest_lines()
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    expected = Path(args.check).read_text(encoding="utf-8").splitlines()
+    diff = list(difflib.unified_diff(expected, lines, args.check, "this checkout", lineterm=""))
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

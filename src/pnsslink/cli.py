@@ -10,12 +10,13 @@ exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import MAX_GRID_POINTS, ConfigError, ScenarioConfig, load_config
 from .core import RegimeReport
 from .pipeline import (
     RegimeFailure,
@@ -159,8 +160,14 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.num < 1:
-        raise ConfigError(f"--num must be at least 1, got {args.num}")
+    # Checked before anything is parsed or allocated: --num is capped like a grid.
+    if not 1 <= args.num <= MAX_GRID_POINTS:
+        raise ConfigError(f"--num must be in [1, {MAX_GRID_POINTS}], got {args.num}")
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    if not math.isfinite(args.stop - args.start):
+        raise ConfigError(f"--stop - --start overflows: {args.stop} - {args.start}")
     config = _load(args)
     values = np.linspace(args.start, args.stop, args.num)
     try:

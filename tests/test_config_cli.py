@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -349,6 +350,36 @@ class TestCli:
         assert code == 1
         assert "--num" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "start, stop, num, flag",
+        [
+            ("0", "inf", "11", "--stop must be finite"),
+            ("nan", "5", "11", "--start must be finite"),
+            ("-inf", "5", "11", "--start must be finite"),
+            ("-1e308", "1e308", "3", "--stop - --start overflows"),
+            ("0", "5", str(MAX_GRID_POINTS + 1), "--num must be in [1, 1000000]"),
+        ],
+        ids=["stop-inf", "start-nan", "start-minus-inf", "span-overflows", "num-above-grid-cap"],
+    )
+    def test_sweep_flags_checked_before_parsing(self, tmp_path, capsys, monkeypatch, start, stop, num, flag):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran past the flag checks")
+
+        # Neither the config nor the sample values may be touched: a huge
+        # --num would allocate before failing.
+        monkeypatch.setattr(cli_mod, "load_config", unreachable)
+        monkeypatch.setattr(cli_mod.np, "linspace", unreachable)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "sweep", "--config", str(tmp_path / "absent.json"), "--out", str(out),
+                "--axis", "channel.L0_km", f"--start={start}", f"--stop={stop}", "--num", num,
+            ])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_sweep_sample_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
         # The qutrit input keeps 0.2 on c_p1, so p_m1 = 0.815 (sample 36
