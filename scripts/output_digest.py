@@ -3,10 +3,13 @@
 
 Runs ``pnsslink transfer`` on ``configs/qubit.json`` and
 ``configs/qutrit.json``, ``pnsslink send`` on ``configs/qutrit.json``, a
-short ``channel.L0_km`` sweep of the qutrit scenario, a 41-point ``initial_state.p_m1`` sweep of the qubit scenario
-and one of the qutrit scenario at an off-resonant control phase
-(``params.phi2_rad`` = 0.7, which exercises the any-phase receiver
-closed form), in-process and into a temporary directory, then prints one
+short ``channel.L0_km`` sweep of the qutrit scenario, a 41-point
+``initial_state.p_m1`` sweep of the qubit scenario and one of the qutrit
+scenario at an off-resonant control phase (``params.phi2_rad`` = 0.7,
+which exercises the any-phase receiver closed form), a 3-point
+``params.g_mhz`` sweep of the qubit scenario (three links, one row
+each) and a 9-point ``params.phi2_rad`` sweep of the qutrit scenario,
+in-process and into a temporary directory, then prints one
 ``sha256  file`` line per output.  The package is imported from this
 checkout's ``src/``, so running the script in two checkouts and diffing
 the printed lines tells whether their outputs are byte-identical.
@@ -52,6 +55,14 @@ RUNS = {
     "qutrit-offphase-state-sweep": [
         "sweep", "--config", OFFPHASE_CONFIG,
         "--axis", "initial_state.p_m1", "--start", "0.05", "--stop", "0.8", "--num", "41",
+    ],
+    "qubit-coupling-sweep": [
+        "sweep", "--config", str(ROOT / "configs" / "qubit.json"),
+        "--axis", "params.g_mhz", "--start", "11", "--stop", "13", "--num", "3",
+    ],
+    "qutrit-phase-sweep": [
+        "sweep", "--config", str(ROOT / "configs" / "qutrit.json"),
+        "--axis", "params.phi2_rad", "--start", "0", "--stop", "3.2", "--num", "9",
     ],
 }
 

@@ -13,10 +13,11 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
+from .channel import ChannelModel
 from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState
 
 RENORM_TOL = 1e-6
@@ -110,15 +111,6 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
-    length_km: float = 0.0
-    atten_db_per_km: float = 2.0
-    phase_rate: float = 0.1
-    p_em: float = 1.0
-    p_abs: float = 1.0
-
-
-@dataclass(frozen=True)
 class OutputsConfig:
     directory: str = "out"
     which: tuple[str, ...] = ("sender", "photonics", "receiver", "report")
@@ -131,7 +123,7 @@ class ScenarioConfig:
     pulse1: Pulse1Config
     pulse2: Pulse2Config
     grid: GridConfig
-    channel: ChannelConfig
+    channel: ChannelModel
     outputs: OutputsConfig
     regime_min_ratio: float = 5.0
     strict: bool = False
@@ -290,58 +282,110 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
     return cfg
 
 
-def parse_config(doc: dict) -> ScenarioConfig:
-    """Validate a scenario document and convert to internal units."""
-    if not isinstance(doc, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    grid_raw = _section(doc, "grid")
+def _parse_grid(doc: dict) -> GridConfig:
+    raw = _section(doc, "grid")
     grid = GridConfig(
-        span_in_t1=_number(grid_raw, "span_in_T1", "grid", default=12.0, above=0.0),
-        points=(_count(grid_raw, "points", "grid") if "points" in grid_raw else None),
+        span_in_t1=_number(raw, "span_in_T1", "grid", default=12.0, above=0.0),
+        points=(_count(raw, "points", "grid") if "points" in raw else None),
     )
     if not 2 <= grid.n_points() <= MAX_GRID_POINTS:
-        field = "grid.points" if grid.points is not None else "grid.span_in_T1"
-        raise ConfigError(f"{field} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
-    ch_raw = _section(doc, "channel")
-    channel = ChannelConfig(
-        length_km=_number(ch_raw, "L0_km", "channel", default=0.0),
-        atten_db_per_km=_number(ch_raw, "atten_db_per_km", "channel", default=2.0, above=0.0),
-        phase_rate=_number(ch_raw, "phase_rate", "channel", default=0.1),
-        p_em=_number(ch_raw, "p_em", "channel", default=1.0),
-        p_abs=_number(ch_raw, "p_abs", "channel", default=1.0),
-    )
-    if channel.length_km < 0.0:
-        raise ConfigError(f"channel.L0_km must be >= 0, got {channel.length_km!r}")
-    for key, p in (("p_em", channel.p_em), ("p_abs", channel.p_abs)):
+        name = "grid.points" if grid.points is not None else "grid.span_in_T1"
+        raise ConfigError(f"{name} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
+    return grid
+
+
+def _parse_channel(doc: dict) -> ChannelModel:
+    raw = _section(doc, "channel")
+    length = _number(raw, "L0_km", "channel", default=0.0)
+    atten = _number(raw, "atten_db_per_km", "channel", default=2.0, above=0.0)
+    phase_rate = _number(raw, "phase_rate", "channel", default=0.1)
+    p_em = _number(raw, "p_em", "channel", default=1.0)
+    p_abs = _number(raw, "p_abs", "channel", default=1.0)
+    if length < 0.0:
+        raise ConfigError(f"channel.L0_km must be >= 0, got {length!r}")
+    for key, p in (("p_em", p_em), ("p_abs", p_abs)):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"channel.{key} must lie in [0, 1], got {p!r}")
-    out_raw = _section(doc, "outputs")
-    which = out_raw.get("which", ["sender", "photonics", "receiver", "report"])
+    return ChannelModel(length, atten, phase_rate, p_em, p_abs)
+
+
+def _parse_outputs(doc: dict) -> OutputsConfig:
+    raw = _section(doc, "outputs")
+    which = raw.get("which", ["sender", "photonics", "receiver", "report"])
     if not isinstance(which, (list, tuple)):
         raise ConfigError("outputs.which must be a list")
     known = {"sender", "photonics", "receiver", "report", "regime"}
     for item in which:
         if not isinstance(item, str) or item not in known:
             raise ConfigError(f"outputs.which contains unknown entry {item!r}")
-    directory = out_raw.get("directory", "out")
+    directory = raw.get("directory", "out")
     if not isinstance(directory, str):
         raise ConfigError(f"outputs.directory must be a string, got {directory!r}")
-    outputs = OutputsConfig(directory=directory, which=tuple(which))
+    return OutputsConfig(directory=directory, which=tuple(which))
+
+
+def _parse_strict(doc: dict) -> bool:
     strict = doc.get("strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"strict must be true or false, got {strict!r}")
-    return ScenarioConfig(
-        params=_parse_params(doc),
-        initial_state=_parse_state(doc),
-        pulse1=_parse_pulse1(doc),
-        pulse2=_parse_pulse2(doc),
-        grid=grid,
-        channel=channel,
-        outputs=outputs,
-        regime_min_ratio=_number(doc, "regime_min_ratio", "config", default=5.0),
-        strict=strict,
-        raw=doc,
-    )
+    return strict
+
+
+# The parser of each ScenarioConfig field, keyed by the top-level document
+# key it reads.  parse_config runs them in this order, so a document with
+# several faults reports the same one first.
+_PARSERS = {
+    "grid": _parse_grid,
+    "channel": _parse_channel,
+    "outputs": _parse_outputs,
+    "strict": _parse_strict,
+    "params": _parse_params,
+    "initial_state": _parse_state,
+    "pulse1": _parse_pulse1,
+    "pulse2": _parse_pulse2,
+    "regime_min_ratio": lambda doc: _number(doc, "regime_min_ratio", "config", default=5.0),
+}
+
+
+def parse_config(doc: dict) -> ScenarioConfig:
+    """Validate a scenario document and convert to internal units."""
+    if not isinstance(doc, dict):
+        raise ConfigError("top-level config must be a JSON object")
+    return ScenarioConfig(**{name: parse(doc) for name, parse in _PARSERS.items()}, raw=doc)
+
+
+def sample_config(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    """``config`` with the scalar at the dotted path ``axis`` set to ``value``.
+
+    Equal to ``parse_config`` of the edited document, ``raw`` included, or
+    the same ``ConfigError``; but only the dicts on the axis's path through
+    ``raw`` are copied, and only the axis's section is parsed again.  The
+    virtual ``initial_state.p_m1`` sets the two-photon weight against c_0.
+    """
+    *sections, leaf = axis.split(".")
+    doc = node = dict(config.raw)
+    for part in sections:
+        if not isinstance(node, dict) or part not in node:
+            raise ConfigError(f"sweep axis {axis!r}: no section {part!r}")
+        if isinstance(node[part], dict):
+            node[part] = dict(node[part])
+        node = node[part]
+    if axis == "initial_state.p_m1":
+        p_p1 = sum(x * x for x in node.get("c_p1", [0.0, 0.0]))
+        if value < 0.0 or value + p_p1 > 1.0 + 1e-12:
+            raise ConfigError(f"initial_state.p_m1 = {value} leaves no weight for c_0")
+        node["c_m1"] = [math.sqrt(value), 0.0]
+        node["c_0"] = [math.sqrt(max(1.0 - value - p_p1, 0.0)), 0.0]
+    elif not isinstance(node, dict) or leaf not in node:
+        raise ConfigError(f"sweep axis {axis!r}: no field {leaf!r}")
+    elif isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
+        raise ConfigError(f"sweep axis {axis!r} is not a scalar field")
+    else:
+        node[leaf] = float(value)
+    name = axis.split(".")[0]
+    # A key no parser reads changes only raw, and with it the hash.
+    parsed = {name: _PARSERS[name](doc)} if name in _PARSERS else {}
+    return replace(config, **parsed, raw=doc)
 
 
 def load_config(path: str | Path, overrides: Optional[dict[str, Any]] = None) -> ScenarioConfig:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 HBAR = 1.054571817e-34  # J s
 
@@ -211,6 +213,21 @@ class SuperpositionState:
             + self.c_p1.conjugate() * other.c_p1
         )
         return abs(amp) ** 2
+
+
+class StateBatch:
+    """Input states stacked so that a closed form evaluates them in one pass.
+
+    ``c_m1``, ``c_0``, ``c_p1`` and ``populations`` are columns, one row per
+    state, that broadcast against a grid; each entry is the state's own value.
+    """
+
+    def __init__(self, states: list[SuperpositionState]):
+        self.states = tuple(states)
+        rows = ((s.c_m1, s.c_0, s.c_p1, *s.populations) for s in self.states)
+        columns = [np.array(values)[:, None] for values in zip(*rows)]
+        self.c_m1, self.c_0, self.c_p1 = columns[:3]
+        self.populations = tuple(columns[3:])
 
 
 @dataclass(frozen=True)

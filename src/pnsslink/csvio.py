@@ -242,9 +242,10 @@ def write_csv(
     for name, a in zip(columns, arrays):
         if len(a) != n:
             raise ValueError(f"column {name!r} has length {len(a)}, expected {n}")
-    table = np.column_stack(arrays).astype(np.float64, copy=False)
-    n_cols = table.shape[1]
+    n_cols = len(arrays)
     rows = max(1, min(n, BLOCK_CELLS // n_cols))
+    # One block of rows, refilled from the columns: the table is never copied whole.
+    block = np.empty((rows, n_cols))
     cells = rows * n_cols
     src = np.empty((_WORDS, cells), np.uint32)
     src[5] = np.frombuffer(b".0e\0", np.uint32)
@@ -257,5 +258,8 @@ def write_csv(
     with path.open("wb") as out:
         out.write(("\n".join(head) + "\n").encode("utf-8"))
         for start in range(0, n, rows):
-            out.write(_format_block(table[start : start + rows].ravel(), src, offsets))
+            m = min(rows, n - start)
+            for j, a in enumerate(arrays):
+                block[:m, j] = a[start : start + m]
+            out.write(_format_block(block[:m].ravel(), src, offsets))
     return path

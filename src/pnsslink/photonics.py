@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SuperpositionState
+from .core import StateBatch, SuperpositionState
 from .numerics import SampledFunction, TimeGrid, trapezoid
 from .sender import PulseShape, SenderTrajectory
 
@@ -100,13 +100,13 @@ def photon_fluxes(
     return flux_total, flux_one, flux_two
 
 
-def mean_photon_number(theta: SampledFunction, c: SuperpositionState) -> np.ndarray:
+def mean_photon_number(theta: SampledFunction, c: SuperpositionState | StateBatch) -> np.ndarray:
     """Mean emitted photon number n_out(t), the time integral of the flux.
 
     n_out(t) = (|c_0|^2 + 2|c_m1|^2)(1 - e**-theta) - |c_m1|^2 theta e**-theta.
     The vacuum branch of a qutrit input emits nothing, so its weight is
     absent; for a two-sublevel input the prefactor is 1 + |c_m1|^2.
-    Equals P1 + 2*P2 identically.
+    Equals P1 + 2*P2 identically.  A ``StateBatch`` gives one row per state.
     """
     th = theta.samples
     e_full = np.exp(-th)

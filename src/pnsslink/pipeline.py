@@ -12,12 +12,14 @@ amplitudes, photon observables, absorption amplitudes, bookkeeping
 residual, stored state and the report.  ``run_send`` uses only the
 sender half of the link stage and never solves a pulse.  ``run_sweep``
 builds a new link only when a sample's physics differs from the
-previous sample's, and evaluates the per-state closed forms at the
-link's terminal samples only: a sweep row holds end values alone.
+previous sample's, and evaluates the per-state closed forms once per
+link, for all its samples at once, at the link's terminal samples only:
+a sweep row holds end values alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,12 +29,13 @@ from typing import Optional
 import numpy as np
 
 from . import channel as channel_mod
-from .channel import ChannelModel, TransferReport
-from .config import ConfigError, ScenarioConfig, parse_config
+from .channel import TransferReport
+from .config import ScenarioConfig, sample_config
 from .core import (
     DerivedQuantities,
     PhysicalParams,
     RegimeReport,
+    StateBatch,
     derive,
     to_mhz,
     validate_regime,
@@ -87,8 +90,9 @@ class SenderLink:
 
 
 def _physics(config: ScenarioConfig) -> tuple:
-    """The parsed fields a link is built from."""
-    return (config.params, config.pulse1, config.pulse2, config.grid, config.regime_min_ratio)
+    """The parsed fields a link is built from; phi2 enters per state only."""
+    params = {**vars(config.params), "phi2": None}
+    return (params, config.pulse1, config.pulse2, config.grid, config.regime_min_ratio)
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ def _send(sender: SenderLink, config: ScenarioConfig) -> SendResult:
     trajectory = amplitudes_beta(sender.theta, c)
     return SendResult(
         config=config,
-        params=sender.params,
+        params=config.params,
         derived=sender.derived,
         regime=sender.regime,
         grid=sender.grid,
@@ -248,17 +252,6 @@ def build_link(config: ScenarioConfig, strict: bool = False) -> Link:
     )
 
 
-def _channel(config: ScenarioConfig) -> ChannelModel:
-    ch = config.channel
-    return ChannelModel(
-        length_km=ch.length_km,
-        atten_db_per_km=ch.atten_db_per_km,
-        phase_rate_rad_per_km=ch.phase_rate,
-        p_emission=ch.p_em,
-        p_absorption=ch.p_abs,
-    )
-
-
 def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
     """The per-state stage: send ``config``'s input state over ``link``.
 
@@ -269,11 +262,11 @@ def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
     send = _send(link.sender, config)
     c = config.initial_state
     obs = send.observables
-    receiver = gamma_analytic(link.eta, link.zeta, c, phi2=send.params.phi2)
+    receiver = gamma_analytic(link.eta, link.zeta, c, phi2=config.params.phi2)
     residual = conservation_check(receiver, obs.n_out, obs.flux_total, send.params.k)
     final = final_state(receiver, c)
     solve = link.solve
-    ch = _channel(config)
+    ch = config.channel
     weighted = ch.weighted_success(c.populations)
     drift = channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km)
     report = TransferReport(
@@ -451,45 +444,16 @@ def write_regime_json(send: SendResult, path: str | Path) -> Path:
 # sweeps
 
 
-def _set_in(doc: dict, path: str, value: float) -> None:
-    parts = path.split(".")
-    node = doc
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"sweep axis {path!r}: no section {part!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"sweep axis {path!r}: no field {leaf!r}")
-    if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
-        raise ConfigError(f"sweep axis {path!r} is not a scalar field")
-    node[leaf] = float(value)
+def _sweep_rows(link: Link, axis: str, samples: list[tuple[float, ScenarioConfig]]) -> list[dict]:
+    """The ``sweep.csv`` rows of the ``(value, config)`` samples sent over ``link``.
 
-
-def _config_with(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    doc = json.loads(json.dumps(config.raw))
-    if axis == "initial_state.p_m1":
-        # Virtual axis: two-photon weight, rebalanced against c_0.
-        p_p1 = sum(x * x for x in doc["initial_state"].get("c_p1", [0.0, 0.0]))
-        if value < 0.0 or value + p_p1 > 1.0 + 1e-12:
-            raise ConfigError(f"initial_state.p_m1 = {value} leaves no weight for c_0")
-        doc["initial_state"]["c_m1"] = [math.sqrt(value), 0.0]
-        doc["initial_state"]["c_0"] = [math.sqrt(max(1.0 - value - p_p1, 0.0)), 0.0]
-    else:
-        _set_in(doc, axis, value)
-    return parse_config(doc)
-
-
-def _sweep_row(link: Link, cfg: ScenarioConfig) -> dict:
-    """The ``sweep.csv`` values of ``cfg``'s input state sent over ``link``.
-
-    Every per-state value in a row is read at the last grid sample.  The
-    closed forms are pointwise in theta, eta and zeta, so they run here on
-    the link's last two samples (the shortest grid there is) and give the
-    same floats as a full-grid ``run_transfer_on``.  The truncated grid
-    stays inside this function; only end values leave it.
+    A row holds end values only, and the closed forms are pointwise in
+    theta, eta and zeta, so they run once for all the samples (a
+    ``StateBatch``) on the link's last two grid samples, and give the same
+    floats as a full-grid ``run_transfer_on`` per sample.
     """
-    c = cfg.initial_state
+    configs = [cfg for _, cfg in samples]
+    c = StateBatch([cfg.initial_state for cfg in configs])
     grid = link.sender.grid
     end = TimeGrid(grid.values[-2], grid.values[-1], 2)
 
@@ -498,47 +462,47 @@ def _sweep_row(link: Link, cfg: ScenarioConfig) -> dict:
 
     theta = at_end(link.sender.theta)
     _, p1, p2 = photon_distribution(amplitudes_beta(theta, c))
-    receiver = gamma_analytic(at_end(link.eta), at_end(link.zeta), c, phi2=cfg.params.phi2)
-    ch = _channel(cfg)
-    l_att = channel_mod.attenuation_length(ch.atten_db_per_km)
-    return {
-        "eta1": channel_mod.transmission_efficiency(ch.length_km, l_att, 1),
-        "eta2": channel_mod.transmission_efficiency(ch.length_km, l_att, 2),
-        "weighted_success": ch.weighted_success(c.populations),
-        "phase_rad": channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km),
-        "fidelity": final_state(receiver, c).fidelity,
-        "n_out_inf": float(mean_photon_number(theta, c)[-1]),
-        "P1_inf": float(p1[-1]),
-        "P2_inf": float(p2[-1]),
-        "T2_us": link.pulse2.duration / US,
-        "center2_us": link.pulse2.center / US,
-        "omega2_mhz": to_mhz(link.omega2),
-        "eta_residual": float(receiver.eta[-1] - math.pi),
-        "zeta_residual": float(receiver.zeta[-1] - math.pi),
-    }
+    n_out = mean_photon_number(theta, c)
+    phi2 = [cfg.params.phi2 for cfg in configs]
+    receiver = gamma_analytic(at_end(link.eta), at_end(link.zeta), c, phi2=phi2)
+    finals = final_state(receiver, c)
+    rows = []
+    for i, (value, cfg) in enumerate(samples):
+        ch = cfg.channel
+        rows.append({
+            axis.split(".")[-1]: value,
+            "eta1": channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, 1),
+            "eta2": channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, 2),
+            "weighted_success": ch.weighted_success(cfg.initial_state.populations),
+            "phase_rad": channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km),
+            "fidelity": finals[i].fidelity,
+            "n_out_inf": float(n_out[i, -1]),
+            "P1_inf": float(p1[i, -1]),
+            "P2_inf": float(p2[i, -1]),
+            "T2_us": link.pulse2.duration / US,
+            "center2_us": link.pulse2.center / US,
+            "omega2_mhz": to_mhz(link.omega2),
+            "eta_residual": float(receiver.eta[-1] - math.pi),
+            "zeta_residual": float(receiver.zeta[-1] - math.pi),
+        })
+    return rows
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> list[dict]:
     """One row per axis sample, in order.
 
-    Every sample is parsed before the first link is built, so a bad
-    value fails before any pulse solve.  A sample whose physics equals
-    the previous sample's reuses that link.  No sample runs the
-    full-grid per-state stage: an ``initial_state.*`` or ``channel.*``
-    sweep costs one link plus the per-state closed forms evaluated at
-    the link's terminal samples (``_sweep_row``).  With
-    ``config.strict`` each new link's regime is checked as it is built
-    (``RegimeFailure``).
+    Every sample is built (``sample_config``) before the first link, so a
+    bad value fails before any pulse solve.  Consecutive samples with the
+    same physics share one link and one pass of the closed forms
+    (``_sweep_rows``): an ``initial_state.*``, ``channel.*`` or
+    ``params.phi2_rad`` sweep costs one link.  With ``config.strict`` each
+    new link's regime is checked as it is built (``RegimeFailure``).
     """
-    samples = [_config_with(config, axis, float(value)) for value in values]
+    samples = [(float(v), sample_config(config, axis, float(v))) for v in values]
     rows = []
-    link: Optional[Link] = None
-    for value, cfg in zip(values, samples):
-        if link is None or _physics(cfg) != link.physics:
-            link = build_link(cfg, strict=config.strict)
-        row = {axis.split(".")[-1]: float(value)}
-        row.update(_sweep_row(link, cfg))
-        rows.append(row)
+    for _, group in itertools.groupby(samples, key=lambda sample: _physics(sample[1])):
+        group = list(group)
+        rows += _sweep_rows(build_link(group[0][1], strict=config.strict), axis, group)
     return rows
 
 

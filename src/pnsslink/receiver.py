@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PhysicalParams, SuperpositionState
+from .core import PhysicalParams, StateBatch, SuperpositionState
 from .numerics import (
     BracketError,
     SampledFunction,
@@ -114,11 +114,19 @@ def pulse_areas(
     return eta, zeta
 
 
+def _phase(phi2: float) -> tuple[complex, complex]:
+    # u = exp(i(pi/2 - phi2)) and u**2, exactly 1+0j at phi2 = pi/2.  A batch
+    # forms them per state with these same scalar operations, because numpy's
+    # complex array product can round differently from the scalar one.
+    u = np.exp(1j * (math.pi / 2 - phi2))
+    return u, u * u
+
+
 def gamma_analytic(
     eta: SampledFunction,
     zeta: SampledFunction,
-    c: SuperpositionState,
-    phi2: float = math.pi / 2,
+    c: SuperpositionState | StateBatch,
+    phi2: float | list[float] = math.pi / 2,
 ) -> ReceiverTrajectory:
     """Closed-form absorption amplitudes at control phase ``phi2``.
 
@@ -128,22 +136,27 @@ def gamma_analytic(
     The vacuum branch of a qutrit input is inert: g_1_0 = c_p1.
     Other phases are a diagonal similarity transform of this: with
     u = exp(i(pi/2 - phi2)), g_0_0 and g_0_1 gain a factor u, g_m1_0 u**2.
+
+    A ``StateBatch`` takes one phase per state in ``phi2`` and gives every
+    amplitude a leading axis, one row per state.
     """
     e = eta.samples
     z = zeta.samples
-    n = eta.grid.n_points
-    # Exactly 1+0j at phi2 = pi/2, which leaves that case bit-identical.
-    u = np.exp(1j * (math.pi / 2 - phi2))
+    if isinstance(phi2, list):
+        u, u2 = (np.array(f)[:, None] for f in zip(*map(_phase, phi2)))
+    else:
+        u, u2 = _phase(phi2)
+    g_1_1 = (c.c_0 * np.cos(0.5 * e)).astype(complex)
     return ReceiverTrajectory(
         grid=eta.grid,
         eta=e,
         zeta=z,
         g_0_0=(c.c_0 * np.sin(0.5 * e)).astype(complex) * u,
-        g_1_1=(c.c_0 * np.cos(0.5 * e)).astype(complex),
-        g_m1_0=(0.5 * c.c_m1 * (1.0 - np.cos(z))).astype(complex) * (u * u),
+        g_1_1=g_1_1,
+        g_m1_0=(0.5 * c.c_m1 * (1.0 - np.cos(z))).astype(complex) * u2,
         g_0_1=(c.c_m1 * np.sin(z) / math.sqrt(2.0)).astype(complex) * u,
         g_1_2=(0.5 * c.c_m1 * (1.0 + np.cos(z))).astype(complex),
-        g_1_0=np.full(n, c.c_p1, dtype=complex),
+        g_1_0=np.full(g_1_1.shape, c.c_p1, dtype=complex),
     )
 
 
@@ -370,19 +383,24 @@ def conservation_check(
 
 def final_state(
     traj: ReceiverTrajectory,
-    c_in: SuperpositionState,
+    c_in: SuperpositionState | StateBatch,
     leakage_threshold: float = 1e-3,
-) -> FinalState:
+) -> FinalState | list[FinalState]:
     """Read out the stored state and compare with the input.
 
     The retained amplitudes are those with no photons left in the field.
     Fidelity is computed against the renormalized retained state; the
     discarded weight is reported as leakage and flagged when it exceeds
-    the threshold.
+    the threshold.  A ``StateBatch`` gives one ``FinalState`` per state.
     """
-    a_m1 = complex(traj.g_m1_0[-1])
-    a_0 = complex(traj.g_0_0[-1])
-    a_p1 = complex(traj.g_1_0[-1])
+    if isinstance(c_in, StateBatch):
+        ends = zip(traj.g_m1_0[:, -1], traj.g_0_0[:, -1], traj.g_1_0[:, -1])
+        return [_readout(a, c, leakage_threshold) for a, c in zip(ends, c_in.states)]
+    return _readout((traj.g_m1_0[-1], traj.g_0_0[-1], traj.g_1_0[-1]), c_in, leakage_threshold)
+
+
+def _readout(ends: tuple, c_in: SuperpositionState, leakage_threshold: float) -> FinalState:
+    a_m1, a_0, a_p1 = map(complex, ends)
     retained = abs(a_m1) ** 2 + abs(a_0) ** 2 + abs(a_p1) ** 2
     leakage = 1.0 - retained
     state = SuperpositionState.normalized(a_m1, a_0, a_p1)

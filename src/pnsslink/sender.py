@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SuperpositionState
+from .core import StateBatch, SuperpositionState
 from .numerics import SampledFunction, TimeGrid, cumulative_integral
 
 
@@ -96,7 +96,9 @@ def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFu
     return SampledFunction(grid, alpha1 * integral.samples)
 
 
-def amplitudes_beta(theta: SampledFunction, c: SuperpositionState) -> SenderTrajectory:
+def amplitudes_beta(
+    theta: SampledFunction, c: SuperpositionState | StateBatch
+) -> SenderTrajectory:
     """Closed-form atomic moments and joint atom-field amplitudes beta_{m,j}(t).
 
     Everything depends on the exposure history theta(t) alone.  The
@@ -112,6 +114,8 @@ def amplitudes_beta(theta: SampledFunction, c: SuperpositionState) -> SenderTraj
     sum_j |beta_{m,j}|^2 equals sigma_m at every grid point.  For a
     qutrit input the extra branch is beta_{+1,0}(t) = c_p1, constant,
     because that sublevel never scatters a photon.
+
+    With a ``StateBatch`` every array gains a leading axis, one row per state.
     """
     th = theta.samples
     e_full = np.exp(-th)
@@ -144,7 +148,7 @@ def amplitudes_beta(theta: SampledFunction, c: SuperpositionState) -> SenderTraj
         beta_m1_0=c.c_m1 * e_half,
         beta_0_0=c.c_0 * e_half,
         beta_0_1=c.c_m1 * one_photon,
-        beta_p1_0=np.full(theta.grid.n_points, c.c_p1, dtype=complex),
+        beta_p1_0=np.full(sigma_m1.shape, c.c_p1, dtype=complex),
         beta_p1_1=c.c_0 * survive_1,
         beta_p1_2=c.c_m1 * survive_2,
     )

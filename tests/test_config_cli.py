@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pnsslink import cli as cli_mod
+from pnsslink import config as config_mod
 from pnsslink import pipeline as pipeline_mod
 from pnsslink.channel import attenuation_length, transmission_efficiency
 from pnsslink.cli import main
@@ -18,11 +19,11 @@ from pnsslink.config import (
     default_config_dict,
     load_config,
     parse_config,
+    sample_config,
 )
 from pnsslink.core import to_mhz
 from pnsslink.pipeline import (
     US,
-    _config_with,
     build_link,
     run_sweep,
     run_transfer,
@@ -468,13 +469,13 @@ class TestCli:
 
     def test_tol_flag_reaches_every_sweep_sample(self, tmp_path, monkeypatch):
         parsed = []
-        parse = pipeline_mod.parse_config
+        sample = pipeline_mod.sample_config
 
-        def recording_parse(doc):
-            parsed.append(parse(doc))
+        def recording_sample(config, axis, value):
+            parsed.append(sample(config, axis, value))
             return parsed[-1]
 
-        monkeypatch.setattr(pipeline_mod, "parse_config", recording_parse)
+        monkeypatch.setattr(pipeline_mod, "sample_config", recording_sample)
         sweep = ["sweep", "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", "3"]
         path = write_doc(tmp_path, small_doc())
         flag_run = ["--config", str(path), "--out", str(tmp_path / "flag"), "--tol", "1e-9"]
@@ -502,6 +503,121 @@ class TestCli:
         assert len(sig) <= 15
 
 
+def edited_doc(raw: dict, axis: str, value: float) -> dict:
+    """A deep copy of ``raw`` with the sample's edit made by hand."""
+    doc = json.loads(json.dumps(raw))
+    if axis == "initial_state.p_m1":
+        p_p1 = sum(x * x for x in doc["initial_state"].get("c_p1", [0.0, 0.0]))
+        doc["initial_state"]["c_m1"] = [math.sqrt(value), 0.0]
+        doc["initial_state"]["c_0"] = [math.sqrt(max(1.0 - value - p_p1, 0.0)), 0.0]
+        return doc
+    *sections, leaf = axis.split(".")
+    node = doc
+    for part in sections:
+        node = node[part]
+    node[leaf] = value
+    return doc
+
+
+def sample_doc(qutrit: bool) -> dict:
+    doc = default_config_dict(qutrit=qutrit)
+    doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
+    doc["channel"]["p_em"] = 1.0
+    doc["regime_min_ratio"] = 5.0
+    return doc
+
+
+# One axis in every section the builder re-parses, and the top-level ratio.
+SAMPLE_CASES = [
+    (False, "params.g_mhz", 12.5),
+    (False, "params.phi2_rad", 0.7),
+    (False, "initial_state.p_m1", 0.4),
+    (True, "initial_state.p_m1", 0.3),
+    (True, "initial_state.p_m1", 0.8),
+    (False, "pulse1.T1_us", 0.35),
+    (False, "pulse2.tol", 1e-8),
+    (False, "grid.points", 3001.0),
+    (False, "grid.span_in_T1", 10.0),
+    (False, "channel.L0_km", 2.5),
+    (False, "channel.p_em", 0.9),
+    (False, "regime_min_ratio", 4.0),
+]
+
+# A bad value in each section: the message parse_config gives for the edited document.
+BAD_SAMPLE_CASES = [
+    (False, "grid.points", float(MAX_GRID_POINTS + 1)),
+    (False, "grid.points", 3000.5),
+    (False, "params.phi2_rad", math.nan),
+    (False, "channel.L0_km", -1.0),
+    (False, "channel.p_em", 1.5),
+    (False, "params.g_mhz", -1.0),
+    (False, "pulse1.T1_us", 0.0),
+    (False, "pulse2.tol", 0.0),
+    (False, "regime_min_ratio", math.inf),
+    (True, "initial_state.p_m1", 0.85),
+]
+
+
+class TestSampleConfig:
+    @pytest.mark.parametrize("qutrit, axis, value", SAMPLE_CASES)
+    def test_sample_equals_parse_of_edited_doc(self, qutrit, axis, value):
+        config = parse_config(sample_doc(qutrit))
+        before = json.dumps(config.raw, sort_keys=True)
+        sample = sample_config(config, axis, value)
+        expected = parse_config(edited_doc(config.raw, axis, value))
+        assert sample == expected
+        assert sample.raw == expected.raw
+        assert sample.config_hash() == expected.config_hash()
+        assert sample != config
+        assert json.dumps(config.raw, sort_keys=True) == before  # the parent is not edited
+
+    @pytest.mark.parametrize("qutrit, axis, value", BAD_SAMPLE_CASES)
+    def test_bad_value_raises_the_parse_error(self, qutrit, axis, value):
+        config = parse_config(sample_doc(qutrit))
+        if axis == "initial_state.p_m1":
+            message = f"initial_state.p_m1 = {value} leaves no weight for c_0"
+        else:
+            with pytest.raises(ConfigError) as parsed:
+                parse_config(edited_doc(config.raw, axis, value))
+            message = str(parsed.value)
+        with pytest.raises(ConfigError) as sampled:
+            sample_config(config, axis, value)
+        assert str(sampled.value) == message
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("nosuch.x", "no section 'nosuch'"),
+            ("params.nosuch", "no field 'nosuch'"),
+            ("params.g_mhz.x", "no field 'x'"),
+            ("initial_state.c_m1", "is not a scalar field"),
+            ("pulse1.shape", "is not a scalar field"),
+            ("strict", "no field 'strict'"),
+        ],
+    )
+    def test_bad_axis(self, axis, message):
+        config = parse_config(sample_doc(False))
+        with pytest.raises(ConfigError, match=message):
+            sample_config(config, axis, 1.0)
+
+    def test_copies_only_the_axis_path(self):
+        config = parse_config(sample_doc(False))
+        sample = sample_config(config, "channel.L0_km", 1.0)
+        assert sample.raw["channel"] is not config.raw["channel"]
+        assert sample.raw["params"] is config.raw["params"]
+        assert sample.params is config.params  # only the channel section is parsed again
+
+    @pytest.mark.parametrize("axis", ["initial_state.p_m1", "channel.L0_km", "params.phi2_rad"])
+    def test_sweep_parses_no_document(self, monkeypatch, axis):
+        def no_parse(doc):
+            raise AssertionError("parse_config ran")
+
+        config = parse_config(small_doc())
+        monkeypatch.setattr(config_mod, "parse_config", no_parse)
+        monkeypatch.setattr(pipeline_mod, "parse_config", no_parse, raising=False)
+        assert len(run_sweep(config, axis, np.linspace(0.2, 0.8, 4))) == 4
+
+
 REUSED_ROW_CASES = [
     (False, math.pi / 2, "initial_state.p_m1", 0.0, 1.0, 1),
     (True, math.pi / 2, "initial_state.p_m1", 0.05, 0.8, 1),
@@ -509,6 +625,8 @@ REUSED_ROW_CASES = [
     (True, 0.7, "initial_state.p_m1", 0.05, 0.8, 1),
     (False, math.pi / 2, "channel.L0_km", 0.0, 5.0, 1),
     (False, math.pi / 2, "params.g_mhz", 11.5, 12.5, 5),
+    # The control phase enters per state only: one link for the whole sweep.
+    (True, math.pi / 2, "params.phi2_rad", 0.3, 1.4, 1),
 ]
 
 
@@ -564,7 +682,7 @@ class TestSweepSemantics:
         assert reports == []  # rows come from end values, not per-sample reports
         monkeypatch.undo()
         for value, row in zip(values, rows):
-            cfg = _config_with(config, axis, float(value))
+            cfg = sample_config(config, axis, float(value))
             assert row == full_grid_row(cfg, axis, float(value))
 
     @pytest.mark.parametrize(
@@ -607,15 +725,15 @@ class TestSweepSemantics:
         assert full == ["pulse_areas"] * links  # the link's areas, once per link
         assert all(n == 2 for name, n in seen if name != "pulse_areas")
         calls = Counter(name for name, _ in seen)
-        assert calls == {"pulse_areas": links, **{name: num for name in closed_forms}}
+        assert calls == {"pulse_areas": links, **{name: links for name in closed_forms}}
 
     def test_link_refuses_other_physics(self):
         config = parse_config(small_doc())
         link = build_link(config)
-        other = _config_with(config, "initial_state.p_m1", 0.4)
+        other = sample_config(config, "initial_state.p_m1", 0.4)
         assert run_transfer_on(link, other).final.fidelity == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(ValueError, match="physics"):
-            run_transfer_on(link, _config_with(config, "params.g_mhz", 12.5))
+            run_transfer_on(link, sample_config(config, "params.g_mhz", 12.5))
 
     def test_default_grid_agrees_with_4x_grid(self):
         # The default grid's discretisation error, estimated against a 4x
