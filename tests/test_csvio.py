@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pnsslink.csvio import BLOCK_CELLS, write_csv
+from pnsslink.csvio import BLOCK_CELLS, _BlockWork, _format_block, write_csv
 
 HASH = "0123456789abcdef"
 
@@ -157,6 +157,23 @@ def test_column_length_mismatch(tmp_path):
     with pytest.raises(ValueError, match="'b' has length 2, expected 3"):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)], HASH)
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_block_allocates_no_large_temporaries():
+    # The gather index alone is 8 * WIDTH = 192 bytes a cell; it and the
+    # other large arrays live in the write's buffers, not in each block.
+    n_cols = 18
+    rows = BLOCK_CELLS // n_cols
+    work = _BlockWork(rows, n_cols)
+    x = np.random.default_rng(7).standard_normal(rows * n_cols)
+    _format_block(x, work)  # warm: tables and templates built
+    tracemalloc.start()
+    try:
+        _format_block(x, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * len(x)
 
 
 def test_streams_in_blocks(tmp_path):
