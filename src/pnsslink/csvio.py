@@ -16,6 +16,11 @@ Cells whose rounding the kernel cannot decide are formatted one at a time
 by ``%`` itself: non-finite values, magnitudes outside [1e-270, 1e290],
 and scaled values whose remainder lies within 1e-6 of a half (ties and
 near ties).
+
+The block's large work arrays (the gather index, the output bytes, the
+digit groups and the source words) are allocated once per write and
+refilled by every block; a block itself allocates only a few arrays of
+one number per cell.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Cells per kernel block.  The largest temporary is the block's int64 gather
-# index, 8 * WIDTH bytes a cell (~0.8 MB), so memory stays far below the text
-# of a large table.
+# Cells per kernel block.  The largest work array is the int64 gather index,
+# 8 * WIDTH bytes a cell (~0.8 MB), allocated once per write with the other
+# block buffers, so memory stays far below the text of a large table.
 BLOCK_CELLS = 4096
 
 # Output bytes per cell, enough for the longest, "-1.23456789012345e-100",

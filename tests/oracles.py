@@ -146,10 +146,17 @@ def initial_amplitudes(c: SuperpositionState) -> np.ndarray:
 
 
 def _with_midpoints(samples: np.ndarray) -> np.ndarray:
-    """Interleave linear-midpoint values between consecutive samples."""
+    """Interleave midpoint values between consecutive samples.
+
+    Interior intervals take the four-point cubic midpoint
+    (-1, 9, 9, -1)/16, so the RK4 stages see the mode functions to
+    fourth order; the two end intervals keep the linear midpoint.
+    """
     out = np.empty(2 * len(samples) - 1, dtype=samples.dtype)
     out[0::2] = samples
     out[1::2] = 0.5 * (samples[1:] + samples[:-1])
+    if len(samples) >= 4:
+        out[3:-2:2] = (9.0 * (samples[1:-2] + samples[2:-1]) - (samples[:-3] + samples[3:])) / 16.0
     return out
 
 

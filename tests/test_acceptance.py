@@ -224,8 +224,8 @@ def test_07_receiver_oracle_equivalence(qubit_outcome):
     )
     check(
         "07 receiver oracle equivalence",
-        worst <= 1e-6,
-        f"max |ode - closed form| {worst:.2e} (tol 1e-6)",
+        worst <= 1e-9,
+        f"max |ode - closed form| {worst:.2e} (tol 1e-9)",
     )
 
 

@@ -77,7 +77,7 @@ class TestConfigParsing:
     def test_default_parses(self):
         config = default_config()
         assert config.params.g == pytest.approx(2 * math.pi * 12e6)
-        assert config.grid.n_points() == 6001
+        assert config.grid.n_points() == 3001
 
     def test_hash_stable(self):
         a = parse_config(default_config_dict())
@@ -741,7 +741,7 @@ class TestSweepSemantics:
         config = load_config(Path(__file__).resolve().parent.parent / "configs" / "qubit.json")
         dense_doc = json.loads(json.dumps(config.raw))
         dense_doc["grid"]["points"] = 4 * (config.grid.n_points() - 1) + 1
-        assert dense_doc["grid"]["points"] == 24001
+        assert dense_doc["grid"]["points"] == 12001
         default, dense = run_transfer(config), run_transfer(parse_config(dense_doc))
         assert default.pulse2.duration == pytest.approx(dense.pulse2.duration, rel=1e-9)
         assert default.omega2 == pytest.approx(dense.omega2, rel=1e-9)

@@ -154,6 +154,28 @@ class TestReceiverOde:
             dev = np.max(np.abs(getattr(ode, field) - getattr(ana, field)))
             assert dev <= 1e-6, field
 
+    def test_fourth_order_on_the_stock_link(self):
+        # Doubling the grid of the stock qubit transfer must cut the
+        # oracle's distance from the closed forms by ~16x (fourth order);
+        # linearly interpolated mode functions at the RK4 midpoints give 4x.
+        def worst(points):
+            doc = default_config_dict()
+            doc["grid"]["points"] = points
+            outcome = run_transfer(parse_config(doc))
+            send = outcome.send
+            g2c = send.params.g * outcome.omega2 / abs(send.params.delta)
+            obs = send.observables
+            state = send.config.initial_state
+            args = (outcome.pulse2, obs.phi1, obs.phi2, g2c, send.params.k)
+            ode = simulate_receiver_ode(*args, math.pi / 2, state, send.grid)
+            ana = gamma_analytic(*pulse_areas(*args, send.grid), state)
+            return max(
+                float(np.max(np.abs(getattr(ode, f) - getattr(ana, f))))
+                for f in ("g_0_0", "g_1_1", "g_m1_0", "g_0_1", "g_1_2")
+            )
+
+        assert worst(751) >= 12.0 * worst(1501)
+
     def test_zero_modes_constant(self, grid, stock_params, qubit_state):
         zeros = np.zeros(grid.n_points)
         pulse = PulseShape(kind="gaussian", duration=1e-6, center=0.0)
