@@ -19,7 +19,8 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
                          each CSV writer (the sweep's rows: a 41-point
                          initial_state.p_m1 sweep)
     sweep_per_sample     (run_sweep of 41 samples - of 1 sample) / 40
-    oracle_per_step      the receiver ODE oracle's time per RK4 step
+    oracle_sender_per_step, oracle_receiver_per_step
+                         each ODE oracle's time per RK4 step
 
 Each stage runs once to warm up and then ``--repeats`` times (at least
 5); its entry holds the median wall time, the grid points and the repeat
@@ -112,7 +113,7 @@ def _import(checkout: Path):
 
 def run(checkout: Path, repeats: int) -> dict:
     _import(checkout)
-    from oracles import simulate_receiver_ode
+    from oracles import simulate_receiver_ode, simulate_sender_ode
     from pnsslink import pipeline
     from pnsslink.cli import main as cli_main
     from pnsslink.config import load_config
@@ -177,14 +178,18 @@ def run(checkout: Path, repeats: int) -> dict:
         "repeats": repeats,
         "grid_points": points,
     }
-    oracle = measure(
-        lambda: simulate_receiver_ode(*area_args, math.pi / 2, state, sender.grid), repeats
-    )
-    stages["oracle_per_step"] = {
-        "median_s": oracle["median_s"] / (points - 1),
-        "repeats": repeats,
-        "grid_points": points,
+    oracles = {
+        "oracle_sender_per_step": lambda: simulate_sender_ode(
+            sender.pulse1, sender.derived.alpha1, state, sender.grid),
+        "oracle_receiver_per_step": lambda: simulate_receiver_ode(
+            *area_args, math.pi / 2, state, sender.grid),
     }
+    for name, fn in oracles.items():
+        stages[name] = {
+            "median_s": measure(fn, repeats)["median_s"] / (points - 1),
+            "repeats": repeats,
+            "grid_points": points,
+        }
     return {
         "commit": _commit(checkout),
         "python": platform.python_version(),

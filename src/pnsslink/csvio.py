@@ -167,7 +167,8 @@ class _BlockWork:
     All but ``offsets`` share one allocation.  With glibc, freeing that one
     block raises the allocator's mmap and trim thresholds above a whole
     write's footprint, so later writes reuse heap pages instead of faulting
-    in fresh ones; as separate arrays they fault in ~1.3 MB per write.
+    in fresh ones (as separate arrays, a ``transfer`` in the benchmark's
+    loop faulted in ~330 fresh pages).
     """
 
     def __init__(self, rows: int, n_cols: int):
