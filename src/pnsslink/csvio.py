@@ -163,32 +163,18 @@ class _BlockWork:
     offsets into src.  ``index`` (the gather index), ``out`` (the cells'
     bytes), ``groups`` (the digit groups) and ``base`` (each cell's first
     source byte) are the kernel's large arrays, written in place.
-
-    All but ``offsets`` share one allocation.  With glibc, freeing that one
-    block raises the allocator's mmap and trim thresholds above a whole
-    write's footprint, so later writes reuse heap pages instead of faulting
-    in fresh ones (as separate arrays, a ``transfer`` in the benchmark's
-    loop faulted in ~330 fresh pages).
     """
 
     def __init__(self, rows: int, n_cols: int):
         cells = rows * n_cols
-        layout = (
-            ((rows, n_cols), np.float64),
-            ((_WORDS, cells), np.uint32),
-            ((cells, WIDTH), np.intp),
-            ((cells, WIDTH), np.uint8),
-            ((5, cells), np.intp),
-            ((cells, 1), np.intp),
-        )
-        # Every size is a multiple of 8 bytes, so each view stays aligned.
-        sizes = [np.dtype(dtype).itemsize * int(np.prod(shape)) for shape, dtype in layout]
-        parts = np.split(np.empty(sum(sizes), np.uint8), np.cumsum(sizes)[:-1])
-        views = [part.view(dtype).reshape(shape) for part, (shape, dtype) in zip(parts, layout)]
-        self.values, self.src, self.index, self.out, self.groups, self.base = views
+        self.values = np.empty((rows, n_cols))
+        self.src = np.empty((_WORDS, cells), np.uint32)
         self.src[5] = np.frombuffer(b".0e\0", np.uint32)
         self.src[7] = np.tile(np.frombuffer(b",\0\0\0" * (n_cols - 1) + b"\n\0\0\0", np.uint32), rows)
-        self.base[:, 0] = np.arange(0, 4 * cells, 4)
+        self.index = np.empty((cells, WIDTH), np.intp)
+        self.out = np.empty((cells, WIDTH), np.uint8)
+        self.groups = np.empty((5, cells), np.intp)
+        self.base = np.arange(0, 4 * cells, 4)[:, None]
         byte = _templates()
         self.offsets = (byte >> 2) * (4 * cells) + (byte & 3)
 
@@ -208,16 +194,13 @@ def _format_block(x: np.ndarray, work: _BlockWork) -> bytes:
 
     # Decimal exponent from log10, corrected by one where the scaled value
     # leaves [1e14, 1e15); the scaling by 10**(14 - e) is exact to ~2**-100.
-    e = np.log10(a)
-    np.floor(e, out=e)
-    e = e.astype(np.intp)
+    e = np.floor(np.log10(a)).astype(np.intp)
     a_hi, a_lo = _split(a)
 
     def scaled(idx):
         h, h_hi, h_lo, h_rest = np.take(_pow10(), _MAX_POW + 14 - e[idx], axis=0, mode="clip").T
         hi, lo = _two_prod(a[idx], a_hi[idx], a_lo[idx], h, h_hi, h_lo)
-        lo += a[idx] * h_rest
-        return hi, lo
+        return hi, lo + a[idx] * h_rest
 
     m_hi, m_lo = scaled(slice(None))
     off = (m_hi >= 1e15).astype(np.intp) - (m_hi < 1e14)
@@ -225,19 +208,15 @@ def _format_block(x: np.ndarray, work: _BlockWork) -> bytes:
     if len(fix):
         e[fix] += off[fix]
         m_hi[fix], m_lo[fix] = scaled(fix)
-    del a_hi, a_lo, off
 
     # Round to nearest; m_hi - floor(m_hi) is exact at this magnitude, and a
     # remainder near a half is left to '%', which rounds ties to even.  A
     # result of 10**15 or more (one more at most, after a correction next to
     # a power of ten) is 10**14 at the next exponent.
     whole = np.floor(m_hi)
-    rem = np.subtract(m_hi, whole, out=m_hi)
-    rem += m_lo
+    rem = (m_hi - whole) + m_lo
     slow |= np.abs(rem - 0.5) < _TIE_MARGIN
-    q = whole.astype(np.intp)
-    q += rem > 0.5
-    del whole, rem, m_lo
+    q = whole.astype(np.intp) + (rem > 0.5)
     carry = q >= 10**15
     q[carry] = 10**14
     e += carry
@@ -259,10 +238,8 @@ def _format_block(x: np.ndarray, work: _BlockWork) -> bytes:
     np.take(exp_word, e, out=src[6, :n_cells], mode="clip")
     src.view(np.uint8).reshape(_WORDS, -1, 4)[5, :n_cells, 3] = np.signbit(x) * np.uint8(ord("-"))
 
-    template = np.take(class_base, e, mode="clip")
-    template += sig
     index = work.index[:n_cells]
-    np.take(work.offsets, template, axis=0, out=index, mode="clip")
+    np.take(work.offsets, np.take(class_base, e, mode="clip") + sig, axis=0, out=index, mode="clip")
     index += work.base[:n_cells]
     out = work.out[:n_cells]
     np.take(src.view(np.uint8).reshape(-1), index, out=out, mode="clip")
