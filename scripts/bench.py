@@ -22,13 +22,14 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
     oracle_sender_per_step, oracle_receiver_per_step
                          each ODE oracle's time per RK4 step
 
-Each stage runs once to warm up and then ``--repeats`` times (at least
-5); its entry holds the median wall time, the grid points and the repeat
-count.  The CLI ops and the CSV writers also record the median count of
-minor page faults (``ru_minflt``) per call; the CLI ops run first, so
-their counts are those of a process that has run only CLI ops.  The
-record adds the commit, the Python and numpy versions and the host's CPU
-model.
+Each stage runs once to warm up and then REPEATS times; its entry holds
+the median wall time, the grid points and the repeat count.  The CLI ops
+and the CSV writers also record ``minflt_median``: the minor page faults
+(``ru_minflt``) of one call of the stage in a fresh interpreter, the
+median over REPEATS interpreters.  A CLI op there is the whole op, as a
+``pnsslink`` process runs it after its imports; a CSV writer is its first
+call after a transfer (or the sweep) has been solved.  The record adds the
+commit, the Python and numpy versions and the host's CPU model.
 
 With ``--json FILE --record NAME`` the record is stored under NAME in
 FILE (other records are kept), so one file can hold a ``parent`` and a
@@ -45,6 +46,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import platform
 import resource
 import statistics
@@ -52,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,26 +62,23 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = Path("configs") / "qubit.json"
 SWEEP_NUM = 41
+# Timed calls per stage, after one warm-up.
+REPEATS = 7
 
 
 def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(fn, repeats: int, faults: bool = False) -> dict:
-    """Median wall time of ``fn()`` over ``repeats`` calls after one warm-up."""
+def measure(fn) -> dict:
+    """Median wall time of ``fn()`` over REPEATS calls after one warm-up."""
     fn()
-    times, flts = [], []
-    for _ in range(repeats):
-        f0 = _minflt()
+    times = []
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-        flts.append(_minflt() - f0)
-    entry = {"median_s": statistics.median(times), "repeats": repeats}
-    if faults:
-        entry["minflt_median"] = statistics.median(flts)
-    return entry
+    return {"median_s": statistics.median(times), "repeats": REPEATS}
 
 
 def _commit(checkout: Path) -> str:
@@ -111,71 +111,122 @@ def _import(checkout: Path):
         raise ImportError(f"pnsslink imported from {pnsslink.__file__}, not from {checkout}")
 
 
-def run(checkout: Path, repeats: int) -> dict:
+def _setup(checkout: Path):
+    """The stock scenario's config, link, transfer result and sweep rows."""
+    from pnsslink import pipeline
+    from pnsslink.config import load_config
+
+    config = load_config(checkout / SCENARIO)
+    link = pipeline.build_link(config)
+    result = pipeline.run_transfer_on(link, config)
+    rows = pipeline.run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, SWEEP_NUM))
+    return config, link, result, rows
+
+
+def _cli_ops(checkout: Path, out: Path) -> dict:
+    """The CLI ops on the stock scenario, as callables writing under ``out``."""
+    from pnsslink.cli import main as cli_main
+
+    def cli(*argv: str):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([*argv, "--config", str(checkout / SCENARIO), "--out", str(out / argv[0])])
+        if code != 0:
+            raise RuntimeError(f"pnsslink {argv[0]} exited {code}")
+
+    sweep_argv = ("sweep", "--axis", "initial_state.p_m1", "--start", "0", "--stop", "1",
+                  "--num", str(SWEEP_NUM))
+    return {
+        "cli_send": lambda: cli("send"),
+        "cli_transfer": lambda: cli("transfer"),
+        "cli_sweep": lambda: cli(*sweep_argv),
+    }
+
+
+def _writers(setup, out: Path) -> dict:
+    """The CSV writers of ``setup`` (see _setup), as callables writing under ``out``."""
+    from pnsslink import pipeline
+
+    config, _, result, rows = setup
+    return {
+        "csv_sender": lambda: pipeline.write_sender_csv(result.send, out / "sender.csv"),
+        "csv_photonics": lambda: pipeline.write_photonics_csv(result.send, out / "photonics.csv"),
+        "csv_receiver": lambda: pipeline.write_receiver_csv(result, out / "receiver.csv"),
+        "csv_sweep": lambda: pipeline.write_sweep_csv(rows, config, out / "sweep.csv"),
+    }
+
+
+def _fresh_faults(checkout: Path, name: str) -> int:
+    """Minor page faults of one call of stage ``name``, in a fresh interpreter.
+
+    A CSV writer's inputs are solved before the count starts.
+    """
+    _import(checkout)
+    with tempfile.TemporaryDirectory() as tmp:
+        if name.startswith("cli_"):
+            fn = _cli_ops(checkout, Path(tmp))[name]
+        else:
+            fn = _writers(_setup(checkout), Path(tmp))[name]
+        f0 = _minflt()
+        fn()
+        return _minflt() - f0
+
+
+def fresh_faults(checkout: Path, name: str) -> float:
+    """Median of _fresh_faults over REPEATS fresh interpreters."""
+    spawn = multiprocessing.get_context("spawn")
+    counts = []
+    for _ in range(REPEATS):
+        with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            counts.append(pool.submit(_fresh_faults, checkout, name).result())
+    return statistics.median(counts)
+
+
+def run(checkout: Path) -> dict:
     _import(checkout)
     from oracles import simulate_receiver_ode, simulate_sender_ode
     from pnsslink import pipeline
-    from pnsslink.cli import main as cli_main
     from pnsslink.config import load_config
     from pnsslink.photonics import photon_observables
     from pnsslink.receiver import gamma_analytic, pulse_areas
     from pnsslink.sender import amplitudes_beta, pump_exposure
 
     scenario = checkout / SCENARIO
-    config = load_config(scenario)
-    link = pipeline.build_link(config)
+    setup = _setup(checkout)
+    config, link, result, _ = setup
     sender = link.sender
     state = config.initial_state
-    result = pipeline.run_transfer_on(link, config)
     send = result.send
     params = config.params
     g2c = params.g * link.omega2 / abs(params.delta)
     area_args = (link.pulse2, sender.modes.phi1, sender.modes.phi2, g2c, params.k)
     p_m1 = np.linspace(0.0, 1.0, SWEEP_NUM)
-    rows = pipeline.run_sweep(config, "initial_state.p_m1", p_m1)
     points = sender.grid.n_points
 
     stages: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-
-        def cli(*argv: str):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main([*argv, "--config", str(scenario), "--out", str(out / argv[0])])
-            if code != 0:
-                raise RuntimeError(f"pnsslink {argv[0]} exited {code}")
-
-        sweep_argv = ("sweep", "--axis", "initial_state.p_m1", "--start", "0", "--stop", "1",
-                      "--num", str(SWEEP_NUM))
-        # The end-to-end ops run first, while the heap is laid out as in a
-        # CLI process: glibc's trimming, and so the fault counts, depend on
-        # what the process allocated and kept before.
+        with_faults = {**_cli_ops(checkout, out), **_writers(setup, out)}
         timed = {
-            "cli_send": (lambda: cli("send"), True),
-            "cli_transfer": (lambda: cli("transfer"), True),
-            "cli_sweep": (lambda: cli(*sweep_argv), True),
-            "config_parse": (lambda: load_config(scenario), False),
-            "exposure": (lambda: pump_exposure(sender.pulse1, sender.derived.alpha1, sender.grid), False),
-            "sender_amplitudes": (lambda: amplitudes_beta(sender.theta, state), False),
-            "photon_observables": (
-                lambda: photon_observables(sender.theta, sender.modes, state, send.trajectory), False),
-            "pulse_solve": (lambda: pipeline._resolve_pulse2(config, sender), False),
-            "absorb": (lambda: gamma_analytic(*pulse_areas(*area_args, sender.grid), state), False),
-            "report_json": (lambda: pipeline.write_report_json(result, out / "report.json"), False),
-            "csv_sender": (lambda: pipeline.write_sender_csv(send, out / "sender.csv"), True),
-            "csv_photonics": (lambda: pipeline.write_photonics_csv(send, out / "photonics.csv"), True),
-            "csv_receiver": (lambda: pipeline.write_receiver_csv(result, out / "receiver.csv"), True),
-            "csv_sweep": (lambda: pipeline.write_sweep_csv(rows, config, out / "sweep.csv"), True),
+            **with_faults,
+            "config_parse": lambda: load_config(scenario),
+            "exposure": lambda: pump_exposure(sender.pulse1, sender.derived.alpha1, sender.grid),
+            "sender_amplitudes": lambda: amplitudes_beta(sender.theta, state),
+            "photon_observables": lambda: photon_observables(sender.theta, sender.modes, state, send.trajectory),
+            "pulse_solve": lambda: pipeline._resolve_pulse2(config, sender),
+            "absorb": lambda: gamma_analytic(*pulse_areas(*area_args, sender.grid), state),
+            "report_json": lambda: pipeline.write_report_json(result, out / "report.json"),
         }
-        for name, (fn, faults) in timed.items():
-            stages[name] = {**measure(fn, repeats, faults), "grid_points": points}
+        for name, fn in timed.items():
+            stages[name] = {**measure(fn), "grid_points": points}
+    for name in with_faults:
+        stages[name]["minflt_median"] = fresh_faults(checkout, name)
 
     stages["pulse_solve"]["iterations"] = link.solve.iterations
-    many = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1), repeats)
-    one = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1[:1]), repeats)
+    many = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1))
+    one = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1[:1]))
     stages["sweep_per_sample"] = {
         "median_s": (many["median_s"] - one["median_s"]) / (SWEEP_NUM - 1),
-        "repeats": repeats,
+        "repeats": REPEATS,
         "grid_points": points,
     }
     oracles = {
@@ -186,8 +237,8 @@ def run(checkout: Path, repeats: int) -> dict:
     }
     for name, fn in oracles.items():
         stages[name] = {
-            "median_s": measure(fn, repeats)["median_s"] / (points - 1),
-            "repeats": repeats,
+            "median_s": measure(fn)["median_s"] / (points - 1),
+            "repeats": REPEATS,
             "grid_points": points,
         }
     return {
@@ -196,7 +247,7 @@ def run(checkout: Path, repeats: int) -> dict:
         "numpy": np.__version__,
         "cpu": _cpu_model(),
         "grid_points": points,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "stages": stages,
     }
 
@@ -204,13 +255,10 @@ def run(checkout: Path, repeats: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", type=Path, default=ROOT, help="repository to import pnsslink from")
-    parser.add_argument("--repeats", type=int, default=7, help="timed calls per stage (>= 5)")
     parser.add_argument("--json", type=Path, default=None, help="BENCH file to store the record in")
     parser.add_argument("--record", default="change", help="key of the record in --json")
     args = parser.parse_args(argv)
-    if args.repeats < 5:
-        parser.error("--repeats must be at least 5")
-    record = run(args.checkout.resolve(), args.repeats)
+    record = run(args.checkout.resolve())
     text = json.dumps(record, indent=2)
     if args.json is None:
         print(text)

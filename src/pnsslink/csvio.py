@@ -19,8 +19,8 @@ near ties).
 
 The block's large work arrays (the gather index, the output bytes, the
 digit groups and the source words) are allocated once per write and
-refilled by every block; a block itself allocates only a few arrays of
-one number per cell.
+refilled by every block; a block itself allocates only arrays of one
+number per cell.
 """
 
 from __future__ import annotations
