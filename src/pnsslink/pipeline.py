@@ -7,10 +7,13 @@ photon mode functions and their overlap, the receiving control pulse
 (solved or explicit) and its areas eta(t), zeta(t).  The pi-area
 conditions involve only the mode functions, so one solved link serves
 every input state and every fiber channel.  The per-state stage
-(``run_transfer_on``) sends one input state over a link: emission
-amplitudes, photon observables, absorption amplitudes, bookkeeping
-residual, stored state and the report.  ``run_send`` uses only the
-sender half of the link stage and never solves a pulse.  ``run_sweep``
+(``run_transfer_on``) sends one input state over a link and computes what
+the report reads: emitted photon number and flux, absorption amplitudes,
+bookkeeping residual, stored state and the report.  The sender's
+emission amplitudes and photon statistics feed only ``sender.csv`` and
+``photonics.csv``, so ``SendResult`` builds them the first time a writer
+reads them.  ``run_send`` uses only the sender half of the link stage and
+never solves a pulse.  ``run_sweep``
 builds a new link only when a sample's physics differs from the
 previous sample's, and evaluates the per-state closed forms once per
 link, for all its samples at once, at the link's terminal samples only:
@@ -23,6 +26,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -49,6 +53,7 @@ from .photonics import (
     mean_photon_number,
     mode_overlap,
     photon_distribution,
+    photon_fluxes,
     photon_observables,
 )
 from .receiver import (
@@ -110,27 +115,43 @@ class Link:
 
 @dataclass(frozen=True)
 class SendResult:
+    """``config``'s input state sent over ``sender``.
+
+    The figure arrays are built the first time something reads them.
+    """
+
     config: ScenarioConfig
-    params: PhysicalParams
-    derived: DerivedQuantities
-    regime: RegimeReport
-    grid: TimeGrid
-    pulse1: PulseShape
-    theta: SampledFunction
-    trajectory: SenderTrajectory
-    observables: PhotonObservables
+    sender: SenderLink
+
+    params = property(lambda self: self.config.params)
+    derived = property(lambda self: self.sender.derived)
+    regime = property(lambda self: self.sender.regime)
+    grid = property(lambda self: self.sender.grid)
+    pulse1 = property(lambda self: self.sender.pulse1)
+    theta = property(lambda self: self.sender.theta)
+
+    @cached_property
+    def trajectory(self) -> SenderTrajectory:
+        return amplitudes_beta(self.theta, self.config.initial_state)
+
+    @cached_property
+    def observables(self) -> PhotonObservables:
+        c = self.config.initial_state
+        return photon_observables(self.theta, self.sender.modes, c, self.trajectory)
 
 
 @dataclass(frozen=True)
 class TransferResult:
     send: SendResult
-    pulse2: PulseShape
-    omega2: float
-    solve: Optional[PulseSolveResult]
+    link: Link
     receiver: ReceiverTrajectory
     residual: np.ndarray
     final: FinalState
     report: TransferReport
+
+    pulse2 = property(lambda self: self.link.pulse2)
+    omega2 = property(lambda self: self.link.omega2)
+    solve = property(lambda self: self.link.solve)
 
 
 def build_grid(config: ScenarioConfig) -> TimeGrid:
@@ -168,25 +189,9 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     )
 
 
-def _send(sender: SenderLink, config: ScenarioConfig) -> SendResult:
-    c = config.initial_state
-    trajectory = amplitudes_beta(sender.theta, c)
-    return SendResult(
-        config=config,
-        params=config.params,
-        derived=sender.derived,
-        regime=sender.regime,
-        grid=sender.grid,
-        pulse1=sender.pulse1,
-        theta=sender.theta,
-        trajectory=trajectory,
-        observables=photon_observables(sender.theta, sender.modes, c, trajectory),
-    )
-
-
 def run_send(config: ScenarioConfig) -> SendResult:
     """Emit the photon state: regime checks, atomic dynamics, observables."""
-    return _send(build_sender(config), config)
+    return SendResult(config, build_sender(config))
 
 
 def _resolve_pulse2(
@@ -259,11 +264,13 @@ def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
     """
     if _physics(config) != link.physics:
         raise ValueError("config's physics differs from the link's")
-    send = _send(link.sender, config)
+    sender = link.sender
     c = config.initial_state
-    obs = send.observables
+    # The same calls photon_observables makes, so the report's floats match the CSVs'.
+    n_out = mean_photon_number(sender.theta, c)
+    flux_total, _, _ = photon_fluxes(sender.theta, sender.modes, c)
     receiver = gamma_analytic(link.eta, link.zeta, c, phi2=config.params.phi2)
-    residual = conservation_check(receiver, obs.n_out, obs.flux_total, send.params.k)
+    residual = conservation_check(receiver, n_out, flux_total, config.params.k)
     final = final_state(receiver, c)
     solve = link.solve
     ch = config.channel
@@ -277,13 +284,13 @@ def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
         end_to_end=final.fidelity * weighted,
         phase_drift_rad=drift,
         phase_warning=drift > channel_mod.PHASE_WARN_THRESHOLD,
-        r_sn=link.sender.derived.r_sn,
-        mode_overlap=link.sender.overlap,
+        r_sn=sender.derived.r_sn,
+        mode_overlap=sender.overlap,
         eta_residual=float(receiver.eta[-1] - math.pi),
         zeta_residual=float(receiver.zeta[-1] - math.pi),
         leakage=final.leakage,
         conservation_residual_max=float(np.max(np.abs(residual))),
-        n_out_final=float(obs.n_out[-1]),
+        n_out_final=float(n_out[-1]),
         solved_duration_s=link.pulse2.duration,
         solved_center_s=link.pulse2.center,
         solved_omega2=link.omega2,
@@ -292,10 +299,8 @@ def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
         solver_converged=(solve.converged if solve else None),
     )
     return TransferResult(
-        send=send,
-        pulse2=link.pulse2,
-        omega2=link.omega2,
-        solve=solve,
+        send=SendResult(config, sender),
+        link=link,
         receiver=receiver,
         residual=residual,
         final=final,

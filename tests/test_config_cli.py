@@ -190,6 +190,31 @@ class TestCli:
         for name in ("sender.csv", "photonics.csv", "receiver.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "which, calls",
+        [(["report"], 0), (["sender", "photonics", "receiver", "report"], 1)],
+        ids=["report-only", "all-outputs"],
+    )
+    def test_transfer_builds_figure_arrays_only_when_written(self, monkeypatch, tmp_path, which, calls):
+        seen = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("amplitudes_beta", "photon_observables"):
+            monkeypatch.setattr(pipeline_mod, name, counting(name, getattr(pipeline_mod, name)))
+        doc = small_doc()
+        doc["outputs"] = {"which": which}
+        path = write_doc(tmp_path, doc)
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(list((tmp_path / "out").iterdir())) == len(which)
+        assert seen["amplitudes_beta"] == calls
+        assert seen["photon_observables"] == calls
+
     def test_send_regime_and_flux_columns(self, tmp_path):
         doc = small_doc()
         doc["initial_state"] = {"c_m1": [0.0, 0.0], "c_0": [1.0, 0.0], "c_p1": [0.0, 0.0]}
