@@ -9,6 +9,7 @@ simpler and more reproducible than adaptive control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -118,24 +119,31 @@ def trapezoid(samples: np.ndarray, dt: float) -> float:
 
 
 def find_root(
-    f: Callable[[float], float],
+    f: Callable[[float], float | tuple[float, float]],
     bracket: tuple[float, float],
     tol: float = 1e-12,
     max_iter: int = 200,
+    *,
+    slope: bool = False,
 ) -> float:
     """Bisection/secant hybrid root finder on a sign-changing bracket.
 
-    Stops when ``|f(x)| <= tol`` or the bracket width drops below
-    ``tol * max(|x|, 1)``.  The returned root always lies inside the
-    initial bracket.
+    With ``slope``, ``f(x)`` returns ``(f(x), f'(x))`` and each step is a
+    Newton step from the last point evaluated, not a secant step; a step
+    that would not land strictly inside the bracket (a zero, NaN or
+    outward derivative) is a bisection instead.  Stops when
+    ``|f(x)| <= tol`` or the bracket width drops below
+    ``tol * max(|a|, |b|)`` of the initial bracket.  The returned root
+    always lies inside the initial bracket.
 
     Raises
     ------
     BracketError
         If ``f`` has the same sign at both bracket ends.
     """
+    point = f if slope else lambda x: (f(x), None)
     a, b = float(bracket[0]), float(bracket[1])
-    fa, fb = f(a), f(b)
+    (fa, da), (fb, db) = point(a), point(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -147,17 +155,20 @@ def find_root(
     # Width criterion is relative to the root scale; a valid sign-changing
     # bracket has at most one endpoint at zero.
     xtol = tol * max(abs(a), abs(b))
+    # Newton steps start from the end nearer the root.
+    x, fx, dx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
     for _ in range(max_iter):
-        # Secant proposal, demoted to bisection whenever it leaves the
-        # bracket or the bracket is no longer shrinking fast.
-        if fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
+        # Newton or secant proposal, demoted to bisection whenever it
+        # leaves the bracket (and, for the secant, whenever the bracket is
+        # no longer shrinking fast).
+        if slope:
+            x = float(x - fx / dx) if dx else math.nan
         else:
-            x = 0.5 * (a + b)
+            x = b - fb * (b - a) / (fb - fa) if fb != fa else math.nan
         lo, hi = (a, b) if a < b else (b, a)
         if not (lo < x < hi):
             x = 0.5 * (a + b)
-        fx = f(x)
+        fx, dx = point(x)
         if abs(fx) <= tol:
             return x
         if fa * fx <= 0.0:
@@ -166,10 +177,9 @@ def find_root(
             a, fa = x, fx
         if abs(b - a) <= xtol:
             return x
-        # Guard against secant stagnation on one side.
-        if abs(b - a) > 0.5 * abs(hi - lo):
+        if not slope and abs(b - a) > 0.5 * abs(hi - lo):
             m = 0.5 * (a + b)
-            fm = f(m)
+            fm, _ = point(m)
             if abs(fm) <= tol:
                 return m
             if fa * fm <= 0.0:

@@ -115,10 +115,7 @@ class Link:
 
 @dataclass(frozen=True)
 class SendResult:
-    """``config``'s input state sent over ``sender``.
-
-    The figure arrays are built the first time something reads them.
-    """
+    """``config``'s input state sent over ``sender``; figure arrays are built on first read."""
 
     config: ScenarioConfig
     sender: SenderLink

@@ -200,15 +200,26 @@ def solve_pulse_shape(
     t = grid.values
     evals = 0
 
-    def final_areas(duration: float, t_center: float, omega2: float) -> tuple[float, float]:
+    # How eta, zeta and zeta - eta weight the control envelope.
+    rows = {"eta": 2.0 * phi1, "zeta": phi1 + phi2, "zeta-eta": phi2 - phi1}
+
+    def final_areas(duration: float, t_center: float, omega2: float, *slopes) -> tuple:
+        """eta and zeta at the grid end, then one partial derivative per
+        ``(area, variable)`` pair in ``slopes``: an area of ``rows`` in
+        "duration" or "center", all from the same exp pass."""
         nonlocal evals
         evals += 1
         u = (t - t_center) / duration
-        sqrt_f2 = np.exp(-0.5 * u * u)
+        uu = u * u
+        sqrt_f2 = np.exp(-0.5 * uu)
         pref = omega2 * pref_per_omega
         a1 = pref * trapezoid(sqrt_f2 * phi1, dt)
         a2 = pref * trapezoid(sqrt_f2 * phi2, dt)
-        return 2.0 * a1, a1 + a2
+        # d sqrt_f2 / d duration = sqrt_f2 u**2 / T, d sqrt_f2 / d center = sqrt_f2 u / T.
+        partial = {"duration": uu, "center": u}
+        return 2.0 * a1, a1 + a2, *(
+            pref / duration * trapezoid(sqrt_f2 * partial[v] * rows[a], dt) for a, v in slopes
+        )
 
     def result(duration: float, t_center: float, omega2: float) -> PulseSolveResult:
         eta_inf, zeta_inf = final_areas(duration, t_center, omega2)
@@ -242,15 +253,20 @@ def solve_pulse_shape(
     duration = math.sqrt(duration_bracket[0] * duration_bracket[1])
     best: Optional[PulseSolveResult] = None
 
+    def zeta_minus_pi(d: float) -> tuple[float, float]:
+        _, zeta_inf, slope = final_areas(d, t_center, omega2, ("zeta", "duration"))
+        return zeta_inf - math.pi, slope
+
+    def eta_minus_pi(x: float) -> tuple[float, float]:
+        eta_inf, _, slope = final_areas(duration, x, omega2, ("eta", "center"))
+        return eta_inf - math.pi, slope
+
     for _ in range(max_iterations):
         try:
-            duration = find_root(
-                lambda d: final_areas(d, t_center, omega2)[1] - math.pi,
-                duration_bracket,
-                tol=1e-12,
-            )
+            duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12, slope=True)
             t_center = _late_flank_root(
                 lambda x: final_areas(duration, x, omega2)[0] - math.pi,
+                eta_minus_pi,
                 center_bracket,
             )
         except BracketError as exc:
@@ -268,7 +284,7 @@ def solve_pulse_shape(
         # Where the two area conditions cross at a shallow angle the
         # alternation converges only linearly; a Newton step on both
         # conditions at once finishes the solve.
-        step = _newton_step(lambda d, x: final_areas(d, x, omega2), duration, t_center)
+        step = _newton_step(final_areas(duration, t_center, omega2, *_JACOBIAN), duration, t_center)
         if (
             step is not None
             and duration_bracket[0] <= step[0] <= duration_bracket[1]
@@ -292,29 +308,27 @@ def _worse(r: PulseSolveResult) -> float:
     return max(abs(r.eta_residual), abs(r.zeta_residual))
 
 
-def _newton_step(areas, duration: float, t_center: float) -> Optional[tuple[float, float]]:
+_JACOBIAN = (("eta", "duration"), ("eta", "center"), ("zeta", "duration"), ("zeta", "center"))
+
+
+def _newton_step(areas: tuple, duration: float, t_center: float) -> Optional[tuple[float, float]]:
     """One Newton step on (eta, zeta) = (pi, pi) over (duration, center).
 
-    The Jacobian is taken by forward differences of 1e-7 durations in
-    each variable; returns None when it is singular.
+    ``areas`` is ``final_areas`` at (duration, t_center) with the ``_JACOBIAN``
+    slopes; returns None when the Jacobian is singular.
     """
-    f0 = np.array(areas(duration, t_center)) - math.pi
-    h = 1e-7 * duration
-    jac = np.column_stack(
-        (
-            (np.array(areas(duration + h, t_center)) - math.pi - f0) / h,
-            (np.array(areas(duration, t_center + h)) - math.pi - f0) / h,
-        )
-    )
+    eta_inf, zeta_inf, *jac = areas
     try:
-        d_duration, d_center = np.linalg.solve(jac, -f0)
+        d_duration, d_center = np.linalg.solve(
+            np.reshape(jac, (2, 2)), (math.pi - eta_inf, math.pi - zeta_inf)
+        )
     except np.linalg.LinAlgError:
         return None
     return duration + float(d_duration), t_center + float(d_center)
 
 
-def _late_flank_root(f, bracket: tuple[float, float], n_scan: int = 61) -> float:
-    """Root of f on the descending (late) side of its single maximum."""
+def _late_flank_root(f, f_slope, bracket: tuple[float, float], n_scan: int = 61) -> float:
+    """Root of f on the descending (late) side of its single maximum; f_slope gives (f, f')."""
     xs = np.linspace(bracket[0], bracket[1], n_scan)
     vals = np.array([f(x) for x in xs])
     i_peak = int(np.argmax(vals))
@@ -323,7 +337,7 @@ def _late_flank_root(f, bracket: tuple[float, float], n_scan: int = 61) -> float
             f"peak value {vals[i_peak] + math.pi:.6f} stays below pi; "
             "the fixed amplitude cannot reach the required area"
         )
-    return find_root(f, (xs[i_peak], bracket[1]), tol=1e-12)
+    return find_root(f_slope, (xs[i_peak], bracket[1]), tol=1e-12, slope=True)
 
 
 def _solve_duration_amplitude(
@@ -334,22 +348,27 @@ def _solve_duration_amplitude(
     duration_bracket: tuple[float, float],
     tol: float,
 ) -> PulseSolveResult:
-    def imbalance(duration: float) -> float:
-        eta_inf, zeta_inf = final_areas(duration, center, omega2_seed)
+    areas_at = {}
+
+    def imbalance(duration: float) -> tuple[float, float]:
+        eta_inf, zeta_inf, slope = final_areas(
+            duration, center, omega2_seed, ("zeta-eta", "duration")
+        )
+        areas_at[duration] = eta_inf, zeta_inf
         # zeta - eta is proportional to the overlap difference of the two
         # photon envelopes with the control window; its zero equalizes
         # the two areas independently of the amplitude.
-        return zeta_inf - eta_inf
+        return zeta_inf - eta_inf, slope
 
     try:
-        duration = find_root(imbalance, duration_bracket, tol=1e-14)
+        duration = find_root(imbalance, duration_bracket, tol=1e-14, slope=True)
     except BracketError as exc:
         raise PulseSolveError(
             "cannot equalize the two areas at this center; move the control "
             f"pulse later or widen the duration bracket: {exc}",
             best=None,
         ) from exc
-    eta_inf, _ = final_areas(duration, center, omega2_seed)
+    eta_inf, _ = areas_at.get(duration) or final_areas(duration, center, omega2_seed)
     if eta_inf <= 0.0:
         raise PulseSolveError("control pulse does not overlap the photon modes")
     omega2 = omega2_seed * math.pi / eta_inf

@@ -195,7 +195,7 @@ class TestCli:
         [(["report"], 0), (["sender", "photonics", "receiver", "report"], 1)],
         ids=["report-only", "all-outputs"],
     )
-    def test_transfer_builds_figure_arrays_only_when_written(self, monkeypatch, tmp_path, which, calls):
+    def test_figure_arrays_built_only_when_written(self, monkeypatch, tmp_path, which, calls):
         seen = Counter()
 
         def counting(name, fn):

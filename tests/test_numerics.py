@@ -183,3 +183,71 @@ class TestFindRoot:
         found = find_root(f, (a, b), tol=1e-13)
         assert a <= found <= b
         assert found == pytest.approx(root, abs=1e-6 * max(1.0, abs(root)))
+
+
+def _counted(f):
+    """``f`` wrapped to record every point it is evaluated at."""
+    seen = []
+
+    def wrapper(x):
+        seen.append(x)
+        return f(x)
+
+    return wrapper, seen
+
+
+# (f, f', bracket, exact root): a cosine and a gaussian level crossing.
+SMOOTH_ROOTS = [
+    (math.cos, lambda x: -math.sin(x), (1.0, 2.0), math.pi / 2),
+    (
+        lambda x: math.exp(-x * x) - 0.5,
+        lambda x: -2.0 * x * math.exp(-x * x),
+        (0.0, 3.0),
+        math.sqrt(math.log(2.0)),
+    ),
+]
+
+
+class TestFindRootWithSlope:
+    @pytest.mark.parametrize("f, df, bracket, root", SMOOTH_ROOTS, ids=["cos", "gaussian"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-14])  # the pulse solve's tolerances
+    def test_same_root_as_secant_in_fewer_evaluations(self, f, df, bracket, root, tol):
+        secant, secant_seen = _counted(f)
+        newton, newton_seen = _counted(lambda x: (f(x), df(x)))
+        x_secant = find_root(secant, bracket, tol=tol)
+        x_newton = find_root(newton, bracket, tol=tol, slope=True)
+        assert isinstance(x_newton, float)
+        assert abs(f(x_newton)) <= tol
+        assert x_newton == pytest.approx(x_secant, abs=tol)
+        assert x_newton == pytest.approx(root, abs=tol)
+        assert len(newton_seen) < len(secant_seen)
+
+    @pytest.mark.parametrize("slope", [0.0, math.nan, -1.0], ids=["zero", "nan", "outward"])
+    def test_bisects_when_the_newton_step_leaves_the_bracket(self, slope):
+        # f(x) = x - 0.3 with a false slope: the step from the end nearer
+        # the root (0) is undefined or lands at -0.3, so the first
+        # interior point is the midpoint, and so is every later one.
+        f, seen = _counted(lambda x: (x - 0.3, slope))
+        root = find_root(f, (0.0, 1.0), tol=1e-12, slope=True)
+        assert seen[:4] == [0.0, 1.0, 0.5, 0.25]
+        assert root == pytest.approx(0.3, abs=1e-12)
+
+    def test_bracket_error_unchanged(self):
+        with pytest.raises(BracketError) as info:
+            find_root(lambda x: (x * x, 2.0 * x), (-1.0, 1.0), slope=True)
+        assert str(info.value) == "no sign change on bracket [-1, 1]: f(a)=1, f(b)=1"
+
+    @given(
+        root=st.floats(-10, 10),
+        scale=st.floats(0.1, 5.0),
+        off=st.floats(1e-3, 3.0),
+    )
+    @settings(deadline=None, max_examples=50)
+    def test_stays_inside_bracket(self, root, scale, off):
+        f, seen = _counted(
+            lambda x: (scale * ((x - root) ** 3 + (x - root)), scale * (3 * (x - root) ** 2 + 1))
+        )
+        a, b = root - off, root + 2 * off
+        found = find_root(f, (a, b), tol=1e-13, slope=True)
+        assert all(a <= x <= b for x in seen)
+        assert found == pytest.approx(root, abs=1e-6 * max(1.0, abs(root)))

@@ -12,7 +12,7 @@ from pnsslink.config import default_config_dict, parse_config
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
 from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes
-from pnsslink.pipeline import run_transfer
+from pnsslink.pipeline import build_link, run_transfer
 from pnsslink.receiver import (
     PulseSolveError,
     ReceiverTrajectory,
@@ -267,6 +267,49 @@ class TestSolvePulseShape:
         best = info.value.best
         assert best is not None
         assert not best.converged
+
+    def test_amplitude_mode_evaluations(self, solved):
+        # Newton steps on the area imbalance with its analytic slope; the
+        # secant steps of the same solve took 25 evaluations.
+        assert solved.iterations <= 12
+
+    def test_center_mode_on_check_08_config(self):
+        # test_acceptance.py::test_08's solve; it took 462 evaluations with
+        # secant root steps and a forward-difference Jacobian.
+        doc = default_config_dict()
+        doc["params"]["g_mhz"] = 1.25 * doc["params"]["g_mhz"]
+        doc["pulse2"]["free"] = "center"
+        doc["pulse2"]["tol"] = 1e-6
+        solve = build_link(parse_config(doc)).solve
+        assert solve.converged
+        assert solve.iterations < 462
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"mode": "duration_amplitude", "center": 0.5 * T1, "duration_bracket": (2e-8, 5e-7)},
+                "cannot equalize the two areas at this center; move the control pulse later "
+                "or widen the duration bracket: no sign change on bracket [2e-08, 5e-07]: "
+                "f(a)=0.0282341, f(b)=0.140946",
+            ),
+            (
+                {"mode": "duration_center"},
+                "area conditions not reachable in mode 'duration_center': no sign change on "
+                "bracket [2e-08, 2e-05]: f(a)=-2.859, f(b)=-0.124731",
+            ),
+            (
+                {"mode": "duration_amplitude", "center": -10 * T1},
+                "control pulse does not overlap the photon modes",
+            ),
+        ],
+        ids=["imbalance-bracket", "zeta-bracket", "no-overlap"],
+    )
+    def test_unreachable_messages(self, modes, grid, stock_params, kwargs, message):
+        _, phi1, phi2 = modes
+        with pytest.raises(PulseSolveError) as info:
+            solve_pulse_shape(phi1, phi2, grid, stock_params, **kwargs)
+        assert str(info.value) == message
 
     def test_bad_center_raises(self, modes, grid, stock_params):
         _, phi1, phi2 = modes
