@@ -12,12 +12,11 @@ the report reads: emitted photon number and flux, absorption amplitudes,
 bookkeeping residual, stored state and the report.  The sender's
 emission amplitudes and photon statistics feed only ``sender.csv`` and
 ``photonics.csv``, so ``SendResult`` builds them the first time a writer
-reads them.  ``run_send`` uses only the sender half of the link stage and
-never solves a pulse.  ``run_sweep``
-builds a new link only when a sample's physics differs from the
-previous sample's, and evaluates the per-state closed forms once per
-link, for all its samples at once, at the link's terminal samples only:
-a sweep row holds end values alone.
+reads them.  ``run_send`` uses only the sender half of the link stage
+and never solves a pulse.  ``run_sweep`` builds a new link only when a
+sample's physics differs from the previous sample's, and evaluates the
+per-state closed forms once per link, for all its samples at once, at
+the link's terminal samples only: a sweep row holds end values alone.
 """
 
 from __future__ import annotations
