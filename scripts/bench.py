@@ -8,11 +8,17 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
     cli_send, cli_transfer, cli_sweep
                          ``pnsslink.cli.main`` end to end, the sweep with
                          41 initial_state.p_m1 samples
+    cli_transfer_report  ``pnsslink transfer`` writing report.json only, on
+                         configs/qutrit.json at phi2 = 0.7 rad (the off-phase
+                         qutrit path that reads end values alone)
     config_parse         load_config of the scenario file
     exposure             sender.pump_exposure
     sender_amplitudes    sender.amplitudes_beta
     photon_observables   photonics.photon_observables
     pulse_solve          the receiving pulse's solve (also its iterations)
+    pulse_solve_center   the free-center solve of acceptance check 08 (the
+                         stock physics with g raised 25 %, ``free: center``,
+                         tol 1e-6), with its iterations
     absorb               receiver.pulse_areas + receiver.gamma_analytic
     report_json          pipeline.write_report_json
     csv_sender, csv_photonics, csv_receiver, csv_sweep
@@ -21,6 +27,8 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
     sweep_per_sample     (run_sweep of 41 samples - of 1 sample) / 40
     oracle_sender_per_step, oracle_receiver_per_step
                          each ODE oracle's time per RK4 step
+    tier1_suite          the checkout's tier-1 pytest run, once, in a
+                         subprocess: wall time and pytest's summary line
 
 Each stage runs once to warm up and then REPEATS times; its entry holds
 the median wall time, the grid points and the repeat count.  The CLI ops
@@ -47,6 +55,7 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import platform
 import resource
 import statistics
@@ -62,6 +71,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = Path("configs") / "qubit.json"
 SWEEP_NUM = 41
+# Control phase of the report-only off-phase qutrit transfer.
+OFFPHASE_PHI2_RAD = 0.7
 # Timed calls per stage, after one warm-up.
 REPEATS = 7
 
@@ -124,22 +135,52 @@ def _setup(checkout: Path):
 
 
 def _cli_ops(checkout: Path, out: Path) -> dict:
-    """The CLI ops on the stock scenario, as callables writing under ``out``."""
+    """The CLI ops, as callables writing under ``out`` (scenario files too)."""
     from pnsslink.cli import main as cli_main
 
-    def cli(*argv: str):
+    doc = json.loads((checkout / "configs" / "qutrit.json").read_text(encoding="utf-8"))
+    doc["params"]["phi2_rad"] = OFFPHASE_PHI2_RAD
+    doc.setdefault("outputs", {})["which"] = ["report"]
+    report_only = out / "qutrit-offphase-report.json"
+    report_only.write_text(json.dumps(doc), encoding="utf-8")
+
+    def cli(name: str, *argv: str, config: Path = checkout / SCENARIO):
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main([*argv, "--config", str(checkout / SCENARIO), "--out", str(out / argv[0])])
+            code = cli_main([*argv, "--config", str(config), "--out", str(out / name)])
         if code != 0:
             raise RuntimeError(f"pnsslink {argv[0]} exited {code}")
 
     sweep_argv = ("sweep", "--axis", "initial_state.p_m1", "--start", "0", "--stop", "1",
                   "--num", str(SWEEP_NUM))
     return {
-        "cli_send": lambda: cli("send"),
-        "cli_transfer": lambda: cli("transfer"),
-        "cli_sweep": lambda: cli(*sweep_argv),
+        "cli_send": lambda: cli("send", "send"),
+        "cli_transfer": lambda: cli("transfer", "transfer"),
+        "cli_sweep": lambda: cli("sweep", *sweep_argv),
+        "cli_transfer_report": lambda: cli("transfer_report", "transfer", config=report_only),
     }
+
+
+def _check_08_config():
+    """Acceptance check 08's scenario: a free-center solve at g raised 25 %."""
+    from pnsslink.config import default_config_dict, parse_config
+
+    doc = default_config_dict()
+    doc["params"]["g_mhz"] = 1.25 * doc["params"]["g_mhz"]
+    doc["pulse2"]["free"] = "center"
+    doc["pulse2"]["tol"] = 1e-6
+    return parse_config(doc)
+
+
+def tier1_suite(checkout: Path) -> dict:
+    """Wall time and summary line of one tier-1 pytest run of ``checkout``."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "summary": lines[-1] if lines else "", "repeats": 1}
 
 
 def _writers(setup, out: Path) -> dict:
@@ -201,6 +242,8 @@ def run(checkout: Path) -> dict:
     area_args = (link.pulse2, sender.modes.phi1, sender.modes.phi2, g2c, params.k)
     p_m1 = np.linspace(0.0, 1.0, SWEEP_NUM)
     points = sender.grid.n_points
+    config_08 = _check_08_config()
+    sender_08 = pipeline.build_sender(config_08)
 
     stages: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -213,6 +256,7 @@ def run(checkout: Path) -> dict:
             "sender_amplitudes": lambda: amplitudes_beta(sender.theta, state),
             "photon_observables": lambda: photon_observables(sender.theta, sender.modes, state, send.trajectory),
             "pulse_solve": lambda: pipeline._resolve_pulse2(config, sender),
+            "pulse_solve_center": lambda: pipeline._resolve_pulse2(config_08, sender_08),
             "absorb": lambda: gamma_analytic(*pulse_areas(*area_args, sender.grid), state),
             "report_json": lambda: pipeline.write_report_json(result, out / "report.json"),
         }
@@ -222,6 +266,8 @@ def run(checkout: Path) -> dict:
         stages[name]["minflt_median"] = fresh_faults(checkout, name)
 
     stages["pulse_solve"]["iterations"] = link.solve.iterations
+    _, _, solve_08 = pipeline._resolve_pulse2(config_08, sender_08)
+    stages["pulse_solve_center"]["iterations"] = solve_08.iterations
     many = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1))
     one = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1[:1]))
     stages["sweep_per_sample"] = {
@@ -241,6 +287,7 @@ def run(checkout: Path) -> dict:
             "repeats": REPEATS,
             "grid_points": points,
         }
+    stages["tier1_suite"] = tier1_suite(checkout)
     return {
         "commit": _commit(checkout),
         "python": platform.python_version(),
