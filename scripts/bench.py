@@ -22,9 +22,13 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
     absorb               receiver.pulse_areas + receiver.gamma_analytic
     report_json          pipeline.write_report_json
     csv_sender, csv_photonics, csv_receiver, csv_sweep
-                         each CSV writer (the sweep's rows: a 41-point
+                         each CSV writer (the sweep's: a 41-point
                          initial_state.p_m1 sweep)
     sweep_per_sample     (run_sweep of 41 samples - of 1 sample) / 40
+    sweep_large          ``pnsslink sweep`` of 100 000 initial_state.p_m1
+                         samples in a fresh interpreter: the wall time of
+                         the command (imports excluded) and the process's
+                         peak RSS, the median of 3 interpreters
     oracle_sender_per_step, oracle_receiver_per_step
                          each ODE oracle's time per RK4 step
     tier1_suite          the checkout's tier-1 pytest run, once, in a
@@ -75,6 +79,24 @@ SWEEP_NUM = 41
 OFFPHASE_PHI2_RAD = 0.7
 # Timed calls per stage, after one warm-up.
 REPEATS = 7
+# Samples and fresh interpreters of the sweep_large stage.
+SWEEP_LARGE_NUM = 100_000
+SWEEP_LARGE_REPEATS = 3
+# One sweep_large run: argv is the checkout, the output directory and the
+# sample count; prints the command's wall time and the peak RSS as JSON.
+_SWEEP_LARGE = """
+import contextlib, io, json, resource, sys, time
+sys.path.insert(0, sys.argv[1] + "/src")
+from pnsslink.cli import main
+argv = ["sweep", "--config", sys.argv[1] + "/configs/qubit.json", "--out", sys.argv[2],
+        "--axis", "initial_state.p_m1", "--start", "0", "--stop", "1", "--num", sys.argv[3]]
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv)
+wall = time.perf_counter() - t0
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": peak_kb / 1024}))
+"""
 
 
 def _minflt() -> int:
@@ -123,15 +145,15 @@ def _import(checkout: Path):
 
 
 def _setup(checkout: Path):
-    """The stock scenario's config, link, transfer result and sweep rows."""
+    """The stock scenario's config, link, transfer result and sweep output."""
     from pnsslink import pipeline
     from pnsslink.config import load_config
 
     config = load_config(checkout / SCENARIO)
     link = pipeline.build_link(config)
     result = pipeline.run_transfer_on(link, config)
-    rows = pipeline.run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, SWEEP_NUM))
-    return config, link, result, rows
+    sweep = pipeline.run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, SWEEP_NUM))
+    return config, link, result, sweep
 
 
 def _cli_ops(checkout: Path, out: Path) -> dict:
@@ -183,16 +205,35 @@ def tier1_suite(checkout: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else "", "repeats": 1}
 
 
+def sweep_large(checkout: Path) -> dict:
+    """Median wall time and peak RSS of SWEEP_LARGE_NUM-sample sweeps, each in a fresh interpreter."""
+    runs = []
+    for _ in range(SWEEP_LARGE_REPEATS):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [sys.executable, "-c", _SWEEP_LARGE, str(checkout), tmp, str(SWEEP_LARGE_NUM)]
+            proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+        run = json.loads(proc.stdout.splitlines()[-1])
+        if run["code"] != 0:
+            raise RuntimeError(f"pnsslink sweep exited {run['code']}")
+        runs.append(run)
+    return {
+        "median_s": statistics.median(r["wall_s"] for r in runs),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+        "samples": SWEEP_LARGE_NUM,
+        "repeats": SWEEP_LARGE_REPEATS,
+    }
+
+
 def _writers(setup, out: Path) -> dict:
     """The CSV writers of ``setup`` (see _setup), as callables writing under ``out``."""
     from pnsslink import pipeline
 
-    config, _, result, rows = setup
+    config, _, result, sweep = setup
     return {
         "csv_sender": lambda: pipeline.write_sender_csv(result.send, out / "sender.csv"),
         "csv_photonics": lambda: pipeline.write_photonics_csv(result.send, out / "photonics.csv"),
         "csv_receiver": lambda: pipeline.write_receiver_csv(result, out / "receiver.csv"),
-        "csv_sweep": lambda: pipeline.write_sweep_csv(rows, config, out / "sweep.csv"),
+        "csv_sweep": lambda: pipeline.write_sweep_csv(sweep, config, out / "sweep.csv"),
     }
 
 
@@ -275,6 +316,7 @@ def run(checkout: Path) -> dict:
         "repeats": REPEATS,
         "grid_points": points,
     }
+    stages["sweep_large"] = sweep_large(checkout)
     oracles = {
         "oracle_sender_per_step": lambda: simulate_sender_ode(
             sender.pulse1, sender.derived.alpha1, state, sender.grid),

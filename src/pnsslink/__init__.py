@@ -12,7 +12,6 @@ form; the tests check the closed forms against fixed-step ODE oracles
 
 from .channel import (
     ChannelModel,
-    TransferReport,
     attenuation_length,
     phase_drift,
     success_probability,
@@ -51,6 +50,7 @@ from .photonics import (
 from .pipeline import (
     Link,
     SendResult,
+    Summary,
     TransferResult,
     build_grid,
     build_link,

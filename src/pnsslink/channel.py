@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 PHASE_WARN_THRESHOLD = 0.5  # rad, reporting policy only
 
@@ -44,8 +43,12 @@ def success_probability(p_emission: float, eta_trans: float, p_absorption: float
 def phase_drift(length_km: float, rate_rad_per_km: float = 0.1) -> float:
     """Accumulated fiber phase drift, reported as a diagnostic.
 
-    The drift is a common phase on the whole wave packet and does not
-    change any population, so it is never injected into the amplitudes.
+    A common phase on the whole wave packet does not change any
+    population.  For a photon-number superposition, though, the fiber
+    phase is a phase per photon, not a common one: it takes
+    c_m1|2> + c_0|1> + c_p1|0> to c_m1 e^(2i phi)|2> + c_0 e^(i phi)|1> + c_p1|0>,
+    which changes the stored state's coherences.  The drift is reported
+    but not applied to the amplitudes.
     """
     return rate_rad_per_km * length_km
 
@@ -72,40 +75,14 @@ class ChannelModel:
         return success_probability(self.p_emission, eta, self.p_absorption)
 
     def weighted_success(self, populations: tuple[float, float, float]) -> float:
-        """Input-state-weighted success over the photon-number branches.
-
-        ``populations`` are (two-photon, one-photon, vacuum) weights; the
-        vacuum branch carries no photons and always survives.
-        """
-        w2, w1, w0 = populations
-        return w1 * self.branch_success(1) + w2 * self.branch_success(2) + w0 * 1.0
+        """Input-state-weighted success over the photon-number branches."""
+        return weighted_success(populations, self.branch_success(1), self.branch_success(2))
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    """End-to-end summary of one transfer run.
+def weighted_success(populations: tuple, success_one: float, success_two: float) -> float:
+    """Branch successes weighted by (two-photon, one-photon, vacuum) ``populations``.
 
-    ``solver_iterations`` and ``solver_converged`` are None, and
-    ``solver_mode`` is ``"explicit"``, for an explicit receiving pulse.
+    The vacuum branch carries no photons and always survives.  Columns give a column.
     """
-
-    fidelity: float
-    success_one_photon: float
-    success_two_photon: float
-    weighted_success: float
-    end_to_end: float
-    phase_drift_rad: float
-    phase_warning: bool
-    r_sn: float
-    mode_overlap: float
-    eta_residual: float
-    zeta_residual: float
-    leakage: float
-    conservation_residual_max: float
-    n_out_final: float
-    solved_duration_s: float
-    solved_center_s: float
-    solved_omega2: float
-    solver_iterations: Optional[int]
-    solver_mode: str
-    solver_converged: Optional[bool]
+    w2, w1, w0 = populations
+    return w1 * success_one + w2 * success_two + w0 * 1.0

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -129,6 +129,8 @@ class ScenarioConfig:
     regime_min_ratio: float = 5.0
     strict: bool = False
     raw: dict = field(repr=False, compare=False, default_factory=dict)
+    # sample_config's sampler of each sweep axis, built on its first call.
+    samplers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def config_hash(self) -> str:
         """Hash of the canonical serialized document, recorded in outputs."""
@@ -197,6 +199,11 @@ def _parse_state(doc: dict) -> SuperpositionState:
     c_m1 = _parse_amplitude(_require(raw, "c_m1", "initial_state"), "c_m1")
     c_0 = _parse_amplitude(_require(raw, "c_0", "initial_state"), "c_0")
     c_p1 = _parse_amplitude(raw.get("c_p1", [0.0, 0.0]), "c_p1")
+    return _normalized_state(c_m1, c_0, c_p1)
+
+
+def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> SuperpositionState:
+    """The state of three parsed amplitudes, after the norm check."""
     norm_sq = abs(c_m1) ** 2 + abs(c_0) ** 2 + abs(c_p1) ** 2
     if abs(norm_sq - 1.0) >= RENORM_TOL:
         raise ConfigError(
@@ -208,7 +215,7 @@ def _parse_state(doc: dict) -> SuperpositionState:
         # back in, but not silently.
         warnings.warn(
             f"initial_state renormalized (norm deviation {norm_sq - 1.0:.2e})",
-            stacklevel=2,
+            stacklevel=3,
         )
         return SuperpositionState.normalized(c_m1, c_0, c_p1)
     return SuperpositionState(c_m1, c_0, c_p1)
@@ -355,38 +362,76 @@ def parse_config(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(**{name: parse(doc) for name, parse in _PARSERS.items()}, raw=doc)
 
 
+# The numeric fields the parsers default, by section ("" is the top level).
+# A sweep axis may name one the document leaves out, as if written in.
+_DEFAULTED = {
+    "": ("regime_min_ratio",),
+    "params": ("phi2_rad", "atom_mass_kg", "wavelength_nm"),
+    "pulse1": ("T1_us", "center_us"),
+    "pulse2": ("tol", "center_us", "T2_us", "omega2_mhz", "max_iterations"),
+    "grid": ("span_in_T1", "points"),
+    "channel": ("L0_km", "atten_db_per_km", "phase_rate", "p_em", "p_abs"),
+}
+
+
 def sample_config(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     """``config`` with the scalar at the dotted path ``axis`` set to ``value``.
 
     Equal to ``parse_config`` of the edited document, ``raw`` included, or
-    the same ``ConfigError``; but only the dicts on the axis's path through
-    ``raw`` are copied, and only the axis's section is parsed again.  The
-    virtual ``initial_state.p_m1`` sets the two-photon weight against c_0.
+    the same ``ConfigError``.  The axis is resolved once per ``config``
+    (``config.samplers``); a sample copies only the dicts on its path
+    through ``raw`` and swaps its re-parsed section into a copy of
+    ``config``.  The virtual ``initial_state.p_m1`` sets the two-photon
+    weight against c_0, and of the state's parse runs the norm check only.
     """
+    if axis not in config.samplers:
+        config.samplers[axis] = _sampler(config, axis)
+    return config.samplers[axis](value)
+
+
+def _sampler(config: ScenarioConfig, axis: str):
     *sections, leaf = axis.split(".")
-    doc = node = dict(config.raw)
+    node = config.raw
     for part in sections:
-        if not isinstance(node, dict) or part not in node:
+        if not isinstance(node, dict) or part not in node and part not in _DEFAULTED:
             raise ConfigError(f"sweep axis {axis!r}: no section {part!r}")
-        if isinstance(node[part], dict):
-            node[part] = dict(node[part])
-        node = node[part]
+        node = node.get(part, {})
     if axis == "initial_state.p_m1":
-        p_p1 = sum(x * x for x in node.get("c_p1", [0.0, 0.0]))
-        if value < 0.0 or value + p_p1 > 1.0 + 1e-12:
-            raise ConfigError(f"initial_state.p_m1 = {value} leaves no weight for c_0")
-        node["c_m1"] = [math.sqrt(value), 0.0]
-        node["c_0"] = [math.sqrt(max(1.0 - value - p_p1, 0.0)), 0.0]
-    elif not isinstance(node, dict) or leaf not in node:
+        c_p1 = node.get("c_p1", [0.0, 0.0])  # checked when config was parsed
+        p_p1 = sum(x * x for x in c_p1)
+
+        def sample_state(value: float) -> ScenarioConfig:
+            if value < 0.0 or value + p_p1 > 1.0 + 1e-12:
+                raise ConfigError(f"initial_state.p_m1 = {value} leaves no weight for c_0")
+            c_m1, c_0 = math.sqrt(value), math.sqrt(max(1.0 - value - p_p1, 0.0))
+            state = _normalized_state(complex(c_m1), complex(c_0), complex(*c_p1))
+            section = {**node, "c_m1": [c_m1, 0.0], "c_0": [c_0, 0.0]}
+            return _with(config, {**config.raw, "initial_state": section}, initial_state=state)
+
+        return sample_state
+    if not isinstance(node, dict) or leaf not in (*node, *_DEFAULTED.get(".".join(sections), ())):
         raise ConfigError(f"sweep axis {axis!r}: no field {leaf!r}")
-    elif isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
+    if isinstance(node.get(leaf), bool) or not isinstance(node.get(leaf, 0.0), (int, float)):
         raise ConfigError(f"sweep axis {axis!r} is not a scalar field")
-    else:
-        node[leaf] = float(value)
     name = axis.split(".")[0]
-    # A key no parser reads changes only raw, and with it the hash.
-    parsed = {name: _PARSERS[name](doc)} if name in _PARSERS else {}
-    return replace(config, **parsed, raw=doc)
+    parse = _PARSERS.get(name)  # a key no parser reads changes only raw, and with it the hash
+
+    def sample(value: float) -> ScenarioConfig:
+        doc = at = dict(config.raw)
+        for part in sections:
+            at[part] = dict(at.get(part, {}))
+            at = at[part]
+        at[leaf] = float(value)
+        return _with(config, doc, **({name: parse(doc)} if parse else {}))
+
+    return sample
+
+
+def _with(config: ScenarioConfig, raw: dict, **fields) -> ScenarioConfig:
+    """``config`` with ``raw`` and the already parsed ``fields`` swapped in."""
+    sample = object.__new__(ScenarioConfig)
+    sample.__dict__.update(config.__dict__, samplers={}, raw=raw, **fields)
+    return sample
 
 
 def load_config(path: str | Path, overrides: Optional[dict[str, Any]] = None) -> ScenarioConfig:

@@ -223,8 +223,7 @@ class StateBatch:
     """
 
     def __init__(self, states: list[SuperpositionState]):
-        self.states = tuple(states)
-        rows = ((s.c_m1, s.c_0, s.c_p1, *s.populations) for s in self.states)
+        rows = ((s.c_m1, s.c_0, s.c_p1, *s.populations) for s in states)
         columns = [np.array(values)[:, None] for values in zip(*rows)]
         self.c_m1, self.c_0, self.c_p1 = columns[:3]
         self.populations = tuple(columns[3:])

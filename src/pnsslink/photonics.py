@@ -12,6 +12,7 @@ alone (``emission_modes``); the input state only weights them
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -159,10 +160,12 @@ def photon_observables(
     modes: EmissionModes,
     c: SuperpositionState,
     traj: SenderTrajectory,
+    n_out: Optional[np.ndarray] = None,
+    fluxes: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> PhotonObservables:
-    """Assemble every output-field observable of input ``c`` for one sender run."""
+    """Every output-field observable of input ``c``; pass ``n_out`` and ``fluxes`` if computed."""
     p0, p1, p2 = photon_distribution(traj)
-    flux_total, flux_one, flux_two = photon_fluxes(theta, modes, c)
+    flux_total, flux_one, flux_two = fluxes or photon_fluxes(theta, modes, c)
     g2, g2_defined = g2_zero_delay(modes.phi1, modes.phi2, c)
     return PhotonObservables(
         grid=theta.grid,
@@ -174,7 +177,7 @@ def photon_observables(
         flux_two=flux_two,
         phi1=modes.phi1,
         phi2=modes.phi2,
-        n_out=mean_photon_number(theta, c),
+        n_out=mean_photon_number(theta, c) if n_out is None else n_out,
         g2=g2,
         g2_defined=g2_defined,
     )

@@ -7,16 +7,13 @@ photon mode functions and their overlap, the receiving control pulse
 (solved or explicit) and its areas eta(t), zeta(t).  The pi-area
 conditions involve only the mode functions, so one solved link serves
 every input state and every fiber channel.  The per-state stage
-(``run_transfer_on``) sends one input state over a link and computes what
-the report reads: emitted photon number and flux, absorption amplitudes,
-bookkeeping residual, stored state and the report.  The sender's
-emission amplitudes and photon statistics feed only ``sender.csv`` and
-``photonics.csv``, so ``SendResult`` builds them the first time a writer
-reads them.  ``run_send`` uses only the sender half of the link stage
-and never solves a pulse.  ``run_sweep`` builds a new link only when a
-sample's physics differs from the previous sample's, and evaluates the
-per-state closed forms once per link, for all its samples at once, at
-the link's terminal samples only: a sweep row holds end values alone.
+(``run_transfer_on``) sends one input state over a link: absorption
+amplitudes, bookkeeping residual and the end-value ``Summary`` its
+report is.  ``SendResult`` builds the sender's emission amplitudes and
+photon statistics only when a CSV writer reads them.  ``run_send`` never
+solves a pulse.  ``run_sweep`` builds a new link only when a sample's
+physics differs from the previous sample's, and writes the columns of
+one ``Summary`` per link.
 """
 
 from __future__ import annotations
@@ -32,13 +29,14 @@ from typing import Optional
 import numpy as np
 
 from . import channel as channel_mod
-from .channel import TransferReport
+from .channel import ChannelModel
 from .config import ScenarioConfig, sample_config
 from .core import (
     DerivedQuantities,
     PhysicalParams,
     RegimeReport,
     StateBatch,
+    SuperpositionState,
     derive,
     to_mhz,
     validate_regime,
@@ -127,13 +125,54 @@ class SendResult:
     theta = property(lambda self: self.sender.theta)
 
     @cached_property
+    def emission(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """n_out and the photon fluxes on the grid: a transfer's residual reads them too."""
+        c = self.config.initial_state
+        return mean_photon_number(self.theta, c), photon_fluxes(self.theta, self.sender.modes, c)
+
+    @cached_property
     def trajectory(self) -> SenderTrajectory:
         return amplitudes_beta(self.theta, self.config.initial_state)
 
     @cached_property
     def observables(self) -> PhotonObservables:
         c = self.config.initial_state
-        return photon_observables(self.theta, self.sender.modes, c, self.trajectory)
+        return photon_observables(self.theta, self.sender.modes, c, self.trajectory, *self.emission)
+
+
+@dataclass(frozen=True)
+class Summary:
+    """End values of input states sent over one link, as ``summarize`` reads them.
+
+    A per-state field holds a scalar for one state (a transfer's report)
+    or a column for a ``StateBatch`` (a sweep's).  Link values read
+    through ``link``.
+    """
+
+    link: Link
+    final: FinalState
+    n_out_final: float | np.ndarray
+    success_one_photon: float | np.ndarray
+    success_two_photon: float | np.ndarray
+    weighted_success: float | np.ndarray
+    phase_drift_rad: float | np.ndarray
+    conservation_residual_max: Optional[float] = None  # full grid: a transfer's only
+
+    fidelity = property(lambda self: self.final.fidelity)
+    leakage = property(lambda self: self.final.leakage)
+    end_to_end = property(lambda self: self.final.fidelity * self.weighted_success)
+    phase_warning = property(lambda self: self.phase_drift_rad > channel_mod.PHASE_WARN_THRESHOLD)
+    r_sn = property(lambda self: self.link.sender.derived.r_sn)
+    mode_overlap = property(lambda self: self.link.sender.overlap)
+    eta_residual = property(lambda self: float(self.link.eta.final - math.pi))
+    zeta_residual = property(lambda self: float(self.link.zeta.final - math.pi))
+    solved_duration_s = property(lambda self: self.link.pulse2.duration)
+    solved_center_s = property(lambda self: self.link.pulse2.center)
+    solved_omega2 = property(lambda self: self.link.omega2)
+    # None, and mode "explicit", for an explicit receiving pulse.
+    solver_iterations = property(lambda self: self.link.solve.iterations if self.link.solve else None)
+    solver_mode = property(lambda self: self.link.solve.mode if self.link.solve else "explicit")
+    solver_converged = property(lambda self: self.link.solve.converged if self.link.solve else None)
 
 
 @dataclass(frozen=True)
@@ -142,9 +181,9 @@ class TransferResult:
     link: Link
     receiver: ReceiverTrajectory
     residual: np.ndarray
-    final: FinalState
-    report: TransferReport
+    report: Summary  # of the input state, with the full-grid residual maximum
 
+    final = property(lambda self: self.report.final)
     pulse2 = property(lambda self: self.link.pulse2)
     omega2 = property(lambda self: self.link.omega2)
     solve = property(lambda self: self.link.solve)
@@ -260,48 +299,37 @@ def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
     """
     if _physics(config) != link.physics:
         raise ValueError("config's physics differs from the link's")
-    sender = link.sender
+    send = SendResult(config, link.sender)
     c = config.initial_state
-    # The same calls photon_observables makes, so the report's floats match the CSVs'.
-    n_out = mean_photon_number(sender.theta, c)
-    flux_total, _, _ = photon_fluxes(sender.theta, sender.modes, c)
     receiver = gamma_analytic(link.eta, link.zeta, c, phi2=config.params.phi2)
+    n_out, (flux_total, _, _) = send.emission
     residual = conservation_check(receiver, n_out, flux_total, config.params.k)
+    residual_max = float(np.max(np.abs(residual)))
+    report = summarize(link, c, receiver, n_out, _budget(config.channel), residual_max)
+    return TransferResult(send=send, link=link, receiver=receiver, residual=residual, report=report)
+
+
+def summarize(link: Link, c, receiver, n_out, budget, residual_max=None) -> Summary:
+    """The end values of state ``c`` or of a ``StateBatch`` ``c`` sent over ``link``.
+
+    ``receiver`` and ``n_out`` are their closed forms on a grid that ends
+    where the link's does, ``budget`` their channels' ``_budget`` (columns
+    for a batch).  One state and a batch run the same elementwise
+    arithmetic, so a sweep column holds exactly a transfer's report values.
+    """
     final = final_state(receiver, c)
-    solve = link.solve
-    ch = config.channel
-    weighted = ch.weighted_success(c.populations)
+    _, _, success_one, success_two, drift = budget
+    populations = np.reshape(c.populations, (3, *np.shape(final.fidelity)))
+    weighted = channel_mod.weighted_success(populations, success_one, success_two)
+    last = n_out.T[-1]  # each state's last sample
+    return Summary(link, final, last, success_one, success_two, weighted, drift, residual_max)
+
+
+def _budget(ch: ChannelModel) -> tuple[float, float, float, float, float]:
+    """eta_1, eta_2, the one- and two-photon branch successes and the phase drift."""
+    eta = [channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, j) for j in (1, 2)]
     drift = channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km)
-    report = TransferReport(
-        fidelity=final.fidelity,
-        success_one_photon=ch.branch_success(1),
-        success_two_photon=ch.branch_success(2),
-        weighted_success=weighted,
-        end_to_end=final.fidelity * weighted,
-        phase_drift_rad=drift,
-        phase_warning=drift > channel_mod.PHASE_WARN_THRESHOLD,
-        r_sn=sender.derived.r_sn,
-        mode_overlap=sender.overlap,
-        eta_residual=float(receiver.eta[-1] - math.pi),
-        zeta_residual=float(receiver.zeta[-1] - math.pi),
-        leakage=final.leakage,
-        conservation_residual_max=float(np.max(np.abs(residual))),
-        n_out_final=float(n_out[-1]),
-        solved_duration_s=link.pulse2.duration,
-        solved_center_s=link.pulse2.center,
-        solved_omega2=link.omega2,
-        solver_iterations=(solve.iterations if solve else None),
-        solver_mode=(solve.mode if solve else "explicit"),
-        solver_converged=(solve.converged if solve else None),
-    )
-    return TransferResult(
-        send=SendResult(config, sender),
-        link=link,
-        receiver=receiver,
-        residual=residual,
-        final=final,
-        report=report,
-    )
+    return (*eta, ch.branch_success(1), ch.branch_success(2), drift)
 
 
 def run_transfer(config: ScenarioConfig) -> TransferResult:
@@ -382,7 +410,7 @@ def write_receiver_csv(result: TransferResult, path: str | Path) -> Path:
 def report_document(result: TransferResult) -> dict:
     """The ``report.json`` document of one transfer."""
     rep = result.report
-    out = result.final.state
+    c_m1, c_0, c_p1 = ([z.real, z.imag] for z in rep.final.state.tolist())
     return {
         "config_hash": result.send.config.config_hash(),
         "regime": result.send.regime.to_dict(),
@@ -415,12 +443,8 @@ def report_document(result: TransferResult) -> dict:
             "center_us": result.pulse2.center / US,
             "omega2_mhz": to_mhz(result.omega2),
         },
-        "state_out": {
-            "c_m1": [out.c_m1.real, out.c_m1.imag],
-            "c_0": [out.c_0.real, out.c_0.imag],
-            "c_p1": [out.c_p1.real, out.c_p1.imag],
-        },
-        "leakage_warning": result.final.leakage_warning,
+        "state_out": {"c_m1": c_m1, "c_0": c_0, "c_p1": c_p1},
+        "leakage_warning": bool(rep.final.leakage_warning),
     }
 
 
@@ -445,71 +469,64 @@ def write_regime_json(send: SendResult, path: str | Path) -> Path:
 # sweeps
 
 
-def _sweep_rows(link: Link, axis: str, samples: list[tuple[float, ScenarioConfig]]) -> list[dict]:
-    """The ``sweep.csv`` rows of the ``(value, config)`` samples sent over ``link``.
+def _sweep_columns(link: Link, configs: list[ScenarioConfig]) -> dict[str, np.ndarray]:
+    """The ``sweep.csv`` columns after the axis's for ``configs`` sent over ``link``.
 
-    A row holds end values only, and the closed forms are pointwise in
-    theta, eta and zeta, so they run once for all the samples (a
-    ``StateBatch``) on the link's last two grid samples, and give the same
-    floats as a full-grid ``run_transfer_on`` per sample.
+    The closed forms are pointwise in theta, eta and zeta, so they run once
+    for all the samples (a ``StateBatch``) on the link's last two grid
+    samples, and give the floats of a full-grid transfer per sample.
     """
-    configs = [cfg for _, cfg in samples]
-    c = StateBatch([cfg.initial_state for cfg in configs])
-    grid = link.sender.grid
-    end = TimeGrid(grid.values[-2], grid.values[-1], 2)
-
-    def at_end(f: SampledFunction) -> SampledFunction:
-        return SampledFunction(end, f.samples[-2:])
-
-    theta = at_end(link.sender.theta)
-    _, p1, p2 = photon_distribution(amplitudes_beta(theta, c))
-    n_out = mean_photon_number(theta, c)
-    phi2 = [cfg.params.phi2 for cfg in configs]
-    receiver = gamma_analytic(at_end(link.eta), at_end(link.zeta), c, phi2=phi2)
-    finals = final_state(receiver, c)
-    rows = []
-    for i, (value, cfg) in enumerate(samples):
-        ch = cfg.channel
-        rows.append({
-            axis.split(".")[-1]: value,
-            "eta1": channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, 1),
-            "eta2": channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, 2),
-            "weighted_success": ch.weighted_success(cfg.initial_state.populations),
-            "phase_rad": channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km),
-            "fidelity": finals[i].fidelity,
-            "n_out_inf": float(n_out[i, -1]),
-            "P1_inf": float(p1[i, -1]),
-            "P2_inf": float(p2[i, -1]),
-            "T2_us": link.pulse2.duration / US,
-            "center2_us": link.pulse2.center / US,
-            "omega2_mhz": to_mhz(link.omega2),
-            "eta_residual": float(receiver.eta[-1] - math.pi),
-            "zeta_residual": float(receiver.zeta[-1] - math.pi),
-        })
-    return rows
+    end = TimeGrid(link.sender.grid.values[-2], link.sender.grid.values[-1], 2)
+    ends = (link.sender.theta, link.eta, link.zeta)
+    theta, eta, zeta = (SampledFunction(end, f.samples[-2:]) for f in ends)
+    states = StateBatch([cfg.initial_state for cfg in configs])
+    receiver = gamma_analytic(eta, zeta, states, phi2=[cfg.params.phi2 for cfg in configs])
+    budgets = {ch: _budget(ch) for ch in {cfg.channel for cfg in configs}}  # once per channel
+    budget = np.array([budgets[cfg.channel] for cfg in configs]).T
+    summary = summarize(link, states, receiver, mean_photon_number(theta, states), budget)
+    _, p1, p2 = photon_distribution(amplitudes_beta(theta, states))
+    per_link = {
+        "T2_us": link.pulse2.duration / US,
+        "center2_us": link.pulse2.center / US,
+        "omega2_mhz": to_mhz(link.omega2),
+        "eta_residual": summary.eta_residual,
+        "zeta_residual": summary.zeta_residual,
+    }
+    return {
+        "eta1": budget[0],
+        "eta2": budget[1],
+        "weighted_success": summary.weighted_success,
+        "phase_rad": summary.phase_drift_rad,
+        "fidelity": summary.fidelity,
+        "n_out_inf": summary.n_out_final,
+        "P1_inf": p1[:, -1],
+        "P2_inf": p2[:, -1],
+        **{name: np.full(len(configs), value) for name, value in per_link.items()},
+    }
 
 
-def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> list[dict]:
-    """One row per axis sample, in order.
+def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> np.ndarray:
+    """The ``sweep.csv`` table: one row per axis sample, in order, one named column per field.
 
     Every sample is built (``sample_config``) before the first link, so a
     bad value fails before any pulse solve.  Consecutive samples with the
-    same physics share one link and one pass of the closed forms
-    (``_sweep_rows``): an ``initial_state.*``, ``channel.*`` or
-    ``params.phi2_rad`` sweep costs one link.  With ``config.strict`` each
-    new link's regime is checked as it is built (``RegimeFailure``).
+    same physics share one link and one ``summarize`` pass: an
+    ``initial_state.*``, ``channel.*`` or ``params.phi2_rad`` sweep costs
+    one link.  With ``config.strict`` each new link's regime is checked as
+    it is built (``RegimeFailure``).
     """
-    samples = [(float(v), sample_config(config, axis, float(v))) for v in values]
-    rows = []
-    for _, group in itertools.groupby(samples, key=lambda sample: _physics(sample[1])):
-        group = list(group)
-        rows += _sweep_rows(build_link(group[0][1], strict=config.strict), axis, group)
-    return rows
+    samples = [sample_config(config, axis, float(v)) for v in values]
+    groups = [list(group) for _, group in itertools.groupby(samples, key=_physics)]
+    parts = [_sweep_columns(build_link(group[0], strict=config.strict), group) for group in groups]
+    names = [axis.split(".")[-1], *(parts[0] if parts else ())]
+    table = np.empty(len(samples), dtype=[(name, float) for name in names])
+    table[names[0]] = values
+    for name in names[1:]:
+        table[name] = np.concatenate([part[name] for part in parts])
+    return table
 
 
-def write_sweep_csv(
-    rows: list[dict], config: ScenarioConfig, path: str | Path
-) -> Path:
-    if not rows:
+def write_sweep_csv(table: np.ndarray, config: ScenarioConfig, path: str | Path) -> Path:
+    if not len(table):
         raise ValueError("empty sweep")
-    return _write_table(path, {c: np.array([row[c] for row in rows]) for c in rows[0]}, config)
+    return _write_table(path, {name: table[name] for name in table.dtype.names}, config)

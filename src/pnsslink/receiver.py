@@ -84,12 +84,15 @@ class PulseSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class FinalState:
-    """Retained atomic state at the end of a receiver run."""
+    """Retained atomic state at the end of a receiver run; a column per field for a batch.
 
-    state: SuperpositionState
-    fidelity: float
-    leakage: float
-    leakage_warning: bool
+    ``state`` holds the renormalised retained amplitudes c_m1, c_0, c_p1.
+    """
+
+    state: np.ndarray
+    fidelity: float | np.ndarray
+    leakage: float | np.ndarray
+    leakage_warning: bool | np.ndarray
 
 
 def pulse_areas(
@@ -119,7 +122,7 @@ def _phase(phi2: float) -> tuple[complex, complex]:
     # forms them per state with these same scalar operations, because numpy's
     # complex array product can round differently from the scalar one.
     u = np.exp(1j * (math.pi / 2 - phi2))
-    return u, u * u
+    return complex(u), complex(u * u)
 
 
 def gamma_analytic(
@@ -143,19 +146,22 @@ def gamma_analytic(
     e = eta.samples
     z = zeta.samples
     if isinstance(phi2, list):
-        u, u2 = (np.array(f)[:, None] for f in zip(*map(_phase, phi2)))
+        phases = {p: _phase(p) for p in set(phi2)}  # a state sweep has a single phase
+        u, u2 = (np.array(f)[:, None] for f in zip(*map(phases.__getitem__, phi2)))
     else:
         u, u2 = _phase(phi2)
-    g_1_1 = (c.c_0 * np.cos(0.5 * e)).astype(complex)
+    half_e = 0.5 * e
+    cos_z = np.cos(z)
+    g_1_1 = c.c_0 * np.cos(half_e)  # complex, as the amplitudes are
     return ReceiverTrajectory(
         grid=eta.grid,
         eta=e,
         zeta=z,
-        g_0_0=(c.c_0 * np.sin(0.5 * e)).astype(complex) * u,
+        g_0_0=c.c_0 * np.sin(half_e) * u,
         g_1_1=g_1_1,
-        g_m1_0=(0.5 * c.c_m1 * (1.0 - np.cos(z))).astype(complex) * u2,
-        g_0_1=(c.c_m1 * np.sin(z) / math.sqrt(2.0)).astype(complex) * u,
-        g_1_2=(0.5 * c.c_m1 * (1.0 + np.cos(z))).astype(complex),
+        g_m1_0=0.5 * c.c_m1 * (1.0 - cos_z) * u2,
+        g_0_1=c.c_m1 * np.sin(z) / math.sqrt(2.0) * u,
+        g_1_2=0.5 * c.c_m1 * (1.0 + cos_z),
         g_1_0=np.full(g_1_1.shape, c.c_p1, dtype=complex),
     )
 
@@ -404,29 +410,34 @@ def final_state(
     traj: ReceiverTrajectory,
     c_in: SuperpositionState | StateBatch,
     leakage_threshold: float = 1e-3,
-) -> FinalState | list[FinalState]:
+) -> FinalState:
     """Read out the stored state and compare with the input.
 
     The retained amplitudes are those with no photons left in the field.
     Fidelity is computed against the renormalized retained state; the
     discarded weight is reported as leakage and flagged when it exceeds
-    the threshold.  A ``StateBatch`` gives one ``FinalState`` per state.
+    the threshold.  A ``StateBatch`` is read out in one pass, to the floats
+    of one state at a time: moduli are hypot(re, im), products are spelled
+    out in real parts (numpy's complex abs and product round otherwise)
+    and squares are products (numpy's scalar power rounds otherwise).
     """
-    if isinstance(c_in, StateBatch):
-        ends = zip(traj.g_m1_0[:, -1], traj.g_0_0[:, -1], traj.g_1_0[:, -1])
-        return [_readout(a, c, leakage_threshold) for a, c in zip(ends, c_in.states)]
-    return _readout((traj.g_m1_0[-1], traj.g_0_0[-1], traj.g_1_0[-1]), c_in, leakage_threshold)
-
-
-def _readout(ends: tuple, c_in: SuperpositionState, leakage_threshold: float) -> FinalState:
-    a_m1, a_0, a_p1 = map(complex, ends)
-    retained = abs(a_m1) ** 2 + abs(a_0) ** 2 + abs(a_p1) ** 2
+    ends = np.array([g[..., -1] for g in (traj.g_m1_0, traj.g_0_0, traj.g_1_0)]).T
+    m = np.hypot(ends.real, ends.imag)
+    retained = m[..., 0] * m[..., 0] + m[..., 1] * m[..., 1] + m[..., 2] * m[..., 2]
+    if not (retained > 0.0).all():
+        raise ValueError("cannot normalize the zero state")
+    norm = np.sqrt(retained)[..., None]
+    state = np.empty(ends.shape, dtype=complex)
+    state.real, state.imag = ends.real / norm, ends.imag / norm
+    c = np.array([c_in.c_m1, c_in.c_0, c_in.c_p1]).T.reshape(ends.shape)
+    # conj(c) * state per sublevel, summed: <c_in|state>.
+    re = c.real * state.real + c.imag * state.imag
+    im = c.real * state.imag - c.imag * state.real
+    overlap = np.hypot(re[..., 0] + re[..., 1] + re[..., 2], im[..., 0] + im[..., 1] + im[..., 2])
     leakage = 1.0 - retained
-    state = SuperpositionState.normalized(a_m1, a_0, a_p1)
-    fidelity = c_in.overlap_sq(state)
     return FinalState(
         state=state,
-        fidelity=fidelity,
+        fidelity=overlap * overlap,
         leakage=leakage,
         leakage_warning=leakage > leakage_threshold,
     )

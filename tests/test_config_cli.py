@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnsslink import cli as cli_mod
 from pnsslink import config as config_mod
+from pnsslink import photonics as photonics_mod
 from pnsslink import pipeline as pipeline_mod
+from pnsslink import receiver as receiver_mod
 from pnsslink.channel import attenuation_length, transmission_efficiency
 from pnsslink.cli import main
 from pnsslink.config import (
@@ -65,6 +69,9 @@ def full_grid_row(cfg, axis: str, value: float) -> dict:
         "eta_residual": report.eta_residual,
         "zeta_residual": report.zeta_residual,
     }
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_doc(tmp_path: Path, doc: dict, name: str = "scenario.json") -> Path:
@@ -482,6 +489,49 @@ class TestCli:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("axis", ["channel.p_abs", "grid.points"])
+    def test_sweep_over_a_defaulted_field(self, tmp_path, axis):
+        # The stock file leaves the field at its parser default; the sweep
+        # reads like one over a file with the field written in.
+        section, field = axis.split(".")
+        doc = json.loads((CONFIGS / "qubit.json").read_text(encoding="utf-8"))
+        assert field not in doc[section]
+        default = {"p_abs": 1.0, "points": 3001}[field]
+        doc[section][field] = default
+        written = write_doc(tmp_path, doc)
+        span = {"p_abs": ["0.5", "1"], "points": ["2001", "3001"]}[field]
+        sweep = ["sweep", "--axis", axis, "--start", span[0], "--stop", span[1], "--num", "3"]
+        for config, out in ((CONFIGS / "qubit.json", "stock"), (written, "written")):
+            assert main([*sweep, "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        stock = (tmp_path / "stock" / "sweep.csv").read_text().splitlines()
+        assert stock[1:] == (tmp_path / "written" / "sweep.csv").read_text().splitlines()[1:]
+        columns = load_csv(tmp_path / "stock" / "sweep.csv")
+        if field == "p_abs":
+            assert columns["weighted_success"] == pytest.approx(
+                columns["p_abs"] * columns["weighted_success"][-1], rel=1e-15
+            )
+
+    def test_full_transfer_computes_emission_once(self, monkeypatch, tmp_path):
+        # n_out and the photon fluxes on the grid feed both the residual and
+        # photonics.csv; they are computed once.
+        doc = small_doc()
+        points = doc["grid"]["points"]
+        seen = Counter()
+
+        def counting(name, fn):
+            def wrapper(theta, *args):
+                seen[name] += theta.grid.n_points == points
+                return fn(theta, *args)
+
+            return wrapper
+
+        for module in (pipeline_mod, photonics_mod):
+            for name in ("mean_photon_number", "photon_fluxes"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        path = write_doc(tmp_path, doc)
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert seen == {"mean_photon_number": 1, "photon_fluxes": 1}
+
     def test_tol_flag_reaches_solver(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
         code = main([
@@ -643,6 +693,37 @@ class TestSampleConfig:
         assert len(run_sweep(config, axis, np.linspace(0.2, 0.8, 4))) == 4
 
 
+@pytest.mark.parametrize(
+    "axis, value",
+    [
+        ("channel.p_abs", 0.8),
+        ("grid.points", 2001.0),
+        ("pulse2.max_iterations", 40.0),
+        ("params.atom_mass_kg", 1.5e-25),
+        ("regime_min_ratio", 4.0),
+    ],
+)
+@pytest.mark.parametrize("absent", ["field", "section"])
+def test_defaulted_field_samples_like_a_written_one(axis, value, absent):
+    doc = sample_doc(False)
+    del doc["regime_min_ratio"]
+    *sections, leaf = axis.split(".")
+    if sections and absent == "section" and sections[0] != "params":
+        del doc[sections[0]]
+    elif sections:
+        doc[sections[0]].pop(leaf, None)
+    config = parse_config(doc)
+    expected = json.loads(json.dumps(doc))
+    node = expected
+    for part in sections:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    sample = sample_config(config, axis, value)
+    assert sample == parse_config(expected)
+    assert sample.raw == expected
+    assert sample.config_hash() == parse_config(expected).config_hash()
+
+
 REUSED_ROW_CASES = [
     (False, math.pi / 2, "initial_state.p_m1", 0.0, 1.0, 1),
     (True, math.pi / 2, "initial_state.p_m1", 0.05, 0.8, 1),
@@ -689,26 +770,26 @@ class TestSweepSemantics:
         config = parse_config(doc)
         values = np.linspace(start, stop, 5)
         calls = []
-        reports = []
-        solve, report = pipeline_mod.solve_pulse_shape, pipeline_mod.TransferReport
+        summaries = []
+        solve, summarize = pipeline_mod.solve_pulse_shape, pipeline_mod.summarize
 
         def counting_solve(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        def keeping_report(**kwargs):
-            reports.append(report(**kwargs))
-            return reports[-1]
+        def keeping_summary(*args, **kwargs):
+            summaries.append(summarize(*args, **kwargs))
+            return summaries[-1]
 
         monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", counting_solve)
-        monkeypatch.setattr(pipeline_mod, "TransferReport", keeping_report)
+        monkeypatch.setattr(pipeline_mod, "summarize", keeping_summary)
         rows = run_sweep(config, axis, values)
         assert len(calls) == solves
-        assert reports == []  # rows come from end values, not per-sample reports
+        assert len(summaries) == solves  # rows come from one summary per link, not per sample
         monkeypatch.undo()
         for value, row in zip(values, rows):
             cfg = sample_config(config, axis, float(value))
-            assert row == full_grid_row(cfg, axis, float(value))
+            assert dict(zip(rows.dtype.names, row.item())) == full_grid_row(cfg, axis, float(value))
 
     @pytest.mark.parametrize(
         "axis, start, stop, num, links",
@@ -751,6 +832,50 @@ class TestSweepSemantics:
         assert all(n == 2 for name, n in seen if name != "pulse_areas")
         calls = Counter(name for name, _ in seen)
         assert calls == {"pulse_areas": links, **{name: links for name in closed_forms}}
+
+    @pytest.mark.parametrize(
+        "axis, start, stop, num, links",
+        [("initial_state.p_m1", 0.05, 0.9, 41, 1), ("params.g_mhz", 11.5, 12.5, 3, 3)],
+    )
+    def test_one_summary_per_link(self, monkeypatch, axis, start, stop, num, links):
+        config = parse_config(small_doc())
+        summaries, finals = [], []
+        summarize = pipeline_mod.summarize
+
+        def counting_summarize(*args, **kwargs):
+            summaries.append(summarize(*args, **kwargs))
+            return summaries[-1]
+
+        class CountingFinalState(receiver_mod.FinalState):
+            def __init__(self, *args, **kwargs):
+                finals.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "summarize", counting_summarize)
+        monkeypatch.setattr(receiver_mod, "FinalState", CountingFinalState)
+        columns = run_sweep(config, axis, np.linspace(start, stop, num))
+        assert len(summaries) == links
+        assert len(finals) == links  # one columnar readout per link, none per sample
+        assert sum(len(summary.fidelity) for summary in summaries) == num
+        assert np.array_equal(np.concatenate([x.fidelity for x in summaries]), columns["fidelity"])
+
+    @given(
+        qutrit=st.booleans(),
+        case=st.sampled_from(
+            [("initial_state.p_m1", 0.0, 0.8), ("channel.L0_km", 0.0, 20.0), ("params.phi2_rad", 0.0, 6.3)]
+        ),
+        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        num=st.integers(1, 3),
+    )
+    @settings(deadline=None, max_examples=12)
+    def test_sweep_columns_equal_full_grid_reports(self, qutrit, case, ends, num):
+        axis, low, high = case
+        config = load_config(CONFIGS / ("qutrit.json" if qutrit else "qubit.json"))
+        values = np.linspace(*(low + (high - low) * end for end in ends), num)
+        rows = run_sweep(config, axis, values)
+        for value, row in zip(values, rows):
+            cfg = sample_config(config, axis, float(value))
+            assert dict(zip(rows.dtype.names, row.item())) == full_grid_row(cfg, axis, float(value))
 
     def test_link_refuses_other_physics(self):
         config = parse_config(small_doc())
