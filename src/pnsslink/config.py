@@ -382,7 +382,7 @@ def sample_config(config: ScenarioConfig, axis: str, value: float) -> ScenarioCo
     (``config.samplers``); a sample copies only the dicts on its path
     through ``raw`` and swaps its re-parsed section into a copy of
     ``config``.  The virtual ``initial_state.p_m1`` sets the two-photon
-    weight against c_0, and of the state's parse runs the norm check only.
+    weight against c_0 and runs only the norm check of the state's parse.
     """
     if axis not in config.samplers:
         config.samplers[axis] = _sampler(config, axis)

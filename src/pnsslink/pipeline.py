@@ -36,7 +36,6 @@ from .core import (
     PhysicalParams,
     RegimeReport,
     StateBatch,
-    SuperpositionState,
     derive,
     to_mhz,
     validate_regime,
