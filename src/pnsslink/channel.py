@@ -82,7 +82,7 @@ class ChannelModel:
 def weighted_success(populations: tuple, success_one: float, success_two: float) -> float:
     """Branch successes weighted by (two-photon, one-photon, vacuum) ``populations``.
 
-    The vacuum branch carries no photons and always survives.  Columns give a column.
+    The vacuum branch carries no photons and always survives.
     """
     w2, w1, w0 = populations
     return w1 * success_one + w2 * success_two + w0 * 1.0

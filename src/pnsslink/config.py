@@ -129,8 +129,6 @@ class ScenarioConfig:
     regime_min_ratio: float = 5.0
     strict: bool = False
     raw: dict = field(repr=False, compare=False, default_factory=dict)
-    # sample_config's sampler of each sweep axis, built on its first call.
-    samplers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def config_hash(self) -> str:
         """Hash of the canonical serialized document, recorded in outputs."""
@@ -362,38 +360,35 @@ def parse_config(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(**{name: parse(doc) for name, parse in _PARSERS.items()}, raw=doc)
 
 
-# The numeric fields the parsers default, by section ("" is the top level).
-# A sweep axis may name one the document leaves out, as if written in.
+# The numeric keys the parsers default: the _number and _count calls with
+# a default, and grid.points, which span_in_T1 sets.  A sweep axis may
+# name one the document leaves out, as if written in.
 _DEFAULTED = {
-    "": ("regime_min_ratio",),
-    "params": ("phi2_rad", "atom_mass_kg", "wavelength_nm"),
-    "pulse1": ("T1_us", "center_us"),
-    "pulse2": ("tol", "center_us", "T2_us", "omega2_mhz", "max_iterations"),
-    "grid": ("span_in_T1", "points"),
-    "channel": ("L0_km", "atten_db_per_km", "phase_rate", "p_em", "p_abs"),
+    "regime_min_ratio", "params.phi2_rad", "params.atom_mass_kg", "params.wavelength_nm",
+    "pulse1.T1_us", "pulse1.center_us", "pulse2.tol", "pulse2.max_iterations",
+    "grid.span_in_T1", "grid.points", "channel.L0_km", "channel.atten_db_per_km",
+    "channel.phase_rate", "channel.p_em", "channel.p_abs",
 }
 
 
 def sample_config(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """``config`` with the scalar at the dotted path ``axis`` set to ``value``.
+    """``config`` with the scalar at the dotted path ``axis`` set to ``value``."""
+    return axis_sampler(config, axis)(value)
 
-    Equal to ``parse_config`` of the edited document, ``raw`` included, or
-    the same ``ConfigError``.  The axis is resolved once per ``config``
-    (``config.samplers``); a sample copies only the dicts on its path
-    through ``raw`` and swaps its re-parsed section into a copy of
-    ``config``.  The virtual ``initial_state.p_m1`` sets the two-photon
-    weight against c_0 and runs only the norm check of the state's parse.
+
+def axis_sampler(config: ScenarioConfig, axis: str):
+    """``sample_config`` of ``config`` and ``axis`` as a function of the value.
+
+    A sample equals ``parse_config`` of the edited document, ``raw``
+    included, or raises the same ``ConfigError``; but it copies only the
+    dicts on the axis's path through ``raw`` and swaps its re-parsed
+    section into a copy of ``config``.  The virtual ``initial_state.p_m1``
+    sets the two-photon weight against c_0 and runs only the state's norm check.
     """
-    if axis not in config.samplers:
-        config.samplers[axis] = _sampler(config, axis)
-    return config.samplers[axis](value)
-
-
-def _sampler(config: ScenarioConfig, axis: str):
     *sections, leaf = axis.split(".")
     node = config.raw
     for part in sections:
-        if not isinstance(node, dict) or part not in node and part not in _DEFAULTED:
+        if not isinstance(node, dict) or part not in node and axis not in _DEFAULTED:
             raise ConfigError(f"sweep axis {axis!r}: no section {part!r}")
         node = node.get(part, {})
     if axis == "initial_state.p_m1":
@@ -409,7 +404,7 @@ def _sampler(config: ScenarioConfig, axis: str):
             return _with(config, {**config.raw, "initial_state": section}, initial_state=state)
 
         return sample_state
-    if not isinstance(node, dict) or leaf not in (*node, *_DEFAULTED.get(".".join(sections), ())):
+    if not isinstance(node, dict) or leaf not in node and axis not in _DEFAULTED:
         raise ConfigError(f"sweep axis {axis!r}: no field {leaf!r}")
     if isinstance(node.get(leaf), bool) or not isinstance(node.get(leaf, 0.0), (int, float)):
         raise ConfigError(f"sweep axis {axis!r} is not a scalar field")
@@ -430,7 +425,7 @@ def _sampler(config: ScenarioConfig, axis: str):
 def _with(config: ScenarioConfig, raw: dict, **fields) -> ScenarioConfig:
     """``config`` with ``raw`` and the already parsed ``fields`` swapped in."""
     sample = object.__new__(ScenarioConfig)
-    sample.__dict__.update(config.__dict__, samplers={}, raw=raw, **fields)
+    sample.__dict__.update(config.__dict__, raw=raw, **fields)
     return sample
 
 

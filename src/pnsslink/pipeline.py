@@ -30,7 +30,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from .channel import ChannelModel
-from .config import ScenarioConfig, sample_config
+from .config import ScenarioConfig, axis_sampler
 from .core import (
     DerivedQuantities,
     PhysicalParams,
@@ -141,12 +141,10 @@ class SendResult:
 
 @dataclass(frozen=True)
 class Summary:
-    """End values of input states sent over one link, as ``summarize`` reads them.
+    """End values of input states sent over one link (``summarize``); link values read ``link``.
 
     A per-state field holds a scalar for one state (a transfer's report)
-    or a column for a ``StateBatch`` (a sweep's).  Link values read
-    through ``link``.
-    """
+    or a column for a ``StateBatch`` (a sweep's)."""
 
     link: Link
     final: FinalState
@@ -318,7 +316,7 @@ def summarize(link: Link, c, receiver, n_out, budget, residual_max=None) -> Summ
     """
     final = final_state(receiver, c)
     _, _, success_one, success_two, drift = budget
-    populations = np.reshape(c.populations, (3, *np.shape(final.fidelity)))
+    populations = np.array(c.populations).reshape(3, *final.fidelity.shape)
     weighted = channel_mod.weighted_success(populations, success_one, success_two)
     last = n_out.T[-1]  # each state's last sample
     return Summary(link, final, last, success_one, success_two, weighted, drift, residual_max)
@@ -484,13 +482,7 @@ def _sweep_columns(link: Link, configs: list[ScenarioConfig]) -> dict[str, np.nd
     budget = np.array([budgets[cfg.channel] for cfg in configs]).T
     summary = summarize(link, states, receiver, mean_photon_number(theta, states), budget)
     _, p1, p2 = photon_distribution(amplitudes_beta(theta, states))
-    per_link = {
-        "T2_us": link.pulse2.duration / US,
-        "center2_us": link.pulse2.center / US,
-        "omega2_mhz": to_mhz(link.omega2),
-        "eta_residual": summary.eta_residual,
-        "zeta_residual": summary.zeta_residual,
-    }
+    n = len(configs)
     return {
         "eta1": budget[0],
         "eta2": budget[1],
@@ -500,28 +492,35 @@ def _sweep_columns(link: Link, configs: list[ScenarioConfig]) -> dict[str, np.nd
         "n_out_inf": summary.n_out_final,
         "P1_inf": p1[:, -1],
         "P2_inf": p2[:, -1],
-        **{name: np.full(len(configs), value) for name, value in per_link.items()},
+        "T2_us": np.full(n, link.pulse2.duration / US),
+        "center2_us": np.full(n, link.pulse2.center / US),
+        "omega2_mhz": np.full(n, to_mhz(link.omega2)),
+        "eta_residual": np.full(n, summary.eta_residual),
+        "zeta_residual": np.full(n, summary.zeta_residual),
     }
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> np.ndarray:
     """The ``sweep.csv`` table: one row per axis sample, in order, one named column per field.
 
-    Every sample is built (``sample_config``) before the first link, so a
+    Every sample is built (``axis_sampler``) before the first link, so a
     bad value fails before any pulse solve.  Consecutive samples with the
     same physics share one link and one ``summarize`` pass: an
     ``initial_state.*``, ``channel.*`` or ``params.phi2_rad`` sweep costs
     one link.  With ``config.strict`` each new link's regime is checked as
     it is built (``RegimeFailure``).
     """
-    samples = [sample_config(config, axis, float(v)) for v in values]
+    sample = axis_sampler(config, axis)
+    samples = [sample(float(v)) for v in values]
     groups = [list(group) for _, group in itertools.groupby(samples, key=_physics)]
     parts = [_sweep_columns(build_link(group[0], strict=config.strict), group) for group in groups]
-    names = [axis.split(".")[-1], *(parts[0] if parts else ())]
-    table = np.empty(len(samples), dtype=[(name, float) for name in names])
-    table[names[0]] = values
-    for name in names[1:]:
-        table[name] = np.concatenate([part[name] for part in parts])
+    # A summary column named like the axis's leaf (T2_us, omega2_mhz) takes its place.
+    columns = {axis.split(".")[-1]: values}
+    for name in parts[0] if parts else ():
+        columns[name] = np.concatenate([part[name] for part in parts])
+    table = np.empty(len(samples), dtype=[(name, float) for name in columns])
+    for name, column in columns.items():
+        table[name] = column
     return table
 
 

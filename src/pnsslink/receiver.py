@@ -84,10 +84,9 @@ class PulseSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class FinalState:
-    """Retained atomic state at the end of a receiver run; a column per field for a batch.
+    """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s rows.
 
-    ``state`` holds the renormalised retained amplitudes c_m1, c_0, c_p1.
-    """
+    A batch gives a column per field."""
 
     state: np.ndarray
     fidelity: float | np.ndarray
@@ -421,19 +420,19 @@ def final_state(
     out in real parts (numpy's complex abs and product round otherwise)
     and squares are products (numpy's scalar power rounds otherwise).
     """
-    ends = np.array([g[..., -1] for g in (traj.g_m1_0, traj.g_0_0, traj.g_1_0)]).T
-    m = np.hypot(ends.real, ends.imag)
-    retained = m[..., 0] * m[..., 0] + m[..., 1] * m[..., 1] + m[..., 2] * m[..., 2]
+    ends = np.array([traj.g_m1_0[..., -1], traj.g_0_0[..., -1], traj.g_1_0[..., -1]])
+    m_m1, m_0, m_p1 = np.hypot(ends.real, ends.imag)  # scalars for one state
+    retained = m_m1 * m_m1 + m_0 * m_0 + m_p1 * m_p1
     if not (retained > 0.0).all():
         raise ValueError("cannot normalize the zero state")
-    norm = np.sqrt(retained)[..., None]
-    state = np.empty(ends.shape, dtype=complex)
+    norm = np.sqrt(retained)
+    state = np.empty_like(ends)
     state.real, state.imag = ends.real / norm, ends.imag / norm
-    c = np.array([c_in.c_m1, c_in.c_0, c_in.c_p1]).T.reshape(ends.shape)
+    c = np.array([c_in.c_m1, c_in.c_0, c_in.c_p1]).reshape(ends.shape)
     # conj(c) * state per sublevel, summed: <c_in|state>.
     re = c.real * state.real + c.imag * state.imag
     im = c.real * state.imag - c.imag * state.real
-    overlap = np.hypot(re[..., 0] + re[..., 1] + re[..., 2], im[..., 0] + im[..., 1] + im[..., 2])
+    overlap = np.hypot(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
     leakage = 1.0 - retained
     return FinalState(
         state=state,

@@ -511,6 +511,34 @@ class TestCli:
                 columns["p_abs"] * columns["weighted_success"][-1], rel=1e-15
             )
 
+    @pytest.mark.parametrize(
+        "pulse2, axis, span",
+        [
+            (None, "params.omega2_mhz", ["9", "11"]),
+            ({"mode": "explicit", "T2_us": 0.3, "center_us": 0.15}, "pulse2.T2_us", ["0.25", "0.35"]),
+        ],
+    )
+    def test_sweep_over_a_field_named_like_a_column(self, tmp_path, pulse2, axis, span):
+        # The axis's leaf names a sweep.csv column: the file has one column of
+        # that name, first, holding the link's value (an explicit T2 is the axis's).
+        doc = json.loads((CONFIGS / "qubit.json").read_text(encoding="utf-8"))
+        if pulse2 is not None:
+            doc["pulse2"] = pulse2
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        sweep = ["sweep", "--axis", axis, "--start", span[0], "--stop", span[1], "--num", "3"]
+        assert main([*sweep, "--config", str(path), "--out", str(out)]) == 0
+        summary = [
+            "eta1", "eta2", "weighted_success", "phase_rad", "fidelity", "n_out_inf", "P1_inf",
+            "P2_inf", "T2_us", "center2_us", "omega2_mhz", "eta_residual", "zeta_residual",
+        ]
+        leaf = axis.split(".")[-1]
+        header = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert header == [leaf, *(name for name in summary if name != leaf)]
+        if pulse2 is not None:
+            columns = load_csv(out / "sweep.csv")
+            assert columns["T2_us"] == pytest.approx([0.25, 0.3, 0.35], rel=1e-12)
+
     def test_full_transfer_computes_emission_once(self, monkeypatch, tmp_path):
         # n_out and the photon fluxes on the grid feed both the residual and
         # photonics.csv; they are computed once.
@@ -544,13 +572,18 @@ class TestCli:
 
     def test_tol_flag_reaches_every_sweep_sample(self, tmp_path, monkeypatch):
         parsed = []
-        sample = pipeline_mod.sample_config
+        sampler = pipeline_mod.axis_sampler
 
-        def recording_sample(config, axis, value):
-            parsed.append(sample(config, axis, value))
-            return parsed[-1]
+        def recording_sampler(config, axis):
+            sample = sampler(config, axis)
 
-        monkeypatch.setattr(pipeline_mod, "sample_config", recording_sample)
+            def recording_sample(value):
+                parsed.append(sample(value))
+                return parsed[-1]
+
+            return recording_sample
+
+        monkeypatch.setattr(pipeline_mod, "axis_sampler", recording_sampler)
         sweep = ["sweep", "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", "3"]
         path = write_doc(tmp_path, small_doc())
         flag_run = ["--config", str(path), "--out", str(tmp_path / "flag"), "--tol", "1e-9"]
