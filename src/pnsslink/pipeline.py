@@ -141,10 +141,12 @@ class SendResult:
 
 @dataclass(frozen=True)
 class Summary:
-    """End values of input states sent over one link (``summarize``); link values read ``link``.
+    """End values of input states sent over one link, as ``summarize`` reads them.
 
     A per-state field holds a scalar for one state (a transfer's report)
-    or a column for a ``StateBatch`` (a sweep's)."""
+    or a column for a ``StateBatch`` (a sweep's).  Link values read
+    through ``link``.
+    """
 
     link: Link
     final: FinalState

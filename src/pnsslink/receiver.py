@@ -86,7 +86,8 @@ class PulseSolveError(RuntimeError):
 class FinalState:
     """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s rows.
 
-    A batch gives a column per field."""
+    A ``StateBatch`` gives a column per field, one entry per state.
+    """
 
     state: np.ndarray
     fidelity: float | np.ndarray
