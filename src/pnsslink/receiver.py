@@ -427,7 +427,7 @@ def final_state(
     if not (retained > 0.0).all():
         raise ValueError("cannot normalize the zero state")
     norm = np.sqrt(retained)
-    state = np.empty_like(ends)
+    state = np.empty(ends.shape, dtype=complex)
     state.real, state.imag = ends.real / norm, ends.imag / norm
     c = np.array([c_in.c_m1, c_in.c_0, c_in.c_p1]).reshape(ends.shape)
     # conj(c) * state per sublevel, summed: <c_in|state>.
