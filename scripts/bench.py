@@ -26,9 +26,10 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
                          initial_state.p_m1 sweep)
     sweep_per_sample     (run_sweep of 41 samples - of 1 sample) / 40
     sweep_large          ``pnsslink sweep`` of 100 000 initial_state.p_m1
-                         samples in a fresh interpreter: the wall time of
-                         the command (imports excluded) and the process's
-                         peak RSS, the median of 3 interpreters
+                         samples in a fresh interpreter (the config sampler
+                         runs once per sample): the wall time of the command
+                         (imports excluded) and the process's peak RSS, the
+                         median of 3 interpreters
     oracle_sender_per_step, oracle_receiver_per_step
                          each ODE oracle's time per RK4 step
     tier1_suite          the checkout's tier-1 pytest run, once, in a
@@ -41,7 +42,8 @@ and the CSV writers also record ``minflt_median``: the minor page faults
 median over REPEATS interpreters.  A CLI op there is the whole op, as a
 ``pnsslink`` process runs it after its imports; a CSV writer is its first
 call after a transfer (or the sweep) has been solved.  The record adds the
-commit, the Python and numpy versions and the host's CPU model.
+commit, the Python and numpy versions, the host's CPU model and
+``src_lines``, the line count of the checkout's ``src/pnsslink/*.py``.
 
 With ``--json FILE --record NAME`` the record is stored under NAME in
 FILE (other records are kept), so one file can hold a ``parent`` and a
@@ -133,6 +135,11 @@ def _cpu_model() -> str:
             if line.startswith("model name"):
                 return line.split(":", 1)[1].strip()
     return platform.processor() or "unknown"
+
+
+def _src_lines(checkout: Path) -> int:
+    files = (checkout / "src" / "pnsslink").glob("*.py")
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
 
 
 def _import(checkout: Path):
@@ -335,6 +342,7 @@ def run(checkout: Path) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu": _cpu_model(),
+        "src_lines": _src_lines(checkout),
         "grid_points": points,
         "repeats": REPEATS,
         "stages": stages,

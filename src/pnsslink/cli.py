@@ -10,13 +10,14 @@ exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_GRID_POINTS, ConfigError, ScenarioConfig, load_config
+from .config import MAX_GRID_POINTS, ConfigError, ScenarioConfig, load_config, sample_config
 from .core import RegimeReport
 from .pipeline import (
     RegimeFailure,
@@ -83,16 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    # Flags are written into the document, so the hash and every sweep
-    # sample carry them.
-    overrides = {}
+    # The flags set fields of the parsed config, so the hash and every sweep
+    # sample carry them; --tol is a pulse2.tol sample, checked like the file's.
+    config = load_config(args.config)
     if args.strict:
-        overrides["strict"] = True
-    if args.tol is not None:
-        if not args.tol > 0.0:
-            raise ConfigError(f"--tol must be > 0, got {args.tol!r}")
-        overrides["pulse2.tol"] = args.tol
-    return load_config(args.config, overrides)
+        config = dataclasses.replace(config, strict=True)
+    if args.tol is None:
+        return config
+    try:
+        return sample_config(config, "pulse2.tol", args.tol)
+    except ConfigError as exc:
+        raise ConfigError(f"--tol: {exc}") from exc
 
 
 def _out_dir(args, config: ScenarioConfig) -> Path:

@@ -3,22 +3,24 @@
 A scenario is one JSON document with nested sections.  All frequencies
 are entered in MHz (implicit 2*pi), times in microseconds and lengths in
 kilometers; conversion to internal SI/rad-s units happens here and
-nowhere else.
+nowhere else.  The parsed ``ScenarioConfig`` is the one form of a
+scenario: its hash, its sweep samples and the CLI flags all act on it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .channel import ChannelModel
-from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState
+from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState, rad_per_s
 
 RENORM_TOL = 1e-6
 # ~0.7 kB per grid point (67 MB peak at 48 001, 201 MB at 240 001): at most ~0.7 GB.
@@ -52,58 +54,126 @@ def _finite(value: Any, name: str) -> float:
     return float(value)
 
 
-def _number(
-    table: dict, key: str, where: str, default: Optional[float] = None, above: float = -math.inf
-) -> float:
-    if key not in table:
-        if default is None:
-            raise ConfigError(f"missing field {where}.{key}")
-        return default
-    value = _finite(table[key], f"{where}.{key}")
+def _above(value: Any, name: str, above: float) -> float:
+    value = _finite(value, name)
     if not value > above:
-        raise ConfigError(f"{where}.{key} must be > {above:g}, got {value!r}")
+        raise ConfigError(f"{name} must be > {above:g}, got {value!r}")
     return value
 
 
-def _count(table: dict, key: str, where: str, default: Optional[int] = None) -> int:
-    value = _number(table, key, where, default, above=0.0)
+def _pair(raw: Any, name: str, above: float = -math.inf) -> tuple[float, float]:
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+        raise ConfigError(f"{name} must be a pair of numbers")
+    return _above(raw[0], f"{name}[0]", above), _above(raw[1], f"{name}[1]", above)
+
+
+_REQUIRED = object()  # a _Number default: the document must write the key
+_UNSET = object()  # a _Number default: absent is None, and the field is no sweep axis
+
+
+class _Number(NamedTuple):
+    """One number a section reads, and the parsed field it becomes."""
+
+    key: str  # document key
+    field: str  # parsed field
+    default: Any = _REQUIRED  # the parsed field when the key is absent
+    above: float = -math.inf  # exclusive lower bound
+    scale: float = 1.0  # factor to internal units
+    count: bool = False  # a whole number, parsed as an int
+
+
+# Every number the parsers read, by section ("" is the top level).  A
+# sweep axis is one of these rows (or the virtual initial_state.p_m1).
+# Whether pulse2's center_us, T2_us and omega2_mhz are read depends on
+# pulse2.mode and free, so each is an axis only where the file sets it; an
+# absent grid.points means 250 points per T1 and is an axis.
+_MHZ = rad_per_s(1.0)
+_NUMBERS = {
+    "params": (
+        *(
+            _Number(f"{name}_mhz", name, scale=_MHZ)
+            for name in ("g", "k", "gamma_sp", "omega1", "omega2", "delta",
+                         "delta_b_ground", "delta_b_excited")
+        ),
+        _Number("phi2_rad", "phi2", math.pi / 2),
+        _Number("atom_mass_kg", "atom_mass", RB87_MASS),
+        _Number("wavelength_nm", "wavelength", D2_WAVELENGTH, scale=1e-9),
+    ),
+    "pulse1": (_Number("T1_us", "t1_us", 0.3, 0.0), _Number("center_us", "center_us", 0.0)),
+    "pulse2": (
+        _Number("tol", "tol", 1e-6, 0.0),
+        _Number("center_us", "center_us", _UNSET),
+        _Number("T2_us", "t2_us", _UNSET, 0.0),
+        _Number("omega2_mhz", "omega2_mhz", _UNSET),
+        _Number("max_iterations", "max_iterations", 80, 0.0, count=True),
+    ),
+    "grid": (
+        _Number("span_in_T1", "span_in_t1", 12.0, 0.0),
+        _Number("points", "points", None, 0.0, count=True),
+    ),
+    "channel": (
+        _Number("L0_km", "length_km", 0.0),
+        _Number("atten_db_per_km", "atten_db_per_km", 2.0, 0.0),
+        _Number("phase_rate", "phase_rate_rad_per_km", 0.1),
+        _Number("p_em", "p_emission", 1.0),
+        _Number("p_abs", "p_absorption", 1.0),
+    ),
+    "": (_Number("regime_min_ratio", "regime_min_ratio", 5.0),),
+}
+
+
+def _check(row: _Number, value: Any, where: str) -> Any:
+    """A value of ``row``, checked and in internal units."""
+    name = f"{where}.{row.key}"
+    value = _above(value, name, row.above)
+    if not row.count:
+        return value * row.scale
     if value != int(value):
-        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
-def _pair(raw: Any, name: str) -> tuple[float, float]:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ConfigError(f"{name} must be a pair of numbers")
-    return _finite(raw[0], f"{name}[0]"), _finite(raw[1], f"{name}[1]")
+def _numbers(table: dict, section: str) -> dict[str, Any]:
+    """The parsed field of each of ``section``'s rows, read from ``table``."""
+    where = section or "config"
+    fields = {}
+    for row in _NUMBERS[section]:
+        if row.key in table:
+            fields[row.field] = _check(row, table[row.key], where)
+        elif row.default is _REQUIRED:
+            raise ConfigError(f"missing field {where}.{row.key}")
+        else:
+            fields[row.field] = None if row.default is _UNSET else row.default
+    return fields
 
 
+# The parsed sections.  Their numbers' defaults are in _NUMBERS.
 @dataclass(frozen=True)
 class Pulse1Config:
-    t1_us: float = 0.3
-    center_us: float = 0.0
+    t1_us: float
+    center_us: float
 
 
 @dataclass(frozen=True)
 class Pulse2Config:
-    mode: str = "solve"  # "solve" | "explicit"
-    free: str = "center"  # "center" | "amplitude"
-    tol: float = 1e-6
-    center_us: Optional[float] = None
-    t2_range_us: tuple[float, float] = (0.02, 20.0)
-    center_range_us: Optional[tuple[float, float]] = None
-    t2_us: Optional[float] = None
-    omega2_mhz: Optional[float] = None
-    max_iterations: int = 80
+    mode: str  # "solve" | "explicit"
+    free: str  # "center" | "amplitude"
+    tol: float
+    center_us: Optional[float]
+    t2_range_us: tuple[float, float]
+    center_range_us: Optional[tuple[float, float]]
+    t2_us: Optional[float]
+    omega2_mhz: Optional[float]
+    max_iterations: int
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    span_in_t1: float = 12.0
-    # Default: 250 per pulse duration (3 001 at the stock span), where the
+    span_in_t1: float
+    # None: 250 per pulse duration (3 001 at the stock span), where the
     # fourth-order cumulative areas put the solved T2 within ~2e-11 of a
     # 4x denser grid.
-    points: Optional[int] = None
+    points: Optional[int]
 
     def n_points(self) -> int:
         if self.points is not None:
@@ -126,14 +196,17 @@ class ScenarioConfig:
     grid: GridConfig
     channel: ChannelModel
     outputs: OutputsConfig
-    regime_min_ratio: float = 5.0
-    strict: bool = False
-    raw: dict = field(repr=False, compare=False, default_factory=dict)
+    regime_min_ratio: float
+    strict: bool
 
     def config_hash(self) -> str:
-        """Hash of the canonical serialized document, recorded in outputs."""
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        """Hash of the parsed scenario, recorded in outputs.
+
+        Every parsed value is a Python float, int, str, bool, complex or
+        tuple, so the dataclass ``repr`` is a canonical form: documents
+        that parse alike share a hash.
+        """
+        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
 
 
 def default_config_dict(qutrit: bool = False) -> dict:
@@ -219,27 +292,18 @@ def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> Superpositi
     return SuperpositionState(c_m1, c_0, c_p1)
 
 
+def _make_params(**fields) -> PhysicalParams:
+    try:
+        return PhysicalParams(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"params: {exc}") from exc
+
+
 def _parse_params(doc: dict) -> PhysicalParams:
     raw = _require(doc, "params", "config")
     if not isinstance(raw, dict):
         raise ConfigError("params must be a table")
-    try:
-        return PhysicalParams.from_mhz(
-            g=_number(raw, "g_mhz", "params"),
-            k=_number(raw, "k_mhz", "params"),
-            gamma_sp=_number(raw, "gamma_sp_mhz", "params"),
-            omega1=_number(raw, "omega1_mhz", "params"),
-            omega2=_number(raw, "omega2_mhz", "params"),
-            delta=_number(raw, "delta_mhz", "params"),
-            delta_b_ground=_number(raw, "delta_b_ground_mhz", "params"),
-            delta_b_excited=_number(raw, "delta_b_excited_mhz", "params"),
-            phi2=_number(raw, "phi2_rad", "params", default=math.pi / 2),
-            atom_mass=_number(raw, "atom_mass_kg", "params", default=RB87_MASS),
-            wavelength=_number(raw, "wavelength_nm", "params", default=D2_WAVELENGTH * 1e9)
-            * 1e-9,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    return _make_params(**_numbers(raw, "params"))
 
 
 def _parse_pulse1(doc: dict) -> Pulse1Config:
@@ -249,10 +313,7 @@ def _parse_pulse1(doc: dict) -> Pulse1Config:
     shape = raw.get("shape", "gaussian")
     if shape != "gaussian":
         raise ConfigError(f"pulse1.shape {shape!r} not supported in configs")
-    return Pulse1Config(
-        t1_us=_number(raw, "T1_us", "pulse1", default=0.3, above=0.0),
-        center_us=_number(raw, "center_us", "pulse1", default=0.0),
-    )
+    return Pulse1Config(**_numbers(raw, "pulse1"))
 
 
 def _parse_pulse2(doc: dict) -> Pulse2Config:
@@ -266,21 +327,15 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
     free = raw.get("free", "center")
     if free not in ("center", "amplitude"):
         raise ConfigError(f"pulse2.free must be 'center' or 'amplitude', got {free!r}")
+    center_range = raw.get("center_range_us")
     cfg = Pulse2Config(
         mode=mode,
         free=free,
-        tol=_number(raw, "tol", "pulse2", default=1e-6, above=0.0),
-        center_us=(_number(raw, "center_us", "pulse2") if "center_us" in raw else None),
-        t2_range_us=_pair(raw.get("T2_range_us", [0.02, 20.0]), "pulse2.T2_range_us"),
-        center_range_us=(
-            _pair(raw["center_range_us"], "pulse2.center_range_us")
-            if raw.get("center_range_us") is not None
-            else None
-        ),
-        t2_us=(_number(raw, "T2_us", "pulse2") if "T2_us" in raw else None),
-        omega2_mhz=(_number(raw, "omega2_mhz", "pulse2") if "omega2_mhz" in raw else None),
-        max_iterations=_count(raw, "max_iterations", "pulse2", default=80),
+        t2_range_us=_pair(raw.get("T2_range_us", [0.02, 20.0]), "pulse2.T2_range_us", 0.0),
+        center_range_us=None if center_range is None else _pair(center_range, "pulse2.center_range_us"),
+        **_numbers(raw, "pulse2"),
     )
+    # A sweep sample sets only a number that is there, so it cannot fail these.
     if cfg.mode == "explicit" and cfg.t2_us is None:
         raise ConfigError("pulse2.mode = 'explicit' needs T2_us")
     if cfg.mode == "solve" and cfg.free == "amplitude" and cfg.center_us is None:
@@ -288,31 +343,27 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
     return cfg
 
 
-def _parse_grid(doc: dict) -> GridConfig:
-    raw = _section(doc, "grid")
-    grid = GridConfig(
-        span_in_t1=_number(raw, "span_in_T1", "grid", default=12.0, above=0.0),
-        points=(_count(raw, "points", "grid") if "points" in raw else None),
-    )
+def _make_grid(**fields) -> GridConfig:
+    grid = GridConfig(**fields)
     if not 2 <= grid.n_points() <= MAX_GRID_POINTS:
         name = "grid.points" if grid.points is not None else "grid.span_in_T1"
         raise ConfigError(f"{name} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
     return grid
 
 
-def _parse_channel(doc: dict) -> ChannelModel:
-    raw = _section(doc, "channel")
-    length = _number(raw, "L0_km", "channel", default=0.0)
-    atten = _number(raw, "atten_db_per_km", "channel", default=2.0, above=0.0)
-    phase_rate = _number(raw, "phase_rate", "channel", default=0.1)
-    p_em = _number(raw, "p_em", "channel", default=1.0)
-    p_abs = _number(raw, "p_abs", "channel", default=1.0)
-    if length < 0.0:
-        raise ConfigError(f"channel.L0_km must be >= 0, got {length!r}")
-    for key, p in (("p_em", p_em), ("p_abs", p_abs)):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"channel.{key} must lie in [0, 1], got {p!r}")
-    return ChannelModel(length, atten, phase_rate, p_em, p_abs)
+def _make_channel(**fields) -> ChannelModel:
+    if fields["length_km"] < 0.0:
+        raise ConfigError(f"channel.L0_km must be >= 0, got {fields['length_km']!r}")
+    for key, name in (("p_em", "p_emission"), ("p_abs", "p_absorption")):
+        if not 0.0 <= fields[name] <= 1.0:
+            raise ConfigError(f"channel.{key} must lie in [0, 1], got {fields[name]!r}")
+    return ChannelModel(**fields)
+
+
+# The builder of each section with numbers, with the checks that span its
+# fields.  The parsers and the sweep sampler both build sections through it.
+_MAKERS = {"params": _make_params, "pulse1": Pulse1Config, "pulse2": Pulse2Config,
+           "grid": _make_grid, "channel": _make_channel}
 
 
 def _parse_outputs(doc: dict) -> OutputsConfig:
@@ -341,15 +392,15 @@ def _parse_strict(doc: dict) -> bool:
 # key it reads.  parse_config runs them in this order, so a document with
 # several faults reports the same one first.
 _PARSERS = {
-    "grid": _parse_grid,
-    "channel": _parse_channel,
+    "grid": lambda doc: _make_grid(**_numbers(_section(doc, "grid"), "grid")),
+    "channel": lambda doc: _make_channel(**_numbers(_section(doc, "channel"), "channel")),
     "outputs": _parse_outputs,
     "strict": _parse_strict,
     "params": _parse_params,
     "initial_state": _parse_state,
     "pulse1": _parse_pulse1,
     "pulse2": _parse_pulse2,
-    "regime_min_ratio": lambda doc: _number(doc, "regime_min_ratio", "config", default=5.0),
+    "regime_min_ratio": lambda doc: _numbers(doc, "")["regime_min_ratio"],
 }
 
 
@@ -357,85 +408,64 @@ def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a scenario document and convert to internal units."""
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
-    return ScenarioConfig(**{name: parse(doc) for name, parse in _PARSERS.items()}, raw=doc)
-
-
-# The numeric keys the parsers default: the _number and _count calls with
-# a default, and grid.points, which span_in_T1 sets.  A sweep axis may
-# name one the document leaves out, as if written in.
-_DEFAULTED = {
-    "regime_min_ratio", "params.phi2_rad", "params.atom_mass_kg", "params.wavelength_nm",
-    "pulse1.T1_us", "pulse1.center_us", "pulse2.tol", "pulse2.max_iterations",
-    "grid.span_in_T1", "grid.points", "channel.L0_km", "channel.atten_db_per_km",
-    "channel.phase_rate", "channel.p_em", "channel.p_abs",
-}
+    return ScenarioConfig(**{name: parse(doc) for name, parse in _PARSERS.items()})
 
 
 def sample_config(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """``config`` with the scalar at the dotted path ``axis`` set to ``value``."""
+    """``config`` with the number at the dotted path ``axis`` set to ``value``."""
     return axis_sampler(config, axis)(value)
 
 
 def axis_sampler(config: ScenarioConfig, axis: str):
     """``sample_config`` of ``config`` and ``axis`` as a function of the value.
 
-    A sample equals ``parse_config`` of the edited document, ``raw``
-    included, or raises the same ``ConfigError``; but it copies only the
-    dicts on the axis's path through ``raw`` and swaps its re-parsed
-    section into a copy of ``config``.  The virtual ``initial_state.p_m1``
-    sets the two-photon weight against c_0 and runs only the state's norm check.
+    The axis names a row of ``_NUMBERS``.  A sample runs the value through
+    the row's checks, rebuilds the row's section from the parsed one with
+    the value swapped in (through the section's ``_MAKERS`` checks) and
+    swaps that into a copy of ``config``.  So it equals ``parse_config``
+    of the document with the value written in, hash included, or raises
+    the same ``ConfigError``.  The virtual ``initial_state.p_m1`` sets the
+    two-photon weight against c_0, keeps the parsed c_p1 and runs only the
+    state's norm check.
     """
-    *sections, leaf = axis.split(".")
-    node = config.raw
-    for part in sections:
-        if not isinstance(node, dict) or part not in node and axis not in _DEFAULTED:
-            raise ConfigError(f"sweep axis {axis!r}: no section {part!r}")
-        node = node.get(part, {})
     if axis == "initial_state.p_m1":
-        c_p1 = node.get("c_p1", [0.0, 0.0])  # checked when config was parsed
-        p_p1 = sum(x * x for x in c_p1)
+        c_p1 = config.initial_state.c_p1
+        p_p1 = c_p1.real * c_p1.real + c_p1.imag * c_p1.imag
 
         def sample_state(value: float) -> ScenarioConfig:
-            if value < 0.0 or value + p_p1 > 1.0 + 1e-12:
+            if not (value >= 0.0 and value + p_p1 <= 1.0 + 1e-12):
                 raise ConfigError(f"initial_state.p_m1 = {value} leaves no weight for c_0")
             c_m1, c_0 = math.sqrt(value), math.sqrt(max(1.0 - value - p_p1, 0.0))
-            state = _normalized_state(complex(c_m1), complex(c_0), complex(*c_p1))
-            section = {**node, "c_m1": [c_m1, 0.0], "c_0": [c_0, 0.0]}
-            return _with(config, {**config.raw, "initial_state": section}, initial_state=state)
+            return _with(config, initial_state=_normalized_state(complex(c_m1), complex(c_0), c_p1))
 
         return sample_state
-    if not isinstance(node, dict) or leaf not in node and axis not in _DEFAULTED:
-        raise ConfigError(f"sweep axis {axis!r}: no field {leaf!r}")
-    if isinstance(node.get(leaf), bool) or not isinstance(node.get(leaf, 0.0), (int, float)):
-        raise ConfigError(f"sweep axis {axis!r} is not a scalar field")
-    name = axis.split(".")[0]
-    parse = _PARSERS.get(name)  # a key no parser reads changes only raw, and with it the hash
+    section, _, key = axis.rpartition(".")
+    if section not in _NUMBERS:
+        raise ConfigError(f"sweep axis {axis!r}: no section {section!r} with numbers to sweep")
+    row = next((row for row in _NUMBERS[section] if row.key == key), None)
+    parsed = getattr(config, section) if section else config
+    if row is None or row.default is _UNSET and getattr(parsed, row.field) is None:
+        raise ConfigError(f"sweep axis {axis!r}: no field {key!r} with a number to sweep")
+    if not section:
+        return lambda value: _with(config, **{row.field: _check(row, value, "config")})
+    make = _MAKERS[section]
+    fields = {f.name: getattr(parsed, f.name) for f in dataclasses.fields(parsed) if f.init}
 
     def sample(value: float) -> ScenarioConfig:
-        doc = at = dict(config.raw)
-        for part in sections:
-            at[part] = dict(at.get(part, {}))
-            at = at[part]
-        at[leaf] = float(value)
-        return _with(config, doc, **({name: parse(doc)} if parse else {}))
+        return _with(config, **{section: make(**{**fields, row.field: _check(row, value, section)})})
 
     return sample
 
 
-def _with(config: ScenarioConfig, raw: dict, **fields) -> ScenarioConfig:
-    """``config`` with ``raw`` and the already parsed ``fields`` swapped in."""
+def _with(config: ScenarioConfig, **fields) -> ScenarioConfig:
+    """``config`` with the already parsed ``fields`` swapped in."""
     sample = object.__new__(ScenarioConfig)
-    sample.__dict__.update(config.__dict__, raw=raw, **fields)
+    sample.__dict__.update(config.__dict__, **fields)
     return sample
 
 
-def load_config(path: str | Path, overrides: Optional[dict[str, Any]] = None) -> ScenarioConfig:
-    """Read and validate a JSON scenario file.
-
-    ``overrides`` maps dotted field paths (``"pulse2.tol"``, ``"strict"``)
-    to values written into the document before it is parsed, so they are
-    validated, hashed and seen by sweeps like the file's own fields.
-    """
+def load_config(path: str | Path) -> ScenarioConfig:
+    """Read and validate a JSON scenario file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -445,14 +475,6 @@ def load_config(path: str | Path, overrides: Optional[dict[str, Any]] = None) ->
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    for dotted, value in (overrides or {}).items():
-        *sections, leaf = dotted.split(".")
-        node = doc
-        for part in sections:
-            node = node.setdefault(part, {}) if isinstance(node, dict) else None
-        if not isinstance(node, dict):
-            raise ConfigError(f"cannot set {dotted}: its section is not a table")
-        node[leaf] = value
     return parse_config(doc)
 
 

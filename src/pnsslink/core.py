@@ -91,37 +91,6 @@ class PhysicalParams:
         if self.delta == 0.0:
             raise ValueError("delta must be nonzero")
 
-    @classmethod
-    def from_mhz(
-        cls,
-        *,
-        g: float,
-        k: float,
-        gamma_sp: float,
-        omega1: float,
-        omega2: float,
-        delta: float,
-        delta_b_ground: float,
-        delta_b_excited: float,
-        phi2: float = math.pi / 2,
-        atom_mass: float = RB87_MASS,
-        wavelength: float = D2_WAVELENGTH,
-    ) -> "PhysicalParams":
-        """Build from the MHz convention used by configs and the CLI."""
-        return cls(
-            g=rad_per_s(g),
-            k=rad_per_s(k),
-            gamma_sp=rad_per_s(gamma_sp),
-            omega1=rad_per_s(omega1),
-            omega2=rad_per_s(omega2),
-            delta=rad_per_s(delta),
-            delta_b_ground=rad_per_s(delta_b_ground),
-            delta_b_excited=rad_per_s(delta_b_excited),
-            phi2=phi2,
-            atom_mass=atom_mass,
-            wavelength=wavelength,
-        )
-
 
 @dataclass(frozen=True)
 class DerivedQuantities:

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from pnsslink.core import PhysicalParams, SuperpositionState, derive
+from pnsslink.core import PhysicalParams, SuperpositionState, derive, rad_per_s
 from pnsslink.numerics import TimeGrid
 from pnsslink.sender import PulseShape
 
 T1 = 0.3e-6
 
 
+def mhz_params(**mhz: float) -> PhysicalParams:
+    """Parameters from frequencies in MHz (implicit 2*pi), as configs give them."""
+    return PhysicalParams(**{name: rad_per_s(value) for name, value in mhz.items()})
+
+
 @pytest.fixture(scope="session")
 def stock_params() -> PhysicalParams:
-    return PhysicalParams.from_mhz(
+    return mhz_params(
         g=12.0,
         k=3.0,
         gamma_sp=5.87,

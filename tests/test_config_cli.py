@@ -91,6 +91,35 @@ class TestConfigParsing:
         b = parse_config(default_config_dict())
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize(
+        "section, key, value, same",
+        [
+            ("pulse1", "shape", None, True),
+            ("pulse2", "family", None, True),
+            ("channel", "p_em", 1.0, True),
+            ("params", "g_mhz", 12, True),
+            ("params", "g_mhz", 12.5, False),
+            ("channel", "p_abs", 0.9, False),
+            ("pulse2", "tol", 1e-9, False),
+            (None, "strict", True, False),
+        ],
+        ids=[
+            "no-shape", "no-family", "p_em-written", "int-g", "other-g", "other-p_abs",
+            "other-tol", "strict",
+        ],
+    )
+    def test_hash_is_that_of_the_parsed_scenario(self, section, key, value, same):
+        # Documents that parse alike share a hash; a changed parsed value changes it.
+        doc = small_doc()
+        table = doc[section] if section else doc
+        if value is None:
+            del table[key]
+        else:
+            table[key] = value
+        base, edited = parse_config(small_doc()), parse_config(doc)
+        assert (edited == base) is same
+        assert (edited.config_hash() == base.config_hash()) is same
+
     def test_missing_params_field(self):
         doc = small_doc()
         del doc["params"]["k_mhz"]
@@ -325,6 +354,10 @@ class TestCli:
             # Validation only: both are rejected before any array exists.
             ("grid", {"span_in_T1": 12.0, "points": MAX_GRID_POINTS + 1}, "grid.points"),
             ("grid", {"span_in_T1": 1e4}, "grid.span_in_T1"),
+            ("pulse2", {"T2_range_us": [0, 20]}, "pulse2.T2_range_us"),
+            ("pulse2", {"T2_range_us": [-1, 20]}, "pulse2.T2_range_us"),
+            ("pulse2", {"mode": "explicit", "T2_us": 0}, "pulse2.T2_us"),
+            ("pulse2", {"mode": "explicit", "T2_us": -0.3}, "pulse2.T2_us"),
         ],
     )
     def test_out_of_range_setting_exit_code(self, tmp_path, capsys, section, value, field):
@@ -366,7 +399,7 @@ class TestCli:
         out = tmp_path / "out"
         code = main(["transfer", "--config", str(path), "--out", str(out), "--tol", "1e-9"])
         assert code == 1
-        assert "pulse2.tol" in capsys.readouterr().err
+        assert "pulse2 must be a table" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("num", ["0", "-3"])
@@ -611,9 +644,9 @@ class TestCli:
         assert len(sig) <= 15
 
 
-def edited_doc(raw: dict, axis: str, value: float) -> dict:
-    """A deep copy of ``raw`` with the sample's edit made by hand."""
-    doc = json.loads(json.dumps(raw))
+def edited_doc(doc: dict, axis: str, value: float) -> dict:
+    """A deep copy of ``doc`` with the sample's edit made by hand."""
+    doc = json.loads(json.dumps(doc))
     if axis == "initial_state.p_m1":
         p_p1 = sum(x * x for x in doc["initial_state"].get("c_p1", [0.0, 0.0]))
         doc["initial_state"]["c_m1"] = [math.sqrt(value), 0.0]
@@ -622,7 +655,7 @@ def edited_doc(raw: dict, axis: str, value: float) -> dict:
     *sections, leaf = axis.split(".")
     node = doc
     for part in sections:
-        node = node[part]
+        node = node.setdefault(part, {})
     node[leaf] = value
     return doc
 
@@ -635,7 +668,42 @@ def sample_doc(qutrit: bool) -> dict:
     return doc
 
 
-# One axis in every section the builder re-parses, and the top-level ratio.
+def check_sample(qutrit: bool, axis: str, value: float):
+    """``sample_config`` against ``parse_config`` of the edited document.
+
+    Either both give the same config with the same hash (returned), or
+    both raise a ``ConfigError`` with the same message (returned).  Two
+    axes have their own error: an ``initial_state.p_m1`` that leaves no
+    weight for c_0, and pulse2's T2_us or omega2_mhz, which the stock
+    documents leave out and so are no axes there.
+    """
+    doc = sample_doc(qutrit)
+    config = parse_config(doc)
+    try:
+        sample = sample_config(config, axis, value)
+    except ConfigError as exc:
+        sample = exc
+    assert config == parse_config(doc)  # the parent is not edited
+    section, _, key = axis.rpartition(".")
+    if axis == "initial_state.p_m1" and isinstance(sample, ConfigError):
+        p_p1 = sum(x * x for x in doc["initial_state"]["c_p1"])
+        assert not (value >= 0.0 and value + p_p1 <= 1.0 + 1e-12)
+        assert str(sample) == f"initial_state.p_m1 = {value} leaves no weight for c_0"
+        return sample
+    if key in ("center_us", "T2_us", "omega2_mhz") and key not in doc.get(section, doc):
+        assert str(sample) == f"sweep axis {axis!r}: no field {key!r} with a number to sweep"
+        return sample
+    try:
+        expected = parse_config(edited_doc(doc, axis, value))
+    except ConfigError as exc:
+        assert isinstance(sample, ConfigError) and str(sample) == str(exc)
+        return sample
+    assert sample == expected
+    assert sample.config_hash() == expected.config_hash()
+    return sample
+
+
+# One axis in every section the sampler rebuilds, and the top-level ratio.
 SAMPLE_CASES = [
     (False, "params.g_mhz", 12.5),
     (False, "params.phi2_rad", 0.7),
@@ -665,55 +733,74 @@ BAD_SAMPLE_CASES = [
     (True, "initial_state.p_m1", 0.85),
 ]
 
+# Every number a parser reads, as a sweep axis, and the virtual p_m1.
+AXES = [
+    f"{section}.{row.key}" if section else row.key
+    for section, rows in config_mod._NUMBERS.items()
+    for row in rows
+] + ["initial_state.p_m1"]
+
+# In range for most axes (grid.points too), zero, negative, huge,
+# non-integral and non-finite.
+VALUES = st.one_of(
+    st.floats(0.01, 20.0),
+    st.integers(2, 5000).map(float),
+    st.floats(-1e3, 0.0),
+    st.sampled_from([0.0, -0.0, 0.5, 3000.5, MAX_GRID_POINTS + 1.0, 1e300, -1e300, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
 
 class TestSampleConfig:
     @pytest.mark.parametrize("qutrit, axis, value", SAMPLE_CASES)
     def test_sample_equals_parse_of_edited_doc(self, qutrit, axis, value):
-        config = parse_config(sample_doc(qutrit))
-        before = json.dumps(config.raw, sort_keys=True)
-        sample = sample_config(config, axis, value)
-        expected = parse_config(edited_doc(config.raw, axis, value))
-        assert sample == expected
-        assert sample.raw == expected.raw
-        assert sample.config_hash() == expected.config_hash()
-        assert sample != config
-        assert json.dumps(config.raw, sort_keys=True) == before  # the parent is not edited
+        sample = check_sample(qutrit, axis, value)
+        assert not isinstance(sample, ConfigError)
+        assert sample != parse_config(sample_doc(qutrit))
 
     @pytest.mark.parametrize("qutrit, axis, value", BAD_SAMPLE_CASES)
     def test_bad_value_raises_the_parse_error(self, qutrit, axis, value):
-        config = parse_config(sample_doc(qutrit))
-        if axis == "initial_state.p_m1":
-            message = f"initial_state.p_m1 = {value} leaves no weight for c_0"
-        else:
-            with pytest.raises(ConfigError) as parsed:
-                parse_config(edited_doc(config.raw, axis, value))
-            message = str(parsed.value)
-        with pytest.raises(ConfigError) as sampled:
-            sample_config(config, axis, value)
-        assert str(sampled.value) == message
+        assert isinstance(check_sample(qutrit, axis, value), ConfigError)
+
+    @given(qutrit=st.booleans(), axis=st.sampled_from(AXES), value=VALUES)
+    @settings(deadline=None, max_examples=400)
+    def test_every_axis_samples_like_the_edited_doc(self, qutrit, axis, value):
+        check_sample(qutrit, axis, value)
 
     @pytest.mark.parametrize(
         "axis, message",
         [
             ("nosuch.x", "no section 'nosuch'"),
             ("params.nosuch", "no field 'nosuch'"),
-            ("params.g_mhz.x", "no field 'x'"),
-            ("initial_state.c_m1", "is not a scalar field"),
-            ("pulse1.shape", "is not a scalar field"),
+            ("params.g_mhz.x", "no section 'params.g_mhz'"),
+            ("initial_state.c_m1", "no section 'initial_state'"),
+            ("pulse1.shape", "no field 'shape'"),
             ("strict", "no field 'strict'"),
+            ("config.regime_min_ratio", "no section 'config'"),
+            ("pulse2.T2_us", "no field 'T2_us'"),
         ],
     )
     def test_bad_axis(self, axis, message):
         config = parse_config(sample_doc(False))
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=message) as exc:
             sample_config(config, axis, 1.0)
+        assert f"sweep axis {axis!r}" in str(exc.value)
+
+    def test_key_no_parser_reads_is_no_axis(self):
+        # Written in, it changes neither the parsed config nor its hash.
+        doc = sample_doc(False)
+        doc["params"]["nosuch"] = 1.0
+        config = parse_config(doc)
+        assert config.config_hash() == parse_config(sample_doc(False)).config_hash()
+        with pytest.raises(ConfigError, match="no field 'nosuch'"):
+            sample_config(config, "params.nosuch", 2.0)
 
     def test_copies_only_the_axis_path(self):
         config = parse_config(sample_doc(False))
         sample = sample_config(config, "channel.L0_km", 1.0)
-        assert sample.raw["channel"] is not config.raw["channel"]
-        assert sample.raw["params"] is config.raw["params"]
-        assert sample.params is config.params  # only the channel section is parsed again
+        assert sample.channel is not config.channel and sample.channel.length_km == 1.0
+        for name in ("params", "initial_state", "pulse1", "pulse2", "grid", "outputs"):
+            assert getattr(sample, name) is getattr(config, name)  # only the channel is rebuilt
 
     @pytest.mark.parametrize("axis", ["initial_state.p_m1", "channel.L0_km", "params.phi2_rad"])
     def test_sweep_parses_no_document(self, monkeypatch, axis):
@@ -746,14 +833,9 @@ def test_defaulted_field_samples_like_a_written_one(axis, value, absent):
     elif sections:
         doc[sections[0]].pop(leaf, None)
     config = parse_config(doc)
-    expected = json.loads(json.dumps(doc))
-    node = expected
-    for part in sections:
-        node = node.setdefault(part, {})
-    node[leaf] = value
+    expected = edited_doc(doc, axis, value)
     sample = sample_config(config, axis, value)
     assert sample == parse_config(expected)
-    assert sample.raw == expected
     assert sample.config_hash() == parse_config(expected).config_hash()
 
 
@@ -921,8 +1003,8 @@ class TestSweepSemantics:
     def test_default_grid_agrees_with_4x_grid(self):
         # The default grid's discretisation error, estimated against a 4x
         # denser grid on the stock qubit scenario.
-        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "qubit.json")
-        dense_doc = json.loads(json.dumps(config.raw))
+        config = load_config(CONFIGS / "qubit.json")
+        dense_doc = json.loads((CONFIGS / "qubit.json").read_text(encoding="utf-8"))
         dense_doc["grid"]["points"] = 4 * (config.grid.n_points() - 1) + 1
         assert dense_doc["grid"]["points"] == 12001
         default, dense = run_transfer(config), run_transfer(parse_config(dense_doc))

@@ -14,6 +14,8 @@ from pnsslink.core import (
     validate_regime,
 )
 
+from conftest import mhz_params
+
 T1 = 0.3e-6
 
 
@@ -38,7 +40,7 @@ class TestDerive:
         assert stock_derived.omega_rec == pytest.approx(TWO_PI * 3.77e3, rel=0.01)
 
     def test_zero_drive(self, stock_params):
-        params = PhysicalParams.from_mhz(
+        params = mhz_params(
             g=12.0, k=3.0, gamma_sp=5.87, omega1=0.0, omega2=10.0, delta=100.0,
             delta_b_ground=15.0, delta_b_excited=15.0,
         )
@@ -54,11 +56,11 @@ class TestDerive:
     @given(factor=st.floats(0.1, 10.0))
     @settings(deadline=None, max_examples=30)
     def test_scaling_leaves_g1_fixed(self, factor):
-        base = PhysicalParams.from_mhz(
+        base = mhz_params(
             g=12.0, k=3.0, gamma_sp=5.87, omega1=10.0, omega2=10.0, delta=100.0,
             delta_b_ground=15.0, delta_b_excited=15.0,
         )
-        scaled = PhysicalParams.from_mhz(
+        scaled = mhz_params(
             g=12.0, k=3.0, gamma_sp=5.87, omega1=10.0 * factor, omega2=10.0,
             delta=100.0 * factor, delta_b_ground=15.0, delta_b_excited=15.0,
         )
@@ -67,14 +69,14 @@ class TestDerive:
     @given(omega1=st.floats(0.5, 50.0), delta=st.floats(20.0, 500.0))
     @settings(deadline=None, max_examples=30)
     def test_rsn_independent_of_drive(self, omega1, delta):
-        params = PhysicalParams.from_mhz(
+        params = mhz_params(
             g=12.0, k=3.0, gamma_sp=5.87, omega1=omega1, omega2=10.0, delta=delta,
             delta_b_ground=15.0, delta_b_excited=15.0,
         )
         assert derive(params).r_sn == pytest.approx(576.0 / 17.61, rel=1e-12)
 
     def test_signed_delta_uses_magnitude(self):
-        params = PhysicalParams.from_mhz(
+        params = mhz_params(
             g=12.0, k=3.0, gamma_sp=5.87, omega1=10.0, omega2=10.0, delta=-100.0,
             delta_b_ground=15.0, delta_b_excited=15.0,
         )
@@ -84,14 +86,14 @@ class TestDerive:
 class TestParamValidation:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError, match="k"):
-            PhysicalParams.from_mhz(
+            mhz_params(
                 g=12.0, k=0.0, gamma_sp=5.87, omega1=10.0, omega2=10.0, delta=100.0,
                 delta_b_ground=15.0, delta_b_excited=15.0,
             )
 
     def test_rejects_zero_detuning(self):
         with pytest.raises(ValueError, match="delta"):
-            PhysicalParams.from_mhz(
+            mhz_params(
                 g=12.0, k=3.0, gamma_sp=5.87, omega1=10.0, omega2=10.0, delta=0.0,
                 delta_b_ground=15.0, delta_b_excited=15.0,
             )
@@ -139,7 +141,7 @@ class TestValidateRegime:
         assert check.passed
 
     def test_zeeman_equal_to_decay_fails(self, stock_derived):
-        params = PhysicalParams.from_mhz(
+        params = mhz_params(
             g=12.0, k=3.0, gamma_sp=5.87, omega1=10.0, omega2=10.0, delta=100.0,
             delta_b_ground=3.0, delta_b_excited=15.0,
         )
