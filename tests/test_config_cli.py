@@ -690,7 +690,7 @@ def check_sample(qutrit: bool, axis: str, value: float):
         assert not (value >= 0.0 and value + p_p1 <= 1.0 + 1e-12)
         assert str(sample) == f"initial_state.p_m1 = {value} leaves no weight for c_0"
         return sample
-    if key in ("center_us", "T2_us", "omega2_mhz") and key not in doc.get(section, doc):
+    if axis in ("pulse2.center_us", "pulse2.T2_us", "pulse2.omega2_mhz") and key not in doc[section]:
         assert str(sample) == f"sweep axis {axis!r}: no field {key!r} with a number to sweep"
         return sample
     try:
