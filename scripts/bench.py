@@ -159,7 +159,7 @@ def _setup(checkout: Path):
     config = load_config(checkout / SCENARIO)
     link = pipeline.build_link(config)
     result = pipeline.run_transfer_on(link, config)
-    sweep = pipeline.run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, SWEEP_NUM))
+    sweep, _ = pipeline.run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, SWEEP_NUM))
     return config, link, result, sweep
 
 
@@ -189,11 +189,11 @@ def _cli_ops(checkout: Path, out: Path) -> dict:
     }
 
 
-def _check_08_config():
+def _check_08_config(checkout: Path):
     """Acceptance check 08's scenario: a free-center solve at g raised 25 %."""
-    from pnsslink.config import default_config_dict, parse_config
+    from pnsslink.config import parse_config
 
-    doc = default_config_dict()
+    doc = json.loads((checkout / SCENARIO).read_text(encoding="utf-8"))
     doc["params"]["g_mhz"] = 1.25 * doc["params"]["g_mhz"]
     doc["pulse2"]["free"] = "center"
     doc["pulse2"]["tol"] = 1e-6
@@ -290,7 +290,7 @@ def run(checkout: Path) -> dict:
     area_args = (link.pulse2, sender.modes.phi1, sender.modes.phi2, g2c, params.k)
     p_m1 = np.linspace(0.0, 1.0, SWEEP_NUM)
     points = sender.grid.n_points
-    config_08 = _check_08_config()
+    config_08 = _check_08_config(checkout)
     sender_08 = pipeline.build_sender(config_08)
 
     stages: dict[str, dict] = {}

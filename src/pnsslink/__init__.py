@@ -17,7 +17,7 @@ from .channel import (
     success_probability,
     transmission_efficiency,
 )
-from .config import ConfigError, ScenarioConfig, default_config, load_config, parse_config
+from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .core import (
     DerivedQuantities,
     PhysicalParams,

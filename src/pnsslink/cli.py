@@ -2,8 +2,9 @@
 
 Subcommands: send, transfer, sweep.  Exit codes: 0 ok, 1 config or
 usage error (an unknown subcommand or flag, a missing ``--config``),
-2 pulse-solve non-convergence, 3 strict-mode regime failure (for
-``sweep``, of any link it builds; nothing is written).  Any other
+2 pulse-solve non-convergence (for ``sweep``, of any link; its rows are
+still written), 3 strict-mode regime failure (of any link a command
+builds, before its pulse solve; nothing is written).  Any other
 exception is a bug and propagates with its traceback.
 """
 
@@ -101,22 +102,16 @@ def _out_dir(args, config: ScenarioConfig) -> Path:
     return Path(args.out) if args.out else Path(config.outputs.directory)
 
 
-def _print_regime(regime: RegimeReport, strict: bool) -> int:
+def _print_regime(regime: RegimeReport) -> None:
     print("regime checks:")
     for line in regime.summary_lines():
         print(f"  {line}")
-    if strict and not regime.passed:
-        print("strict mode: aborting on regime failure", file=sys.stderr)
-        return EXIT_REGIME
-    return EXIT_OK
 
 
 def _cmd_send(args) -> int:
     config = _load(args)
     result = run_send(config)
-    code = _print_regime(result.regime, config.strict)
-    if code != EXIT_OK:
-        return code
+    _print_regime(result.sender.regime)
     out = _out_dir(args, config)
     wrote = [
         write_sender_csv(result, out / "sender.csv"),
@@ -132,9 +127,7 @@ def _cmd_send(args) -> int:
 def _cmd_transfer(args) -> int:
     config = _load(args)
     result = run_transfer(config)
-    code = _print_regime(result.send.regime, config.strict)
-    if code != EXIT_OK:
-        return code
+    _print_regime(result.link.sender.regime)
     out = _out_dir(args, config)
     which = config.outputs.which
     wrote = []
@@ -150,12 +143,10 @@ def _cmd_transfer(args) -> int:
         wrote.append(write_regime_json(result.send, out / "regime.json"))
     for path in wrote:
         print(f"wrote {path}")
-    print(f"fidelity: {result.final.fidelity:.6f}")
-    print(
-        "area residuals: "
-        f"eta {result.report.eta_residual:.3e}, zeta {result.report.zeta_residual:.3e}"
-    )
-    if result.solve is not None and not result.solve.converged:
+    link = result.link
+    print(f"fidelity: {result.report.final.fidelity:.6f}")
+    print(f"area residuals: eta {link.eta_residual:.3e}, zeta {link.zeta_residual:.3e}")
+    if link.solve is not None and not link.solve.converged:
         print("pulse solve did not converge; report carries best residuals", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
@@ -172,13 +163,14 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--stop - --start overflows: {args.stop} - {args.start}")
     config = _load(args)
     values = np.linspace(args.start, args.stop, args.num)
-    try:
-        rows = run_sweep(config, args.axis, values)
-    except RegimeFailure as exc:
-        return _print_regime(exc.regime, strict=True)
+    rows, unconverged = run_sweep(config, args.axis, values)
     out = _out_dir(args, config)
     path = write_sweep_csv(rows, config, out / "sweep.csv")
     print(f"wrote {path}")
+    if unconverged:
+        print(f"pulse solve did not converge on {unconverged} link(s); rows carry best residuals",
+              file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -198,6 +190,10 @@ def main(argv: list[str] | None = None) -> int:
     except PulseSolveError as exc:
         print(f"pulse solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except RegimeFailure as exc:
+        _print_regime(exc.regime)
+        print("strict mode: aborting on regime failure", file=sys.stderr)
+        return EXIT_REGIME
 
 
 if __name__ == "__main__":

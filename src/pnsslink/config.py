@@ -209,56 +209,6 @@ class ScenarioConfig:
         return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
 
 
-def default_config_dict(qutrit: bool = False) -> dict:
-    """Stock scenario document (editable starting point).
-
-    The control-pulse solve runs in the fixed-center mode with a free
-    amplitude because, for these parameters, a pulse with the same peak
-    amplitude as the sender cannot accumulate the required areas (see
-    README); the amplitude comes out about 13 percent higher.
-    """
-    if qutrit:
-        state = {
-            "c_m1": [math.sqrt(0.5), 0.0],
-            "c_0": [math.sqrt(0.3), 0.0],
-            "c_p1": [math.sqrt(0.2), 0.0],
-        }
-    else:
-        state = {
-            "c_m1": [math.sqrt(0.7), 0.0],
-            "c_0": [math.sqrt(0.3), 0.0],
-            "c_p1": [0.0, 0.0],
-        }
-    return {
-        "params": {
-            "g_mhz": 12.0,
-            "k_mhz": 3.0,
-            "gamma_sp_mhz": 5.87,
-            "omega1_mhz": 10.0,
-            "omega2_mhz": 10.0,
-            "delta_mhz": 100.0,
-            "delta_b_ground_mhz": 15.0,
-            "delta_b_excited_mhz": 15.0,
-            "phi2_rad": math.pi / 2,
-            "atom_mass_kg": RB87_MASS,
-            "wavelength_nm": D2_WAVELENGTH * 1e9,
-        },
-        "initial_state": state,
-        "pulse1": {"shape": "gaussian", "T1_us": 0.3, "center_us": 0.0},
-        "pulse2": {
-            "mode": "solve",
-            "family": "gaussian",
-            "free": "amplitude",
-            "center_us": 0.15,
-            "T2_range_us": [0.02, 20.0],
-            "tol": 1e-6,
-        },
-        "grid": {"span_in_T1": 12.0},
-        "channel": {"L0_km": 0.06, "atten_db_per_km": 2.0, "phase_rate": 0.1},
-        "outputs": {"directory": "out", "which": ["sender", "photonics", "receiver", "report"]},
-    }
-
-
 def _parse_amplitude(raw: Any, name: str) -> complex:
     return complex(*_pair(raw, f"initial_state.{name}"))
 
@@ -477,7 +427,3 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     return parse_config(doc)
 
-
-def default_config(qutrit: bool = False) -> ScenarioConfig:
-    """Parsed stock scenario."""
-    return parse_config(default_config_dict(qutrit=qutrit))

@@ -9,9 +9,10 @@ conditions involve only the mode functions, so one solved link serves
 every input state and every fiber channel.  The per-state stage
 (``run_transfer_on``) sends one input state over a link: absorption
 amplitudes, bookkeeping residual and the end-value ``Summary`` its
-report is.  ``SendResult`` builds the sender's emission amplitudes and
-photon statistics only when a CSV writer reads them.  ``run_send`` never
-solves a pulse.  ``run_sweep`` builds a new link only when a sample's
+report is.  Each value has one home: a link's in ``Link`` or
+``SenderLink``, a state's in ``Summary``.  ``SendResult`` builds the
+sender's emission amplitudes and photon statistics only when a CSV
+writer reads them.  ``run_send`` never solves a pulse.  ``run_sweep`` builds a new link only when a sample's
 physics differs from the previous sample's, and writes the columns of
 one ``Summary`` per link.
 """
@@ -33,7 +34,6 @@ from .channel import ChannelModel
 from .config import ScenarioConfig, axis_sampler
 from .core import (
     DerivedQuantities,
-    PhysicalParams,
     RegimeReport,
     StateBatch,
     derive,
@@ -69,7 +69,7 @@ US = 1e-6
 
 
 class RegimeFailure(Exception):
-    """A strict run met a link that fails a regime check."""
+    """A strict run's sender fails a regime check; raised before any pulse solve."""
 
     def __init__(self, regime: RegimeReport):
         super().__init__("regime check failed")
@@ -80,7 +80,6 @@ class RegimeFailure(Exception):
 class SenderLink:
     """The sending node's half of a link: no input state enters."""
 
-    params: PhysicalParams
     derived: DerivedQuantities
     regime: RegimeReport
     grid: TimeGrid
@@ -107,6 +106,8 @@ class Link:
     solve: Optional[PulseSolveResult]
     eta: SampledFunction
     zeta: SampledFunction
+    eta_residual: float  # eta(inf) - pi
+    zeta_residual: float  # zeta(inf) - pi
 
 
 @dataclass(frozen=True)
@@ -116,39 +117,31 @@ class SendResult:
     config: ScenarioConfig
     sender: SenderLink
 
-    params = property(lambda self: self.config.params)
-    derived = property(lambda self: self.sender.derived)
-    regime = property(lambda self: self.sender.regime)
-    grid = property(lambda self: self.sender.grid)
-    pulse1 = property(lambda self: self.sender.pulse1)
-    theta = property(lambda self: self.sender.theta)
-
     @cached_property
     def emission(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """n_out and the photon fluxes on the grid: a transfer's residual reads them too."""
         c = self.config.initial_state
-        return mean_photon_number(self.theta, c), photon_fluxes(self.theta, self.sender.modes, c)
+        theta = self.sender.theta
+        return mean_photon_number(theta, c), photon_fluxes(theta, self.sender.modes, c)
 
     @cached_property
     def trajectory(self) -> SenderTrajectory:
-        return amplitudes_beta(self.theta, self.config.initial_state)
+        return amplitudes_beta(self.sender.theta, self.config.initial_state)
 
     @cached_property
     def observables(self) -> PhotonObservables:
-        c = self.config.initial_state
-        return photon_observables(self.theta, self.sender.modes, c, self.trajectory, *self.emission)
+        c, sender = self.config.initial_state, self.sender
+        return photon_observables(sender.theta, sender.modes, c, self.trajectory, *self.emission)
 
 
 @dataclass(frozen=True)
 class Summary:
     """End values of input states sent over one link, as ``summarize`` reads them.
 
-    A per-state field holds a scalar for one state (a transfer's report)
-    or a column for a ``StateBatch`` (a sweep's).  Link values read
-    through ``link``.
+    A field holds a scalar for one state (a transfer's report) or a column
+    for a ``StateBatch`` (a sweep's).  The link's values are in ``Link``.
     """
 
-    link: Link
     final: FinalState
     n_out_final: float | np.ndarray
     success_one_photon: float | np.ndarray
@@ -156,22 +149,6 @@ class Summary:
     weighted_success: float | np.ndarray
     phase_drift_rad: float | np.ndarray
     conservation_residual_max: Optional[float] = None  # full grid: a transfer's only
-
-    fidelity = property(lambda self: self.final.fidelity)
-    leakage = property(lambda self: self.final.leakage)
-    end_to_end = property(lambda self: self.final.fidelity * self.weighted_success)
-    phase_warning = property(lambda self: self.phase_drift_rad > channel_mod.PHASE_WARN_THRESHOLD)
-    r_sn = property(lambda self: self.link.sender.derived.r_sn)
-    mode_overlap = property(lambda self: self.link.sender.overlap)
-    eta_residual = property(lambda self: float(self.link.eta.final - math.pi))
-    zeta_residual = property(lambda self: float(self.link.zeta.final - math.pi))
-    solved_duration_s = property(lambda self: self.link.pulse2.duration)
-    solved_center_s = property(lambda self: self.link.pulse2.center)
-    solved_omega2 = property(lambda self: self.link.omega2)
-    # None, and mode "explicit", for an explicit receiving pulse.
-    solver_iterations = property(lambda self: self.link.solve.iterations if self.link.solve else None)
-    solver_mode = property(lambda self: self.link.solve.mode if self.link.solve else "explicit")
-    solver_converged = property(lambda self: self.link.solve.converged if self.link.solve else None)
 
 
 @dataclass(frozen=True)
@@ -182,10 +159,9 @@ class TransferResult:
     residual: np.ndarray
     report: Summary  # of the input state, with the full-grid residual maximum
 
-    final = property(lambda self: self.report.final)
+    # perfbench/make_reference.py reads these two.
     pulse2 = property(lambda self: self.link.pulse2)
     omega2 = property(lambda self: self.link.omega2)
-    solve = property(lambda self: self.link.solve)
 
 
 def build_grid(config: ScenarioConfig) -> TimeGrid:
@@ -202,17 +178,21 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 
 
 def build_sender(config: ScenarioConfig) -> SenderLink:
-    """Regime checks, grid, exposure and photon modes of the sending node."""
+    """Regime checks, grid, exposure and photon modes of the sending node.
+
+    With ``config.strict``, a failed regime check raises ``RegimeFailure``.
+    """
     params = config.params
     derived = derive(params)
     t1 = config.pulse1.t1_us * US
     regime = validate_regime(params, derived, t1, min_ratio=config.regime_min_ratio)
+    if config.strict and not regime.passed:
+        raise RegimeFailure(regime)
     grid = build_grid(config)
     pulse1 = PulseShape(kind="gaussian", duration=t1, center=config.pulse1.center_us * US)
     theta = pump_exposure(pulse1, derived.alpha1, grid)
     modes = emission_modes(theta, pulse1, derived.alpha1)
     return SenderLink(
-        params=params,
         derived=derived,
         regime=regime,
         grid=grid,
@@ -266,17 +246,11 @@ def _resolve_pulse2(
     return solve.pulse, solve.omega2, solve
 
 
-def build_link(config: ScenarioConfig, strict: bool = False) -> Link:
-    """The state-free stage of a transfer: sender half, receiving pulse, areas.
-
-    With ``strict``, a failed regime check raises ``RegimeFailure``
-    before the pulse solve.
-    """
+def build_link(config: ScenarioConfig) -> Link:
+    """The state-free stage of a transfer: sender half, receiving pulse, areas."""
     sender = build_sender(config)
-    if strict and not sender.regime.passed:
-        raise RegimeFailure(sender.regime)
     pulse2, omega2, solve = _resolve_pulse2(config, sender)
-    params = sender.params
+    params = config.params
     g2_coupling = params.g * omega2 / abs(params.delta)
     modes = sender.modes
     eta, zeta = pulse_areas(pulse2, modes.phi1, modes.phi2, g2_coupling, params.k, sender.grid)
@@ -288,6 +262,8 @@ def build_link(config: ScenarioConfig, strict: bool = False) -> Link:
         solve=solve,
         eta=eta,
         zeta=zeta,
+        eta_residual=float(eta.final - math.pi),
+        zeta_residual=float(zeta.final - math.pi),
     )
 
 
@@ -304,12 +280,12 @@ def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
     n_out, (flux_total, _, _) = send.emission
     residual = conservation_check(receiver, n_out, flux_total, config.params.k)
     residual_max = float(np.max(np.abs(residual)))
-    report = summarize(link, c, receiver, n_out, _budget(config.channel), residual_max)
+    report = summarize(c, receiver, n_out, _budget(config.channel), residual_max)
     return TransferResult(send=send, link=link, receiver=receiver, residual=residual, report=report)
 
 
-def summarize(link: Link, c, receiver, n_out, budget, residual_max=None) -> Summary:
-    """The end values of state ``c`` or of a ``StateBatch`` ``c`` sent over ``link``.
+def summarize(c, receiver, n_out, budget, residual_max=None) -> Summary:
+    """The end values of state ``c`` or of a ``StateBatch`` ``c`` sent over one link.
 
     ``receiver`` and ``n_out`` are their closed forms on a grid that ends
     where the link's does, ``budget`` their channels' ``_budget`` (columns
@@ -321,7 +297,7 @@ def summarize(link: Link, c, receiver, n_out, budget, residual_max=None) -> Summ
     populations = np.array(c.populations).reshape(3, *final.fidelity.shape)
     weighted = channel_mod.weighted_success(populations, success_one, success_two)
     last = n_out.T[-1]  # each state's last sample
-    return Summary(link, final, last, success_one, success_two, weighted, drift, residual_max)
+    return Summary(final, last, success_one, success_two, weighted, drift, residual_max)
 
 
 def _budget(ch: ChannelModel) -> tuple[float, float, float, float, float]:
@@ -346,10 +322,10 @@ def _write_table(path: str | Path, table: dict[str, np.ndarray], config: Scenari
 
 def write_sender_csv(send: SendResult, path: str | Path) -> Path:
     traj = send.trajectory
-    t = send.grid.values
+    t = send.sender.grid.values
     table = {
         "t_s": t,
-        "kt": send.params.k * t,
+        "kt": send.config.params.k * t,
         "theta": traj.theta,
         "sigma_m1": traj.sigma_m1,
         "sigma_0": traj.sigma_0,
@@ -373,7 +349,7 @@ def write_sender_csv(send: SendResult, path: str | Path) -> Path:
 def write_photonics_csv(send: SendResult, path: str | Path) -> Path:
     obs = send.observables
     table = {
-        "kt": send.params.k * send.grid.values,
+        "kt": send.config.params.k * send.sender.grid.values,
         "P0": obs.p0,
         "P1": obs.p1,
         "P2": obs.p2,
@@ -389,7 +365,7 @@ def write_photonics_csv(send: SendResult, path: str | Path) -> Path:
 def write_receiver_csv(result: TransferResult, path: str | Path) -> Path:
     rec = result.receiver
     table = {
-        "kt": result.send.params.k * result.send.grid.values,
+        "kt": result.send.config.params.k * result.link.sender.grid.values,
         "eta": rec.eta,
         "zeta": rec.zeta,
         "gamma2_0_0": np.abs(rec.g_0_0) ** 2,
@@ -408,42 +384,43 @@ def write_receiver_csv(result: TransferResult, path: str | Path) -> Path:
 
 def report_document(result: TransferResult) -> dict:
     """The ``report.json`` document of one transfer."""
-    rep = result.report
-    c_m1, c_0, c_p1 = ([z.real, z.imag] for z in rep.final.state.tolist())
+    rep, link = result.report, result.link
+    final, solve = rep.final, link.solve  # solve: None for an explicit receiving pulse
+    c_m1, c_0, c_p1 = ([z.real, z.imag] for z in final.state.tolist())
     return {
         "config_hash": result.send.config.config_hash(),
-        "regime": result.send.regime.to_dict(),
-        "fidelity": rep.fidelity,
+        "regime": link.sender.regime.to_dict(),
+        "fidelity": final.fidelity,
         "success": {
             "one_photon": rep.success_one_photon,
             "two_photon": rep.success_two_photon,
             "weighted": rep.weighted_success,
-            "end_to_end": rep.end_to_end,
+            "end_to_end": final.fidelity * rep.weighted_success,
         },
         "phase_drift_rad": rep.phase_drift_rad,
-        "phase_warning": rep.phase_warning,
+        "phase_warning": rep.phase_drift_rad > channel_mod.PHASE_WARN_THRESHOLD,
         "diagnostics": {
-            "r_sn": rep.r_sn,
-            "mode_overlap": rep.mode_overlap,
-            "eta_residual": rep.eta_residual,
-            "zeta_residual": rep.zeta_residual,
-            "leakage": rep.leakage,
+            "r_sn": link.sender.derived.r_sn,
+            "mode_overlap": link.sender.overlap,
+            "eta_residual": link.eta_residual,
+            "zeta_residual": link.zeta_residual,
+            "leakage": final.leakage,
             "conservation_residual_max": rep.conservation_residual_max,
             "n_out_final": rep.n_out_final,
         },
         "solved_pulse": {
-            "duration_s": rep.solved_duration_s,
-            "center_s": rep.solved_center_s,
-            "omega2_rad_per_s": rep.solved_omega2,
-            "iterations": rep.solver_iterations,
-            "mode": rep.solver_mode,
-            "converged": rep.solver_converged,
-            "T2_us": result.pulse2.duration / US,
-            "center_us": result.pulse2.center / US,
-            "omega2_mhz": to_mhz(result.omega2),
+            "duration_s": link.pulse2.duration,
+            "center_s": link.pulse2.center,
+            "omega2_rad_per_s": link.omega2,
+            "iterations": solve.iterations if solve else None,
+            "mode": solve.mode if solve else "explicit",
+            "converged": solve.converged if solve else None,
+            "T2_us": link.pulse2.duration / US,
+            "center_us": link.pulse2.center / US,
+            "omega2_mhz": to_mhz(link.omega2),
         },
         "state_out": {"c_m1": c_m1, "c_0": c_0, "c_p1": c_p1},
-        "leakage_warning": bool(rep.final.leakage_warning),
+        "leakage_warning": bool(final.leakage_warning),
     }
 
 
@@ -459,7 +436,7 @@ def write_report_json(result: TransferResult, path: str | Path) -> Path:
 
 
 def write_regime_json(send: SendResult, path: str | Path) -> Path:
-    doc = send.regime.to_dict()
+    doc = send.sender.regime.to_dict()
     doc["config_hash"] = send.config.config_hash()
     return _write_json(path, doc)
 
@@ -482,7 +459,7 @@ def _sweep_columns(link: Link, configs: list[ScenarioConfig]) -> dict[str, np.nd
     receiver = gamma_analytic(eta, zeta, states, phi2=[cfg.params.phi2 for cfg in configs])
     budgets = {ch: _budget(ch) for ch in {cfg.channel for cfg in configs}}  # once per channel
     budget = np.array([budgets[cfg.channel] for cfg in configs]).T
-    summary = summarize(link, states, receiver, mean_photon_number(theta, states), budget)
+    summary = summarize(states, receiver, mean_photon_number(theta, states), budget)
     _, p1, p2 = photon_distribution(amplitudes_beta(theta, states))
     n = len(configs)
     return {
@@ -490,24 +467,25 @@ def _sweep_columns(link: Link, configs: list[ScenarioConfig]) -> dict[str, np.nd
         "eta2": budget[1],
         "weighted_success": summary.weighted_success,
         "phase_rad": summary.phase_drift_rad,
-        "fidelity": summary.fidelity,
+        "fidelity": summary.final.fidelity,
         "n_out_inf": summary.n_out_final,
         "P1_inf": p1[:, -1],
         "P2_inf": p2[:, -1],
         "T2_us": np.full(n, link.pulse2.duration / US),
         "center2_us": np.full(n, link.pulse2.center / US),
         "omega2_mhz": np.full(n, to_mhz(link.omega2)),
-        "eta_residual": np.full(n, summary.eta_residual),
-        "zeta_residual": np.full(n, summary.zeta_residual),
+        "eta_residual": np.full(n, link.eta_residual),
+        "zeta_residual": np.full(n, link.zeta_residual),
     }
 
 
-def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> np.ndarray:
-    """The ``sweep.csv`` table: one row per axis sample, in order, one named column per field.
+def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The ``sweep.csv`` table and the number of its links whose pulse solve did not converge.
 
-    Every sample is built (``axis_sampler``) before the first link, so a
-    bad value fails before any pulse solve.  Consecutive samples with the
-    same physics share one link and one ``summarize`` pass: an
+    The table has one row per axis sample, in order, and one named column
+    per field.  Every sample is built (``axis_sampler``) before the first
+    link, so a bad value fails before any pulse solve.  Consecutive samples
+    with the same physics share one link and one ``summarize`` pass: an
     ``initial_state.*``, ``channel.*`` or ``params.phi2_rad`` sweep costs
     one link.  With ``config.strict`` each new link's regime is checked as
     it is built (``RegimeFailure``).
@@ -515,7 +493,9 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> np.ndarr
     sample = axis_sampler(config, axis)
     samples = [sample(float(v)) for v in values]
     groups = [list(group) for _, group in itertools.groupby(samples, key=_physics)]
-    parts = [_sweep_columns(build_link(group[0], strict=config.strict), group) for group in groups]
+    links = [build_link(group[0]) for group in groups]
+    parts = [_sweep_columns(link, group) for link, group in zip(links, groups)]
+    unconverged = sum(link.solve is not None and not link.solve.converged for link in links)
     # A summary column named like the axis's leaf (T2_us, omega2_mhz) takes its place.
     columns = {axis.split(".")[-1]: values}
     for name in parts[0] if parts else ():
@@ -523,7 +503,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> np.ndarr
     table = np.empty(len(samples), dtype=[(name, float) for name in columns])
     for name, column in columns.items():
         table[name] = column
-    return table
+    return table, unconverged
 
 
 def write_sweep_csv(table: np.ndarray, config: ScenarioConfig, path: str | Path) -> Path:

@@ -185,11 +185,12 @@ def solve_pulse_shape(
 
     ``duration_center``
         Amplitude fixed at ``params.omega2``; duration and center free.
-        Alternates a duration solve on zeta(inf) = pi with a center
-        solve on eta(inf) = pi (taken on the late flank, since the
-        control should switch on around photon arrival), each round
-        followed by a Newton step on both conditions, kept when it
-        lowers the worse residual, until both are met.
+        The seed is a duration solve on zeta(inf) = pi at the photons'
+        centroid, then a center solve on eta(inf) = pi at that duration
+        (taken on the late flank, since the control should switch on
+        around photon arrival).  Newton steps on both conditions follow,
+        at most ``max_iterations``, each kept only while it stays inside
+        both brackets and lowers the worse residual.
     ``duration_amplitude``
         Center fixed (``center`` argument); duration and amplitude free.
         The ratio of the two areas is amplitude-independent, so the
@@ -257,7 +258,6 @@ def solve_pulse_shape(
     weight = phi1 + phi2
     t_center = float(trapezoid(weight * t, dt) / trapezoid(weight, dt))
     duration = math.sqrt(duration_bracket[0] * duration_bracket[1])
-    best: Optional[PulseSolveResult] = None
 
     def zeta_minus_pi(d: float) -> tuple[float, float]:
         _, zeta_inf, slope = final_areas(d, t_center, omega2, ("zeta", "duration"))
@@ -267,44 +267,37 @@ def solve_pulse_shape(
         eta_inf, _, slope = final_areas(duration, x, omega2, ("eta", "center"))
         return eta_inf - math.pi, slope
 
+    try:
+        duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12, slope=True)
+        t_center = _late_flank_root(
+            lambda x: final_areas(duration, x, omega2)[0] - math.pi,
+            eta_minus_pi,
+            center_bracket,
+        )
+    except BracketError as exc:
+        raise PulseSolveError(
+            f"area conditions not reachable in mode {mode!r}: {exc}",
+            best=result(duration, t_center, omega2),
+        ) from exc
+    best = result(duration, t_center, omega2)
     for _ in range(max_iterations):
-        try:
-            duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12, slope=True)
-            t_center = _late_flank_root(
-                lambda x: final_areas(duration, x, omega2)[0] - math.pi,
-                eta_minus_pi,
-                center_bracket,
-            )
-        except BracketError as exc:
-            cand = result(duration, t_center, omega2)
-            if best is None or _worse(best) > _worse(cand):
-                best = cand
-            raise PulseSolveError(
-                f"area conditions not reachable in mode {mode!r}: {exc}", best=best
-            ) from exc
-        cand = result(duration, t_center, omega2)
-        if best is None or _worse(best) > _worse(cand):
-            best = cand
-        if cand.converged:
-            return cand
-        # Where the two area conditions cross at a shallow angle the
-        # alternation converges only linearly; a Newton step on both
-        # conditions at once finishes the solve.
+        if best.converged:
+            break
         step = _newton_step(final_areas(duration, t_center, omega2, *_JACOBIAN), duration, t_center)
-        if (
+        if not (
             step is not None
             and duration_bracket[0] <= step[0] <= duration_bracket[1]
             and center_bracket[0] <= step[1] <= center_bracket[1]
         ):
-            trial = result(step[0], step[1], omega2)
-            if _worse(trial) < _worse(cand):
-                duration, t_center = step
-                if _worse(best) > _worse(trial):
-                    best = trial
-                if trial.converged:
-                    return trial
+            break
+        trial = result(step[0], step[1], omega2)
+        if _worse(trial) >= _worse(best):
+            break
+        (duration, t_center), best = step, trial
+    if best.converged:
+        return best
     raise PulseSolveError(
-        f"no joint convergence after {max_iterations} alternations "
+        f"no joint convergence after {evals} evaluations "
         f"(best residuals {best.eta_residual:.3e}, {best.zeta_residual:.3e})",
         best=best,
     )

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,13 @@ from pnsslink.numerics import TimeGrid
 from pnsslink.sender import PulseShape
 
 T1 = 0.3e-6
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def stock_doc(qutrit: bool = False) -> dict:
+    """A fresh copy of the stock scenario document, configs/qubit.json or configs/qutrit.json."""
+    path = CONFIGS / ("qutrit.json" if qutrit else "qubit.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def mhz_params(**mhz: float) -> PhysicalParams:

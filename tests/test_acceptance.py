@@ -20,7 +20,6 @@ for the stock parameters both absorption areas have flat-pulse ceilings
 below pi, and tests/test_receiver.py requires the solver to report that.
 """
 
-import json
 import math
 
 import numpy as np
@@ -28,14 +27,14 @@ import pytest
 
 from pnsslink.channel import attenuation_length, transmission_efficiency
 from pnsslink.cli import main
-from pnsslink.config import default_config, default_config_dict, parse_config
+from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState, derive
 from pnsslink.photonics import emission_modes, photon_observables
 from pnsslink.pipeline import run_transfer, write_photonics_csv
 from pnsslink.receiver import final_state, gamma_analytic, pulse_areas
 from pnsslink.sender import amplitudes_beta
 
-from conftest import load_csv, random_states
+from conftest import CONFIGS, load_csv, random_states, stock_doc
 from oracles import (
     MOMENTS,
     initial_amplitudes,
@@ -52,19 +51,20 @@ def check(label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def qubit_outcome():
-    return run_transfer(default_config())
+    return run_transfer(parse_config(stock_doc()))
 
 
 @pytest.fixture(scope="module")
 def qutrit_outcome():
-    return run_transfer(default_config(qutrit=True))
+    return run_transfer(parse_config(stock_doc(qutrit=True)))
 
 
 @pytest.fixture(scope="module")
 def sender_ode_qubit(qubit_outcome):
     send = qubit_outcome.send
+    sender = send.sender
     return simulate_sender_ode(
-        send.pulse1, send.derived.alpha1, send.config.initial_state, send.grid
+        sender.pulse1, sender.derived.alpha1, send.config.initial_state, sender.grid
     )
 
 
@@ -82,7 +82,8 @@ def test_01_population_conservation(qubit_outcome, sender_ode_qubit):
 
 def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
     send = qubit_outcome.send
-    theta = send.theta
+    sender = send.sender
+    theta = sender.theta
 
     def closed_form_dev(ode_traj, state):
         ana = amplitudes_beta(theta, state)
@@ -92,7 +93,7 @@ def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
 
     states = random_states(20, seed=20240817)
     batch = np.stack([initial_moments(s) for s in states])
-    traj = simulate_sender_ode(send.pulse1, send.derived.alpha1, batch, send.grid)
+    traj = simulate_sender_ode(sender.pulse1, sender.derived.alpha1, batch, sender.grid)
     for i, state in enumerate(states):
         ana = amplitudes_beta(theta, state)
         stacked = np.stack(
@@ -117,7 +118,7 @@ def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
 def test_03_photon_distribution_endpoints(qubit_outcome, tmp_path):
     path = write_photonics_csv(qubit_outcome.send, tmp_path / "photonics.csv")
     rows = load_csv(path)
-    theta_inf = qubit_outcome.send.theta.final
+    theta_inf = qubit_outcome.link.sender.theta.final
     e = math.exp(-theta_inf)
     p2_formula = 0.7 * (1.0 - (1.0 + theta_inf) * e)
     p1_formula = 0.3 * (1.0 - e) + 0.7 * theta_inf * e
@@ -149,10 +150,11 @@ def test_05_antibunching(qubit_outcome):
     obs = qubit_outcome.send.observables
     peak = float(np.max(obs.g2))
     send = qubit_outcome.send
+    sender = send.sender
     single = SuperpositionState(0.0, 1.0)
-    single_traj = amplitudes_beta(send.theta, single)
-    single_modes = emission_modes(send.theta, send.pulse1, send.derived.alpha1)
-    single_obs = photon_observables(send.theta, single_modes, single, single_traj)
+    single_traj = amplitudes_beta(sender.theta, single)
+    single_modes = emission_modes(sender.theta, sender.pulse1, sender.derived.alpha1)
+    single_obs = photon_observables(sender.theta, single_modes, single, single_traj)
     all_zero = bool(np.all(single_obs.g2 == 0.0))
     check(
         "05 antibunching",
@@ -163,11 +165,12 @@ def test_05_antibunching(qubit_outcome):
 
 def test_06_receiver_unitarity_blocks(qubit_outcome):
     send = qubit_outcome.send
-    params = send.params
+    sender = send.sender
+    params = send.config.params
     g2c = params.g * qubit_outcome.omega2 / abs(params.delta)
     obs = send.observables
     eta, zeta = pulse_areas(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, send.grid
+        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, sender.grid
     )
     states = random_states(20, seed=777)
     worst_analytic = 0.0
@@ -184,7 +187,7 @@ def test_06_receiver_unitarity_blocks(qubit_outcome):
 
     batch = np.stack([initial_amplitudes(s) for s in states])
     traj_ode = simulate_receiver_ode(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, batch, send.grid
+        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, batch, sender.grid
     )
     worst_ode = 0.0
     for i, state in enumerate(states):
@@ -207,15 +210,16 @@ def test_06_receiver_unitarity_blocks(qubit_outcome):
 
 def test_07_receiver_oracle_equivalence(qubit_outcome):
     send = qubit_outcome.send
-    params = send.params
+    sender = send.sender
+    params = send.config.params
     g2c = params.g * qubit_outcome.omega2 / abs(params.delta)
     obs = send.observables
     state = send.config.initial_state
     ode = simulate_receiver_ode(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, state, send.grid
+        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, state, sender.grid
     )
     eta, zeta = pulse_areas(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, send.grid
+        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, sender.grid
     )
     ana = gamma_analytic(eta, zeta, state)
     worst = max(
@@ -245,24 +249,25 @@ def test_08_pulse_solve_with_equal_amplitudes():
     # within tol of pi bound the weight left in the field by
     # 0.3 (tol/2)^2 + 0.7 tol^2 / 2 < tol^2.
     tol = 1e-6
-    doc = default_config_dict()
+    doc = stock_doc()
     doc["params"]["g_mhz"] = 1.25 * doc["params"]["g_mhz"]
     doc["pulse2"]["free"] = "center"
     doc["pulse2"]["tol"] = tol
     outcome = run_transfer(parse_config(doc))
     send = outcome.send
-    params = send.params
+    sender = send.sender
+    params = send.config.params
     obs = send.observables
     state = send.config.initial_state
     eta_err = abs(outcome.receiver.eta[-1] - math.pi)
     zeta_err = abs(outcome.receiver.zeta[-1] - math.pi)
     g2c = params.g * outcome.omega2 / abs(params.delta)
     ode = simulate_receiver_ode(
-        outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, state, send.grid
+        outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, state, sender.grid
     )
     stored = final_state(ode, state)
     ok = (
-        outcome.solve.converged
+        outcome.link.solve.converged
         and outcome.omega2 == params.omega1
         and eta_err <= tol
         and zeta_err <= tol
@@ -273,7 +278,7 @@ def test_08_pulse_solve_with_equal_amplitudes():
         "08 equal-amplitude pulse solve",
         ok,
         f"g {params.g / (2e6 * math.pi):.1f} MHz, omega2 == omega1: "
-        f"{outcome.omega2 == params.omega1}, converged {outcome.solve.converged}, "
+        f"{outcome.omega2 == params.omega1}, converged {outcome.link.solve.converged}, "
         f"T2 {outcome.pulse2.duration * 1e6:.3f} us, center "
         f"{outcome.pulse2.center * 1e6:.3f} us, |eta-pi| {eta_err:.1e}, "
         f"|zeta-pi| {zeta_err:.1e} (tol {tol:g}); ODE oracle: fidelity "
@@ -283,8 +288,8 @@ def test_08_pulse_solve_with_equal_amplitudes():
 
 
 def test_09a_end_to_end_fidelity(qubit_outcome, qutrit_outcome):
-    f_qubit = qubit_outcome.final.fidelity
-    f_qutrit = qutrit_outcome.final.fidelity
+    f_qubit = qubit_outcome.report.final.fidelity
+    f_qutrit = qutrit_outcome.report.final.fidelity
     check(
         "09a end-to-end fidelity",
         f_qubit >= 0.999 and f_qutrit >= 0.999,
@@ -333,15 +338,12 @@ def test_10_channel_budget(qubit_outcome):
 
 
 def test_11_signal_to_noise(qubit_outcome):
-    r_sn = qubit_outcome.report.r_sn
+    r_sn = qubit_outcome.link.sender.derived.r_sn
     check("11 signal-to-noise ratio", abs(r_sn - 32.7) <= 0.1, f"r_sn {r_sn:.4f} (32.7 +- 0.1)")
 
 
 def test_12_determinism(tmp_path):
-    config_path = tmp_path / "scenario.json"
-    from pnsslink.config import default_config_dict
-
-    config_path.write_text(json.dumps(default_config_dict(), indent=1), encoding="utf-8")
+    config_path = CONFIGS / "qubit.json"
     assert main(["transfer", "--config", str(config_path), "--out", str(tmp_path / "a")]) == 0
     assert main(["transfer", "--config", str(config_path), "--out", str(tmp_path / "b")]) == 0
     names = ("sender.csv", "photonics.csv", "receiver.csv", "report.json")

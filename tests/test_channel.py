@@ -11,8 +11,10 @@ from pnsslink.channel import (
     success_probability,
     transmission_efficiency,
 )
-from pnsslink.config import default_config_dict, parse_config
+from pnsslink.config import parse_config
 from pnsslink.pipeline import report_document, run_transfer
+
+from conftest import stock_doc
 
 
 class TestAttenuationLength:
@@ -117,7 +119,7 @@ class TestReport:
         "length_km, weighted, warning", list(REPORT_CASES.values()), ids=list(REPORT_CASES)
     )
     def test_transfer_report(self, length_km, weighted, warning):
-        doc = default_config_dict()
+        doc = stock_doc()
         doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
         # An off-phase control stores the state imperfectly, so the
         # end-to-end figure shows the fidelity factor.

@@ -19,8 +19,6 @@ from pnsslink.cli import main
 from pnsslink.config import (
     MAX_GRID_POINTS,
     ConfigError,
-    default_config,
-    default_config_dict,
     load_config,
     parse_config,
     sample_config,
@@ -35,11 +33,11 @@ from pnsslink.pipeline import (
 )
 from pnsslink.receiver import PulseSolveError
 
-from conftest import load_csv
+from conftest import CONFIGS, load_csv, stock_doc
 
 
 def small_doc(**overrides) -> dict:
-    doc = default_config_dict()
+    doc = stock_doc()
     doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
     for key, value in overrides.items():
         doc[key] = value
@@ -49,9 +47,8 @@ def small_doc(**overrides) -> dict:
 def full_grid_row(cfg, axis: str, value: float) -> dict:
     """The sweep row of one sample, read off an independent full-grid transfer."""
     result = run_transfer(cfg)
-    report, obs = result.report, result.send.observables
-    assert report.solved_duration_s is not None and report.solved_omega2 is not None
-    assert report.solver_converged is True
+    report, link, obs = result.report, result.link, result.send.observables
+    assert link.solve.converged is True
     l_att = attenuation_length(cfg.channel.atten_db_per_km)
     return {
         axis.split(".")[-1]: float(value),
@@ -59,19 +56,16 @@ def full_grid_row(cfg, axis: str, value: float) -> dict:
         "eta2": transmission_efficiency(cfg.channel.length_km, l_att, 2),
         "weighted_success": report.weighted_success,
         "phase_rad": report.phase_drift_rad,
-        "fidelity": report.fidelity,
+        "fidelity": report.final.fidelity,
         "n_out_inf": float(obs.n_out[-1]),
         "P1_inf": float(obs.p1[-1]),
         "P2_inf": float(obs.p2[-1]),
         "T2_us": result.pulse2.duration / US,
         "center2_us": result.pulse2.center / US,
         "omega2_mhz": to_mhz(result.omega2),
-        "eta_residual": report.eta_residual,
-        "zeta_residual": report.zeta_residual,
+        "eta_residual": link.eta_residual,
+        "zeta_residual": link.zeta_residual,
     }
-
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_doc(tmp_path: Path, doc: dict, name: str = "scenario.json") -> Path:
@@ -82,13 +76,13 @@ def write_doc(tmp_path: Path, doc: dict, name: str = "scenario.json") -> Path:
 
 class TestConfigParsing:
     def test_default_parses(self):
-        config = default_config()
+        config = load_config(CONFIGS / "qubit.json")
         assert config.params.g == pytest.approx(2 * math.pi * 12e6)
         assert config.grid.n_points() == 3001
 
     def test_hash_stable(self):
-        a = parse_config(default_config_dict())
-        b = parse_config(default_config_dict())
+        a = parse_config(stock_doc())
+        b = parse_config(stock_doc())
         assert a.config_hash() == b.config_hash()
 
     @pytest.mark.parametrize(
@@ -294,31 +288,34 @@ class TestCli:
         assert exc.value.code == 0
         assert "--config" in capsys.readouterr().out
 
-    def test_strict_mode_aborts_on_regime_failure(self, tmp_path):
-        # The stock parameters leave the coupling-vs-decay separation at
-        # ratio 2.5, below the default minimum of 5.
-        path = write_doc(tmp_path, small_doc())
-        code = main(["send", "--config", str(path), "--out", str(tmp_path / "out"), "--strict"])
-        assert code == 3
-
     def test_config_error_exit_code(self, tmp_path):
         assert main(["transfer", "--config", str(tmp_path / "missing.json")]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert main(["transfer", "--config", str(bad)]) == 1
 
-    def test_nonconvergent_solve_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    def test_nonconvergent_solve_exit_code(self, tmp_path, capsys, command):
         # Equal control amplitudes cannot reach the area conditions for
-        # these parameters; the run must exit 2 but still write the
-        # report with the best residuals.
+        # these parameters (up to g ~14.5 MHz); the run must exit 2 but
+        # still write its outputs with the best residuals.
         doc = small_doc()
         doc["pulse2"] = {"mode": "solve", "free": "center", "tol": 1e-6}
         path = write_doc(tmp_path, doc)
-        code = main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 2
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["solved_pulse"]["converged"] is False
-        assert abs(report["diagnostics"]["zeta_residual"]) > 1e-6
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "transfer":
+            assert main(argv) == 2
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["solved_pulse"]["converged"] is False
+            assert abs(report["diagnostics"]["zeta_residual"]) > 1e-6
+            return
+        # Three links: g 14 and 14.5 MHz do not converge, 15 MHz does.
+        argv += ["--axis", "params.g_mhz", "--start", "14", "--stop", "15", "--num", "3"]
+        assert main(argv) == 2
+        assert "did not converge on 2 link(s)" in capsys.readouterr().err
+        rows = load_csv(tmp_path / "out" / "sweep.csv")
+        worse = np.maximum(np.abs(rows["eta_residual"]), np.abs(rows["zeta_residual"]))
+        assert list(worse > 1e-6) == [True, True, False]
 
     @pytest.mark.parametrize(
         "section, key, value, field",
@@ -454,7 +451,7 @@ class TestCli:
             raise AssertionError("pulse solve ran")
 
         monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", no_solve)
-        doc = default_config_dict(qutrit=True)
+        doc = stock_doc(qutrit=True)
         doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
         path = write_doc(tmp_path, doc)
         code = main([
@@ -465,20 +462,30 @@ class TestCli:
         assert "leaves no weight for c_0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_strict_sweep_aborts_on_regime_failure(self, tmp_path, capsys, monkeypatch, how):
-        # Stock physics fails cavity_decay_vs_raman_coupling (2.5 < 5); the
-        # link's regime is checked before its pulse solve.
+    @pytest.mark.parametrize(
+        "command, how",
+        [
+            pytest.param("sweep", "flag", id="flag"),
+            pytest.param("sweep", "config", id="config"),
+            pytest.param("send", "flag", id="send-flag"),
+            pytest.param("transfer", "flag", id="transfer-flag"),
+            pytest.param("transfer", "config", id="transfer-config"),
+        ],
+    )
+    def test_strict_sweep_aborts_on_regime_failure(
+        self, tmp_path, capsys, monkeypatch, command, how
+    ):
+        # Stock physics fails cavity_decay_vs_raman_coupling (2.5 < 5); every
+        # command checks the sender's regime before any pulse solve.
         def no_solve(*args, **kwargs):
             raise AssertionError("pulse solve ran")
 
         monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", no_solve)
         doc = small_doc(strict=True) if how == "config" else small_doc()
         path = write_doc(tmp_path, doc)
-        argv = [
-            "sweep", "--config", str(path), "--out", str(tmp_path / "out"),
-            "--axis", "initial_state.p_m1", "--start", "0.1", "--stop", "0.9", "--num", "3",
-        ]
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "initial_state.p_m1", "--start", "0.1", "--stop", "0.9", "--num", "3"]
         code = main(argv + ["--strict"] if how == "flag" else argv)
         assert code == 3
         captured = capsys.readouterr()
@@ -527,7 +534,7 @@ class TestCli:
         # The stock file leaves the field at its parser default; the sweep
         # reads like one over a file with the field written in.
         section, field = axis.split(".")
-        doc = json.loads((CONFIGS / "qubit.json").read_text(encoding="utf-8"))
+        doc = stock_doc()
         assert field not in doc[section]
         default = {"p_abs": 1.0, "points": 3001}[field]
         doc[section][field] = default
@@ -554,7 +561,7 @@ class TestCli:
     def test_sweep_over_a_field_named_like_a_column(self, tmp_path, pulse2, axis, span):
         # The axis's leaf names a sweep.csv column: the file has one column of
         # that name, first, holding the link's value (an explicit T2 is the axis's).
-        doc = json.loads((CONFIGS / "qubit.json").read_text(encoding="utf-8"))
+        doc = stock_doc()
         if pulse2 is not None:
             doc["pulse2"] = pulse2
         path = write_doc(tmp_path, doc)
@@ -661,7 +668,7 @@ def edited_doc(doc: dict, axis: str, value: float) -> dict:
 
 
 def sample_doc(qutrit: bool) -> dict:
-    doc = default_config_dict(qutrit=qutrit)
+    doc = stock_doc(qutrit=qutrit)
     doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
     doc["channel"]["p_em"] = 1.0
     doc["regime_min_ratio"] = 5.0
@@ -810,7 +817,7 @@ class TestSampleConfig:
         config = parse_config(small_doc())
         monkeypatch.setattr(config_mod, "parse_config", no_parse)
         monkeypatch.setattr(pipeline_mod, "parse_config", no_parse, raising=False)
-        assert len(run_sweep(config, axis, np.linspace(0.2, 0.8, 4))) == 4
+        assert len(run_sweep(config, axis, np.linspace(0.2, 0.8, 4))[0]) == 4
 
 
 @pytest.mark.parametrize(
@@ -860,16 +867,16 @@ def _reused_row_id(qutrit, phi2, axis, start, stop, solves) -> str:
 class TestSweepSemantics:
     def test_single_point_matches_transfer(self):
         config = parse_config(small_doc())
-        rows = run_sweep(config, "channel.L0_km", np.array([0.06]))
+        rows, _ = run_sweep(config, "channel.L0_km", np.array([0.06]))
         result = run_transfer(config)
         assert rows[0]["weighted_success"] == pytest.approx(
             result.report.weighted_success, rel=1e-12
         )
-        assert rows[0]["fidelity"] == pytest.approx(result.final.fidelity, rel=1e-12)
+        assert rows[0]["fidelity"] == pytest.approx(result.report.final.fidelity, rel=1e-12)
 
     def test_population_axis_monotone_photon_number(self):
         config = parse_config(small_doc())
-        rows = run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, 5))
+        rows, _ = run_sweep(config, "initial_state.p_m1", np.linspace(0.0, 1.0, 5))
         n_out = [row["n_out_inf"] for row in rows]
         assert all(b > a for a, b in zip(n_out, n_out[1:]))
 
@@ -879,7 +886,7 @@ class TestSweepSemantics:
         ids=[_reused_row_id(*case) for case in REUSED_ROW_CASES],
     )
     def test_reused_rows_are_exact(self, monkeypatch, qutrit, phi2, axis, start, stop, solves):
-        doc = default_config_dict(qutrit=qutrit)
+        doc = stock_doc(qutrit=qutrit)
         doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
         doc["params"]["phi2_rad"] = phi2
         config = parse_config(doc)
@@ -898,7 +905,7 @@ class TestSweepSemantics:
 
         monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", counting_solve)
         monkeypatch.setattr(pipeline_mod, "summarize", keeping_summary)
-        rows = run_sweep(config, axis, values)
+        rows, _ = run_sweep(config, axis, values)
         assert len(calls) == solves
         assert len(summaries) == solves  # rows come from one summary per link, not per sample
         monkeypatch.undo()
@@ -940,7 +947,7 @@ class TestSweepSemantics:
         full_grid_only = ["photon_observables", "conservation_check"]
         for name in ["pulse_areas", *closed_forms, *full_grid_only]:
             monkeypatch.setattr(pipeline_mod, name, recording(name, getattr(pipeline_mod, name)))
-        rows = run_sweep(config, axis, np.linspace(start, stop, num))
+        rows, _ = run_sweep(config, axis, np.linspace(start, stop, num))
         assert len(rows) == num
         full = [name for name, n in seen if n == config.grid.n_points()]
         assert full == ["pulse_areas"] * links  # the link's areas, once per link
@@ -968,11 +975,12 @@ class TestSweepSemantics:
 
         monkeypatch.setattr(pipeline_mod, "summarize", counting_summarize)
         monkeypatch.setattr(receiver_mod, "FinalState", CountingFinalState)
-        columns = run_sweep(config, axis, np.linspace(start, stop, num))
+        columns, _ = run_sweep(config, axis, np.linspace(start, stop, num))
         assert len(summaries) == links
         assert len(finals) == links  # one columnar readout per link, none per sample
-        assert sum(len(summary.fidelity) for summary in summaries) == num
-        assert np.array_equal(np.concatenate([x.fidelity for x in summaries]), columns["fidelity"])
+        assert sum(len(summary.final.fidelity) for summary in summaries) == num
+        fidelities = np.concatenate([x.final.fidelity for x in summaries])
+        assert np.array_equal(fidelities, columns["fidelity"])
 
     @given(
         qutrit=st.booleans(),
@@ -987,7 +995,7 @@ class TestSweepSemantics:
         axis, low, high = case
         config = load_config(CONFIGS / ("qutrit.json" if qutrit else "qubit.json"))
         values = np.linspace(*(low + (high - low) * end for end in ends), num)
-        rows = run_sweep(config, axis, values)
+        rows, _ = run_sweep(config, axis, values)
         for value, row in zip(values, rows):
             cfg = sample_config(config, axis, float(value))
             assert dict(zip(rows.dtype.names, row.item())) == full_grid_row(cfg, axis, float(value))
@@ -996,7 +1004,7 @@ class TestSweepSemantics:
         config = parse_config(small_doc())
         link = build_link(config)
         other = sample_config(config, "initial_state.p_m1", 0.4)
-        assert run_transfer_on(link, other).final.fidelity == pytest.approx(1.0, abs=1e-9)
+        assert run_transfer_on(link, other).report.final.fidelity == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(ValueError, match="physics"):
             run_transfer_on(link, sample_config(config, "params.g_mhz", 12.5))
 
@@ -1004,7 +1012,7 @@ class TestSweepSemantics:
         # The default grid's discretisation error, estimated against a 4x
         # denser grid on the stock qubit scenario.
         config = load_config(CONFIGS / "qubit.json")
-        dense_doc = json.loads((CONFIGS / "qubit.json").read_text(encoding="utf-8"))
+        dense_doc = stock_doc()
         dense_doc["grid"]["points"] = 4 * (config.grid.n_points() - 1) + 1
         assert dense_doc["grid"]["points"] == 12001
         default, dense = run_transfer(config), run_transfer(parse_config(dense_doc))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnsslink
-from pnsslink.config import default_config_dict, parse_config
+from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
 from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes
@@ -25,7 +25,7 @@ from pnsslink.receiver import (
 from pnsslink.sender import PulseShape, pump_exposure
 
 import oracles
-from conftest import T1, random_states
+from conftest import T1, random_states, stock_doc
 from oracles import initial_amplitudes, simulate_receiver_ode
 
 
@@ -159,16 +159,17 @@ class TestReceiverOde:
         # oracle's distance from the closed forms by ~16x (fourth order);
         # linearly interpolated mode functions at the RK4 midpoints give 4x.
         def worst(points):
-            doc = default_config_dict()
+            doc = stock_doc()
             doc["grid"]["points"] = points
             outcome = run_transfer(parse_config(doc))
-            send = outcome.send
-            g2c = send.params.g * outcome.omega2 / abs(send.params.delta)
+            send, params = outcome.send, outcome.send.config.params
+            g2c = params.g * outcome.omega2 / abs(params.delta)
             obs = send.observables
             state = send.config.initial_state
-            args = (outcome.pulse2, obs.phi1, obs.phi2, g2c, send.params.k)
-            ode = simulate_receiver_ode(*args, math.pi / 2, state, send.grid)
-            ana = gamma_analytic(*pulse_areas(*args, send.grid), state)
+            args = (outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k)
+            grid = send.sender.grid
+            ode = simulate_receiver_ode(*args, math.pi / 2, state, grid)
+            ana = gamma_analytic(*pulse_areas(*args, grid), state)
             return max(
                 float(np.max(np.abs(getattr(ode, f) - getattr(ana, f))))
                 for f in ("g_0_0", "g_1_1", "g_m1_0", "g_0_1", "g_1_2")
@@ -274,15 +275,27 @@ class TestSolvePulseShape:
         assert solved.iterations <= 12
 
     def test_center_mode_on_check_08_config(self):
-        # test_acceptance.py::test_08's solve; it took 462 evaluations with
-        # secant root steps and a forward-difference Jacobian.
-        doc = default_config_dict()
+        # test_acceptance.py::test_08's solve: one seed (a duration root, a
+        # 61-point centre scan and a centre root) and a few Newton steps.
+        doc = stock_doc()
         doc["params"]["g_mhz"] = 1.25 * doc["params"]["g_mhz"]
         doc["pulse2"]["free"] = "center"
         doc["pulse2"]["tol"] = 1e-6
         solve = build_link(parse_config(doc)).solve
         assert solve.converged
-        assert solve.iterations < 462
+        assert solve.iterations <= 100
+
+    def test_center_mode_on_a_long_sending_pulse(self):
+        # Strong coupling, a raised control amplitude and T1 = 0.5 us: the
+        # Newton steps from the seed meet both area conditions.
+        doc = stock_doc()
+        doc["params"].update(g_mhz=25.0, omega2_mhz=11.0)
+        doc["pulse1"]["T1_us"] = 0.5
+        doc["pulse2"]["free"] = "center"
+        solve = build_link(parse_config(doc)).solve
+        assert solve.converged
+        assert max(abs(solve.eta_residual), abs(solve.zeta_residual)) <= 1e-6
+        assert solve.iterations <= 100
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -445,7 +458,7 @@ def test_off_phase_transfer_never_integrates(monkeypatch):
 
     monkeypatch.setattr(oracles, "integrate_ode", no_ode)
     phase = 0.7
-    doc = default_config_dict(qutrit=True)
+    doc = stock_doc(qutrit=True)
     doc["params"]["phi2_rad"] = phase
     doc["grid"] = {"span_in_T1": 12.0, "points": 4001}
     config = parse_config(doc)
@@ -466,5 +479,5 @@ def test_off_phase_transfer_never_integrates(monkeypatch):
     stored = np.array([a_m1, a_0, c.c_p1])
     stored /= np.linalg.norm(stored)
     expected = abs(np.vdot([c.c_m1, c.c_0, c.c_p1], stored)) ** 2
-    assert abs(result.final.fidelity - expected) <= 1e-9
-    assert result.final.fidelity < 0.99
+    assert abs(result.report.final.fidelity - expected) <= 1e-9
+    assert result.report.final.fidelity < 0.99
