@@ -493,9 +493,11 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np
     sample = axis_sampler(config, axis)
     samples = [sample(float(v)) for v in values]
     groups = [list(group) for _, group in itertools.groupby(samples, key=_physics)]
-    links = [build_link(group[0]) for group in groups]
-    parts = [_sweep_columns(link, group) for link, group in zip(links, groups)]
-    unconverged = sum(link.solve is not None and not link.solve.converged for link in links)
+    parts, unconverged = [], 0
+    for group in groups:  # one link alive at a time
+        link = build_link(group[0])
+        parts.append(_sweep_columns(link, group))
+        unconverged += link.solve is not None and not link.solve.converged
     # A summary column named like the axis's leaf (T2_us, omega2_mhz) takes its place.
     columns = {axis.split(".")[-1]: values}
     for name in parts[0] if parts else ():
