@@ -284,9 +284,8 @@ def solve_pulse_shape(
         if best.converged:
             break
         step = _newton_step(final_areas(duration, t_center, omega2, *_JACOBIAN), duration, t_center)
-        if not (
-            step is not None
-            and duration_bracket[0] <= step[0] <= duration_bracket[1]
+        if step is None or not (
+            duration_bracket[0] <= step[0] <= duration_bracket[1]
             and center_bracket[0] <= step[1] <= center_bracket[1]
         ):
             break
