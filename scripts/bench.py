@@ -37,11 +37,13 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
 
 Each stage runs once to warm up and then REPEATS times; its entry holds
 the median wall time, the grid points and the repeat count.  The CLI ops
-and the CSV writers also record ``minflt_median``: the minor page faults
-(``ru_minflt``) of one call of the stage in a fresh interpreter, the
-median over REPEATS interpreters.  A CLI op there is the whole op, as a
-``pnsslink`` process runs it after its imports; a CSV writer is its first
-call after a transfer (or the sweep) has been solved.  The record adds the
+and the CSV writers also record ``minflt_median`` and ``cold_median_s``:
+the minor page faults (``ru_minflt``) and the wall time of one call of
+the stage in a fresh interpreter, each the median over REPEATS
+interpreters.  A CLI op there is the whole op, as a ``pnsslink`` process
+runs it after its imports (parser, kernel tables and first allocations
+included); a CSV writer is its first call after a transfer (or the
+sweep) has been solved.  The record adds the
 commit, the Python and numpy versions, the host's CPU model and
 ``src_lines``, the line count of the checkout's ``src/pnsslink/*.py``.
 
@@ -244,8 +246,8 @@ def _writers(setup, out: Path) -> dict:
     }
 
 
-def _fresh_faults(checkout: Path, name: str) -> int:
-    """Minor page faults of one call of stage ``name``, in a fresh interpreter.
+def _fresh_call(checkout: Path, name: str) -> tuple[int, float]:
+    """Minor page faults and wall time of one call of stage ``name``, in a fresh interpreter.
 
     A CSV writer's inputs are solved before the count starts.
     """
@@ -255,19 +257,22 @@ def _fresh_faults(checkout: Path, name: str) -> int:
             fn = _cli_ops(checkout, Path(tmp))[name]
         else:
             fn = _writers(_setup(checkout), Path(tmp))[name]
-        f0 = _minflt()
+        f0, t0 = _minflt(), time.perf_counter()
         fn()
-        return _minflt() - f0
+        return _minflt() - f0, time.perf_counter() - t0
 
 
-def fresh_faults(checkout: Path, name: str) -> float:
-    """Median of _fresh_faults over REPEATS fresh interpreters."""
+def fresh_call(checkout: Path, name: str) -> dict:
+    """Medians of _fresh_call over REPEATS fresh interpreters."""
     spawn = multiprocessing.get_context("spawn")
-    counts = []
+    runs = []
     for _ in range(REPEATS):
         with ProcessPoolExecutor(1, mp_context=spawn) as pool:
-            counts.append(pool.submit(_fresh_faults, checkout, name).result())
-    return statistics.median(counts)
+            runs.append(pool.submit(_fresh_call, checkout, name).result())
+    return {
+        "minflt_median": statistics.median(faults for faults, _ in runs),
+        "cold_median_s": statistics.median(wall for _, wall in runs),
+    }
 
 
 def run(checkout: Path) -> dict:
@@ -296,9 +301,9 @@ def run(checkout: Path) -> dict:
     stages: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        with_faults = {**_cli_ops(checkout, out), **_writers(setup, out)}
+        cold = {**_cli_ops(checkout, out), **_writers(setup, out)}
         timed = {
-            **with_faults,
+            **cold,
             "config_parse": lambda: load_config(scenario),
             "exposure": lambda: pump_exposure(sender.pulse1, sender.derived.alpha1, sender.grid),
             "sender_amplitudes": lambda: amplitudes_beta(sender.theta, state),
@@ -310,8 +315,8 @@ def run(checkout: Path) -> dict:
         }
         for name, fn in timed.items():
             stages[name] = {**measure(fn), "grid_points": points}
-    for name in with_faults:
-        stages[name]["minflt_median"] = fresh_faults(checkout, name)
+    for name in cold:
+        stages[name].update(fresh_call(checkout, name))
 
     stages["pulse_solve"]["iterations"] = link.solve.iterations
     _, _, solve_08 = pipeline._resolve_pulse2(config_08, sender_08)

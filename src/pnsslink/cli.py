@@ -6,6 +6,14 @@ usage error (an unknown subcommand or flag, a missing ``--config``),
 still written), 3 strict-mode regime failure (of any link a command
 builds, before its pulse solve; nothing is written).  Any other
 exception is a bug and propagates with its traceback.
+
+``_FLAGS`` is the one table of the flags.  ``_build_parser`` builds the
+argparse parser from it, and ``_read_argv`` reads a plain argv (a
+command, then its flags as ``--flag value`` or ``--flag=value``) into
+the namespace argparse would give, without building the parser, which
+costs about a millisecond.  Every other argv (``--help``, an abbreviated
+flag, ``--``, a usage error) goes to argparse, so its output and exit
+codes are argparse's.
 """
 
 from __future__ import annotations
@@ -13,8 +21,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +58,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+class _Flag(NamedTuple):
+    """One command-line flag; ``type`` None makes it a switch (store_true)."""
+
+    name: str
+    type: Any
+    default: Any = None
+    required: bool = False
+    help: Optional[str] = None
+    commands: tuple[str, ...] = ("send", "transfer", "sweep")
+
+
+_COMMANDS = {
+    "send": "run the sending node and write sender/photonics CSVs",
+    "transfer": "run the full link and write all CSVs plus the report",
+    "sweep": "evaluate a scenario across one scalar config axis",
+}
+_FLAGS = (
+    _Flag("--config", str, required=True, help="path to the scenario JSON"),
+    _Flag("--out", str, help="output directory (overrides config)"),
+    _Flag("--strict", None, False, help="abort when any regime check fails"),
+    _Flag("--tol", float, help="override the pulse-solve tolerance"),
+    _Flag("--axis", str, required=True, help="dotted config path, e.g. channel.L0_km", commands=("sweep",)),
+    _Flag("--start", float, required=True, commands=("sweep",)),
+    _Flag("--stop", float, required=True, commands=("sweep",)),
+    _Flag("--num", int, 21, commands=("sweep",)),
+)
+_COMMAND_FLAGS = {name: {f.name: f for f in _FLAGS if name in f.commands} for name in _COMMANDS}
+# argparse's test for a negative number, the one '-' word it takes as a value.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pnsslink",
@@ -57,31 +98,54 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("send", "run the sending node and write sender/photonics CSVs"),
-        ("transfer", "run the full link and write all CSVs plus the report"),
-        ("sweep", "evaluate a scenario across one scalar config axis"),
-    ):
+    for name, help_text in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the scenario JSON")
-        cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument(
-            "--strict",
-            action="store_true",
-            help="abort when any regime check fails",
-        )
-        cmd.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="override the pulse-solve tolerance",
-        )
-        if name == "sweep":
-            cmd.add_argument("--axis", required=True, help="dotted config path, e.g. channel.L0_km")
-            cmd.add_argument("--start", type=float, required=True)
-            cmd.add_argument("--stop", type=float, required=True)
-            cmd.add_argument("--num", type=int, default=21)
+        for flag in _COMMAND_FLAGS[name].values():
+            if flag.type is None:
+                cmd.add_argument(flag.name, action="store_true", help=flag.help)
+            else:
+                cmd.add_argument(flag.name, type=flag.type, default=flag.default,
+                                 required=flag.required, help=flag.help)
     return parser
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """``_build_parser().parse_args(argv)`` for a plain argv, else None.
+
+    Plain is a command, then its flags as ``--flag value`` or
+    ``--flag=value`` (a switch alone), with every required flag present
+    and each value accepted by its type.  A separate value may start with
+    '-' only as a negative number.
+    """
+    if not (argv and all(type(word) is str for word in argv) and argv[0] in _COMMANDS):
+        return None
+    flags = _COMMAND_FLAGS[argv[0]]
+    values = {}
+    i = 1
+    while i < len(argv):
+        name, eq, text = argv[i].partition("=")
+        flag = flags.get(name)
+        if flag is None or flag.type is None and eq:
+            return None
+        i += 1
+        if flag.type is None:
+            values[name] = True
+            continue
+        if not eq:
+            if i == len(argv):
+                return None
+            text = argv[i]
+            if text.startswith("-") and not _NEGATIVE_NUMBER(text):
+                return None
+            i += 1
+        try:
+            values[name] = flag.type(text)
+        except (TypeError, ValueError):
+            return None
+    if any(f.required and name not in values for name, f in flags.items()):
+        return None
+    return argparse.Namespace(
+        command=argv[0], **{name[2:]: values.get(name, f.default) for name, f in flags.items()})
 
 
 def _load(args) -> ScenarioConfig:
@@ -175,8 +239,10 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     handlers = {
         "send": _cmd_send,
         "transfer": _cmd_transfer,

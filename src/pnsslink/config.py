@@ -123,14 +123,23 @@ _NUMBERS = {
 
 
 def _check(row: _Number, value: Any, where: str) -> Any:
-    """A value of ``row``, checked and in internal units."""
-    name = f"{where}.{row.key}"
-    value = _above(value, name, row.above)
-    if not row.count:
-        return value * row.scale
-    if value != int(value):
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    """A value of ``row``, checked and in internal units.
+
+    A valid value takes one test; the field's name is built for an error.
+    """
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and value > row.above):
+        _above(value, f"{where}.{row.key}", row.above)  # raises this value's error
+    value = float(value)
+    if row.count:
+        if value == int(value):
+            return int(value)
+        raise ConfigError(f"{where}.{row.key} must be a whole number, got {value!r}")
+    # A finite number can overflow in internal units (g_mhz 1e303 is inf rad/s).
+    scaled = value * row.scale
+    if abs(scaled) <= sys.float_info.max:
+        return scaled
+    raise ConfigError(f"{where}.{row.key} must be finite in internal units, got {value!r}")
 
 
 def _numbers(table: dict, section: str) -> dict[str, Any]:

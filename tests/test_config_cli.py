@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -282,6 +284,30 @@ class TestCli:
         assert "usage: pnsslink" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transfer", "--config", "c.json"],
+            ["send", "--config=c.json", "--out", "o", "--strict", "--tol", "1e-9", "--out=p"],
+            ["sweep", "--axis", "channel.L0_km", "--config", "-1", "--start", "-1", "--stop=-1e-9",
+             "--num", "-3", "--tol", "-.5"],
+        ],
+        ids=["transfer", "send", "sweep"],
+    )
+    def test_plain_argv_read_without_argparse(self, argv):
+        read = cli_mod._read_argv(argv)
+        assert read is not None
+        assert vars(read) == vars(cli_mod._build_parser().parse_args(argv))
+
+    def test_main_builds_no_parser_for_a_plain_argv(self, tmp_path, monkeypatch):
+        def unreachable():
+            raise AssertionError("argparse parser built")
+
+        monkeypatch.setattr(cli_mod, "_build_parser", unreachable)
+        path = write_doc(tmp_path, small_doc(outputs={"which": ["report"]}))
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "report.json").exists()
+
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transfer", "--help"])
@@ -333,6 +359,36 @@ class TestCli:
         code = main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("g_mhz", 1e303), ("delta_mhz", -1e303)])
+    def test_number_infinite_in_internal_units_exit_code(self, tmp_path, capsys, key, value):
+        # A finite MHz number can overflow: 2 pi 1e6 * 1e303 is inf rad/s.
+        # It is refused like a non-finite one, before any solve.
+        doc = small_doc()
+        doc["params"][key] = value
+        with pytest.raises(ConfigError, match=f"params.{key} must be finite in internal units"):
+            parse_config(doc)
+        path = write_doc(tmp_path, doc)
+        code = main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_sample_infinite_in_internal_units_fails_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("pulse solve ran")
+
+        monkeypatch.setattr(pipeline_mod, "solve_pulse_shape", no_solve)
+        path = write_doc(tmp_path, small_doc())
+        code = main([
+            "sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--axis", "params.g_mhz", "--start", "12", "--stop", "1e303", "--num", "2",
+        ])
+        assert code == 1
+        assert "params.g_mhz must be finite in internal units" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -756,6 +812,58 @@ VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 3000.5, MAX_GRID_POINTS + 1.0, 1e300, -1e300, 1e308]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+
+
+_ARGV_COMMANDS = ["send", "transfer", "sweep"] * 3 + ["receive", "--strict", "-h", "x"]
+_ARGV_FLAGS = ["--config", "--out", "--strict", "--tol", "--axis", "--start", "--stop", "--num",
+               "--conf", "--st", "--nu", "-h", "--help", "--", "--frobnicate"]
+_ARGV_VALUES = ["-1", "-.5", "-1e-9", "nan", "x", "", "0", "2", "0.5", "1e-9", "-", "--",
+                "-x y", "a=b", "channel.L0_km", "--config"]
+# Flags of the plain grammar with values argparse takes, negative numbers too.
+_PLAIN_PIECES = [["--out", "o"], ["--out=-o"], ["--strict"], ["--tol", "1e-9"], ["--tol", "-.5"],
+                 ["--tol=nan"], ["--config", "-2"]]
+_SWEEP_PIECES = [["--num", "-1"], ["--num=3"], ["--start", "-1"], ["--stop=-1e-9"], ["--axis", ""]]
+_NOISE_PIECES = st.one_of(
+    st.sampled_from(_ARGV_FLAGS).map(lambda flag: [flag]),
+    st.tuples(st.sampled_from(_ARGV_FLAGS), st.sampled_from(_ARGV_VALUES)).map(list),
+    st.tuples(st.sampled_from(_ARGV_FLAGS), st.sampled_from(_ARGV_VALUES)).map(lambda p: ["=".join(p)]),
+    st.sampled_from(_ARGV_VALUES).map(lambda value: [value]),
+)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command word, then flags, values, '=' forms, abbreviations, -h and --."""
+    command = draw(st.sampled_from(_ARGV_COMMANDS))
+    plain = _PLAIN_PIECES + _SWEEP_PIECES if command == "sweep" else _PLAIN_PIECES
+    pieces = draw(st.lists(st.sampled_from(plain), max_size=4))
+    pieces += draw(st.lists(_NOISE_PIECES, max_size=2))
+    if draw(st.booleans()):
+        # The flags the command requires, so that many draws are complete.
+        pieces.append(["--config", "c.json"])
+        if command == "sweep":
+            start = draw(st.sampled_from(_ARGV_VALUES))
+            pieces += [["--axis", "a.b"], ["--start", start], ["--stop", "5"]]
+    pieces = draw(st.permutations(pieces))
+    return [command, *(word for piece in pieces for word in piece)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(argvs())
+def test_argv_reader_agrees_with_argparse(argv):
+    # The reader may leave any argv to argparse, but what it reads it reads
+    # as argparse does, and it reads nothing argparse refuses.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(cli_mod._build_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+    read = cli_mod._read_argv(argv)
+    if expected is None:
+        assert read is None
+    elif read is not None:
+        # repr: nan equals itself, and 1 differs from 1.0.
+        assert repr(sorted(vars(read).items())) == repr(sorted(expected.items()))
 
 
 class TestSampleConfig:

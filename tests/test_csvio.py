@@ -6,19 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pnsslink.csvio import BLOCK_CELLS, _BlockWork, _format_block, write_csv
+from pnsslink import csvio
+from pnsslink.csvio import BLOCK_CELLS, PERCENT_MAX_CELLS, _BlockWork, _format_block, write_csv
 
 HASH = "0123456789abcdef"
 
 
-def reference_csv(columns, arrays, config_hash, comments=()) -> bytes:
+def reference_rows(arrays) -> bytes:
     """Cell-by-cell form of the format: ``f"{float(x):.15g}"`` per cell."""
-    lines = [f"# config_hash: {config_hash}"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(columns))
-    for i in range(len(arrays[0])):
-        lines.append(",".join(f"{float(a[i]):.15g}" for a in arrays))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "".join(
+        ",".join(f"{float(a[i]):.15g}" for a in arrays) + "\n" for i in range(len(arrays[0]))
+    ).encode("utf-8")
+
+
+def reference_csv(columns, arrays, config_hash, comments=()) -> bytes:
+    lines = [f"# config_hash: {config_hash}", *(f"# {c}" for c in comments), ",".join(columns)]
+    return ("\n".join(lines) + "\n").encode("utf-8") + reference_rows(arrays)
+
+
+def kernel_rows(arrays) -> bytes:
+    """The table's rows as the kernel formats them, in one block."""
+    n, n_cols = len(arrays[0]), len(arrays)
+    work = _BlockWork(max(n, 1), n_cols)
+    for j, a in enumerate(arrays):
+        work.values[:n, j] = a
+    return _format_block(work.values[:n].ravel(), work)
 
 
 def random_columns(n: int, seed: int = 3) -> list[np.ndarray]:
@@ -35,6 +47,10 @@ def assert_matches_reference(tmp_path, columns, arrays, comments=()):
     path = write_csv(tmp_path / "t.csv", columns, arrays, HASH, comments=comments)
     assert path == tmp_path / "t.csv"
     assert path.read_bytes() == reference_csv(columns, arrays, HASH, comments)
+    # write_csv formats a table this small with '%'; the kernel, which
+    # writes the larger ones, must give the same bytes for it.
+    if len(arrays[0]) * len(arrays) <= PERCENT_MAX_CELLS:
+        assert kernel_rows(arrays) == reference_rows(arrays)
 
 
 def test_edge_values(tmp_path):
@@ -66,6 +82,23 @@ def test_cell_counts_around_the_block_size(tmp_path, n_cols, extra_rows):
     pool = np.concatenate(random_columns(n))
     arrays = [np.roll(pool, 7 * c)[:n] for c in range(n_cols)]
     assert_matches_reference(tmp_path, [f"c{c}" for c in range(n_cols)], arrays)
+
+
+@pytest.mark.parametrize(
+    "n_cols, n, kernel_blocks",
+    [(1, PERCENT_MAX_CELLS - 1, 0), (1, PERCENT_MAX_CELLS, 0), (1, PERCENT_MAX_CELLS + 1, 1),
+     (23, 89, 0), (32, 64, 0), (3, 683, 1)],
+)
+def test_cell_counts_around_the_percent_threshold(tmp_path, monkeypatch, n_cols, n, kernel_blocks):
+    # 23 * 89 and 32 * 64 cells lie just below and at PERCENT_MAX_CELLS (2 048),
+    # 3 * 683 just above it: only the last goes to the kernel.
+    assert PERCENT_MAX_CELLS == 2048
+    calls = []
+    monkeypatch.setattr(csvio, "_format_block", lambda *args: calls.append(1) or _format_block(*args))
+    pool = np.concatenate(random_columns(n))
+    arrays = [np.roll(pool, 7 * c)[:n] for c in range(n_cols)]
+    assert_matches_reference(tmp_path, [f"c{c}" for c in range(n_cols)], arrays)
+    assert len(calls) == kernel_blocks
 
 
 EDGE_CELLS = {
