@@ -24,7 +24,7 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -58,15 +58,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-class _Flag(NamedTuple):
-    """One command-line flag; ``type`` None makes it a switch (store_true)."""
+class _Flag:
+    """One command-line flag; ``type`` None makes it a switch (store_true).
 
-    name: str
-    type: Any
-    default: Any = None
-    required: bool = False
-    help: Optional[str] = None
-    commands: tuple[str, ...] = ("send", "transfer", "sweep")
+    A plain class: a NamedTuple costs ~0.15 ms to create at every import.
+    """
+
+    def __init__(self, name: str, type: Any, default: Any = None, required: bool = False,
+                 help: Optional[str] = None, commands: tuple[str, ...] = ("send", "transfer", "sweep")):
+        self.name, self.type, self.default, self.required = name, type, default, required
+        self.help, self.commands = help, commands
 
 
 _COMMANDS = {
