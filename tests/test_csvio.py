@@ -90,8 +90,8 @@ def test_cell_counts_around_the_block_size(tmp_path, n_cols, extra_rows):
      (23, 89, 0), (32, 64, 0), (3, 683, 1)],
 )
 def test_cell_counts_around_the_percent_threshold(tmp_path, monkeypatch, n_cols, n, kernel_blocks):
-    # 23 * 89 and 32 * 64 cells lie just below and at PERCENT_MAX_CELLS (2 048),
-    # 3 * 683 just above it: only the last goes to the kernel.
+    # 2 047 = 23 * 89 and 2 048 = 32 * 64 cells go to '%'; 2 049 = 3 * 683
+    # cells, one past PERCENT_MAX_CELLS, go to the kernel in one block.
     assert PERCENT_MAX_CELLS == 2048
     calls = []
     monkeypatch.setattr(csvio, "_format_block", lambda *args: calls.append(1) or _format_block(*args))
