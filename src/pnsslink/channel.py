@@ -74,10 +74,6 @@ class ChannelModel:
         eta = transmission_efficiency(self.length_km, self.l_att_km, j)
         return success_probability(self.p_emission, eta, self.p_absorption)
 
-    def weighted_success(self, populations: tuple[float, float, float]) -> float:
-        """Input-state-weighted success over the photon-number branches."""
-        return weighted_success(populations, self.branch_success(1), self.branch_success(2))
-
 
 def weighted_success(populations: tuple, success_one: float, success_two: float) -> float:
     """Branch successes weighted by (two-photon, one-photon, vacuum) ``populations``.

@@ -116,7 +116,8 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     Plain is a command, then its flags as ``--flag value`` or
     ``--flag=value`` (a switch alone), with every required flag present
     and each value accepted by its type.  A separate value may start with
-    '-' only as a negative number.
+    '-' only as a negative number, and a value after '=' is not '--'
+    (argparse drops it and stores an empty list).
     """
     if not (argv and all(type(word) is str for word in argv) and argv[0] in _COMMANDS):
         return None
@@ -126,7 +127,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     while i < len(argv):
         name, eq, text = argv[i].partition("=")
         flag = flags.get(name)
-        if flag is None or flag.type is None and eq:
+        if flag is None or flag.type is None and eq or text == "--":
             return None
         i += 1
         if flag.type is None:

@@ -96,18 +96,17 @@ class PhysicalParams:
 class DerivedQuantities:
     """Rates derived from :class:`PhysicalParams`.
 
-    G1 = g*omega1/|delta| and G2 = g*omega2/|delta| are the effective
-    two-photon couplings after elimination of the excited state,
-    alpha1 = 4*G1**2/k is the cavity photon generation rate, and
-    r_sn = 4*g**2/(k*gamma_sp) is the emission signal-to-noise ratio.
+    G1 = g*omega1/|delta| is the sender's effective two-photon coupling
+    after elimination of the excited state (the receiver's uses the
+    solved omega2), alpha1 = 4*G1**2/k is the cavity photon generation
+    rate, and r_sn = 4*g**2/(k*gamma_sp) is the emission signal-to-noise
+    ratio.
     omega_rec = hbar*(2*pi/lambda)**2/(2*m) is the photon recoil frequency.
     """
 
     G1: float
-    G2: float
     alpha1: float
     r_sn: float
-    gamma1_peak: float
     omega_rec: float
 
 
@@ -115,18 +114,14 @@ def derive(params: PhysicalParams) -> DerivedQuantities:
     """Compute all derived rates from validated parameters."""
     abs_delta = abs(params.delta)
     G1 = params.g * params.omega1 / abs_delta
-    G2 = params.g * params.omega2 / abs_delta
     alpha1 = 4.0 * G1 * G1 / params.k
     r_sn = 4.0 * params.g * params.g / (params.k * params.gamma_sp)
-    gamma1_peak = (params.omega1 / params.delta) ** 2 * params.gamma_sp
     k_photon = TWO_PI / params.wavelength
     omega_rec = HBAR * k_photon * k_photon / (2.0 * params.atom_mass)
     return DerivedQuantities(
         G1=G1,
-        G2=G2,
         alpha1=alpha1,
         r_sn=r_sn,
-        gamma1_peak=gamma1_peak,
         omega_rec=omega_rec,
     )
 
@@ -162,10 +157,6 @@ class SuperpositionState:
     def populations(self) -> tuple[float, float, float]:
         return (abs(self.c_m1) ** 2, abs(self.c_0) ** 2, abs(self.c_p1) ** 2)
 
-    @property
-    def is_qutrit(self) -> bool:
-        return abs(self.c_p1) > 0.0
-
     @staticmethod
     def normalized(c_m1: complex, c_0: complex, c_p1: complex = 0j) -> "SuperpositionState":
         """Construct after dividing out the norm (which must be nonzero)."""
@@ -173,15 +164,6 @@ class SuperpositionState:
         if norm == 0.0:
             raise ValueError("cannot normalize the zero state")
         return SuperpositionState(c_m1 / norm, c_0 / norm, c_p1 / norm)
-
-    def overlap_sq(self, other: "SuperpositionState") -> float:
-        """|<self|other>|^2."""
-        amp = (
-            self.c_m1.conjugate() * other.c_m1
-            + self.c_0.conjugate() * other.c_0
-            + self.c_p1.conjugate() * other.c_p1
-        )
-        return abs(amp) ** 2
 
 
 class StateBatch:
@@ -227,10 +209,6 @@ class RegimeReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[RegimeCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}

@@ -1,4 +1,4 @@
-"""Grids, quadrature and root finding.
+"""Grids, quadrature and a bracketed Newton root finder.
 
 Everything here is deliberately fixed-step and deterministic: identical
 inputs give bit-identical outputs, and grid density is the only accuracy
@@ -119,20 +119,17 @@ def trapezoid(samples: np.ndarray, dt: float) -> float:
 
 
 def find_root(
-    f: Callable[[float], float | tuple[float, float]],
+    f: Callable[[float], tuple[float, float]],
     bracket: tuple[float, float],
     tol: float = 1e-12,
     max_iter: int = 200,
-    *,
-    slope: bool = False,
 ) -> float:
-    """Bisection/secant hybrid root finder on a sign-changing bracket.
+    """Newton root finder on a sign-changing bracket, with bisection as fallback.
 
-    With ``slope``, ``f(x)`` returns ``(f(x), f'(x))`` and each step is a
-    Newton step from the last point evaluated, not a secant step; a step
-    that would not land strictly inside the bracket (a zero, NaN or
-    outward derivative) is a bisection instead.  Stops when
-    ``|f(x)| <= tol`` or the bracket width drops below
+    ``f(x)`` returns ``(f(x), f'(x))``.  Each step is a Newton step from the
+    last point evaluated; a step that would not land strictly inside the
+    bracket (a zero, NaN or outward derivative) is a bisection instead.
+    Stops when ``|f(x)| <= tol`` or the bracket width drops below
     ``tol * max(|a|, |b|)`` of the initial bracket.  The returned root
     always lies inside the initial bracket.
 
@@ -141,9 +138,8 @@ def find_root(
     BracketError
         If ``f`` has the same sign at both bracket ends.
     """
-    point = f if slope else lambda x: (f(x), None)
     a, b = float(bracket[0]), float(bracket[1])
-    (fa, da), (fb, db) = point(a), point(b)
+    (fa, da), (fb, db) = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -158,17 +154,12 @@ def find_root(
     # Newton steps start from the end nearer the root.
     x, fx, dx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
     for _ in range(max_iter):
-        # Newton or secant proposal, demoted to bisection whenever it
-        # leaves the bracket (and, for the secant, whenever the bracket is
-        # no longer shrinking fast).
-        if slope:
-            x = float(x - fx / dx) if dx else math.nan
-        else:
-            x = b - fb * (b - a) / (fb - fa) if fb != fa else math.nan
+        # Newton proposal, demoted to bisection whenever it leaves the bracket.
+        x = float(x - fx / dx) if dx else math.nan
         lo, hi = (a, b) if a < b else (b, a)
         if not (lo < x < hi):
             x = 0.5 * (a + b)
-        fx, dx = point(x)
+        fx, dx = f(x)
         if abs(fx) <= tol:
             return x
         if fa * fx <= 0.0:
@@ -177,13 +168,4 @@ def find_root(
             a, fa = x, fx
         if abs(b - a) <= xtol:
             return x
-        if not slope and abs(b - a) > 0.5 * abs(hi - lo):
-            m = 0.5 * (a + b)
-            fm, _ = point(m)
-            if abs(fm) <= tol:
-                return m
-            if fa * fm <= 0.0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
     return 0.5 * (a + b)

@@ -23,20 +23,16 @@ from .sender import PulseShape, SenderTrajectory
 
 @dataclass(frozen=True)
 class PhotonObservables:
-    """Photon-number probabilities, fluxes and mode data on a grid."""
+    """Photon-number probabilities, fluxes, n_out and g2 of one input state on a grid."""
 
-    grid: TimeGrid
     p0: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     flux_total: np.ndarray
     flux_one: np.ndarray
     flux_two: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
     n_out: np.ndarray
     g2: np.ndarray
-    g2_defined: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,25 +115,24 @@ def g2_zero_delay(
     phi1: np.ndarray,
     phi2: np.ndarray,
     c: SuperpositionState,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Zero-delay second-order correlation of the emitted field.
 
     Evaluated in the two-mode photon-number basis:
     g2 = 4|c_m1|^2 phi1^2 phi2^2 / (phi1^2 + |c_m1|^2 phi2^2)^2.
     By the AM-GM inequality this never exceeds 1 (equality exactly where
     phi1^2 = |c_m1|^2 phi2^2), and it vanishes identically when there is
-    no two-photon component.  Points where the flux is zero are returned
-    as 0 and flagged False in the mask.
+    no two-photon component.  Where the flux is zero (both modes vanish)
+    g2 is undefined and reads 0.
     """
     p_m1 = abs(c.c_m1) ** 2
     i1 = phi1**2
     i2 = phi2**2
     num = 4.0 * p_m1 * i1 * i2
     den = (i1 + p_m1 * i2) ** 2
-    defined = den > 0.0
     g2 = np.zeros_like(den)
-    np.divide(num, den, out=g2, where=defined)
-    return g2, defined
+    np.divide(num, den, out=g2, where=den > 0.0)
+    return g2
 
 
 def mode_overlap(phi1: np.ndarray, phi2: np.ndarray, grid: TimeGrid) -> float:
@@ -166,18 +161,13 @@ def photon_observables(
     """Every output-field observable of input ``c``; pass ``n_out`` and ``fluxes`` if computed."""
     p0, p1, p2 = photon_distribution(traj)
     flux_total, flux_one, flux_two = fluxes or photon_fluxes(theta, modes, c)
-    g2, g2_defined = g2_zero_delay(modes.phi1, modes.phi2, c)
     return PhotonObservables(
-        grid=theta.grid,
         p0=p0,
         p1=p1,
         p2=p2,
         flux_total=flux_total,
         flux_one=flux_one,
         flux_two=flux_two,
-        phi1=modes.phi1,
-        phi2=modes.phi2,
         n_out=mean_photon_number(theta, c) if n_out is None else n_out,
-        g2=g2,
-        g2_defined=g2_defined,
+        g2=g2_zero_delay(modes.phi1, modes.phi2, c),
     )

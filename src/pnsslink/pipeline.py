@@ -31,7 +31,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from .channel import ChannelModel
-from .config import ScenarioConfig, axis_sampler
+from .config import ConfigError, ScenarioConfig, axis_sampler
 from .core import (
     DerivedQuantities,
     RegimeReport,
@@ -181,6 +181,8 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     """Regime checks, grid, exposure and photon modes of the sending node.
 
     With ``config.strict``, a failed regime check raises ``RegimeFailure``.
+    A sending pulse whose exposure is too small for exp(-theta) to drop
+    below 1 emits no photon in floating point: a ``ConfigError``.
     """
     params = config.params
     derived = derive(params)
@@ -191,6 +193,11 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     grid = build_grid(config)
     pulse1 = PulseShape(kind="gaussian", duration=t1, center=config.pulse1.center_us * US)
     theta = pump_exposure(pulse1, derived.alpha1, grid)
+    if np.exp(-theta.final) == 1.0:
+        raise ConfigError(
+            f"the sending pulse emits no photon (exposure {theta.final:.3g}): "
+            "raise params.omega1_mhz or pulse1.T1_us"
+        )
     modes = emission_modes(theta, pulse1, derived.alpha1)
     return SenderLink(
         derived=derived,
@@ -398,7 +405,7 @@ def report_document(result: TransferResult) -> dict:
             "end_to_end": final.fidelity * rep.weighted_success,
         },
         "phase_drift_rad": rep.phase_drift_rad,
-        "phase_warning": rep.phase_drift_rad > channel_mod.PHASE_WARN_THRESHOLD,
+        "phase_warning": abs(rep.phase_drift_rad) > channel_mod.PHASE_WARN_THRESHOLD,
         "diagnostics": {
             "r_sn": link.sender.derived.r_sn,
             "mode_overlap": link.sender.overlap,

@@ -38,7 +38,6 @@ class ReceiverTrajectory:
     field j); ``rho_*`` are the resulting sublevel populations.
     """
 
-    grid: TimeGrid
     eta: np.ndarray
     zeta: np.ndarray
     g_0_0: np.ndarray
@@ -154,7 +153,6 @@ def gamma_analytic(
     cos_z = np.cos(z)
     g_1_1 = c.c_0 * np.cos(half_e)  # complex, as the amplitudes are
     return ReceiverTrajectory(
-        grid=eta.grid,
         eta=e,
         zeta=z,
         g_0_0=c.c_0 * np.sin(half_e) * u,
@@ -268,7 +266,7 @@ def solve_pulse_shape(
         return eta_inf - math.pi, slope
 
     try:
-        duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12, slope=True)
+        duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12)
         t_center = _late_flank_root(
             lambda x: final_areas(duration, x, omega2)[0] - math.pi,
             eta_minus_pi,
@@ -335,7 +333,7 @@ def _late_flank_root(f, f_slope, bracket: tuple[float, float], n_scan: int = 61)
             f"peak value {vals[i_peak] + math.pi:.6f} stays below pi; "
             "the fixed amplitude cannot reach the required area"
         )
-    return find_root(f_slope, (xs[i_peak], bracket[1]), tol=1e-12, slope=True)
+    return find_root(f_slope, (xs[i_peak], bracket[1]), tol=1e-12)
 
 
 def _solve_duration_amplitude(
@@ -359,7 +357,7 @@ def _solve_duration_amplitude(
         return zeta_inf - eta_inf, slope
 
     try:
-        duration = find_root(imbalance, duration_bracket, tol=1e-14, slope=True)
+        duration = find_root(imbalance, duration_bracket, tol=1e-14)
     except BracketError as exc:
         raise PulseSolveError(
             "cannot equalize the two areas at this center; move the control "

@@ -62,7 +62,6 @@ class SenderTrajectory:
     amplitudes for (atom in sublevel m, j photons emitted).
     """
 
-    grid: TimeGrid
     theta: np.ndarray
     sigma_m1: np.ndarray
     sigma_0: np.ndarray
@@ -137,7 +136,6 @@ def amplitudes_beta(
     survive_2 = np.sqrt(np.maximum(1.0 - (1.0 + th) * e_full, 0.0))
 
     return SenderTrajectory(
-        grid=theta.grid,
         theta=th,
         sigma_m1=sigma_m1,
         sigma_0=sigma_0,

@@ -220,7 +220,6 @@ def simulate_receiver_ode(
     traj = integrate_ode(rhs, initial_amplitudes(c), grid)
     eta, zeta = pulse_areas(pulse2, phi1, phi2, G2, k, grid)
     return ReceiverTrajectory(
-        grid=grid,
         eta=eta.samples,
         zeta=zeta.samples,
         g_0_0=traj[:, 0],

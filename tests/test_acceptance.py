@@ -168,9 +168,9 @@ def test_06_receiver_unitarity_blocks(qubit_outcome):
     sender = send.sender
     params = send.config.params
     g2c = params.g * qubit_outcome.omega2 / abs(params.delta)
-    obs = send.observables
+    modes = sender.modes
     eta, zeta = pulse_areas(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, sender.grid
+        qubit_outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k, sender.grid
     )
     states = random_states(20, seed=777)
     worst_analytic = 0.0
@@ -187,7 +187,7 @@ def test_06_receiver_unitarity_blocks(qubit_outcome):
 
     batch = np.stack([initial_amplitudes(s) for s in states])
     traj_ode = simulate_receiver_ode(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, batch, sender.grid
+        qubit_outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k, math.pi / 2, batch, sender.grid
     )
     worst_ode = 0.0
     for i, state in enumerate(states):
@@ -213,13 +213,13 @@ def test_07_receiver_oracle_equivalence(qubit_outcome):
     sender = send.sender
     params = send.config.params
     g2c = params.g * qubit_outcome.omega2 / abs(params.delta)
-    obs = send.observables
+    modes = sender.modes
     state = send.config.initial_state
     ode = simulate_receiver_ode(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, state, sender.grid
+        qubit_outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k, math.pi / 2, state, sender.grid
     )
     eta, zeta = pulse_areas(
-        qubit_outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, sender.grid
+        qubit_outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k, sender.grid
     )
     ana = gamma_analytic(eta, zeta, state)
     worst = max(
@@ -257,13 +257,13 @@ def test_08_pulse_solve_with_equal_amplitudes():
     send = outcome.send
     sender = send.sender
     params = send.config.params
-    obs = send.observables
+    modes = sender.modes
     state = send.config.initial_state
     eta_err = abs(outcome.receiver.eta[-1] - math.pi)
     zeta_err = abs(outcome.receiver.zeta[-1] - math.pi)
     g2c = params.g * outcome.omega2 / abs(params.delta)
     ode = simulate_receiver_ode(
-        outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k, math.pi / 2, state, sender.grid
+        outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k, math.pi / 2, state, sender.grid
     )
     stored = final_state(ode, state)
     ok = (

@@ -10,6 +10,7 @@ from pnsslink.channel import (
     phase_drift,
     success_probability,
     transmission_efficiency,
+    weighted_success,
 )
 from pnsslink.config import parse_config
 from pnsslink.pipeline import report_document, run_transfer
@@ -74,12 +75,12 @@ class TestSuccessProbability:
 
     def test_weighted_sixty_meter_link(self):
         model = ChannelModel(length_km=0.06, atten_db_per_km=2.0)
-        weighted = model.weighted_success((0.7, 0.3, 0.0))
+        weighted = weighted_success((0.7, 0.3, 0.0), *map(model.branch_success, (1, 2)))
         assert weighted == pytest.approx(0.954, abs=1e-3)
 
     def test_vacuum_branch_always_survives(self):
         model = ChannelModel(length_km=50.0, atten_db_per_km=2.0)
-        assert model.weighted_success((0.0, 0.0, 1.0)) == 1.0
+        assert weighted_success((0.0, 0.0, 1.0), *map(model.branch_success, (1, 2))) == 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -135,3 +136,11 @@ class TestReport:
         )
         assert body["phase_drift_rad"] == pytest.approx(0.1 * length_km)
         assert body["phase_warning"] is warning
+
+    @pytest.mark.parametrize("rate", [0.1, -0.1])
+    def test_phase_warning_reads_the_drift_magnitude(self, rate):
+        doc = stock_doc()
+        doc["channel"].update(L0_km=10.0, phase_rate=rate)
+        body = report_document(run_transfer(parse_config(doc)))
+        assert body["phase_drift_rad"] == pytest.approx(10.0 * rate)
+        assert body["phase_warning"] is True

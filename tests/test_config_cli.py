@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnsslink import cli as cli_mod
@@ -389,6 +389,23 @@ class TestCli:
         ])
         assert code == 1
         assert "params.g_mhz must be finite in internal units" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
+    @pytest.mark.parametrize("omega1_mhz", [0.0, 1e-150, 1e-60])
+    def test_pulse_that_emits_nothing_exit_code(self, tmp_path, capsys, command, omega1_mhz):
+        # exp(-theta) rounds to 1: no photon leaves, and the photon modes'
+        # overlap is undefined (a traceback at 0, a division by zero at 1e-60).
+        doc = small_doc()
+        doc["params"]["omega1_mhz"] = omega1_mhz
+        path = write_doc(tmp_path, doc)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "params.omega1_mhz" in err and "pulse1.T1_us" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -850,6 +867,7 @@ def argvs(draw) -> list[str]:
 
 @settings(deadline=None, max_examples=400)
 @given(argvs())
+@example(["send", "--config=--"])  # argparse stores []
 def test_argv_reader_agrees_with_argparse(argv):
     # The reader may leave any argv to argparse, but what it reads it reads
     # as argparse does, and it reads nothing argparse refuses.
@@ -1034,6 +1052,8 @@ class TestSweepSemantics:
                 grid = getattr(arg, "grid", None)
                 if grid is not None:
                     return grid.n_points
+                # A sender or receiver trajectory: its exposure or area row.
+                arg = getattr(arg, "theta", getattr(arg, "eta", arg))
                 if isinstance(arg, np.ndarray):
                     return arg.size
             raise AssertionError("no grid-valued argument")

@@ -158,18 +158,18 @@ class TestIntegrateOde:
 
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda x: x - 2.0, (0.0, 5.0)) == pytest.approx(2.0, abs=1e-12)
+        assert find_root(lambda x: (x - 2.0, 1.0), (0.0, 5.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_cosine(self):
-        root = find_root(math.cos, (1.0, 2.0), tol=1e-12)
+        root = find_root(lambda x: (math.cos(x), -math.sin(x)), (1.0, 2.0), tol=1e-12)
         assert root == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, (-1.0, 1.0))
+            find_root(lambda x: (x * x + 1.0, 2.0 * x), (-1.0, 1.0))
 
     def test_endpoint_root(self):
-        assert find_root(lambda x: x, (0.0, 1.0)) == 0.0
+        assert find_root(lambda x: (x, 1.0), (0.0, 1.0)) == 0.0
 
     @given(
         root=st.floats(-10, 10),
@@ -178,7 +178,7 @@ class TestFindRoot:
     )
     @settings(deadline=None, max_examples=50)
     def test_root_inside_bracket(self, root, scale, off):
-        f = lambda x: scale * (x - root) ** 3 + scale * (x - root)
+        f = lambda x: (scale * ((x - root) ** 3 + (x - root)), scale * (3 * (x - root) ** 2 + 1))
         a, b = root - off, root + 2 * off
         found = find_root(f, (a, b), tol=1e-13)
         assert a <= found <= b
@@ -211,16 +211,13 @@ SMOOTH_ROOTS = [
 class TestFindRootWithSlope:
     @pytest.mark.parametrize("f, df, bracket, root", SMOOTH_ROOTS, ids=["cos", "gaussian"])
     @pytest.mark.parametrize("tol", [1e-12, 1e-14])  # the pulse solve's tolerances
-    def test_same_root_as_secant_in_fewer_evaluations(self, f, df, bracket, root, tol):
-        secant, secant_seen = _counted(f)
-        newton, newton_seen = _counted(lambda x: (f(x), df(x)))
-        x_secant = find_root(secant, bracket, tol=tol)
-        x_newton = find_root(newton, bracket, tol=tol, slope=True)
-        assert isinstance(x_newton, float)
-        assert abs(f(x_newton)) <= tol
-        assert x_newton == pytest.approx(x_secant, abs=tol)
-        assert x_newton == pytest.approx(root, abs=tol)
-        assert len(newton_seen) < len(secant_seen)
+    def test_exact_root_in_few_evaluations(self, f, df, bracket, root, tol):
+        newton, seen = _counted(lambda x: (f(x), df(x)))
+        x = find_root(newton, bracket, tol=tol)
+        assert isinstance(x, float)
+        assert abs(f(x)) <= tol
+        assert x == pytest.approx(root, abs=tol)
+        assert len(seen) <= 10  # 5 (cos) and 9 (gaussian); bisection alone takes ~40
 
     @pytest.mark.parametrize("slope", [0.0, math.nan, -1.0], ids=["zero", "nan", "outward"])
     def test_bisects_when_the_newton_step_leaves_the_bracket(self, slope):
@@ -228,13 +225,13 @@ class TestFindRootWithSlope:
         # the root (0) is undefined or lands at -0.3, so the first
         # interior point is the midpoint, and so is every later one.
         f, seen = _counted(lambda x: (x - 0.3, slope))
-        root = find_root(f, (0.0, 1.0), tol=1e-12, slope=True)
+        root = find_root(f, (0.0, 1.0), tol=1e-12)
         assert seen[:4] == [0.0, 1.0, 0.5, 0.25]
         assert root == pytest.approx(0.3, abs=1e-12)
 
     def test_bracket_error_unchanged(self):
         with pytest.raises(BracketError) as info:
-            find_root(lambda x: (x * x, 2.0 * x), (-1.0, 1.0), slope=True)
+            find_root(lambda x: (x * x, 2.0 * x), (-1.0, 1.0))
         assert str(info.value) == "no sign change on bracket [-1, 1]: f(a)=1, f(b)=1"
 
     @given(
@@ -248,6 +245,6 @@ class TestFindRootWithSlope:
             lambda x: (scale * ((x - root) ** 3 + (x - root)), scale * (3 * (x - root) ** 2 + 1))
         )
         a, b = root - off, root + 2 * off
-        found = find_root(f, (a, b), tol=1e-13, slope=True)
+        found = find_root(f, (a, b), tol=1e-13)
         assert all(a <= x <= b for x in seen)
         assert found == pytest.approx(root, abs=1e-6 * max(1.0, abs(root)))

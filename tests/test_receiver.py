@@ -56,24 +56,24 @@ class TestPulseAreas:
         assert np.all(eta.samples == 0.0)
         assert np.all(zeta.samples == 0.0)
 
-    def test_flat_pulse_against_quadrature(self, modes, grid, stock_params, stock_derived):
+    def test_flat_pulse_against_quadrature(self, modes, grid, stock_params):
         # Independent oracle: plain quadrature of the mode envelopes.
         _, phi1, phi2 = modes
         flat = PulseShape(
             kind="tabulated", duration=1.0, table=SampledFunction(grid, np.ones(grid.n_points))
         )
-        eta, zeta = pulse_areas(flat, phi1, phi2, stock_derived.G2, stock_params.k, grid)
-        pref = stock_derived.G2 / math.sqrt(stock_params.k)
+        G2 = stock_params.g * stock_params.omega2 / abs(stock_params.delta)
+        eta, zeta = pulse_areas(flat, phi1, phi2, G2, stock_params.k, grid)
+        pref = G2 / math.sqrt(stock_params.k)
         assert eta.final == pytest.approx(2.0 * pref * trapezoid(phi1, grid.dt), rel=1e-12)
         assert zeta.final == pytest.approx(
             pref * trapezoid(phi1 + phi2, grid.dt), rel=1e-12
         )
 
-    def test_monotone(self, modes, grid, stock_params, stock_derived, solved):
+    def test_monotone(self, modes, grid, stock_params, solved):
         _, phi1, phi2 = modes
-        eta, zeta = pulse_areas(
-            solved.pulse, phi1, phi2, stock_derived.G2, stock_params.k, grid
-        )
+        G2 = stock_params.g * solved.omega2 / abs(stock_params.delta)
+        eta, zeta = pulse_areas(solved.pulse, phi1, phi2, G2, stock_params.k, grid)
         assert np.all(np.diff(eta.samples) >= 0.0)
         assert np.all(np.diff(zeta.samples) >= 0.0)
 
@@ -164,9 +164,9 @@ class TestReceiverOde:
             outcome = run_transfer(parse_config(doc))
             send, params = outcome.send, outcome.send.config.params
             g2c = params.g * outcome.omega2 / abs(params.delta)
-            obs = send.observables
+            modes = send.sender.modes
             state = send.config.initial_state
-            args = (outcome.pulse2, obs.phi1, obs.phi2, g2c, params.k)
+            args = (outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k)
             grid = send.sender.grid
             ode = simulate_receiver_ode(*args, math.pi / 2, state, grid)
             ana = gamma_analytic(*pulse_areas(*args, grid), state)
@@ -341,10 +341,8 @@ class TestSolvePulseShape:
 
 class TestConservationCheck:
     def test_formula_on_synthetic_data(self):
-        grid = TimeGrid(0.0, 1.0, 4)
         half = math.sqrt(0.5)
         traj = ReceiverTrajectory(
-            grid=grid,
             eta=np.zeros(4),
             zeta=np.zeros(4),
             g_0_0=np.full(4, 0.5 + 0j),
