@@ -32,6 +32,14 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
                          median of 3 interpreters
     oracle_sender_per_step, oracle_receiver_per_step
                          each ODE oracle's time per RK4 step
+    import_cold, import_cached
+                         ``import pnsslink.cli`` in a fresh ``spawn``
+                         interpreter that has numpy loaded, from a copy of
+                         the package: compiled from source with bytecode
+                         writing off (cold), or read from bytecode that an
+                         earlier interpreter wrote under a scratch
+                         ``sys.pycache_prefix`` (cached); the median of
+                         REPEATS interpreters each
     tier1_suite          the checkout's tier-1 pytest run, once, in a
                          subprocess: wall time and pytest's summary line
 
@@ -66,6 +74,7 @@ import multiprocessing
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -275,6 +284,51 @@ def fresh_call(checkout: Path, name: str) -> dict:
     }
 
 
+def _import_cli(src: Path, pycache_prefix: str | None, write_bytecode: bool) -> float:
+    """Wall time of ``import pnsslink.cli`` from ``src`` in this fresh interpreter.
+
+    numpy is loaded (this module imports it).  With ``pycache_prefix`` every
+    module's bytecode is looked up under it only.
+    """
+    sys.pycache_prefix = pycache_prefix
+    sys.dont_write_bytecode = not write_bytecode
+    sys.path.insert(0, str(src))
+    t0 = time.perf_counter()
+    import pnsslink.cli
+
+    wall = time.perf_counter() - t0
+    if not Path(pnsslink.cli.__file__).is_relative_to(src):
+        raise ImportError(f"pnsslink imported from {pnsslink.cli.__file__}, not from {src}")
+    return wall
+
+
+def import_times(checkout: Path) -> dict:
+    """The import_cold and import_cached stages of ``checkout`` (see the module docstring).
+
+    Both import a copy of the package without ``__pycache__``, so a cold
+    import compiles the package and reads the standard library's bytecode.
+    """
+    spawn = multiprocessing.get_context("spawn")
+
+    def fresh(*args) -> float:
+        with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            return pool.submit(_import_cli, *args).result()
+
+    cold, cached = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        src, warm = Path(tmp) / "src", str(Path(tmp) / "pycache")
+        shutil.copytree(checkout / "src" / "pnsslink", src / "pnsslink",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        fresh(src, warm, True)  # writes the bytecode the cached imports read
+        for _ in range(REPEATS):
+            cold.append(fresh(src, None, False))
+            cached.append(fresh(src, warm, False))
+    return {
+        "import_cold": {"median_s": statistics.median(cold), "repeats": REPEATS},
+        "import_cached": {"median_s": statistics.median(cached), "repeats": REPEATS},
+    }
+
+
 def run(checkout: Path) -> dict:
     _import(checkout)
     from oracles import simulate_receiver_ode, simulate_sender_ode
@@ -341,6 +395,7 @@ def run(checkout: Path) -> dict:
             "repeats": REPEATS,
             "grid_points": points,
         }
+    stages.update(import_times(checkout))
     stages["tier1_suite"] = tier1_suite(checkout)
     return {
         "commit": _commit(checkout),

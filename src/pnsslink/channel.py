@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PHASE_WARN_THRESHOLD = 0.5  # rad, reporting policy only
 
@@ -53,21 +53,27 @@ def phase_drift(length_km: float, rate_rad_per_km: float = 0.1) -> float:
     return rate_rad_per_km * length_km
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class _ChannelModelFields(NamedTuple):
+    length_km: float
+    atten_db_per_km: float
+    phase_rate_rad_per_km: float
+    p_emission: float
+    p_absorption: float
+    l_att_km: float
+
+
+class ChannelModel(_ChannelModelFields):
     """Link length and loss figures, with the derived attenuation length."""
 
-    length_km: float
-    atten_db_per_km: float = 2.0
-    phase_rate_rad_per_km: float = 0.1
-    p_emission: float = 1.0
-    p_absorption: float = 1.0
-    l_att_km: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.length_km < 0.0:
+    def __new__(cls, length_km: float, atten_db_per_km: float = 2.0,
+                phase_rate_rad_per_km: float = 0.1, p_emission: float = 1.0,
+                p_absorption: float = 1.0) -> ChannelModel:
+        if length_km < 0.0:
             raise ValueError("length must be non-negative")
-        object.__setattr__(self, "l_att_km", attenuation_length(self.atten_db_per_km))
+        return super().__new__(cls, length_km, atten_db_per_km, phase_rate_rad_per_km,
+                               p_emission, p_absorption, attenuation_length(atten_db_per_km))
 
     def branch_success(self, j: int) -> float:
         """Success probability of the j-photon branch over this link."""

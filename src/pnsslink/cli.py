@@ -18,12 +18,11 @@ codes are argparse's.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import math
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Optional
 
 import numpy as np
@@ -48,14 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_REGIME = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    """Exits with the config-error code on a usage error; 2 means a solver failure here."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 class _Flag:
@@ -91,6 +82,15 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only for an argv that _read_argv leaves to it
+
+    class _Parser(argparse.ArgumentParser):
+        """Exits with the config-error code on a usage error; 2 means a solver failure here."""
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="pnsslink",
         description=(
@@ -110,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
-    """``_build_parser().parse_args(argv)`` for a plain argv, else None.
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The attributes of ``_build_parser().parse_args(argv)`` for a plain argv, else None.
 
     Plain is a command, then its flags as ``--flag value`` or
     ``--flag=value`` (a switch alone), with every required flag present
@@ -146,7 +146,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
             return None
     if any(f.required and name not in values for name, f in flags.items()):
         return None
-    return argparse.Namespace(
+    return SimpleNamespace(
         command=argv[0], **{name[2:]: values.get(name, f.default) for name, f in flags.items()})
 
 
@@ -155,7 +155,7 @@ def _load(args) -> ScenarioConfig:
     # sample carry them; --tol is a pulse2.tol sample, checked like the file's.
     config = load_config(args.config)
     if args.strict:
-        config = dataclasses.replace(config, strict=True)
+        config = config._replace(strict=True)
     if args.tol is None:
         return config
     try:

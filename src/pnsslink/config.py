@@ -9,13 +9,11 @@ scenario: its hash, its sweep samples and the CLI flags all act on it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NamedTuple, Optional
 
@@ -157,14 +155,12 @@ def _numbers(table: dict, section: str) -> dict[str, Any]:
 
 
 # The parsed sections.  Their numbers' defaults are in _NUMBERS.
-@dataclass(frozen=True)
-class Pulse1Config:
+class Pulse1Config(NamedTuple):
     t1_us: float
     center_us: float
 
 
-@dataclass(frozen=True)
-class Pulse2Config:
+class Pulse2Config(NamedTuple):
     mode: str  # "solve" | "explicit"
     free: str  # "center" | "amplitude"
     tol: float
@@ -176,8 +172,7 @@ class Pulse2Config:
     max_iterations: int
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple):
     span_in_t1: float
     # None: 250 per pulse duration (3 001 at the stock span), where the
     # fourth-order cumulative areas put the solved T2 within ~2e-11 of a
@@ -190,14 +185,12 @@ class GridConfig:
         return int(round(self.span_in_t1 * 250)) + 1
 
 
-@dataclass(frozen=True)
-class OutputsConfig:
+class OutputsConfig(NamedTuple):
     directory: str = "out"
     which: tuple[str, ...] = ("sender", "photonics", "receiver", "report")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     params: PhysicalParams
     initial_state: SuperpositionState
     pulse1: Pulse1Config
@@ -212,8 +205,8 @@ class ScenarioConfig:
         """Hash of the parsed scenario, recorded in outputs.
 
         Every parsed value is a Python float, int, str, bool, complex or
-        tuple, so the dataclass ``repr`` is a canonical form: documents
-        that parse alike share a hash.
+        tuple, so the record ``repr``, ``Name(field=value, ...)`` all the way
+        down, is a canonical form: documents that parse alike share a hash.
         """
         return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
 
@@ -395,7 +388,8 @@ def axis_sampler(config: ScenarioConfig, axis: str):
             if not (value >= 0.0 and value + p_p1 <= 1.0 + 1e-12):
                 raise ConfigError(f"initial_state.p_m1 = {value} leaves no weight for c_0")
             c_m1, c_0 = math.sqrt(value), math.sqrt(max(1.0 - value - p_p1, 0.0))
-            return _with(config, initial_state=_normalized_state(complex(c_m1), complex(c_0), c_p1))
+            state = _normalized_state(complex(c_m1), complex(c_0), c_p1)
+            return config._replace(initial_state=state)
 
         return sample_state
     section, _, key = axis.rpartition(".")
@@ -406,20 +400,15 @@ def axis_sampler(config: ScenarioConfig, axis: str):
     if row is None or row.default is _UNSET and getattr(parsed, row.field) is None:
         raise ConfigError(f"sweep axis {axis!r}: no field {key!r} with a number to sweep")
     if not section:
-        return lambda value: _with(config, **{row.field: _check(row, value, "config")})
+        return lambda value: config._replace(**{row.field: _check(row, value, "config")})
     make = _MAKERS[section]
-    fields = {f.name: getattr(parsed, f.name) for f in dataclasses.fields(parsed) if f.init}
+    fields = parsed._asdict()
+    fields.pop("l_att_km", None)  # derived: the channel's maker recomputes it
 
     def sample(value: float) -> ScenarioConfig:
-        return _with(config, **{section: make(**{**fields, row.field: _check(row, value, section)})})
+        parsed_section = make(**{**fields, row.field: _check(row, value, section)})
+        return config._replace(**{section: parsed_section})
 
-    return sample
-
-
-def _with(config: ScenarioConfig, **fields) -> ScenarioConfig:
-    """``config`` with the already parsed ``fields`` swapped in."""
-    sample = object.__new__(ScenarioConfig)
-    sample.__dict__.update(config.__dict__, **fields)
     return sample
 
 

@@ -10,7 +10,7 @@ the usual silent factor-of-2*pi mistakes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,21 @@ def to_mhz(omega: float) -> float:
     return omega / (TWO_PI * 1e6)
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class _PhysicalParamsFields(NamedTuple):
+    g: float
+    k: float
+    gamma_sp: float
+    omega1: float
+    omega2: float
+    delta: float
+    delta_b_ground: float
+    delta_b_excited: float
+    phi2: float = math.pi / 2
+    atom_mass: float = RB87_MASS
+    wavelength: float = D2_WAVELENGTH
+
+
+class PhysicalParams(_PhysicalParamsFields):
     """Constants of one atom-cavity node pair.
 
     Attributes
@@ -60,29 +73,13 @@ class PhysicalParams:
         Photon wavelength, m.
     """
 
-    g: float
-    k: float
-    gamma_sp: float
-    omega1: float
-    omega2: float
-    delta: float
-    delta_b_ground: float
-    delta_b_excited: float
-    phi2: float = math.pi / 2
-    atom_mass: float = RB87_MASS
-    wavelength: float = D2_WAVELENGTH
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        positive = {
-            "g": self.g,
-            "k": self.k,
-            "gamma_sp": self.gamma_sp,
-            "delta_b_ground": self.delta_b_ground,
-            "delta_b_excited": self.delta_b_excited,
-            "atom_mass": self.atom_mass,
-            "wavelength": self.wavelength,
-        }
-        for name, value in positive.items():
+    def __new__(cls, *args, **kwargs) -> PhysicalParams:
+        self = super().__new__(cls, *args, **kwargs)
+        for name in ("g", "k", "gamma_sp", "delta_b_ground", "delta_b_excited", "atom_mass",
+                     "wavelength"):
+            value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         for name, value in (("omega1", self.omega1), ("omega2", self.omega2)):
@@ -90,10 +87,10 @@ class PhysicalParams:
                 raise ValueError(f"{name} must be non-negative, got {value}")
         if self.delta == 0.0:
             raise ValueError("delta must be nonzero")
+        return self
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
+class DerivedQuantities(NamedTuple):
     """Rates derived from :class:`PhysicalParams`.
 
     G1 = g*omega1/|delta| is the sender's effective two-photon coupling
@@ -115,39 +112,38 @@ def derive(params: PhysicalParams) -> DerivedQuantities:
     abs_delta = abs(params.delta)
     G1 = params.g * params.omega1 / abs_delta
     alpha1 = 4.0 * G1 * G1 / params.k
-    r_sn = 4.0 * params.g * params.g / (params.k * params.gamma_sp)
+    k_gamma = params.k * params.gamma_sp  # 0 where the product underflows: r_sn is inf
+    r_sn = 4.0 * params.g * params.g / k_gamma if k_gamma else math.inf
     k_photon = TWO_PI / params.wavelength
     omega_rec = HBAR * k_photon * k_photon / (2.0 * params.atom_mass)
-    return DerivedQuantities(
-        G1=G1,
-        alpha1=alpha1,
-        r_sn=r_sn,
-        omega_rec=omega_rec,
-    )
+    return DerivedQuantities(G1, alpha1, r_sn, omega_rec)
 
 
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SuperpositionState:
+class _SuperpositionStateFields(NamedTuple):
+    c_m1: complex
+    c_0: complex
+    c_p1: complex
+
+
+class SuperpositionState(_SuperpositionStateFields):
     """Complex amplitudes over the three ground Zeeman sublevels.
 
     The qubit case has ``c_p1 == 0``; a nonzero ``c_p1`` selects the
     qutrit protocol (a vacuum branch that emits no photons).
     """
 
-    c_m1: complex
-    c_0: complex
-    c_p1: complex = 0j
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("c_m1", "c_0", "c_p1"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+    def __new__(cls, c_m1: complex, c_0: complex, c_p1: complex = 0j) -> SuperpositionState:
+        self = super().__new__(cls, complex(c_m1), complex(c_0), complex(c_p1))
         if abs(self.norm_sq - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state not normalized: |c|^2 = {self.norm_sq!r} (tol {NORM_TOL})"
             )
+        return self
 
     @property
     def norm_sq(self) -> float:
@@ -180,8 +176,7 @@ class StateBatch:
         self.populations = tuple(columns[3:])
 
 
-@dataclass(frozen=True)
-class RegimeCheck:
+class RegimeCheck(NamedTuple):
     name: str
     left: float
     right: float
@@ -189,19 +184,8 @@ class RegimeCheck:
     minimum: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "left": self.left,
-            "right": self.right,
-            "ratio": self.ratio,
-            "minimum": self.minimum,
-            "passed": self.passed,
-        }
 
-
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Outcome of every separation-of-scales check the model relies on."""
 
     checks: tuple[RegimeCheck, ...]
@@ -211,7 +195,7 @@ class RegimeReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [c._asdict() for c in self.checks]}
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -258,14 +242,5 @@ def validate_regime(
     checks = []
     for name, left, right in pairs:
         ratio = math.inf if right == 0.0 else left / right
-        checks.append(
-            RegimeCheck(
-                name=name,
-                left=left,
-                right=right,
-                ratio=ratio,
-                minimum=min_ratio,
-                passed=ratio >= min_ratio,
-            )
-        )
+        checks.append(RegimeCheck(name, left, right, ratio, min_ratio, ratio >= min_ratio))
     return RegimeReport(checks=tuple(checks))

@@ -10,8 +10,7 @@ simpler and more reproducible than adaptive control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,44 +27,52 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid on [t_start, t_end] with n_points samples."""
-
+class _TimeGridFields(NamedTuple):
     t_start: float
     t_end: float
     n_points: int
-    values: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        if not self.t_end > self.t_start:
+
+class TimeGrid(_TimeGridFields):
+    """Uniform time grid on [t_start, t_end] with n_points samples.
+
+    ``values`` (read-only) lives in the instance dict, not in the fields,
+    so a grid compares, hashes and prints by its three numbers.
+    """
+
+    def __new__(cls, t_start: float, t_end: float, n_points: int) -> TimeGrid:
+        if n_points < 2:
+            raise ValueError(f"n_points must be >= 2, got {n_points}")
+        if not t_end > t_start:
             raise ValueError("t_end must exceed t_start")
-        values = np.linspace(self.t_start, self.t_end, self.n_points)
-        object.__setattr__(self, "values", _readonly(values))
+        self = super().__new__(cls, t_start, t_end, n_points)
+        self.values = _readonly(np.linspace(t_start, t_end, n_points))
+        return self
 
     @property
     def dt(self) -> float:
         return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Values of a scalar function on a :class:`TimeGrid`."""
-
+class _SampledFunctionFields(NamedTuple):
     grid: TimeGrid
     samples: np.ndarray
 
-    def __post_init__(self) -> None:
+
+class SampledFunction(_SampledFunctionFields):
+    """Values of a scalar function on a :class:`TimeGrid`."""
+
+    __slots__ = ()
+
+    def __new__(cls, grid: TimeGrid, samples: np.ndarray) -> SampledFunction:
         # Copy so freezing never flips a caller-owned buffer to read-only.
-        samples = np.array(self.samples)
-        if samples.shape != (self.grid.n_points,):
+        samples = np.array(samples)
+        if samples.shape != (grid.n_points,):
             raise ValueError(
                 f"samples shape {samples.shape} does not match grid "
-                f"({self.grid.n_points} points)"
+                f"({grid.n_points} points)"
             )
-        object.__setattr__(self, "samples", _readonly(samples))
+        return super().__new__(cls, grid, _readonly(samples))
 
     @property
     def final(self) -> float:

@@ -11,8 +11,7 @@ alone (``emission_modes``); the input state only weights them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from .numerics import SampledFunction, TimeGrid, trapezoid
 from .sender import PulseShape, SenderTrajectory
 
 
-@dataclass(frozen=True)
-class PhotonObservables:
+class PhotonObservables(NamedTuple):
     """Photon-number probabilities, fluxes, n_out and g2 of one input state on a grid."""
 
     p0: np.ndarray
@@ -35,8 +33,7 @@ class PhotonObservables:
     g2: np.ndarray
 
 
-@dataclass(frozen=True)
-class EmissionModes:
+class EmissionModes(NamedTuple):
     """The two temporal modes of one sending pulse; the input state does not enter."""
 
     pulse: PulseShape

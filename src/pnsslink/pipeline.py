@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,8 +75,7 @@ class RegimeFailure(Exception):
         self.regime = regime
 
 
-@dataclass(frozen=True)
-class SenderLink:
+class SenderLink(NamedTuple):
     """The sending node's half of a link: no input state enters."""
 
     derived: DerivedQuantities
@@ -91,12 +89,11 @@ class SenderLink:
 
 def _physics(config: ScenarioConfig) -> tuple:
     """The parsed fields a link is built from; phi2 enters per state only."""
-    params = {**vars(config.params), "phi2": None}
+    params = config.params._replace(phi2=None)
     return (params, config.pulse1, config.pulse2, config.grid, config.regime_min_ratio)
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """A sender half plus the receiving control pulse and its areas."""
 
     physics: tuple  # _physics of the config it was built from
@@ -110,12 +107,16 @@ class Link:
     zeta_residual: float  # zeta(inf) - pi
 
 
-@dataclass(frozen=True)
-class SendResult:
-    """``config``'s input state sent over ``sender``; figure arrays are built on first read."""
-
+class _SendResultFields(NamedTuple):
     config: ScenarioConfig
     sender: SenderLink
+
+
+class SendResult(_SendResultFields):
+    """``config``'s input state sent over ``sender``; figure arrays are built on first read.
+
+    No ``__slots__``: each ``cached_property`` keeps its value in the instance dict.
+    """
 
     @cached_property
     def emission(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -134,8 +135,7 @@ class SendResult:
         return photon_observables(sender.theta, sender.modes, c, self.trajectory, *self.emission)
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """End values of input states sent over one link, as ``summarize`` reads them.
 
     A field holds a scalar for one state (a transfer's report) or a column
@@ -151,8 +151,7 @@ class Summary:
     conservation_residual_max: Optional[float] = None  # full grid: a transfer's only
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     send: SendResult
     link: Link
     receiver: ReceiverTrajectory
@@ -177,15 +176,35 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
     return TimeGrid(center - half, center + half, config.grid.n_points())
 
 
+# The params keys of each DerivedQuantities rate.
+_RATE_KEYS = {
+    "G1": ("g_mhz", "omega1_mhz", "delta_mhz"),
+    "alpha1": ("g_mhz", "omega1_mhz", "delta_mhz", "k_mhz"),
+    "r_sn": ("g_mhz", "k_mhz", "gamma_sp_mhz"),
+    "omega_rec": ("wavelength_nm", "atom_mass_kg"),
+}
+
+
+def _overflow(what: str, rates: list[str]) -> ConfigError:
+    """The error for ``what`` overflowing, naming the params keys of ``rates``."""
+    keys = dict.fromkeys(key for rate in rates for key in _RATE_KEYS[rate])
+    return ConfigError(f"{what} overflow: check params.{', params.'.join(keys)}")
+
+
 def build_sender(config: ScenarioConfig) -> SenderLink:
     """Regime checks, grid, exposure and photon modes of the sending node.
 
     With ``config.strict``, a failed regime check raises ``RegimeFailure``.
-    A sending pulse whose exposure is too small for exp(-theta) to drop
-    below 1 emits no photon in floating point: a ``ConfigError``.
+    A ``ConfigError`` is raised, before any output exists, for a derived
+    rate or photon mode that overflows and for a sending pulse that emits
+    no photon in floating point (exp(-theta) stays 1) or emits within one
+    grid step (a photon mode vanishes on the grid).
     """
     params = config.params
     derived = derive(params)
+    overflow = [name for name, value in derived._asdict().items() if not math.isfinite(value)]
+    if overflow:
+        raise _overflow(f"derived rates {', '.join(overflow)}", overflow)
     t1 = config.pulse1.t1_us * US
     regime = validate_regime(params, derived, t1, min_ratio=config.regime_min_ratio)
     if config.strict and not regime.passed:
@@ -198,16 +217,18 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
             f"the sending pulse emits no photon (exposure {theta.final:.3g}): "
             "raise params.omega1_mhz or pulse1.T1_us"
         )
+    if not math.isfinite(derived.alpha1 * float(theta.final)):  # bounds alpha1 * f1 * theta
+        raise _overflow(f"the photon modes (exposure {theta.final:.3g})", ["alpha1"])
     modes = emission_modes(theta, pulse1, derived.alpha1)
-    return SenderLink(
-        derived=derived,
-        regime=regime,
-        grid=grid,
-        pulse1=pulse1,
-        theta=theta,
-        modes=modes,
-        overlap=mode_overlap(modes.phi1, modes.phi2, grid),
-    )
+    try:
+        overlap = mode_overlap(modes.phi1, modes.phi2, grid)
+    except ValueError as exc:  # a mode with no weight on the grid
+        raise ConfigError(
+            f"the sending pulse emits within one step of the {grid.n_points}-point grid "
+            f"(exposure {theta.final:.3g}): lower pulse1.T1_us or params.omega1_mhz, "
+            "or raise grid.points"
+        ) from exc
+    return SenderLink(derived, regime, grid, pulse1, theta, modes, overlap)
 
 
 def run_send(config: ScenarioConfig) -> SendResult:

@@ -13,8 +13,7 @@ equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from .numerics import (
 from .sender import PulseShape
 
 
-@dataclass(frozen=True)
-class ReceiverTrajectory:
+class ReceiverTrajectory(NamedTuple):
     """Areas, absorption amplitudes and populations of the second atom.
 
     Amplitudes ``g_m_j`` carry (atom sublevel m, photons still in the
@@ -60,8 +58,7 @@ class ReceiverTrajectory:
         return np.abs(self.g_1_0) ** 2 + np.abs(self.g_1_1) ** 2 + np.abs(self.g_1_2) ** 2
 
 
-@dataclass(frozen=True)
-class PulseSolveResult:
+class PulseSolveResult(NamedTuple):
     """Control pulse returned by :func:`solve_pulse_shape`."""
 
     pulse: PulseShape
@@ -81,8 +78,7 @@ class PulseSolveError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class FinalState:
+class FinalState(NamedTuple):
     """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s rows.
 
     A ``StateBatch`` gives a column per field, one entry per state.
@@ -425,9 +421,4 @@ def final_state(
     im = c.real * state.imag - c.imag * state.real
     overlap = np.hypot(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
     leakage = 1.0 - retained
-    return FinalState(
-        state=state,
-        fidelity=overlap * overlap,
-        leakage=leakage,
-        leakage_warning=leakage > leakage_threshold,
-    )
+    return FinalState(state, overlap * overlap, leakage, leakage > leakage_threshold)

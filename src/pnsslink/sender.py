@@ -8,8 +8,7 @@ dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -17,20 +16,24 @@ from .core import StateBatch, SuperpositionState
 from .numerics import SampledFunction, TimeGrid, cumulative_integral
 
 
-@dataclass(frozen=True)
-class PulseShape:
+class _PulseShapeFields(NamedTuple):
+    kind: str
+    duration: float
+    center: float = 0.0
+    table: Optional[SampledFunction] = None
+
+
+class PulseShape(_PulseShapeFields):
     """Peak-normalized intensity profile of a control pulse.
 
     For the gaussian kind, f(t) = exp(-((t - center)/duration)**2).
     Tabulated profiles are linearly interpolated and must stay in [0, 1].
     """
 
-    kind: str
-    duration: float
-    center: float = 0.0
-    table: Optional[SampledFunction] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> PulseShape:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("gaussian", "tabulated"):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
         if self.kind == "gaussian":
@@ -42,6 +45,7 @@ class PulseShape:
             samples = self.table.samples
             if np.any(samples < 0.0) or np.any(samples > 1.0):
                 raise ValueError("tabulated profile must lie in [0, 1]")
+        return self
 
     def evaluate(self, t: np.ndarray | float) -> np.ndarray | float:
         """Intensity profile f(t), in [0, 1]."""
@@ -53,8 +57,7 @@ class PulseShape:
         )
 
 
-@dataclass(frozen=True)
-class SenderTrajectory:
+class SenderTrajectory(NamedTuple):
     """Atomic populations, coherences and emission amplitudes on a grid.
 
     ``sigma_*`` are the ground-sublevel populations, ``coh_*`` the three

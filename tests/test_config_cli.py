@@ -408,6 +408,50 @@ class TestCli:
         assert "params.omega1_mhz" in err and "pulse1.T1_us" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"g_mhz": 1e150}, "alpha1, r_sn"),
+            ({"omega1_mhz": 1e150}, "alpha1"),
+            ({"delta_mhz": 1e-300}, "G1, alpha1"),
+            ({"k_mhz": 1e-300, "gamma_sp_mhz": 1e-300}, "r_sn"),  # k * gamma_sp underflows
+            ({"wavelength_nm": 1e-300}, "omega_rec"),
+            ({"k_mhz": 1e-300}, "the photon modes"),  # alpha1 is finite, alpha1 * theta is not
+        ],
+    )
+    def test_overflowing_rates_exit_code(self, tmp_path, capsys, command, params, named):
+        # Every number is finite in internal units, but a rate derived from
+        # them is not: a NaN exposure ended in "cannot normalize the zero
+        # state", and k * gamma_sp = 0 in a division by zero.
+        doc = small_doc()
+        doc["params"].update(params)
+        path = write_doc(tmp_path, doc)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert named in err and all(f"params.{key}" in err for key in params)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
+    def test_pulse_that_emits_within_one_grid_step_exit_code(self, tmp_path, capsys, command):
+        # theta passes 700 by the second grid point, so phi2 is 0 on the
+        # whole grid: mode_overlap's ValueError was uncaught.
+        doc = small_doc()
+        doc["pulse1"]["T1_us"] = 1e30
+        path = write_doc(tmp_path, doc)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "pulse1.T1_us" in err and "4001-point grid" in err and "grid.points" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "section, value, field",
         [
@@ -1097,9 +1141,9 @@ class TestSweepSemantics:
             return summaries[-1]
 
         class CountingFinalState(receiver_mod.FinalState):
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 finals.append(1)
-                super().__init__(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(pipeline_mod, "summarize", counting_summarize)
         monkeypatch.setattr(receiver_mod, "FinalState", CountingFinalState)

@@ -234,10 +234,8 @@ class TestSolvePulseShape:
     def test_amplitude_seed_invariance(self, modes, grid, stock_params):
         # The areas are linear in amplitude * envelope, so the solved
         # product cannot depend on the seed amplitude.
-        import dataclasses
-
         _, phi1, phi2 = modes
-        doubled = dataclasses.replace(stock_params, omega2=2.0 * stock_params.omega2)
+        doubled = stock_params._replace(omega2=2.0 * stock_params.omega2)
         a = solve_pulse_shape(
             phi1, phi2, grid, stock_params, mode="duration_amplitude", center=0.5 * T1
         )
@@ -248,10 +246,8 @@ class TestSolvePulseShape:
         assert b.pulse.duration == pytest.approx(a.pulse.duration, rel=1e-9)
 
     def test_free_center_mode_on_feasible_amplitude(self, modes, grid, stock_params):
-        import dataclasses
-
         _, phi1, phi2 = modes
-        strong = dataclasses.replace(stock_params, omega2=1.3 * stock_params.omega2)
+        strong = stock_params._replace(omega2=1.3 * stock_params.omega2)
         res = solve_pulse_shape(phi1, phi2, grid, strong, mode="duration_center", tol=1e-6)
         assert res.converged
         assert abs(res.eta_residual) <= 1e-6
