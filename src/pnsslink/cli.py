@@ -81,7 +81,7 @@ _COMMAND_FLAGS = {name: {f.name: f for f in _FLAGS if name in f.commands} for na
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     import argparse  # only for an argv that _read_argv leaves to it
 
     class _Parser(argparse.ArgumentParser):
