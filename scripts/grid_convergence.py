@@ -45,8 +45,8 @@ def row(doc: dict, points: int) -> str:
 
     return " | ".join([
         f"| {points:,}".replace(",", " "),
-        rel(coarse.pulse2.duration, fine.pulse2.duration),
-        rel(coarse.omega2, fine.omega2),
+        rel(coarse.link.pulse2.duration, fine.link.pulse2.duration),
+        rel(coarse.link.omega2, fine.link.omega2),
         pointwise(coarse.receiver.eta, fine.receiver.eta),
         pointwise(coarse.receiver.zeta, fine.receiver.zeta),
         pointwise(coarse.residual, fine.residual),

@@ -212,7 +212,7 @@ def _cmd_transfer(args) -> int:
     link = result.link
     print(f"fidelity: {result.report.final.fidelity:.6f}")
     print(f"area residuals: eta {link.eta_residual:.3e}, zeta {link.zeta_residual:.3e}")
-    if link.solve is not None and not link.solve.converged:
+    if link.converged is False:
         print("pulse solve did not converge; report carries best residuals", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK

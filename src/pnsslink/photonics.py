@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import StateBatch, SuperpositionState
-from .numerics import SampledFunction, TimeGrid, trapezoid
+from .numerics import SampledFunction, TimeGrid, quadrature_weights
 from .sender import PulseShape, SenderTrajectory
 
 
@@ -139,12 +139,12 @@ def mode_overlap(phi1: np.ndarray, phi2: np.ndarray, grid: TimeGrid) -> float:
     modes) throughout; this diagnostic quantifies how strongly their
     envelopes actually overlap in time.
     """
-    dt = grid.dt
-    n1 = trapezoid(phi1 * phi1, dt)
-    n2 = trapezoid(phi2 * phi2, dt)
+    w = quadrature_weights(grid)
+    n1 = w @ (phi1 * phi1)
+    n2 = w @ (phi2 * phi2)
     if n1 <= 0.0 or n2 <= 0.0:
         raise ValueError("mode_overlap needs two nonzero modes")
-    return trapezoid(phi1 * phi2, dt) / np.sqrt(n1 * n2)
+    return w @ (phi1 * phi2) / np.sqrt(n1 * n2)
 
 
 def photon_observables(

@@ -40,7 +40,7 @@ from .core import (
     validate_regime,
 )
 from .csvio import write_csv
-from .numerics import SampledFunction, TimeGrid
+from .numerics import SampledFunction, TimeGrid, quadrature_weights
 from .photonics import (
     EmissionModes,
     PhotonObservables,
@@ -105,6 +105,7 @@ class Link(NamedTuple):
     zeta: SampledFunction
     eta_residual: float  # eta(inf) - pi
     zeta_residual: float  # zeta(inf) - pi
+    converged: Optional[bool]  # both residuals within pulse2.tol; None for an explicit pulse
 
 
 class _SendResultFields(NamedTuple):
@@ -168,12 +169,23 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 
     The span covers +-(span_in_T1/2) pulse durations around the pulse
     center; at the default 12 durations the gaussian tails are below
-    1e-15, which stands in for the infinite integration limits.
+    1e-15, which stands in for the infinite integration limits.  A center
+    that leaves the step below 2**26 units in the last place of the grid's
+    largest time is a ``ConfigError``: beyond it the rounded samples move
+    the solved T2 by more than the default grid's own error.
     """
     t1 = config.pulse1.t1_us * US
     center = config.pulse1.center_us * US
     half = 0.5 * config.grid.span_in_t1 * t1
-    return TimeGrid(center - half, center + half, config.grid.n_points())
+    n = config.grid.n_points()
+    dt = 2.0 * half / (n - 1)
+    if math.ulp(abs(center) + half) > dt * 2.0**-26:
+        raise ConfigError(
+            f"pulse1.center_us {config.pulse1.center_us:g} is too far from 0 for float64 to "
+            f"resolve the {n}-point grid's step of {dt / US:.3g} us: move both pulses' centers "
+            "nearer 0"
+        )
+    return TimeGrid(center - half, center + half, n)
 
 
 # The params keys of each DerivedQuantities rate.
@@ -251,6 +263,17 @@ def _resolve_pulse2(
         return pulse, omega2, None
 
     mode = "duration_amplitude" if p2.free == "amplitude" else "duration_center"
+    if mode == "duration_amplitude":
+        # The widest pulse of the bracket is the largest at every time: when
+        # it misses the first photon mode on the grid, every pulse does.
+        u = (sender.grid.values - p2.center_us * US) / (p2.t2_range_us[1] * US)
+        if not quadrature_weights(sender.grid) @ (np.exp(-0.5 * u * u) * sender.modes.phi1) > 0.0:
+            raise ConfigError(
+                f"no control pulse at pulse2.center_us {p2.center_us:g} with a duration in "
+                f"pulse2.T2_range_us reaches the photons of pulse1.T1_us {config.pulse1.t1_us:g}: "
+                "move pulse2.center_us to where they arrive, widen pulse2.T2_range_us or shorten "
+                "pulse1.T1_us"
+            )
     center_bracket = None
     if p2.center_range_us is not None:
         center_bracket = (p2.center_range_us[0] * US, p2.center_range_us[1] * US)
@@ -282,6 +305,8 @@ def build_link(config: ScenarioConfig) -> Link:
     g2_coupling = params.g * omega2 / abs(params.delta)
     modes = sender.modes
     eta, zeta = pulse_areas(pulse2, modes.phi1, modes.phi2, g2_coupling, params.k, sender.grid)
+    eta_residual, zeta_residual = float(eta.final - math.pi), float(zeta.final - math.pi)
+    worse = max(abs(eta_residual), abs(zeta_residual))  # of the areas the link reports
     return Link(
         physics=_physics(config),
         sender=sender,
@@ -290,8 +315,9 @@ def build_link(config: ScenarioConfig) -> Link:
         solve=solve,
         eta=eta,
         zeta=zeta,
-        eta_residual=float(eta.final - math.pi),
-        zeta_residual=float(zeta.final - math.pi),
+        eta_residual=eta_residual,
+        zeta_residual=zeta_residual,
+        converged=None if solve is None else worse <= config.pulse2.tol,
     )
 
 
@@ -442,7 +468,7 @@ def report_document(result: TransferResult) -> dict:
             "omega2_rad_per_s": link.omega2,
             "iterations": solve.iterations if solve else None,
             "mode": solve.mode if solve else "explicit",
-            "converged": solve.converged if solve else None,
+            "converged": link.converged,
             "T2_us": link.pulse2.duration / US,
             "center_us": link.pulse2.center / US,
             "omega2_mhz": to_mhz(link.omega2),
@@ -525,7 +551,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np
     for group in groups:  # one link alive at a time
         link = build_link(group[0])
         parts.append(_sweep_columns(link, group))
-        unconverged += link.solve is not None and not link.solve.converged
+        unconverged += link.converged is False
     # A summary column named like the axis's leaf (T2_us, omega2_mhz) takes its place.
     columns = {axis.split(".")[-1]: values}
     for name in parts[0] if parts else ():

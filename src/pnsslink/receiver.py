@@ -24,7 +24,7 @@ from .numerics import (
     TimeGrid,
     cumulative_integral,
     find_root,
-    trapezoid,
+    quadrature_weights,
 )
 from .sender import PulseShape
 
@@ -197,12 +197,13 @@ def solve_pulse_shape(
         On non-convergence, carrying the best residuals found.
     """
     pref_per_omega = params.g / abs(params.delta) / math.sqrt(params.k)
-    dt = grid.dt
     t = grid.values
     evals = 0
 
-    # How eta, zeta and zeta - eta weight the control envelope.
-    rows = {"eta": 2.0 * phi1, "zeta": phi1 + phi2, "zeta-eta": phi2 - phi1}
+    # How eta, zeta and zeta - eta weight the control envelope, times the quadrature weights.
+    w = quadrature_weights(grid)
+    w_phi1, w_phi2 = w * phi1, w * phi2
+    rows = {"eta": 2.0 * w_phi1, "zeta": w_phi1 + w_phi2, "zeta-eta": w_phi2 - w_phi1}
 
     def final_areas(duration: float, t_center: float, omega2: float, *slopes) -> tuple:
         """eta and zeta at the grid end, then one partial derivative per
@@ -214,12 +215,12 @@ def solve_pulse_shape(
         uu = u * u
         sqrt_f2 = np.exp(-0.5 * uu)
         pref = omega2 * pref_per_omega
-        a1 = pref * trapezoid(sqrt_f2 * phi1, dt)
-        a2 = pref * trapezoid(sqrt_f2 * phi2, dt)
+        a1 = pref * float(sqrt_f2 @ w_phi1)
+        a2 = pref * float(sqrt_f2 @ w_phi2)
         # d sqrt_f2 / d duration = sqrt_f2 u**2 / T, d sqrt_f2 / d center = sqrt_f2 u / T.
         partial = {"duration": uu, "center": u}
         return 2.0 * a1, a1 + a2, *(
-            pref / duration * trapezoid(sqrt_f2 * partial[v] * rows[a], dt) for a, v in slopes
+            pref / duration * float((sqrt_f2 * partial[v]) @ rows[a]) for a, v in slopes
         )
 
     def result(duration: float, t_center: float, omega2: float) -> PulseSolveResult:
@@ -249,8 +250,7 @@ def solve_pulse_shape(
         center_bracket = (grid.t_start, grid.t_end)
 
     # Initial center: centroid of the incoming photon envelope.
-    weight = phi1 + phi2
-    t_center = float(trapezoid(weight * t, dt) / trapezoid(weight, dt))
+    t_center = float(t @ rows["zeta"] / np.sum(rows["zeta"]))
     duration = math.sqrt(duration_bracket[0] * duration_bracket[1])
 
     def zeta_minus_pi(d: float) -> tuple[float, float]:

@@ -452,6 +452,63 @@ class TestCli:
         assert "pulse1.T1_us" in err and "4001-point grid" in err and "grid.points" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
+    @pytest.mark.parametrize("center_us", [0.0, 1e4, 1e10, 1e15])
+    def test_pulse_center_float64_cannot_resolve_exit_code(
+        self, tmp_path, capsys, command, center_us
+    ):
+        # At 1e15 us the grid held 31 distinct times of 4001, and the
+        # transfer reported fidelity 1 with T2 0.7 % off.
+        doc = small_doc()
+        doc["pulse1"]["center_us"] = center_us
+        doc["pulse2"]["center_us"] += center_us
+        path = write_doc(tmp_path, doc)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        refused = center_us >= 1e10
+        assert main(argv) == (1 if refused else 0)
+        assert ("pulse1.center_us" in capsys.readouterr().err) is refused
+        assert (tmp_path / "out").exists() is not refused
+
+    @pytest.mark.parametrize("center_us, refused", [(1e4, False), (1.2e5, False), (1.3e5, True)])
+    def test_far_pulse_center_bound(self, center_us, refused):
+        # On the stock 3001-point grid the step is 2**26.4 units in the last
+        # place of the grid's largest time at 1.2e5 us and 2**25.4 at
+        # 1.3e5 us, where T2 moved by 3.5e-11; an accepted center keeps T2
+        # within the default grid's own error (2.1e-11).
+        doc = stock_doc()
+        base = build_link(parse_config(doc))
+        doc["pulse1"]["center_us"] = center_us
+        doc["pulse2"]["center_us"] += center_us
+        if refused:
+            with pytest.raises(ConfigError, match="pulse1.center_us"):
+                build_link(parse_config(doc))
+            return
+        moved = build_link(parse_config(doc))
+        assert moved.converged
+        assert moved.pulse2.duration == pytest.approx(base.pulse2.duration, rel=2.1e-11)
+        assert moved.omega2 == pytest.approx(base.omega2, rel=2.1e-11)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    @pytest.mark.parametrize("t1_us", [1e9, 1e12])
+    def test_photons_the_fixed_pulse_cannot_reach_exit_code(self, tmp_path, capsys, command, t1_us):
+        # The photons leave early in the leading tail of a 6 T1 half-span, far
+        # from a control pulse fixed at 0.15 us and at most 20 us long: the
+        # solve ended in "control pulse does not overlap the photon modes".
+        doc = small_doc()
+        doc["pulse1"]["T1_us"] = t1_us
+        path = write_doc(tmp_path, doc)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("pulse2.center_us", "pulse2.T2_range_us", "pulse1.T1_us"))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "section, value, field",
         [
@@ -716,6 +773,39 @@ class TestCli:
         path = write_doc(tmp_path, doc)
         assert main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert seen == {"mean_photon_number": 1, "photon_fluxes": 1}
+
+    @pytest.mark.parametrize("points", [601, None])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-13, 1e-14, 1e-15])
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    def test_converged_means_the_reported_residuals_are_within_tol(
+        self, tmp_path, capsys, command, points, tol
+    ):
+        # At 601 points and tol 1e-13 the solver's own sums said converged
+        # while the reported residuals were 2.1e-12 and 1.3e-12.
+        doc = stock_doc()
+        if points is not None:
+            doc["grid"]["points"] = points
+        doc["pulse2"]["tol"] = tol
+        doc["outputs"]["which"] = ["report"]
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        code = main(argv)
+        printed = capsys.readouterr()
+        if command == "sweep":
+            rows = load_csv(out / "sweep.csv")
+            residuals = float(rows["eta_residual"][0]), float(rows["zeta_residual"][0])
+            converged = "did not converge on 1 link(s)" not in printed.err
+        else:
+            report = json.loads((out / "report.json").read_text())
+            residuals = (report["diagnostics"]["eta_residual"],
+                         report["diagnostics"]["zeta_residual"])
+            converged = report["solved_pulse"]["converged"]
+            assert f"eta {residuals[0]:.3e}, zeta {residuals[1]:.3e}" in printed.out
+        assert converged is (max(map(abs, residuals)) <= tol)
+        assert code == (0 if converged else 2)
 
     def test_tol_flag_reaches_solver(self, tmp_path):
         path = write_doc(tmp_path, small_doc())

@@ -11,6 +11,7 @@ from pnsslink.numerics import (
     TimeGrid,
     cumulative_integral,
     find_root,
+    quadrature_weights,
 )
 
 from oracles import IntegrationError, integrate_ode, refined
@@ -111,6 +112,21 @@ class TestCumulativeIntegral:
         )
         scale = max(1.0, np.max(np.abs(separate)))
         assert np.max(np.abs(combined - separate)) <= 1e-12 * scale
+
+
+class TestQuadratureWeights:
+    @pytest.mark.parametrize("n", [*range(2, 13), 3001])
+    def test_last_sample_of_the_cumulative_integral(self, n):
+        # Weight j is the whole-grid integral of the j-th unit sample, and
+        # a dot product with the weights is the cumulative integral's end.
+        grid = TimeGrid(-1.0, 2.0, n)
+        w = quadrature_weights(grid)
+        unit = np.eye(n)
+        ends = [cumulative_integral(SampledFunction(grid, unit[j])).final for j in range(n)]
+        np.testing.assert_array_max_ulp(w, np.array(ends), maxulp=2)
+        f = np.exp(-grid.values**2) + 0.5
+        end = cumulative_integral(SampledFunction(grid, f)).final
+        assert abs(w @ f - end) <= 4 * math.sqrt(n) * np.spacing(end)
 
 
 class TestIntegrateOde:

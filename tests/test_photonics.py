@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnsslink.core import SuperpositionState
-from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
+from pnsslink.numerics import SampledFunction, TimeGrid
 from pnsslink.photonics import (
     emission_modes,
     g2_zero_delay,
@@ -69,7 +69,7 @@ class TestFluxesAndModes:
         # Quadrature oracle: the first-photon envelope integrates to
         # 1 - exp(-theta_inf).
         theta, modes, _ = scenario
-        norm = trapezoid(modes.phi1**2, theta.grid.dt)
+        norm = np.trapezoid(modes.phi1**2, dx=theta.grid.dt)
         assert norm == pytest.approx(1.0 - math.exp(-theta.final), rel=1e-6)
 
     def test_zero_pulse_zero_flux(self, stock_derived, qubit_state):

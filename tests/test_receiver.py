@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pnsslink
 from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState
-from pnsslink.numerics import SampledFunction, TimeGrid, trapezoid
+from pnsslink.numerics import SampledFunction, TimeGrid
 from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes
 from pnsslink.pipeline import build_link, run_transfer
 from pnsslink.receiver import (
@@ -65,9 +65,9 @@ class TestPulseAreas:
         G2 = stock_params.g * stock_params.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(flat, phi1, phi2, G2, stock_params.k, grid)
         pref = G2 / math.sqrt(stock_params.k)
-        assert eta.final == pytest.approx(2.0 * pref * trapezoid(phi1, grid.dt), rel=1e-12)
+        assert eta.final == pytest.approx(2.0 * pref * np.trapezoid(phi1, dx=grid.dt), rel=1e-12)
         assert zeta.final == pytest.approx(
-            pref * trapezoid(phi1 + phi2, grid.dt), rel=1e-12
+            pref * np.trapezoid(phi1 + phi2, dx=grid.dt), rel=1e-12
         )
 
     def test_monotone(self, modes, grid, stock_params, solved):
