@@ -458,8 +458,8 @@ class TestCli:
     def test_pulse_center_float64_cannot_resolve_exit_code(
         self, tmp_path, capsys, command, center_us
     ):
-        # At 1e15 us the grid held 31 distinct times of 4001, and the
-        # transfer reported fidelity 1 with T2 0.7 % off.
+        # At 1e15 us linspace gives 31 distinct times of 4001, and every
+        # command ran on them.
         doc = small_doc()
         doc["pulse1"]["center_us"] = center_us
         doc["pulse2"]["center_us"] += center_us

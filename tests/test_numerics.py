@@ -121,9 +121,12 @@ class TestQuadratureWeights:
         # a dot product with the weights is the cumulative integral's end.
         grid = TimeGrid(-1.0, 2.0, n)
         w = quadrature_weights(grid)
-        unit = np.eye(n)
-        ends = [cumulative_integral(SampledFunction(grid, unit[j])).final for j in range(n)]
-        np.testing.assert_array_max_ulp(w, np.array(ends), maxulp=2)
+        ends = np.empty(n)
+        for j in range(n):
+            unit = np.zeros(n)
+            unit[j] = 1.0
+            ends[j] = cumulative_integral(SampledFunction(grid, unit)).final
+        np.testing.assert_array_max_ulp(w, ends, maxulp=2)
         f = np.exp(-grid.values**2) + 0.5
         end = cumulative_integral(SampledFunction(grid, f)).final
         assert abs(w @ f - end) <= 4 * math.sqrt(n) * np.spacing(end)
