@@ -84,7 +84,7 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
     samples: h/24 (-f[i-1] + 13 f[i] + 13 f[i+1] - f[i+2]) inside, and the
     one-sided h/24 (9 f[0] + 19 f[1] - 5 f[2] + f[3]) on the first
     interval, mirrored on the last.  The rule is exact on cubics and its
-    error falls as h**4.  Grids of fewer than 4 points use the trapezoid.
+    error falls as h**4.  Grids of fewer than 4 points take h/2 (f[i] + f[i+1]).
     The first sample is exactly 0 and the last approximates the integral
     over the whole grid.
     """
@@ -111,7 +111,7 @@ def quadrature_weights(grid: TimeGrid) -> np.ndarray:
     From 8 points on they are dt/24 (8, 31, 20, 25, 24, ..., 24, 25, 20, 31, 8).
     """
     n = grid.n_points
-    if n < 4:  # the trapezoid
+    if n < 4:  # h/2 (f[i] + f[i+1]) per interval
         return np.convolve(np.ones(n - 1), (0.5, 0.5)) * grid.dt
     w = np.convolve(np.ones(n - 3), (-1.0, 13.0, 13.0, -1.0))  # the inner panels
     w[:4] += (9.0, 19.0, -5.0, 1.0)  # the first panel
