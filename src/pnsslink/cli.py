@@ -1,11 +1,13 @@
 """Command-line scenario runner.
 
 Subcommands: send, transfer, sweep.  Exit codes: 0 ok, 1 config or
-usage error (an unknown subcommand or flag, a missing ``--config``),
-2 pulse-solve non-convergence (for ``sweep``, of any link; its rows are
-still written), 3 strict-mode regime failure (of any link a command
-builds, before its pulse solve; nothing is written).  Any other
-exception is a bug and propagates with its traceback.
+usage error (an unknown subcommand, flag or config key, a missing
+``--config``, a fixed-center pulse that cannot exist; nothing is
+written), 2 a solved receiving pulse whose areas miss ``pulse2.tol``
+(for ``sweep``, on any link; the best effort is still written),
+3 strict-mode regime failure (of any link a command builds, before its
+pulse solve; nothing is written).  Any other exception is a bug and
+propagates with its traceback.
 
 ``_FLAGS`` is the one table of the flags.  ``_build_parser`` builds the
 argparse parser from it, and ``_read_argv`` reads a plain argv (a
@@ -41,7 +43,6 @@ from .pipeline import (
     write_sender_csv,
     write_sweep_csv,
 )
-from .receiver import PulseSolveError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -255,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PulseSolveError as exc:
-        print(f"pulse solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except RegimeFailure as exc:
         _print_regime(exc.regime)
         print("strict mode: aborting on regime failure", file=sys.stderr)

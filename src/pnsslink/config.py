@@ -120,6 +120,37 @@ _NUMBERS = {
 }
 
 
+# Every key a table reads ("" is the top level): its _NUMBERS rows, then these.
+_KEYS = {
+    section: dict.fromkeys([*(row.key for row in _NUMBERS.get(section, ())), *others])
+    for section, others in {
+        "": ("params", "initial_state", "pulse1", "pulse2", "grid", "channel", "outputs", "strict"),
+        "params": (),
+        "initial_state": ("c_m1", "c_0", "c_p1"),
+        "pulse1": ("shape",),
+        "pulse2": ("mode", "family", "free", "T2_range_us", "center_range_us"),
+        "grid": (),
+        "channel": (),
+        "outputs": ("directory", "which"),
+    }.items()
+}
+
+
+def _refuse_unknown_keys(table: dict, section: str) -> None:
+    """Refuse a key of ``table`` that ``section`` does not read.
+
+    Misspelt, it would leave its field at the default without a word.
+    """
+    known = _KEYS[section]
+    if table.keys() <= known.keys():
+        return
+    key = next(key for key in table if key not in known)
+    raise ConfigError(
+        f"unknown config key {f'{section}.{key}' if section else key}; "
+        f"{section or 'the top level'} reads {', '.join(known)}"
+    )
+
+
 def _check(row: _Number, value: Any, where: str) -> Any:
     """A value of ``row``, checked and in internal units.
 
@@ -142,6 +173,7 @@ def _check(row: _Number, value: Any, where: str) -> Any:
 
 def _numbers(table: dict, section: str) -> dict[str, Any]:
     """The parsed field of each of ``section``'s rows, read from ``table``."""
+    _refuse_unknown_keys(table, section)
     where = section or "config"
     fields = {}
     for row in _NUMBERS[section]:
@@ -219,6 +251,7 @@ def _parse_state(doc: dict) -> SuperpositionState:
     raw = _require(doc, "initial_state", "config")
     if not isinstance(raw, dict):
         raise ConfigError("initial_state must be a table of [re, im] pairs")
+    _refuse_unknown_keys(raw, "initial_state")
     c_m1 = _parse_amplitude(_require(raw, "c_m1", "initial_state"), "c_m1")
     c_0 = _parse_amplitude(_require(raw, "c_0", "initial_state"), "c_0")
     c_p1 = _parse_amplitude(raw.get("c_p1", [0.0, 0.0]), "c_p1")
@@ -320,6 +353,7 @@ _MAKERS = {"params": _make_params, "pulse1": Pulse1Config, "pulse2": Pulse2Confi
 
 def _parse_outputs(doc: dict) -> OutputsConfig:
     raw = _section(doc, "outputs")
+    _refuse_unknown_keys(raw, "outputs")
     which = raw.get("which", ["sender", "photonics", "receiver", "report"])
     if not isinstance(which, (list, tuple)):
         raise ConfigError("outputs.which must be a list")

@@ -40,7 +40,7 @@ from .core import (
     validate_regime,
 )
 from .csvio import write_csv
-from .numerics import SampledFunction, TimeGrid, quadrature_weights
+from .numerics import BracketError, SampledFunction, TimeGrid
 from .photonics import (
     EmissionModes,
     PhotonObservables,
@@ -53,7 +53,6 @@ from .photonics import (
 )
 from .receiver import (
     FinalState,
-    PulseSolveError,
     PulseSolveResult,
     ReceiverTrajectory,
     conservation_check,
@@ -169,14 +168,21 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 
     The span covers +-(span_in_T1/2) pulse durations around the pulse
     center; at the default 12 durations the gaussian tails are below
-    1e-15, which stands in for the infinite integration limits.  A center
-    that leaves the step below 2**26 units in the last place of the grid's
-    largest time is a ``ConfigError``: beyond it the rounded samples move
-    the solved T2 by more than the default grid's own error.
+    1e-15, which stands in for the infinite integration limits.  A span
+    that overflows is a ``ConfigError``, and so is a center that leaves
+    the step below 2**26 units in the last place of the grid's largest
+    time: beyond it the rounded samples move the solved T2 by more than
+    the default grid's own error.
     """
     t1 = config.pulse1.t1_us * US
     center = config.pulse1.center_us * US
-    half = 0.5 * config.grid.span_in_t1 * t1
+    span = config.grid.span_in_t1 * t1
+    if not math.isfinite(span):
+        raise ConfigError(
+            f"the grid's span of pulse1.T1_us {config.pulse1.t1_us:g} times grid.span_in_T1 "
+            f"{config.grid.span_in_t1:g} overflows: lower one of them"
+        )
+    half = 0.5 * span
     n = config.grid.n_points()
     dt = 2.0 * half / (n - 1)
     if math.ulp(abs(center) + half) > dt * 2.0**-26:
@@ -262,18 +268,6 @@ def _resolve_pulse2(
         pulse = PulseShape(kind="gaussian", duration=p2.t2_us * US, center=center)
         return pulse, omega2, None
 
-    mode = "duration_amplitude" if p2.free == "amplitude" else "duration_center"
-    if mode == "duration_amplitude":
-        # The widest pulse of the bracket is the largest at every time: when
-        # it misses the first photon mode on the grid, every pulse does.
-        u = (sender.grid.values - p2.center_us * US) / (p2.t2_range_us[1] * US)
-        if not quadrature_weights(sender.grid) @ (np.exp(-0.5 * u * u) * sender.modes.phi1) > 0.0:
-            raise ConfigError(
-                f"no control pulse at pulse2.center_us {p2.center_us:g} with a duration in "
-                f"pulse2.T2_range_us reaches the photons of pulse1.T1_us {config.pulse1.t1_us:g}: "
-                "move pulse2.center_us to where they arrive, widen pulse2.T2_range_us or shorten "
-                "pulse1.T1_us"
-            )
     center_bracket = None
     if p2.center_range_us is not None:
         center_bracket = (p2.center_range_us[0] * US, p2.center_range_us[1] * US)
@@ -283,17 +277,20 @@ def _resolve_pulse2(
             sender.modes.phi2,
             sender.grid,
             config.params,
-            mode=mode,
+            mode="duration_amplitude" if p2.free == "amplitude" else "duration_center",
             center=(p2.center_us * US if p2.center_us is not None else None),
             tol=p2.tol,
             duration_bracket=(p2.t2_range_us[0] * US, p2.t2_range_us[1] * US),
             center_bracket=center_bracket,
             max_iterations=p2.max_iterations,
         )
-    except PulseSolveError as exc:
-        if exc.best is None:
-            raise
-        solve = exc.best
+    except BracketError as exc:  # a fixed center with no pulse to return
+        raise ConfigError(
+            f"no control pulse at pulse2.center_us {p2.center_us:g} with a duration in "
+            f"pulse2.T2_range_us absorbs the photons of pulse1.T1_us {config.pulse1.t1_us:g} "
+            f"on the {sender.grid.n_points}-point grid ({exc}): move pulse2.center_us to where "
+            "they arrive, widen pulse2.T2_range_us, or change pulse1.T1_us or grid.points"
+        ) from exc
     return solve.pulse, solve.omega2, solve
 
 

@@ -70,14 +70,6 @@ class PulseSolveResult(NamedTuple):
     converged: bool
 
 
-class PulseSolveError(RuntimeError):
-    """Raised when the area conditions cannot be met; carries best effort."""
-
-    def __init__(self, message: str, best: Optional[PulseSolveResult] = None):
-        super().__init__(message)
-        self.best = best
-
-
 class FinalState(NamedTuple):
     """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s rows.
 
@@ -191,10 +183,15 @@ def solve_pulse_shape(
         duration is solved to equalize them and the amplitude then
         scales both onto pi exactly.
 
+    Either mode returns its best effort, with ``converged`` False when it
+    misses ``tol``.
+
     Raises
     ------
-    PulseSolveError
-        On non-convergence, carrying the best residuals found.
+    BracketError
+        In ``duration_amplitude`` mode, when there is no pulse to return:
+        no duration in the bracket equalizes the two areas, or the control
+        pulse does not overlap the photon modes.
     """
     pref_per_omega = params.g / abs(params.delta) / math.sqrt(params.k)
     t = grid.values
@@ -239,9 +236,7 @@ def solve_pulse_shape(
     if mode == "duration_amplitude":
         if center is None:
             raise ValueError("duration_amplitude mode needs a fixed center")
-        return _solve_duration_amplitude(
-            final_areas, result, center, params.omega2, duration_bracket, tol
-        )
+        return _solve_duration_amplitude(final_areas, result, center, params.omega2, duration_bracket)
     if mode != "duration_center":
         raise ValueError(f"unknown solve mode {mode!r}")
 
@@ -268,11 +263,8 @@ def solve_pulse_shape(
             eta_minus_pi,
             center_bracket,
         )
-    except BracketError as exc:
-        raise PulseSolveError(
-            f"area conditions not reachable in mode {mode!r}: {exc}",
-            best=result(duration, t_center, omega2),
-        ) from exc
+    except BracketError:
+        return result(duration, t_center, omega2)
     best = result(duration, t_center, omega2)
     for _ in range(max_iterations):
         if best.converged:
@@ -287,13 +279,7 @@ def solve_pulse_shape(
         if _worse(trial) >= _worse(best):
             break
         (duration, t_center), best = step, trial
-    if best.converged:
-        return best
-    raise PulseSolveError(
-        f"no joint convergence after {evals} evaluations "
-        f"(best residuals {best.eta_residual:.3e}, {best.zeta_residual:.3e})",
-        best=best,
-    )
+    return best
 
 
 def _worse(r: PulseSolveResult) -> float:
@@ -338,7 +324,6 @@ def _solve_duration_amplitude(
     center: float,
     omega2_seed: float,
     duration_bracket: tuple[float, float],
-    tol: float,
 ) -> PulseSolveResult:
     areas_at = {}
 
@@ -352,26 +337,11 @@ def _solve_duration_amplitude(
         # the two areas independently of the amplitude.
         return zeta_inf - eta_inf, slope
 
-    try:
-        duration = find_root(imbalance, duration_bracket, tol=1e-14)
-    except BracketError as exc:
-        raise PulseSolveError(
-            "cannot equalize the two areas at this center; move the control "
-            f"pulse later or widen the duration bracket: {exc}",
-            best=None,
-        ) from exc
+    duration = find_root(imbalance, duration_bracket, tol=1e-14)
     eta_inf, _ = areas_at.get(duration) or final_areas(duration, center, omega2_seed)
     if eta_inf <= 0.0:
-        raise PulseSolveError("control pulse does not overlap the photon modes")
-    omega2 = omega2_seed * math.pi / eta_inf
-    res = result(duration, center, omega2)
-    if not res.converged:
-        raise PulseSolveError(
-            f"amplitude scaling left residuals above {tol:g} "
-            f"({res.eta_residual:.3e}, {res.zeta_residual:.3e})",
-            best=res,
-        )
-    return res
+        raise BracketError("control pulse does not overlap the photon modes")
+    return result(duration, center, omega2_seed * math.pi / eta_inf)
 
 
 def conservation_check(

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 import pnsslink
 from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState
-from pnsslink.numerics import SampledFunction, TimeGrid
+from pnsslink.numerics import BracketError, SampledFunction, TimeGrid
 from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes
 from pnsslink.pipeline import build_link, run_transfer
 from pnsslink.receiver import (
-    PulseSolveError,
     ReceiverTrajectory,
     conservation_check,
     final_state,
@@ -257,13 +256,11 @@ class TestSolvePulseShape:
     def test_equal_amplitudes_not_reachable_here(self, modes, grid, stock_params):
         # With the sender's own amplitude the flat-pulse ceilings of both
         # areas sit a few percent below pi for these parameters, so the
-        # fixed-amplitude mode must report failure rather than converge.
+        # fixed-amplitude mode returns its best effort unconverged, short of pi.
         _, phi1, phi2 = modes
-        with pytest.raises(PulseSolveError) as info:
-            solve_pulse_shape(phi1, phi2, grid, stock_params, mode="duration_center")
-        best = info.value.best
-        assert best is not None
-        assert not best.converged
+        best = solve_pulse_shape(phi1, phi2, grid, stock_params, mode="duration_center")
+        assert best.converged is False
+        assert best.eta_residual < -1e-6 and best.zeta_residual < -1e-6
 
     def test_amplitude_mode_evaluations(self, solved):
         # Newton steps on the area imbalance with its analytic slope; the
@@ -298,15 +295,11 @@ class TestSolvePulseShape:
         [
             (
                 {"mode": "duration_amplitude", "center": 0.5 * T1, "duration_bracket": (2e-8, 5e-7)},
-                "cannot equalize the two areas at this center; move the control pulse later "
-                "or widen the duration bracket: no sign change on bracket [2e-08, 5e-07]: "
-                "f(a)=0.0282341, f(b)=0.140946",
+                "no sign change on bracket [2e-08, 5e-07]: f(a)=0.0282341, f(b)=0.140946",
             ),
-            (
-                {"mode": "duration_center"},
-                "area conditions not reachable in mode 'duration_center': no sign change on "
-                "bracket [2e-08, 2e-05]: f(a)=-2.859, f(b)=-0.124731",
-            ),
+            # zeta(inf) - pi stays below 0 over the duration bracket (-0.124731
+            # at 20 us), so the seed's duration root fails.
+            ({"mode": "duration_center"}, None),
             (
                 {"mode": "duration_amplitude", "center": -10 * T1},
                 "control pulse does not overlap the photon modes",
@@ -315,14 +308,23 @@ class TestSolvePulseShape:
         ids=["imbalance-bracket", "zeta-bracket", "no-overlap"],
     )
     def test_unreachable_messages(self, modes, grid, stock_params, kwargs, message):
+        # A fixed center with no pulse to return raises, and the pipeline names
+        # the keys; a free center returns the pulse it started from: the
+        # bracket's geometric mean, after its two ends and its own evaluation.
         _, phi1, phi2 = modes
-        with pytest.raises(PulseSolveError) as info:
+        if message is None:
+            best = solve_pulse_shape(phi1, phi2, grid, stock_params, **kwargs)
+            assert best.converged is False
+            assert best.pulse.duration == math.sqrt(2e-8 * 20e-6)
+            assert best.iterations == 3
+            return
+        with pytest.raises(BracketError) as info:
             solve_pulse_shape(phi1, phi2, grid, stock_params, **kwargs)
         assert str(info.value) == message
 
     def test_bad_center_raises(self, modes, grid, stock_params):
         _, phi1, phi2 = modes
-        with pytest.raises(PulseSolveError):
+        with pytest.raises(BracketError):
             # Control centered far before the photons: the late photon
             # envelope can never outweigh the early one.
             solve_pulse_shape(
