@@ -120,27 +120,18 @@ _NUMBERS = {
 }
 
 
-# Every key a table reads ("" is the top level): its _NUMBERS rows, then these.
-_KEYS = {
-    section: dict.fromkeys([*(row.key for row in _NUMBERS.get(section, ())), *others])
-    for section, others in {
-        "": ("params", "initial_state", "pulse1", "pulse2", "grid", "channel", "outputs", "strict"),
-        "params": (),
-        "initial_state": ("c_m1", "c_0", "c_p1"),
-        "pulse1": ("shape",),
-        "pulse2": ("mode", "family", "free", "T2_range_us", "center_range_us"),
-        "grid": (),
-        "channel": (),
-        "outputs": ("directory", "which"),
-    }.items()
+# The keys a section reads besides its _NUMBERS rows.  Any other key is
+# refused: misspelt, it would leave its field at the default unsaid.
+_OTHER_KEYS = {
+    "initial_state": ("c_m1", "c_0", "c_p1"),
+    "pulse1": ("shape",),
+    "pulse2": ("mode", "family", "free", "T2_range_us", "center_range_us"),
+    "outputs": ("directory", "which"),
 }
 
 
 def _refuse_unknown_keys(table: dict, section: str) -> None:
-    """Refuse a key of ``table`` that ``section`` does not read.
-
-    Misspelt, it would leave its field at the default without a word.
-    """
+    """Refuse a key of ``table`` that ``section`` ("" is the top level) does not read."""
     known = _KEYS[section]
     if table.keys() <= known.keys():
         return
@@ -387,6 +378,13 @@ _PARSERS = {
     "pulse1": _parse_pulse1,
     "pulse2": _parse_pulse2,
     "regime_min_ratio": lambda doc: _numbers(doc, "")["regime_min_ratio"],
+}
+
+
+# Every key a table reads: the top level's are those of _PARSERS.
+_KEYS = {"": _PARSERS} | {
+    name: dict.fromkeys([*(row.key for row in _NUMBERS.get(name, ())), *_OTHER_KEYS.get(name, ())])
+    for name in (*_MAKERS, *_OTHER_KEYS)
 }
 
 

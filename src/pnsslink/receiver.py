@@ -236,7 +236,9 @@ def solve_pulse_shape(
     if mode == "duration_amplitude":
         if center is None:
             raise ValueError("duration_amplitude mode needs a fixed center")
-        return _solve_duration_amplitude(final_areas, result, center, params.omega2, duration_bracket)
+        return _solve_duration_amplitude(
+            final_areas, result, center, params.omega2, duration_bracket
+        )
     if mode != "duration_center":
         raise ValueError(f"unknown solve mode {mode!r}")
 

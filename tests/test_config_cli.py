@@ -129,7 +129,7 @@ class TestConfigParsing:
         ],
     )
     def test_misspelt_key_is_refused(self, tmp_path, capsys, section, key, value):
-        # Each was ignored: the document parsed to the stock config's hash.
+        # Ignored, each would leave its field at the default unsaid.
         doc = stock_doc()
         (doc[section] if section else doc)[key] = value
         name = f"{section}.{key}" if section else key
@@ -549,8 +549,8 @@ class TestCli:
         self, tmp_path, capsys, command, section, key, value
     ):
         # No duration in the bracket equalizes the two areas at the fixed
-        # center, or the control misses the photons: the solve has no pulse
-        # to return, which exited 2 ("pulse solve failed") naming no key.
+        # center, or the control misses the photons: with no pulse to return
+        # the config is at fault, not the solver, and the error names its keys.
         doc = stock_doc()
         doc[section][key] = value
         path = write_doc(tmp_path, doc)
@@ -566,8 +566,8 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
     def test_overflowing_grid_span_exit_code(self, tmp_path, capsys, command):
-        # The half-span was inf: linspace warned twice and the run blamed the
-        # photon modes' params keys.
+        # pulse1.T1_us x grid.span_in_T1 overflows float64: refused before
+        # linspace warns, naming those two keys and not the params rates.
         doc = stock_doc()
         doc["pulse1"]["T1_us"] = 1e300
         doc["grid"] = {"span_in_T1": 1e300, "points": 3001}
