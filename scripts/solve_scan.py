@@ -8,7 +8,8 @@ default and 601 points) and ``pulse2.tol`` (1e-6 and 1e-9).  A scenario
 converges when both area residuals the link reports are within its
 tolerance.  The script prints the converged count and the median and
 maximum objective evaluations of the solves; ``--json FILE`` also writes
-one row per scenario, so the records of two checkouts can be compared
+one row per scenario (verdict, evaluations, worse residual and the solved
+T2 and center), so the records of two checkouts can be compared
 scenario by scenario.  The package is imported from ``--checkout``'s
 ``src/`` (default: this checkout), the scenario file from this one.
 
@@ -62,6 +63,8 @@ def main(argv: list[str] | None = None) -> int:
             "converged": worse <= doc["pulse2"]["tol"],
             "evaluations": link.solve.iterations,
             "worse_residual": worse,
+            "T2_us": link.pulse2.duration * 1e6,
+            "center_us": link.pulse2.center * 1e6,
         })
     evaluations = [row["evaluations"] for row in rows]
     print(f"scenarios {len(rows)}, converged {sum(row['converged'] for row in rows)}, "

@@ -172,11 +172,13 @@ def solve_pulse_shape(
     ``duration_center``
         Amplitude fixed at ``params.omega2``; duration and center free.
         The seed is a duration solve on zeta(inf) = pi at the photons'
-        centroid, then a center solve on eta(inf) = pi at that duration
-        (taken on the late flank, since the control should switch on
-        around photon arrival).  Newton steps on both conditions follow,
-        at most ``max_iterations``, each kept only while it stays inside
-        both brackets and lowers the worse residual.
+        centroid (clamped into the center bracket), then a center solve on
+        eta(inf) = pi at that duration between the centroid and the
+        bracket's late end, since the control should switch on around
+        photon arrival.  Newton steps on both conditions follow, at most
+        ``max_iterations``, while they stay inside both brackets.  The
+        result is the pulse with the smaller worse residual of all those
+        evaluated.
     ``duration_amplitude``
         Center fixed (``center`` argument); duration and amplitude free.
         The ratio of the two areas is amplitude-independent, so the
@@ -220,8 +222,9 @@ def solve_pulse_shape(
             pref / duration * float((sqrt_f2 * partial[v]) @ rows[a]) for a, v in slopes
         )
 
-    def result(duration: float, t_center: float, omega2: float) -> PulseSolveResult:
-        eta_inf, zeta_inf = final_areas(duration, t_center, omega2)
+    def result(
+        duration: float, t_center: float, omega2: float, eta_inf: float, zeta_inf: float
+    ) -> PulseSolveResult:
         pulse = PulseShape(kind="gaussian", duration=duration, center=t_center)
         return PulseSolveResult(
             pulse=pulse,
@@ -243,49 +246,45 @@ def solve_pulse_shape(
         raise ValueError(f"unknown solve mode {mode!r}")
 
     omega2 = params.omega2
-    if center_bracket is None:
-        center_bracket = (grid.t_start, grid.t_end)
+    lo, hi = center_bracket or (grid.t_start, grid.t_end)
+    best = None  # (worse residual, duration, center, eta_inf, zeta_inf) of the best pulse evaluated
 
-    # Initial center: centroid of the incoming photon envelope.
-    t_center = float(t @ rows["zeta"] / np.sum(rows["zeta"]))
+    def areas(duration: float, t_center: float, *slopes) -> tuple:
+        nonlocal best
+        out = final_areas(duration, t_center, omega2, *slopes)
+        worse = max(abs(out[0] - math.pi), abs(out[1] - math.pi))
+        if best is None or worse < best[0]:
+            best = worse, duration, t_center, out[0], out[1]
+        return out
+
+    # Seed: the zeta root at the photons' centroid, then the eta root late of it.
+    t_center = min(max(float(t @ rows["zeta"] / np.sum(rows["zeta"])), lo), hi)
     duration = math.sqrt(duration_bracket[0] * duration_bracket[1])
 
     def zeta_minus_pi(d: float) -> tuple[float, float]:
-        _, zeta_inf, slope = final_areas(d, t_center, omega2, ("zeta", "duration"))
+        _, zeta_inf, slope = areas(d, t_center, ("zeta", "duration"))
         return zeta_inf - math.pi, slope
 
     def eta_minus_pi(x: float) -> tuple[float, float]:
-        eta_inf, _, slope = final_areas(duration, x, omega2, ("eta", "center"))
+        eta_inf, _, slope = areas(duration, x, ("eta", "center"))
         return eta_inf - math.pi, slope
 
     try:
         duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12)
-        t_center = _late_flank_root(
-            lambda x: final_areas(duration, x, omega2)[0] - math.pi,
-            eta_minus_pi,
-            center_bracket,
-        )
+        t_center = find_root(eta_minus_pi, (t_center, hi), tol=1e-12)
     except BracketError:
-        return result(duration, t_center, omega2)
-    best = result(duration, t_center, omega2)
+        pass  # Newton steps from the seed reached so far
     for _ in range(max_iterations):
-        if best.converged:
+        step = _newton_step(areas(duration, t_center, *_JACOBIAN), duration, t_center)
+        if best[0] <= tol:
             break
-        step = _newton_step(final_areas(duration, t_center, omega2, *_JACOBIAN), duration, t_center)
         if step is None or not (
-            duration_bracket[0] <= step[0] <= duration_bracket[1]
-            and center_bracket[0] <= step[1] <= center_bracket[1]
+            duration_bracket[0] <= step[0] <= duration_bracket[1] and lo <= step[1] <= hi
         ):
             break
-        trial = result(step[0], step[1], omega2)
-        if _worse(trial) >= _worse(best):
-            break
-        (duration, t_center), best = step, trial
-    return best
-
-
-def _worse(r: PulseSolveResult) -> float:
-    return max(abs(r.eta_residual), abs(r.zeta_residual))
+        duration, t_center = step
+    _, duration, t_center, eta_inf, zeta_inf = best
+    return result(duration, t_center, omega2, eta_inf, zeta_inf)
 
 
 _JACOBIAN = (("eta", "duration"), ("eta", "center"), ("zeta", "duration"), ("zeta", "center"))
@@ -305,19 +304,6 @@ def _newton_step(areas: tuple, duration: float, t_center: float) -> Optional[tup
     except np.linalg.LinAlgError:
         return None
     return duration + float(d_duration), t_center + float(d_center)
-
-
-def _late_flank_root(f, f_slope, bracket: tuple[float, float], n_scan: int = 61) -> float:
-    """Root of f on the descending (late) side of its single maximum; f_slope gives (f, f')."""
-    xs = np.linspace(bracket[0], bracket[1], n_scan)
-    vals = np.array([f(x) for x in xs])
-    i_peak = int(np.argmax(vals))
-    if vals[i_peak] < 0.0:
-        raise BracketError(
-            f"peak value {vals[i_peak] + math.pi:.6f} stays below pi; "
-            "the fixed amplitude cannot reach the required area"
-        )
-    return find_root(f_slope, (xs[i_peak], bracket[1]), tol=1e-12)
 
 
 def _solve_duration_amplitude(
@@ -343,7 +329,8 @@ def _solve_duration_amplitude(
     eta_inf, _ = areas_at.get(duration) or final_areas(duration, center, omega2_seed)
     if eta_inf <= 0.0:
         raise BracketError("control pulse does not overlap the photon modes")
-    return result(duration, center, omega2_seed * math.pi / eta_inf)
+    omega2 = omega2_seed * math.pi / eta_inf
+    return result(duration, center, omega2, *final_areas(duration, center, omega2))
 
 
 def conservation_check(

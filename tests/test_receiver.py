@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import pnsslink
 from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState
-from pnsslink.numerics import BracketError, SampledFunction, TimeGrid
+from pnsslink.numerics import BracketError, SampledFunction, TimeGrid, quadrature_weights
 from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes
-from pnsslink.pipeline import build_link, run_transfer
+from pnsslink.pipeline import build_link, build_sender, run_transfer
 from pnsslink.receiver import (
     ReceiverTrajectory,
     conservation_check,
@@ -41,6 +41,16 @@ def solved(modes, grid, stock_params):
     return solve_pulse_shape(
         phi1, phi2, grid, stock_params, mode="duration_amplitude", center=0.5 * T1
     )
+
+
+def _summed_residuals(solve, phi1, phi2, grid, params) -> tuple[float, float]:
+    """eta(inf) - pi and zeta(inf) - pi of ``solve``'s pulse, summed with the quadrature weights."""
+    w = quadrature_weights(grid)
+    u = (grid.values - solve.pulse.center) / solve.pulse.duration
+    sqrt_f2 = np.exp(-0.5 * u * u)
+    pref = solve.omega2 * (params.g / abs(params.delta) / math.sqrt(params.k))
+    a1, a2 = pref * float(sqrt_f2 @ (w * phi1)), pref * float(sqrt_f2 @ (w * phi2))
+    return 2.0 * a1 - math.pi, a1 + a2 - math.pi
 
 
 def _ramp(grid: TimeGrid, final: float) -> SampledFunction:
@@ -268,15 +278,17 @@ class TestSolvePulseShape:
         assert solved.iterations <= 12
 
     def test_center_mode_on_check_08_config(self):
-        # test_acceptance.py::test_08's solve: one seed (a duration root, a
-        # 61-point centre scan and a centre root) and a few Newton steps.
+        # test_acceptance.py::test_08's solve: one seed (a duration root at the
+        # photons' centroid, then a centre root late of it) and a few Newton steps.
         doc = stock_doc()
         doc["params"]["g_mhz"] = 1.25 * doc["params"]["g_mhz"]
         doc["pulse2"]["free"] = "center"
         doc["pulse2"]["tol"] = 1e-6
         solve = build_link(parse_config(doc)).solve
         assert solve.converged
-        assert solve.iterations <= 100
+        assert solve.iterations <= 30
+        assert solve.pulse.duration == pytest.approx(0.510232e-6, rel=1e-5)
+        assert solve.pulse.center == pytest.approx(-0.129833e-6, rel=1e-5)
 
     def test_center_mode_on_a_long_sending_pulse(self):
         # Strong coupling, a raised control amplitude and T1 = 0.5 us: the
@@ -290,6 +302,57 @@ class TestSolvePulseShape:
         assert max(abs(solve.eta_residual), abs(solve.zeta_residual)) <= 1e-6
         assert solve.iterations <= 100
 
+    def test_center_mode_best_effort_far_from_the_start(self):
+        # A scan scenario no pulse of this amplitude solves (g 40 MHz, omega2
+        # x 4, T1 0.3 us): the best pulse evaluated is the duration bracket's
+        # short end, 1.68 rad off, where the pulse it started from was 27.9 off.
+        doc = stock_doc()
+        doc["params"].update(g_mhz=40.0, omega2_mhz=40.0)
+        doc["pulse2"] = {"mode": "solve", "free": "center", "tol": 1e-6}
+        link = build_link(parse_config(doc))
+        solve = link.solve
+        assert solve.converged is False
+        assert solve.pulse.duration == 0.02e-6
+        assert max(abs(solve.eta_residual), abs(solve.zeta_residual)) == pytest.approx(1.68359, abs=1e-5)
+        modes = link.sender.modes
+        params = parse_config(doc).params
+        assert _summed_residuals(solve, modes.phi1, modes.phi2, link.sender.grid, params) == (
+            solve.eta_residual, solve.zeta_residual
+        )
+
+    def test_center_mode_stays_in_center_range(self):
+        # Check 08's physics with a centre range around its solution at
+        # -0.1298 us: every pulse the solve evaluates lies in the range, and
+        # the clamped seed converges to the solution.
+        doc = stock_doc()
+        doc["params"]["g_mhz"] = 15.0
+        doc["pulse2"] = {"mode": "solve", "free": "center", "tol": 1e-6,
+                         "center_range_us": [-0.135, -0.125]}
+        config = parse_config(doc)
+        sender = build_sender(config)
+        centers = []
+
+        class Times(np.ndarray):
+            # The grid's times, recording each centre an evaluation subtracts.
+            def __sub__(self, center):
+                centers.append(center)
+                return np.asarray(self) - center
+
+        grid = TimeGrid(*sender.grid)
+        grid.values = grid.values.view(Times)
+        solve = solve_pulse_shape(
+            sender.modes.phi1, sender.modes.phi2, grid, config.params, tol=1e-6,
+            # The brackets as the pipeline converts them from microseconds.
+            duration_bracket=(0.02 * 1e-6, 20.0 * 1e-6), center_bracket=(-0.135 * 1e-6, -0.125 * 1e-6),
+        )
+        assert solve.converged
+        assert len(centers) == solve.iterations
+        assert all(-0.135e-6 <= c <= -0.125e-6 for c in centers)
+        assert solve.pulse.center == pytest.approx(-0.129833e-6, rel=1e-5)
+        link = build_link(config)
+        assert link.converged
+        assert link.pulse2 == solve.pulse
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -297,8 +360,8 @@ class TestSolvePulseShape:
                 {"mode": "duration_amplitude", "center": 0.5 * T1, "duration_bracket": (2e-8, 5e-7)},
                 "no sign change on bracket [2e-08, 5e-07]: f(a)=0.0282341, f(b)=0.140946",
             ),
-            # zeta(inf) - pi stays below 0 over the duration bracket (-0.124731
-            # at 20 us), so the seed's duration root fails.
+            # zeta(inf) - pi stays below 0 over the duration bracket, so the
+            # seed's duration root fails after evaluating the bracket's ends.
             ({"mode": "duration_center"}, None),
             (
                 {"mode": "duration_amplitude", "center": -10 * T1},
@@ -309,14 +372,21 @@ class TestSolvePulseShape:
     )
     def test_unreachable_messages(self, modes, grid, stock_params, kwargs, message):
         # A fixed center with no pulse to return raises, and the pipeline names
-        # the keys; a free center returns the pulse it started from: the
-        # bracket's geometric mean, after its two ends and its own evaluation.
+        # the keys; a free center returns the best pulse it evaluated: the
+        # bracket's long end at the centroid, (-0.0453, -0.1247), not the
+        # pulse it started from, the bracket's geometric mean (-0.263, -0.323).
         _, phi1, phi2 = modes
         if message is None:
             best = solve_pulse_shape(phi1, phi2, grid, stock_params, **kwargs)
             assert best.converged is False
-            assert best.pulse.duration == math.sqrt(2e-8 * 20e-6)
-            assert best.iterations == 3
+            assert best.pulse.duration == 20e-6
+            assert best.eta_residual == pytest.approx(-0.045290, abs=1e-6)
+            assert best.zeta_residual == pytest.approx(-0.124731, abs=1e-6)
+            assert _summed_residuals(best, phi1, phi2, grid, stock_params) == (
+                best.eta_residual, best.zeta_residual
+            )
+            # The bracket's two ends, the start, and one Newton step inside the brackets.
+            assert best.iterations == 4
             return
         with pytest.raises(BracketError) as info:
             solve_pulse_shape(phi1, phi2, grid, stock_params, **kwargs)
