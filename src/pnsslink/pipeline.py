@@ -52,6 +52,7 @@ from .photonics import (
     photon_observables,
 )
 from .receiver import (
+    FinalAreas,
     FinalState,
     PulseSolveResult,
     ReceiverTrajectory,
@@ -102,8 +103,8 @@ class Link(NamedTuple):
     solve: Optional[PulseSolveResult]
     eta: SampledFunction
     zeta: SampledFunction
-    eta_residual: float  # eta(inf) - pi
-    zeta_residual: float  # zeta(inf) - pi
+    eta_residual: float  # eta(inf) - pi, as FinalAreas sums it (not eta's last sample)
+    zeta_residual: float  # zeta(inf) - pi, likewise
     converged: Optional[bool]  # both residuals within pulse2.tol; None for an explicit pulse
 
 
@@ -302,8 +303,12 @@ def build_link(config: ScenarioConfig) -> Link:
     g2_coupling = params.g * omega2 / abs(params.delta)
     modes = sender.modes
     eta, zeta = pulse_areas(pulse2, modes.phi1, modes.phi2, g2_coupling, params.k, sender.grid)
-    eta_residual, zeta_residual = float(eta.final - math.pi), float(zeta.final - math.pi)
-    worse = max(abs(eta_residual), abs(zeta_residual))  # of the areas the link reports
+    if solve is None:  # an explicit pulse, summed as the solver sums the pulses it judges
+        ends = FinalAreas(modes.phi1, modes.phi2, sender.grid, params)
+        eta_inf, zeta_inf = ends(pulse2.duration, pulse2.center, omega2)
+        eta_residual, zeta_residual = eta_inf - math.pi, zeta_inf - math.pi
+    else:  # the solver's own sums at the pulse it returned
+        eta_residual, zeta_residual = solve.eta_residual, solve.zeta_residual
     return Link(
         physics=_physics(config),
         sender=sender,
@@ -314,7 +319,7 @@ def build_link(config: ScenarioConfig) -> Link:
         zeta=zeta,
         eta_residual=eta_residual,
         zeta_residual=zeta_residual,
-        converged=None if solve is None else worse <= config.pulse2.tol,
+        converged=None if solve is None else solve.converged,
     )
 
 

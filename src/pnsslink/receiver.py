@@ -152,6 +152,40 @@ def gamma_analytic(
     )
 
 
+class FinalAreas:
+    """eta and zeta at the grid end of gaussian control pulses, summed with the quadrature weights.
+
+    The pulse solver and ``pipeline.build_link`` both judge a control pulse
+    by these sums.  ``rows`` holds how eta, zeta and zeta - eta weight the
+    control envelope exp(-u**2/2), times the weights; ``evals`` counts the calls.
+    """
+
+    def __init__(self, phi1: np.ndarray, phi2: np.ndarray, grid: TimeGrid, params: PhysicalParams):
+        self.t = grid.values
+        self.pref_per_omega = params.g / abs(params.delta) / math.sqrt(params.k)
+        w = quadrature_weights(grid)
+        self.w_phi1, self.w_phi2 = w_phi1, w_phi2 = w * phi1, w * phi2
+        self.rows = {"eta": 2.0 * w_phi1, "zeta": w_phi1 + w_phi2, "zeta-eta": w_phi2 - w_phi1}
+        self.evals = 0
+
+    def __call__(self, duration: float, t_center: float, omega2: float, *slopes) -> tuple:
+        """eta and zeta at the grid end, then one partial derivative per
+        ``(area, variable)`` pair in ``slopes``: an area of ``rows`` in
+        "duration" or "center", all from the same exp pass."""
+        self.evals += 1
+        u = (self.t - t_center) / duration
+        uu = u * u
+        sqrt_f2 = np.exp(-0.5 * uu)
+        pref = omega2 * self.pref_per_omega
+        a1 = pref * float(sqrt_f2 @ self.w_phi1)
+        a2 = pref * float(sqrt_f2 @ self.w_phi2)
+        # d sqrt_f2 / d duration = sqrt_f2 u**2 / T, d sqrt_f2 / d center = sqrt_f2 u / T.
+        partial = {"duration": uu, "center": u}
+        return 2.0 * a1, a1 + a2, *(
+            pref / duration * float((sqrt_f2 * partial[v]) @ self.rows[a]) for a, v in slopes
+        )
+
+
 def solve_pulse_shape(
     phi1: np.ndarray,
     phi2: np.ndarray,
@@ -195,32 +229,7 @@ def solve_pulse_shape(
         no duration in the bracket equalizes the two areas, or the control
         pulse does not overlap the photon modes.
     """
-    pref_per_omega = params.g / abs(params.delta) / math.sqrt(params.k)
-    t = grid.values
-    evals = 0
-
-    # How eta, zeta and zeta - eta weight the control envelope, times the quadrature weights.
-    w = quadrature_weights(grid)
-    w_phi1, w_phi2 = w * phi1, w * phi2
-    rows = {"eta": 2.0 * w_phi1, "zeta": w_phi1 + w_phi2, "zeta-eta": w_phi2 - w_phi1}
-
-    def final_areas(duration: float, t_center: float, omega2: float, *slopes) -> tuple:
-        """eta and zeta at the grid end, then one partial derivative per
-        ``(area, variable)`` pair in ``slopes``: an area of ``rows`` in
-        "duration" or "center", all from the same exp pass."""
-        nonlocal evals
-        evals += 1
-        u = (t - t_center) / duration
-        uu = u * u
-        sqrt_f2 = np.exp(-0.5 * uu)
-        pref = omega2 * pref_per_omega
-        a1 = pref * float(sqrt_f2 @ w_phi1)
-        a2 = pref * float(sqrt_f2 @ w_phi2)
-        # d sqrt_f2 / d duration = sqrt_f2 u**2 / T, d sqrt_f2 / d center = sqrt_f2 u / T.
-        partial = {"duration": uu, "center": u}
-        return 2.0 * a1, a1 + a2, *(
-            pref / duration * float((sqrt_f2 * partial[v]) @ rows[a]) for a, v in slopes
-        )
+    final_areas = FinalAreas(phi1, phi2, grid, params)
 
     def result(
         duration: float, t_center: float, omega2: float, eta_inf: float, zeta_inf: float
@@ -231,7 +240,7 @@ def solve_pulse_shape(
             omega2=omega2,
             eta_residual=eta_inf - math.pi,
             zeta_residual=zeta_inf - math.pi,
-            iterations=evals,
+            iterations=final_areas.evals,
             mode=mode,
             converged=(abs(eta_inf - math.pi) <= tol and abs(zeta_inf - math.pi) <= tol),
         )
@@ -258,7 +267,8 @@ def solve_pulse_shape(
         return out
 
     # Seed: the zeta root at the photons' centroid, then the eta root late of it.
-    t_center = min(max(float(t @ rows["zeta"] / np.sum(rows["zeta"])), lo), hi)
+    zeta_row = final_areas.rows["zeta"]
+    t_center = min(max(float(grid.values @ zeta_row / np.sum(zeta_row)), lo), hi)
     duration = math.sqrt(duration_bracket[0] * duration_bracket[1])
 
     def zeta_minus_pi(d: float) -> tuple[float, float]:

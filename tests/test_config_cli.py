@@ -870,6 +870,23 @@ class TestCli:
         assert converged is (max(map(abs, residuals)) <= tol)
         assert code == (0 if converged else 2)
 
+    @pytest.mark.parametrize("points", [601, None])
+    def test_a_solve_converged_at_a_few_ulps_is_a_converged_link(self, tmp_path, capsys, points):
+        # At tol 1e-15 the solver's sums put eta(inf) 4.4e-16 from pi, while
+        # the cumulative areas' last samples ended 2.2e-15 (zeta 4.0e-15) off,
+        # so a converged solve exited 2.  The link reports the solver's sums.
+        doc = stock_doc()
+        if points is not None:
+            doc["grid"]["points"] = points
+        doc["pulse2"]["tol"] = 1e-15
+        doc["outputs"]["which"] = ["report"]
+        out = tmp_path / "out"
+        assert main(["transfer", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["solved_pulse"]["converged"] is True
+        assert max(abs(report["diagnostics"]["eta_residual"]),
+                   abs(report["diagnostics"]["zeta_residual"])) <= 1e-15
+
     def test_tol_flag_reaches_solver(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
         code = main([
