@@ -65,6 +65,13 @@ def _pair(raw: Any, name: str, above: float = -math.inf) -> tuple[float, float]:
     return _above(raw[0], f"{name}[0]", above), _above(raw[1], f"{name}[1]", above)
 
 
+def _range(raw: Any, name: str, above: float = -math.inf) -> tuple[float, float]:
+    lo, hi = _pair(raw, name, above)
+    if not lo < hi:
+        raise ConfigError(f"{name} must be an increasing pair [lo, hi], got [{lo:g}, {hi:g}]")
+    return lo, hi
+
+
 _REQUIRED = object()  # a _Number default: the document must write the key
 _UNSET = object()  # a _Number default: absent is None, and the field is no sweep axis
 
@@ -124,8 +131,7 @@ _NUMBERS = {
 # refused: misspelt, it would leave its field at the default unsaid.
 _OTHER_KEYS = {
     "initial_state": ("c_m1", "c_0", "c_p1"),
-    "pulse1": ("shape",),
-    "pulse2": ("mode", "family", "free", "T2_range_us", "center_range_us"),
+    "pulse2": ("mode", "free", "T2_range_us", "center_range_us"),
     "outputs": ("directory", "which"),
 }
 
@@ -282,24 +288,11 @@ def _parse_params(doc: dict) -> PhysicalParams:
     return _make_params(**_numbers(raw, "params"))
 
 
-def _parse_pulse1(doc: dict) -> Pulse1Config:
-    raw = _section(doc, "pulse1")
-    # Both pulses are gaussian.  pulse1.shape and pulse2.family are still
-    # read, because the shipped configs spell them out, and accept only that.
-    shape = raw.get("shape", "gaussian")
-    if shape != "gaussian":
-        raise ConfigError(f"pulse1.shape {shape!r} not supported in configs")
-    return Pulse1Config(**_numbers(raw, "pulse1"))
-
-
 def _parse_pulse2(doc: dict) -> Pulse2Config:
     raw = _section(doc, "pulse2")
     mode = raw.get("mode", "solve")
     if mode not in ("solve", "explicit"):
         raise ConfigError(f"pulse2.mode must be 'solve' or 'explicit', got {mode!r}")
-    family = raw.get("family", "gaussian")
-    if family != "gaussian":
-        raise ConfigError(f"pulse2.family {family!r} not supported")
     free = raw.get("free", "center")
     if free not in ("center", "amplitude"):
         raise ConfigError(f"pulse2.free must be 'center' or 'amplitude', got {free!r}")
@@ -307,8 +300,8 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
     cfg = Pulse2Config(
         mode=mode,
         free=free,
-        t2_range_us=_pair(raw.get("T2_range_us", [0.02, 20.0]), "pulse2.T2_range_us", 0.0),
-        center_range_us=None if center_range is None else _pair(center_range, "pulse2.center_range_us"),
+        t2_range_us=_range(raw.get("T2_range_us", [0.02, 20.0]), "pulse2.T2_range_us", 0.0),
+        center_range_us=None if center_range is None else _range(center_range, "pulse2.center_range_us"),
         **_numbers(raw, "pulse2"),
     )
     # A sweep sample sets only a number that is there, so it cannot fail these.
@@ -375,7 +368,7 @@ _PARSERS = {
     "strict": _parse_strict,
     "params": _parse_params,
     "initial_state": _parse_state,
-    "pulse1": _parse_pulse1,
+    "pulse1": lambda doc: Pulse1Config(**_numbers(_section(doc, "pulse1"), "pulse1")),
     "pulse2": _parse_pulse2,
     "regime_min_ratio": lambda doc: _numbers(doc, "")["regime_min_ratio"],
 }

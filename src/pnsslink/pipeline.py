@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -185,14 +186,22 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
         )
     half = 0.5 * span
     n = config.grid.n_points()
-    dt = 2.0 * half / (n - 1)
-    if math.ulp(abs(center) + half) > dt * 2.0**-26:
-        raise ConfigError(
-            f"pulse1.center_us {config.pulse1.center_us:g} is too far from 0 for float64 to "
-            f"resolve the {n}-point grid's step of {dt / US:.3g} us: move both pulses' centers "
-            "nearer 0"
-        )
+    _refuse_far_center("pulse1.center_us", config.pulse1.center_us, abs(center) + half, n, span)
     return TimeGrid(center - half, center + half, n)
+
+
+def _refuse_far_center(key: str, center_us: float, reach: float, n: int, span: float) -> None:
+    """Refuse a center where float64 cannot resolve the ``n``-point grid's step.
+
+    ``reach`` is the largest of the center and the grid's times, in seconds;
+    its unit in the last place must stay below 2**-26 of the step.
+    """
+    dt = span / (n - 1)
+    if math.ulp(reach) > dt * 2.0**-26:
+        raise ConfigError(
+            f"{key} {center_us:g} is too far from 0 for float64 to resolve the {n}-point "
+            f"grid's step of {dt / US:.3g} us: move both pulses' centers nearer 0"
+        )
 
 
 # The params keys of each DerivedQuantities rate.
@@ -204,10 +213,10 @@ _RATE_KEYS = {
 }
 
 
-def _overflow(what: str, rates: list[str]) -> ConfigError:
-    """The error for ``what`` overflowing, naming the params keys of ``rates``."""
-    keys = dict.fromkeys(key for rate in rates for key in _RATE_KEYS[rate])
-    return ConfigError(f"{what} overflow: check params.{', params.'.join(keys)}")
+def _overflow(what: str, rates: list[str], *keys: str) -> ConfigError:
+    """The error for ``what`` overflowing, naming the params keys of ``rates``, then ``keys``."""
+    names = dict.fromkeys([*(f"params.{key}" for rate in rates for key in _RATE_KEYS[rate]), *keys])
+    return ConfigError(f"{what} overflow: check {', '.join(names)}")
 
 
 def build_sender(config: ScenarioConfig) -> SenderLink:
@@ -224,6 +233,12 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     overflow = [name for name, value in derived._asdict().items() if not math.isfinite(value)]
     if overflow:
         raise _overflow(f"derived rates {', '.join(overflow)}", overflow)
+    # The regime report divides the Raman coupling by the recoil frequency.
+    if not (derived.omega_rec >= sys.float_info.min and math.isfinite(derived.G1 / derived.omega_rec)):
+        raise ConfigError(
+            f"the recoil frequency {derived.omega_rec:.3g} rad/s is too small for float64 to "
+            "compare with the Raman coupling: check params.atom_mass_kg, params.wavelength_nm"
+        )
     t1 = config.pulse1.t1_us * US
     regime = validate_regime(params, derived, t1, min_ratio=config.regime_min_ratio)
     if config.strict and not regime.passed:
@@ -237,7 +252,7 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
             "raise params.omega1_mhz or pulse1.T1_us"
         )
     if not math.isfinite(derived.alpha1 * float(theta.final)):  # bounds alpha1 * f1 * theta
-        raise _overflow(f"the photon modes (exposure {theta.final:.3g})", ["alpha1"])
+        raise _overflow(f"the photon modes (exposure {theta.final:.3g})", ["alpha1"], "pulse1.T1_us")
     modes = emission_modes(theta, pulse1, derived.alpha1)
     try:
         overlap = mode_overlap(modes.phi1, modes.phi2, grid)
@@ -259,6 +274,12 @@ def _resolve_pulse2(
     config: ScenarioConfig, sender: SenderLink
 ) -> tuple[PulseShape, float, Optional[PulseSolveResult]]:
     p2 = config.pulse2
+    grid = sender.grid
+    reach, span = max(abs(grid.t_start), abs(grid.t_end)), grid.t_end - grid.t_start
+    centers = [("center_us", p2.center_us), *(("center_range_us", c) for c in p2.center_range_us or ())]
+    for key, center_us in centers:
+        if center_us is not None:
+            _refuse_far_center(f"pulse2.{key}", center_us, max(abs(center_us * US), reach), grid.n_points, span)
     if p2.mode == "explicit":
         omega2 = (
             config.params.omega2
@@ -483,7 +504,8 @@ def report_document(result: TransferResult) -> dict:
 def _write_json(path: str | Path, doc: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # Refuses NaN and infinity, which are not JSON (RFC 8259).
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 

@@ -89,8 +89,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "section, key, value, same",
         [
-            ("pulse1", "shape", None, True),
-            ("pulse2", "family", None, True),
+            ("pulse1", "center_us", None, True),
+            ("pulse2", "T2_range_us", None, True),
             ("channel", "p_em", 1.0, True),
             ("params", "g_mhz", 12, True),
             ("params", "g_mhz", 12.5, False),
@@ -99,7 +99,7 @@ class TestConfigParsing:
             (None, "strict", True, False),
         ],
         ids=[
-            "no-shape", "no-family", "p_em-written", "int-g", "other-g", "other-p_abs",
+            "no-center", "no-T2-range", "p_em-written", "int-g", "other-g", "other-p_abs",
             "other-tol", "strict",
         ],
     )
@@ -124,6 +124,9 @@ class TestConfigParsing:
             ("pulse2", "tolerance", 1e-9),
             ("grid", "point", 2001),
             ("pulse2", "T2_range", [0.1, 5.0]),
+            # Options that accepted only one value, now gone.
+            ("pulse1", "shape", "gaussian"),
+            ("pulse2", "family", "gaussian"),
             (None, "regime_min_raito", 3.0),
             (None, "pulsee2", {"mode": "solve", "free": "center"}),
         ],
@@ -462,6 +465,50 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
+    @pytest.mark.parametrize(
+        "edits, named, send_refused",
+        [
+            # The recoil frequency underflows (3.4e-321, 0) or, at 1e285 kg, is
+            # normal but overflows the regime report's Raman-to-recoil ratio:
+            # transfer wrote "ratio": Infinity, which is not JSON.
+            ({"params": {"atom_mass_kg": 1e300}}, ("params.atom_mass_kg", "params.wavelength_nm"), True),
+            ({"params": {"atom_mass_kg": 1e285}}, ("params.atom_mass_kg", "params.wavelength_nm"), True),
+            ({"params": {"wavelength_nm": 1e300}}, ("params.atom_mass_kg", "params.wavelength_nm"), True),
+            # A receiving pulse centred where float64 cannot resolve the grid:
+            # two RuntimeWarnings printed before the right exit.  send never reads it.
+            ({"pulse2": {"center_us": 1e300}}, ("pulse2.center_us",), False),
+            ({"pulse2": {"center_us": -1e300}}, ("pulse2.center_us",), False),
+            ({"pulse2": {"free": "center", "center_range_us": [-1e300, 1e300]}},
+             ("pulse2.center_range_us",), False),
+            # The exposure grows with T1 over a finite span: only params keys were named.
+            ({"pulse1": {"T1_us": 1e300}, "grid": {"span_in_T1": 1e8, "points": 3001}},
+             ("pulse1.T1_us", "params.k_mhz"), True),
+        ],
+        ids=["heavy-atom", "heavy-atom-ratio", "long-wavelength", "late-center2", "early-center2",
+             "wide-center-range", "long-T1-finite-span"],
+    )
+    def test_values_float64_cannot_carry_exit_code(
+        self, tmp_path, capsys, command, edits, named, send_refused
+    ):
+        doc = stock_doc()
+        for section, fields in edits.items():
+            doc[section].update(fields)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        refused = send_refused or command != "send"
+        assert main(argv) == (1 if refused else 0)
+        err = capsys.readouterr().err
+        assert all(key in err for key in named) is refused
+        assert out.exists() is not refused
+
+    def test_json_outputs_refuse_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            pipeline_mod._write_json(tmp_path / "x.json", {"ratio": math.inf})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
     def test_pulse_that_emits_within_one_grid_step_exit_code(self, tmp_path, capsys, command):
         # theta passes 700 by the second grid point, so phi2 is 0 on the
         # whole grid: mode_overlap's ValueError was uncaught.
@@ -598,6 +645,10 @@ class TestCli:
             ("grid", {"span_in_T1": 1e4}, "grid.span_in_T1"),
             ("pulse2", {"T2_range_us": [0, 20]}, "pulse2.T2_range_us"),
             ("pulse2", {"T2_range_us": [-1, 20]}, "pulse2.T2_range_us"),
+            ("pulse2", {"T2_range_us": [20, 0.02]}, "pulse2.T2_range_us"),
+            ("pulse2", {"T2_range_us": [0.5, 0.5]}, "pulse2.T2_range_us"),
+            ("pulse2", {"free": "center", "center_range_us": [1.0, -1.0]}, "pulse2.center_range_us"),
+            ("pulse2", {"free": "center", "center_range_us": [0.1, 0.1]}, "pulse2.center_range_us"),
             ("pulse2", {"mode": "explicit", "T2_us": 0}, "pulse2.T2_us"),
             ("pulse2", {"mode": "explicit", "T2_us": -0.3}, "pulse2.T2_us"),
         ],
