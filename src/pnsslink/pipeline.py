@@ -171,10 +171,11 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
     The span covers +-(span_in_T1/2) pulse durations around the pulse
     center; at the default 12 durations the gaussian tails are below
     1e-15, which stands in for the infinite integration limits.  A span
-    that overflows is a ``ConfigError``, and so is a center that leaves
-    the step below 2**26 units in the last place of the grid's largest
-    time: beyond it the rounded samples move the solved T2 by more than
-    the default grid's own error.
+    that overflows is a ``ConfigError``, and so is a center (either
+    pulse's, or an end of ``pulse2.center_range_us``) that leaves the step
+    below 2**26 units in the last place of the larger of it and the grid's
+    largest time: beyond it the rounded samples move the solved T2 by more
+    than the default grid's own error.
     """
     t1 = config.pulse1.t1_us * US
     center = config.pulse1.center_us * US
@@ -186,22 +187,17 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
         )
     half = 0.5 * span
     n = config.grid.n_points()
-    _refuse_far_center("pulse1.center_us", config.pulse1.center_us, abs(center) + half, n, span)
+    dt = 2.0 * half / (n - 1)
+    p2 = config.pulse2
+    centers = [("pulse1.center_us", config.pulse1.center_us), ("pulse2.center_us", p2.center_us),
+               *(("pulse2.center_range_us", c) for c in p2.center_range_us or ())]
+    for key, center_us in centers:
+        if center_us is not None and math.ulp(max(abs(center_us * US), abs(center) + half)) > dt * 2.0**-26:
+            raise ConfigError(
+                f"{key} {center_us:g} is too far from 0 for float64 to resolve the {n}-point "
+                f"grid's step of {dt / US:.3g} us: move both pulses' centers nearer 0"
+            )
     return TimeGrid(center - half, center + half, n)
-
-
-def _refuse_far_center(key: str, center_us: float, reach: float, n: int, span: float) -> None:
-    """Refuse a center where float64 cannot resolve the ``n``-point grid's step.
-
-    ``reach`` is the largest of the center and the grid's times, in seconds;
-    its unit in the last place must stay below 2**-26 of the step.
-    """
-    dt = span / (n - 1)
-    if math.ulp(reach) > dt * 2.0**-26:
-        raise ConfigError(
-            f"{key} {center_us:g} is too far from 0 for float64 to resolve the {n}-point "
-            f"grid's step of {dt / US:.3g} us: move both pulses' centers nearer 0"
-        )
 
 
 # The params keys of each DerivedQuantities rate.
@@ -274,12 +270,6 @@ def _resolve_pulse2(
     config: ScenarioConfig, sender: SenderLink
 ) -> tuple[PulseShape, float, Optional[PulseSolveResult]]:
     p2 = config.pulse2
-    grid = sender.grid
-    reach, span = max(abs(grid.t_start), abs(grid.t_end)), grid.t_end - grid.t_start
-    centers = [("center_us", p2.center_us), *(("center_range_us", c) for c in p2.center_range_us or ())]
-    for key, center_us in centers:
-        if center_us is not None:
-            _refuse_far_center(f"pulse2.{key}", center_us, max(abs(center_us * US), reach), grid.n_points, span)
     if p2.mode == "explicit":
         omega2 = (
             config.params.omega2

@@ -211,7 +211,7 @@ def solve_pulse_shape(
         bracket's late end, since the control should switch on around
         photon arrival.  Newton steps on both conditions follow, at most
         ``max_iterations``, while they stay inside both brackets.  The
-        result is the pulse with the smaller worse residual of all those
+        result is the pulse with the smallest worse residual of all those
         evaluated.
     ``duration_amplitude``
         Center fixed (``center`` argument); duration and amplitude free.
@@ -230,71 +230,77 @@ def solve_pulse_shape(
         pulse does not overlap the photon modes.
     """
     final_areas = FinalAreas(phi1, phi2, grid, params)
-
-    def result(
-        duration: float, t_center: float, omega2: float, eta_inf: float, zeta_inf: float
-    ) -> PulseSolveResult:
-        pulse = PulseShape(kind="gaussian", duration=duration, center=t_center)
-        return PulseSolveResult(
-            pulse=pulse,
-            omega2=omega2,
-            eta_residual=eta_inf - math.pi,
-            zeta_residual=zeta_inf - math.pi,
-            iterations=final_areas.evals,
-            mode=mode,
-            converged=(abs(eta_inf - math.pi) <= tol and abs(zeta_inf - math.pi) <= tol),
-        )
-
+    omega2 = params.omega2
     if mode == "duration_amplitude":
         if center is None:
             raise ValueError("duration_amplitude mode needs a fixed center")
-        return _solve_duration_amplitude(
-            final_areas, result, center, params.omega2, duration_bracket
-        )
-    if mode != "duration_center":
+        areas_at = {}
+
+        def imbalance(duration: float) -> tuple[float, float]:
+            eta_inf, zeta_inf, slope = final_areas(duration, center, omega2, ("zeta-eta", "duration"))
+            areas_at[duration] = eta_inf, zeta_inf
+            # zeta - eta is proportional to the overlap difference of the two
+            # photon envelopes with the control window; its zero equalizes
+            # the two areas independently of the amplitude.
+            return zeta_inf - eta_inf, slope
+
+        t_center, duration = center, find_root(imbalance, duration_bracket, tol=1e-14)
+        eta_inf, _ = areas_at.get(duration) or final_areas(duration, center, omega2)
+        if eta_inf <= 0.0:
+            raise BracketError("control pulse does not overlap the photon modes")
+        omega2 = omega2 * math.pi / eta_inf
+        eta_inf, zeta_inf = final_areas(duration, center, omega2)
+    elif mode == "duration_center":
+        lo, hi = center_bracket or (grid.t_start, grid.t_end)
+        best = None  # (worse residual, duration, center, eta, zeta) of the best pulse evaluated
+
+        def areas(duration: float, t_center: float, *slopes) -> tuple:
+            nonlocal best
+            out = final_areas(duration, t_center, omega2, *slopes)
+            worse = max(abs(out[0] - math.pi), abs(out[1] - math.pi))
+            if best is None or worse < best[0]:
+                best = worse, duration, t_center, out[0], out[1]
+            return out
+
+        # Seed: the zeta root at the photons' centroid, then the eta root late of it.
+        zeta_row = final_areas.rows["zeta"]
+        t_center = min(max(float(grid.values @ zeta_row / np.sum(zeta_row)), lo), hi)
+        duration = math.sqrt(duration_bracket[0] * duration_bracket[1])
+
+        def zeta_minus_pi(d: float) -> tuple[float, float]:
+            _, zeta_inf, slope = areas(d, t_center, ("zeta", "duration"))
+            return zeta_inf - math.pi, slope
+
+        def eta_minus_pi(x: float) -> tuple[float, float]:
+            eta_inf, _, slope = areas(duration, x, ("eta", "center"))
+            return eta_inf - math.pi, slope
+
+        try:
+            duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12)
+            t_center = find_root(eta_minus_pi, (t_center, hi), tol=1e-12)
+        except BracketError:
+            pass  # Newton steps from the seed reached so far
+        for _ in range(max_iterations):
+            step = _newton_step(areas(duration, t_center, *_JACOBIAN), duration, t_center)
+            if best[0] <= tol:
+                break
+            if step is None or not (
+                duration_bracket[0] <= step[0] <= duration_bracket[1] and lo <= step[1] <= hi
+            ):
+                break
+            duration, t_center = step
+        _, duration, t_center, eta_inf, zeta_inf = best
+    else:
         raise ValueError(f"unknown solve mode {mode!r}")
-
-    omega2 = params.omega2
-    lo, hi = center_bracket or (grid.t_start, grid.t_end)
-    best = None  # (worse residual, duration, center, eta_inf, zeta_inf) of the best pulse evaluated
-
-    def areas(duration: float, t_center: float, *slopes) -> tuple:
-        nonlocal best
-        out = final_areas(duration, t_center, omega2, *slopes)
-        worse = max(abs(out[0] - math.pi), abs(out[1] - math.pi))
-        if best is None or worse < best[0]:
-            best = worse, duration, t_center, out[0], out[1]
-        return out
-
-    # Seed: the zeta root at the photons' centroid, then the eta root late of it.
-    zeta_row = final_areas.rows["zeta"]
-    t_center = min(max(float(grid.values @ zeta_row / np.sum(zeta_row)), lo), hi)
-    duration = math.sqrt(duration_bracket[0] * duration_bracket[1])
-
-    def zeta_minus_pi(d: float) -> tuple[float, float]:
-        _, zeta_inf, slope = areas(d, t_center, ("zeta", "duration"))
-        return zeta_inf - math.pi, slope
-
-    def eta_minus_pi(x: float) -> tuple[float, float]:
-        eta_inf, _, slope = areas(duration, x, ("eta", "center"))
-        return eta_inf - math.pi, slope
-
-    try:
-        duration = find_root(zeta_minus_pi, duration_bracket, tol=1e-12)
-        t_center = find_root(eta_minus_pi, (t_center, hi), tol=1e-12)
-    except BracketError:
-        pass  # Newton steps from the seed reached so far
-    for _ in range(max_iterations):
-        step = _newton_step(areas(duration, t_center, *_JACOBIAN), duration, t_center)
-        if best[0] <= tol:
-            break
-        if step is None or not (
-            duration_bracket[0] <= step[0] <= duration_bracket[1] and lo <= step[1] <= hi
-        ):
-            break
-        duration, t_center = step
-    _, duration, t_center, eta_inf, zeta_inf = best
-    return result(duration, t_center, omega2, eta_inf, zeta_inf)
+    return PulseSolveResult(
+        pulse=PulseShape(kind="gaussian", duration=duration, center=t_center),
+        omega2=omega2,
+        eta_residual=eta_inf - math.pi,
+        zeta_residual=zeta_inf - math.pi,
+        iterations=final_areas.evals,
+        mode=mode,
+        converged=(abs(eta_inf - math.pi) <= tol and abs(zeta_inf - math.pi) <= tol),
+    )
 
 
 _JACOBIAN = (("eta", "duration"), ("eta", "center"), ("zeta", "duration"), ("zeta", "center"))
@@ -314,33 +320,6 @@ def _newton_step(areas: tuple, duration: float, t_center: float) -> Optional[tup
     except np.linalg.LinAlgError:
         return None
     return duration + float(d_duration), t_center + float(d_center)
-
-
-def _solve_duration_amplitude(
-    final_areas,
-    result,
-    center: float,
-    omega2_seed: float,
-    duration_bracket: tuple[float, float],
-) -> PulseSolveResult:
-    areas_at = {}
-
-    def imbalance(duration: float) -> tuple[float, float]:
-        eta_inf, zeta_inf, slope = final_areas(
-            duration, center, omega2_seed, ("zeta-eta", "duration")
-        )
-        areas_at[duration] = eta_inf, zeta_inf
-        # zeta - eta is proportional to the overlap difference of the two
-        # photon envelopes with the control window; its zero equalizes
-        # the two areas independently of the amplitude.
-        return zeta_inf - eta_inf, slope
-
-    duration = find_root(imbalance, duration_bracket, tol=1e-14)
-    eta_inf, _ = areas_at.get(duration) or final_areas(duration, center, omega2_seed)
-    if eta_inf <= 0.0:
-        raise BracketError("control pulse does not overlap the photon modes")
-    omega2 = omega2_seed * math.pi / eta_inf
-    return result(duration, center, omega2, *final_areas(duration, center, omega2))
 
 
 def conservation_check(

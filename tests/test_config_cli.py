@@ -466,30 +466,28 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
     @pytest.mark.parametrize(
-        "edits, named, send_refused",
+        "edits, named",
         [
             # The recoil frequency underflows (3.4e-321, 0) or, at 1e285 kg, is
             # normal but overflows the regime report's Raman-to-recoil ratio:
             # transfer wrote "ratio": Infinity, which is not JSON.
-            ({"params": {"atom_mass_kg": 1e300}}, ("params.atom_mass_kg", "params.wavelength_nm"), True),
-            ({"params": {"atom_mass_kg": 1e285}}, ("params.atom_mass_kg", "params.wavelength_nm"), True),
-            ({"params": {"wavelength_nm": 1e300}}, ("params.atom_mass_kg", "params.wavelength_nm"), True),
+            ({"params": {"atom_mass_kg": 1e300}}, ("params.atom_mass_kg", "params.wavelength_nm")),
+            ({"params": {"atom_mass_kg": 1e285}}, ("params.atom_mass_kg", "params.wavelength_nm")),
+            ({"params": {"wavelength_nm": 1e300}}, ("params.atom_mass_kg", "params.wavelength_nm")),
             # A receiving pulse centred where float64 cannot resolve the grid:
-            # two RuntimeWarnings printed before the right exit.  send never reads it.
-            ({"pulse2": {"center_us": 1e300}}, ("pulse2.center_us",), False),
-            ({"pulse2": {"center_us": -1e300}}, ("pulse2.center_us",), False),
+            # two RuntimeWarnings printed before the right exit.
+            ({"pulse2": {"center_us": 1e300}}, ("pulse2.center_us",)),
+            ({"pulse2": {"center_us": -1e300}}, ("pulse2.center_us",)),
             ({"pulse2": {"free": "center", "center_range_us": [-1e300, 1e300]}},
-             ("pulse2.center_range_us",), False),
+             ("pulse2.center_range_us",)),
             # The exposure grows with T1 over a finite span: only params keys were named.
             ({"pulse1": {"T1_us": 1e300}, "grid": {"span_in_T1": 1e8, "points": 3001}},
-             ("pulse1.T1_us", "params.k_mhz"), True),
+             ("pulse1.T1_us", "params.k_mhz")),
         ],
         ids=["heavy-atom", "heavy-atom-ratio", "long-wavelength", "late-center2", "early-center2",
              "wide-center-range", "long-T1-finite-span"],
     )
-    def test_values_float64_cannot_carry_exit_code(
-        self, tmp_path, capsys, command, edits, named, send_refused
-    ):
+    def test_values_float64_cannot_carry_exit_code(self, tmp_path, capsys, command, edits, named):
         doc = stock_doc()
         for section, fields in edits.items():
             doc[section].update(fields)
@@ -497,11 +495,10 @@ class TestCli:
         argv = [command, "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]
         if command == "sweep":
             argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
-        refused = send_refused or command != "send"
-        assert main(argv) == (1 if refused else 0)
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert all(key in err for key in named) is refused
-        assert out.exists() is not refused
+        assert err.startswith("config error: ") and all(key in err for key in named)
+        assert not out.exists()
 
     def test_json_outputs_refuse_non_finite_numbers(self, tmp_path):
         with pytest.raises(ValueError, match="JSON compliant"):
