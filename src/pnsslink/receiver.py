@@ -164,7 +164,8 @@ class FinalAreas:
         self.t = grid.values
         self.pref_per_omega = params.g / abs(params.delta) / math.sqrt(params.k)
         w = quadrature_weights(grid)
-        self.w_phi1, self.w_phi2 = w_phi1, w_phi2 = w * phi1, w * phi2
+        w_phi1, w_phi2 = w * phi1, w * phi2
+        self.w_phi1, self.w_phi2 = w_phi1, w_phi2
         self.rows = {"eta": 2.0 * w_phi1, "zeta": w_phi1 + w_phi2, "zeta-eta": w_phi2 - w_phi1}
         self.evals = 0
 
