@@ -303,20 +303,20 @@ class TestSolvePulseShape:
         assert solve.iterations <= 100
 
     def test_center_mode_best_effort_far_from_the_start(self):
-        # A scan scenario no pulse of this amplitude solves (g 40 MHz, omega2
-        # x 4, T1 0.3 us): the best pulse evaluated is the duration bracket's
-        # short end, 1.68 rad off, where the pulse it started from was 27.9 off.
+        # A scripts/solve_scan.py scenario that no pulse of this amplitude
+        # solves (g 40 MHz, omega2 x 4, T1 0.3 us): the best pulse evaluated is
+        # the duration bracket's short end, 1.68 rad off, where the pulse it
+        # started from was 27.9 off.
         doc = stock_doc()
         doc["params"].update(g_mhz=40.0, omega2_mhz=40.0)
         doc["pulse2"] = {"mode": "solve", "free": "center", "tol": 1e-6}
-        link = build_link(parse_config(doc))
-        solve = link.solve
+        config = parse_config(doc)
+        link = build_link(config)
+        solve, modes = link.solve, link.sender.modes
         assert solve.converged is False
         assert solve.pulse.duration == 0.02e-6
         assert max(abs(solve.eta_residual), abs(solve.zeta_residual)) == pytest.approx(1.68359, abs=1e-5)
-        modes = link.sender.modes
-        params = parse_config(doc).params
-        assert _summed_residuals(solve, modes.phi1, modes.phi2, link.sender.grid, params) == (
+        assert _summed_residuals(solve, modes.phi1, modes.phi2, link.sender.grid, config.params) == (
             solve.eta_residual, solve.zeta_residual
         )
 
