@@ -8,7 +8,9 @@ short ``channel.L0_km`` sweep of the qutrit scenario, a 41-point
 scenario at an off-resonant control phase (``params.phi2_rad`` = 0.7,
 which exercises the any-phase receiver closed form), a 3-point
 ``params.g_mhz`` sweep of the qubit scenario (three links, one row
-each) and a 9-point ``params.phi2_rad`` sweep of the qutrit scenario,
+each), a 9-point ``params.phi2_rad`` sweep of the qutrit scenario and
+a 1 001-point ``channel.L0_km`` sweep of the qubit scenario (its
+transmission columns take math.exp and the float power per sample),
 in-process and into a temporary directory, then prints one
 ``sha256  file`` line per output.  The package is imported from this
 checkout's ``src/``, so running the script in two checkouts and diffing
@@ -59,6 +61,10 @@ RUNS = {
     "qubit-coupling-sweep": [
         "sweep", "--config", str(ROOT / "configs" / "qubit.json"),
         "--axis", "params.g_mhz", "--start", "11", "--stop", "13", "--num", "3",
+    ],
+    "qubit-length-sweep": [
+        "sweep", "--config", str(ROOT / "configs" / "qubit.json"),
+        "--axis", "channel.L0_km", "--start", "0", "--stop", "50", "--num", "1001",
     ],
     "qutrit-phase-sweep": [
         "sweep", "--config", str(ROOT / "configs" / "qutrit.json"),

@@ -171,8 +171,8 @@ def _out_dir(args, config: ScenarioConfig) -> Path:
 
 def _print_regime(regime: RegimeReport) -> None:
     print("regime checks:")
-    for line in regime.summary_lines():
-        print(f"  {line}")
+    for c in regime.checks:
+        print(f"  {'pass' if c.passed else 'FAIL'}  {c.name}: ratio {c.ratio:.3g} (minimum {c.minimum:g})")
 
 
 def _cmd_send(args) -> int:
@@ -196,20 +196,13 @@ def _cmd_transfer(args) -> int:
     result = run_transfer(config)
     _print_regime(result.link.sender.regime)
     out = _out_dir(args, config)
-    which = config.outputs.which
-    wrote = []
-    if "sender" in which:
-        wrote.append(write_sender_csv(result.send, out / "sender.csv"))
-    if "photonics" in which:
-        wrote.append(write_photonics_csv(result.send, out / "photonics.csv"))
-    if "receiver" in which:
-        wrote.append(write_receiver_csv(result, out / "receiver.csv"))
-    if "report" in which:
-        wrote.append(write_report_json(result, out / "report.json"))
-    if "regime" in which:
-        wrote.append(write_regime_json(result.send, out / "regime.json"))
-    for path in wrote:
-        print(f"wrote {path}")
+    writers = {"sender.csv": (write_sender_csv, result.send),
+               "photonics.csv": (write_photonics_csv, result.send),
+               "receiver.csv": (write_receiver_csv, result), "report.json": (write_report_json, result),
+               "regime.json": (write_regime_json, result.send)}
+    for name, (write, what) in writers.items():
+        if name.split(".")[0] in config.outputs.which:
+            print(f"wrote {write(what, out / name)}")
     link = result.link
     print(f"fidelity: {result.report.final.fidelity:.6f}")
     print(f"area residuals: eta {link.eta_residual:.3e}, zeta {link.zeta_residual:.3e}")

@@ -17,7 +17,9 @@ import warnings
 from pathlib import Path
 from typing import Any, NamedTuple, Optional
 
-from .channel import ChannelModel
+import numpy as np
+
+from .channel import ChannelModel, attenuation_length
 from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState, rad_per_s
 
 RENORM_TOL = 1e-6
@@ -85,6 +87,8 @@ class _Number(NamedTuple):
     above: float = -math.inf  # exclusive lower bound
     scale: float = 1.0  # factor to internal units
     count: bool = False  # a whole number, parsed as an int
+    least: float = -math.inf  # inclusive bounds
+    most: float = math.inf
 
 
 # Every number the parsers read, by section ("" is the top level).  A
@@ -117,11 +121,11 @@ _NUMBERS = {
         _Number("points", "points", None, 0.0, count=True),
     ),
     "channel": (
-        _Number("L0_km", "length_km", 0.0),
+        _Number("L0_km", "length_km", 0.0, least=0.0),
         _Number("atten_db_per_km", "atten_db_per_km", 2.0, 0.0),
         _Number("phase_rate", "phase_rate_rad_per_km", 0.1),
-        _Number("p_em", "p_emission", 1.0),
-        _Number("p_abs", "p_absorption", 1.0),
+        _Number("p_em", "p_emission", 1.0, least=0.0, most=1.0),
+        _Number("p_abs", "p_absorption", 1.0, least=0.0, most=1.0),
     ),
     "": (_Number("regime_min_ratio", "regime_min_ratio", 5.0),),
 }
@@ -154,8 +158,11 @@ def _check(row: _Number, value: Any, where: str) -> Any:
     A valid value takes one test; the field's name is built for an error.
     """
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max and value > row.above):
-        _above(value, f"{where}.{row.key}", row.above)  # raises this value's error
+            and abs(value) <= sys.float_info.max and value > row.above
+            and row.least <= value <= row.most):
+        value = _above(value, f"{where}.{row.key}", row.above)  # raises this value's error, or
+        bound = f"be >= {row.least:g}" if row.most == math.inf else f"lie in [{row.least:g}, {row.most:g}]"
+        raise ConfigError(f"{where}.{row.key} must {bound}, got {value!r}")
     value = float(value)
     if row.count:
         if value == int(value):
@@ -257,7 +264,7 @@ def _parse_state(doc: dict) -> SuperpositionState:
 
 def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> SuperpositionState:
     """The state of three parsed amplitudes, after the norm check."""
-    norm_sq = abs(c_m1) ** 2 + abs(c_0) ** 2 + abs(c_p1) ** 2
+    norm_sq = sum(abs(c) * abs(c) for c in (c_m1, c_0, c_p1))
     if abs(norm_sq - 1.0) >= RENORM_TOL:
         raise ConfigError(
             f"initial_state norm is {norm_sq!r}; amplitudes must be "
@@ -320,19 +327,10 @@ def _make_grid(**fields) -> GridConfig:
     return grid
 
 
-def _make_channel(**fields) -> ChannelModel:
-    if fields["length_km"] < 0.0:
-        raise ConfigError(f"channel.L0_km must be >= 0, got {fields['length_km']!r}")
-    for key, name in (("p_em", "p_emission"), ("p_abs", "p_absorption")):
-        if not 0.0 <= fields[name] <= 1.0:
-            raise ConfigError(f"channel.{key} must lie in [0, 1], got {fields[name]!r}")
-    return ChannelModel(**fields)
-
-
 # The builder of each section with numbers, with the checks that span its
 # fields.  The parsers and the sweep sampler both build sections through it.
 _MAKERS = {"params": _make_params, "pulse1": Pulse1Config, "pulse2": Pulse2Config,
-           "grid": _make_grid, "channel": _make_channel}
+           "grid": _make_grid, "channel": ChannelModel}
 
 
 def _parse_outputs(doc: dict) -> OutputsConfig:
@@ -363,7 +361,7 @@ def _parse_strict(doc: dict) -> bool:
 # several faults reports the same one first.
 _PARSERS = {
     "grid": lambda doc: _make_grid(**_numbers(_section(doc, "grid"), "grid")),
-    "channel": lambda doc: _make_channel(**_numbers(_section(doc, "channel"), "channel")),
+    "channel": lambda doc: ChannelModel(**_numbers(_section(doc, "channel"), "channel")),
     "outputs": _parse_outputs,
     "strict": _parse_strict,
     "params": _parse_params,
@@ -389,12 +387,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
 
 def sample_config(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """``config`` with the number at the dotted path ``axis`` set to ``value``."""
-    return axis_sampler(config, axis)(value)
-
-
-def axis_sampler(config: ScenarioConfig, axis: str):
-    """``sample_config`` of ``config`` and ``axis`` as a function of the value.
+    """``config`` with the number at the dotted path ``axis`` set to ``value``.
 
     The axis names a row of ``_NUMBERS``.  A sample runs the value through
     the row's checks, rebuilds the row's section from the parsed one with
@@ -405,6 +398,11 @@ def axis_sampler(config: ScenarioConfig, axis: str):
     two-photon weight against c_0, keeps the parsed c_p1 and runs only the
     state's norm check.
     """
+    return _sampler(config, axis)(value)
+
+
+def _sampler(config: ScenarioConfig, axis: str):
+    """``sample_config`` of ``config`` and ``axis`` as a function of the value."""
     if axis == "initial_state.p_m1":
         c_p1 = config.initial_state.c_p1
         p_p1 = c_p1.real * c_p1.real + c_p1.imag * c_p1.imag
@@ -435,6 +433,62 @@ def axis_sampler(config: ScenarioConfig, axis: str):
         return config._replace(**{section: parsed_section})
 
     return sample
+
+
+def axis_sampler(config: ScenarioConfig, axis: str):
+    """The configs of ``axis``'s samples at an array of values, one per link.
+
+    The samples of ``initial_state.p_m1``, ``channel.*`` and
+    ``params.phi2_rad`` share one link: one config whose ``initial_state``
+    (amplitudes in the last axis), channel field or ``params.phi2`` is a
+    column of ``sample_config``'s values, checked and built with numpy on
+    the whole column; renormalized states warn once.  Any other axis gives
+    a ``sample_config`` config per value.  The first bad value raises
+    ``sample_config``'s ``ConfigError`` before any sample is used.
+    """
+    sample = _sampler(config, axis)
+    section, _, key = axis.rpartition(".")
+    if axis == "initial_state.p_m1":
+        c_p1 = config.initial_state.c_p1
+        p_p1 = c_p1.real * c_p1.real + c_p1.imag * c_p1.imag
+
+        def state_column(values: np.ndarray) -> list[ScenarioConfig]:  # sample_state's steps
+            ok = (values >= 0.0) & (values + p_p1 <= 1.0 + 1e-12)
+            c_m1, c_0 = np.sqrt(np.where(ok, values, 0.0)), np.sqrt(np.maximum(1.0 - values - p_p1, 0.0))
+            state = np.stack(np.broadcast_arrays(c_m1, c_0, c_p1), axis=-1)
+            squares = np.hypot(state.real, state.imag) ** 2  # abs(c) * abs(c)
+            norm_sq = squares[:, 0] + squares[:, 1] + squares[:, 2]
+            ok &= abs(norm_sq - 1.0) < RENORM_TOL
+            if not ok.all():
+                sample(float(values[np.argmin(ok)]))  # raises the first bad value's error
+            renormalized = abs(norm_sq - 1.0) > 1e-15
+            if renormalized.any():
+                warnings.warn(f"initial_state renormalized in {renormalized.sum()} of {len(values)} "
+                              f"sweep samples (largest norm deviation {abs(norm_sq - 1.0).max():.2e})",
+                              stacklevel=3)
+                norm = np.sqrt(norm_sq[renormalized])[:, None]  # each part, as Python divides
+                state.real[renormalized] /= norm
+                state.imag[renormalized] /= norm
+            return [config._replace(initial_state=state)]
+
+        return state_column
+    if section != "channel" and axis != "params.phi2_rad":  # each sample needs its own link
+        return lambda values: list(map(sample, values.tolist()))
+    row = next(row for row in _NUMBERS[section] if row.key == key)
+
+    def column(values: np.ndarray) -> list[ScenarioConfig]:
+        # _check's test at scale 1.
+        ok = np.isfinite(values) & (values > row.above) & (row.least <= values) & (values <= row.most)
+        if not ok.all():
+            sample(float(values[np.argmin(ok)]))  # raises the first bad value's error
+        if section == "params":
+            return [config._replace(params=config.params._replace(phi2=values))]
+        swapped = {row.field: values}
+        if key == "atten_db_per_km":
+            swapped["l_att_km"] = attenuation_length(values)
+        return [config._replace(channel=config.channel._replace(**swapped))]
+
+    return column
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 HBAR = 1.054571817e-34  # J s
 
@@ -147,33 +145,20 @@ class SuperpositionState(_SuperpositionStateFields):
 
     @property
     def norm_sq(self) -> float:
-        return abs(self.c_m1) ** 2 + abs(self.c_0) ** 2 + abs(self.c_p1) ** 2
+        return sum(self.populations)
 
     @property
     def populations(self) -> tuple[float, float, float]:
-        return (abs(self.c_m1) ** 2, abs(self.c_0) ** 2, abs(self.c_p1) ** 2)
+        """|c|**2 of each amplitude, spelled |c|*|c| as a sweep's numpy columns square."""
+        return tuple(abs(c) * abs(c) for c in self)
 
     @staticmethod
     def normalized(c_m1: complex, c_0: complex, c_p1: complex = 0j) -> "SuperpositionState":
         """Construct after dividing out the norm (which must be nonzero)."""
-        norm = math.sqrt(abs(c_m1) ** 2 + abs(c_0) ** 2 + abs(c_p1) ** 2)
+        norm = math.sqrt(sum(abs(c) * abs(c) for c in (c_m1, c_0, c_p1)))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero state")
         return SuperpositionState(c_m1 / norm, c_0 / norm, c_p1 / norm)
-
-
-class StateBatch:
-    """Input states stacked so that a closed form evaluates them in one pass.
-
-    ``c_m1``, ``c_0``, ``c_p1`` and ``populations`` are columns, one row per
-    state, that broadcast against a grid; each entry is the state's own value.
-    """
-
-    def __init__(self, states: list[SuperpositionState]):
-        rows = ((s.c_m1, s.c_0, s.c_p1, *s.populations) for s in states)
-        columns = [np.array(values)[:, None] for values in zip(*rows)]
-        self.c_m1, self.c_0, self.c_p1 = columns[:3]
-        self.populations = tuple(columns[3:])
 
 
 class RegimeCheck(NamedTuple):
@@ -196,15 +181,6 @@ class RegimeReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c._asdict() for c in self.checks]}
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(
-                f"{status}  {c.name}: ratio {c.ratio:.3g} (minimum {c.minimum:g})"
-            )
-        return lines
 
 
 def validate_regime(

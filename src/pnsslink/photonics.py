@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import StateBatch, SuperpositionState
+from .core import SuperpositionState
 from .numerics import SampledFunction, TimeGrid, quadrature_weights
 from .sender import PulseShape, SenderTrajectory
 
@@ -94,13 +94,13 @@ def photon_fluxes(
     return flux_total, flux_one, flux_two
 
 
-def mean_photon_number(theta: SampledFunction, c: SuperpositionState | StateBatch) -> np.ndarray:
+def mean_photon_number(theta: SampledFunction, c: SuperpositionState) -> np.ndarray:
     """Mean emitted photon number n_out(t), the time integral of the flux.
 
     n_out(t) = (|c_0|^2 + 2|c_m1|^2)(1 - e**-theta) - |c_m1|^2 theta e**-theta.
     The vacuum branch of a qutrit input emits nothing, so its weight is
     absent; for a two-sublevel input the prefactor is 1 + |c_m1|^2.
-    Equals P1 + 2*P2 identically.  A ``StateBatch`` gives one row per state.
+    Equals P1 + 2*P2 identically.
     """
     th = theta.samples
     e_full = np.exp(-th)

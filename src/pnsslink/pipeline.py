@@ -7,19 +7,18 @@ photon mode functions and their overlap, the receiving control pulse
 (solved or explicit) and its areas eta(t), zeta(t).  The pi-area
 conditions involve only the mode functions, so one solved link serves
 every input state and every fiber channel.  The per-state stage
-(``run_transfer_on``) sends one input state over a link: absorption
-amplitudes, bookkeeping residual and the end-value ``Summary`` its
-report is.  Each value has one home: a link's in ``Link`` or
-``SenderLink``, a state's in ``Summary``.  ``SendResult`` builds the
-sender's emission amplitudes and photon statistics only when a CSV
-writer reads them.  ``run_send`` never solves a pulse.  ``run_sweep`` builds a new link only when a sample's
-physics differs from the previous sample's, and writes the columns of
-one ``Summary`` per link.
+(``summarize``) reads input states at the link's end values, through its
+diagonal end map (``Link.stored``): one state for a transfer's report, a
+column of them for a sweep.  ``run_transfer`` adds one state's absorption
+amplitudes and bookkeeping residual on the grid.  Each value has one
+home: a link's in ``Link`` or ``SenderLink``, a state's in ``Summary``.
+``SendResult`` builds the sender's emission amplitudes and photon
+statistics only when a CSV writer reads them.  ``run_send`` never solves
+a pulse.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -32,14 +31,7 @@ import numpy as np
 from . import channel as channel_mod
 from .channel import ChannelModel
 from .config import ConfigError, ScenarioConfig, axis_sampler
-from .core import (
-    DerivedQuantities,
-    RegimeReport,
-    StateBatch,
-    derive,
-    to_mhz,
-    validate_regime,
-)
+from .core import DerivedQuantities, RegimeReport, derive, rad_per_s, to_mhz, validate_regime
 from .csvio import write_csv
 from .numerics import BracketError, SampledFunction, TimeGrid
 from .photonics import (
@@ -48,7 +40,6 @@ from .photonics import (
     emission_modes,
     mean_photon_number,
     mode_overlap,
-    photon_distribution,
     photon_fluxes,
     photon_observables,
 )
@@ -60,6 +51,7 @@ from .receiver import (
     conservation_check,
     final_state,
     gamma_analytic,
+    phase_factors,
     pulse_areas,
     solve_pulse_shape,
 )
@@ -88,16 +80,9 @@ class SenderLink(NamedTuple):
     overlap: float
 
 
-def _physics(config: ScenarioConfig) -> tuple:
-    """The parsed fields a link is built from; phi2 enters per state only."""
-    params = config.params._replace(phi2=None)
-    return (params, config.pulse1, config.pulse2, config.grid, config.regime_min_ratio)
-
-
 class Link(NamedTuple):
     """A sender half plus the receiving control pulse and its areas."""
 
-    physics: tuple  # _physics of the config it was built from
     sender: SenderLink
     pulse2: PulseShape
     omega2: float
@@ -107,6 +92,23 @@ class Link(NamedTuple):
     eta_residual: float  # eta(inf) - pi, as FinalAreas sums it (not eta's last sample)
     zeta_residual: float  # zeta(inf) - pi, likewise
     converged: Optional[bool]  # both residuals within pulse2.tol; None for an explicit pulse
+
+    @property
+    def ends(self) -> tuple[float, float, float]:
+        """theta, eta and zeta at the grid end: all that reading out a state takes."""
+        return self.sender.theta.samples[-1], self.eta.samples[-1], self.zeta.samples[-1]
+
+    def stored(self, c: np.ndarray, phi2) -> np.ndarray:
+        """D(phi2) c = diag(u**2 (1 - cos zeta)/2, u sin(eta/2), 1) c at the grid end.
+
+        ``c`` holds c_m1, c_0, c_p1 in its last axis, ``phi2`` is a phase or
+        a column.  As in ``gamma_analytic``, whose last sample this is, the
+        real factors multiply c before the phases u = exp(i(pi/2 - phi2)).
+        """
+        _, eta, zeta = self.ends
+        u, u2 = phase_factors(phi2)
+        real = np.array([0.5 * (1.0 - np.cos(zeta)), np.sin(0.5 * eta), 1.0])
+        return c * real * np.stack(np.broadcast_arrays(u2, u, 1.0), axis=-1)
 
 
 class _SendResultFields(NamedTuple):
@@ -141,10 +143,11 @@ class Summary(NamedTuple):
     """End values of input states sent over one link, as ``summarize`` reads them.
 
     A field holds a scalar for one state (a transfer's report) or a column
-    for a ``StateBatch`` (a sweep's).  The link's values are in ``Link``.
+    for a sweep's samples.  The link's values are in ``Link``.
     """
 
     final: FinalState
+    transmission: tuple  # eta_1, eta_2
     n_out_final: float | np.ndarray
     success_one_photon: float | np.ndarray
     success_two_photon: float | np.ndarray
@@ -222,7 +225,9 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     A ``ConfigError`` is raised, before any output exists, for a derived
     rate or photon mode that overflows and for a sending pulse that emits
     no photon in floating point (exp(-theta) stays 1) or emits within one
-    grid step (a photon mode vanishes on the grid).
+    grid step (a photon mode vanishes on the grid), then for a receiving
+    pulse duration (``pulse2.T2_us``, ``pulse2.T2_range_us``) so short
+    that ((t - center)/T2)**2 can overflow on the grid.
     """
     params = config.params
     derived = derive(params)
@@ -258,6 +263,15 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
             f"(exposure {theta.final:.3g}): lower pulse1.T1_us or params.omega1_mhz, "
             "or raise grid.points"
         ) from exc
+    p2 = config.pulse2
+    centers = [abs(c) * US for c in (p2.center_us, *(p2.center_range_us or ())) if c is not None]
+    far = 2.0 * max(-grid.t_start, grid.t_end, *centers) / US
+    for key, t2_us in (("pulse2.T2_us", p2.t2_us), ("pulse2.T2_range_us", p2.t2_range_us[0])):
+        if t2_us is not None and far / t2_us > 2.0**511:
+            raise ConfigError(
+                f"{key} {t2_us:g} is too short for float64 to carry the receiving pulse over "
+                f"the grid: raise it above {far * 2.0**-511:.3g} us"
+            )
     return SenderLink(derived, regime, grid, pulse1, theta, modes, overlap)
 
 
@@ -271,18 +285,11 @@ def _resolve_pulse2(
 ) -> tuple[PulseShape, float, Optional[PulseSolveResult]]:
     p2 = config.pulse2
     if p2.mode == "explicit":
-        omega2 = (
-            config.params.omega2
-            if p2.omega2_mhz is None
-            else 2.0 * math.pi * 1e6 * p2.omega2_mhz
-        )
+        omega2 = config.params.omega2 if p2.omega2_mhz is None else rad_per_s(p2.omega2_mhz)
         center = (p2.center_us if p2.center_us is not None else 0.0) * US
         pulse = PulseShape(kind="gaussian", duration=p2.t2_us * US, center=center)
         return pulse, omega2, None
-
-    center_bracket = None
-    if p2.center_range_us is not None:
-        center_bracket = (p2.center_range_us[0] * US, p2.center_range_us[1] * US)
+    center_bracket = None if p2.center_range_us is None else tuple(c * US for c in p2.center_range_us)
     try:
         solve = solve_pulse_shape(
             sender.modes.phi1,
@@ -321,7 +328,6 @@ def build_link(config: ScenarioConfig) -> Link:
     else:  # the solver's own sums at the pulse it returned
         eta_residual, zeta_residual = solve.eta_residual, solve.zeta_residual
     return Link(
-        physics=_physics(config),
         sender=sender,
         pulse2=pulse2,
         omega2=omega2,
@@ -334,49 +340,52 @@ def build_link(config: ScenarioConfig) -> Link:
     )
 
 
-def run_transfer_on(link: Link, config: ScenarioConfig) -> TransferResult:
-    """The per-state stage: send ``config``'s input state over ``link``.
-
-    ``config`` must have the physics ``link`` was built from.
-    """
-    if _physics(config) != link.physics:
-        raise ValueError("config's physics differs from the link's")
+def run_transfer(config: ScenarioConfig) -> TransferResult:
+    """Full pipeline: send, shape the receiving control, absorb, budget."""
+    link = build_link(config)
     send = SendResult(config, link.sender)
     c = config.initial_state
     receiver = gamma_analytic(link.eta, link.zeta, c, phi2=config.params.phi2)
     n_out, (flux_total, _, _) = send.emission
     residual = conservation_check(receiver, n_out, flux_total, config.params.k)
     residual_max = float(np.max(np.abs(residual)))
-    report = summarize(c, receiver, n_out, _budget(config.channel), residual_max)
+    report = summarize(link, config, residual_max)
     return TransferResult(send=send, link=link, receiver=receiver, residual=residual, report=report)
 
 
-def summarize(c, receiver, n_out, budget, residual_max=None) -> Summary:
-    """The end values of state ``c`` or of a ``StateBatch`` ``c`` sent over one link.
+def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
+    """The end values of ``config``'s input state sent over ``link``.
 
-    ``receiver`` and ``n_out`` are their closed forms on a grid that ends
-    where the link's does, ``budget`` their channels' ``_budget`` (columns
-    for a batch).  One state and a batch run the same elementwise
-    arithmetic, so a sweep column holds exactly a transfer's report values.
+    A sweep's config may hold a column (``config.axis_sampler``).  Each
+    value is elementwise arithmetic on ``Link.ends``, spelled as the
+    full-grid closed forms spell it, so a sweep row holds exactly a
+    transfer's report values.
     """
-    final = final_state(receiver, c)
-    _, _, success_one, success_two, drift = budget
-    populations = np.array(c.populations).reshape(3, *final.fidelity.shape)
-    weighted = channel_mod.weighted_success(populations, success_one, success_two)
-    last = n_out.T[-1]  # each state's last sample
-    return Summary(final, last, success_one, success_two, weighted, drift, residual_max)
+    c = np.asarray(config.initial_state)
+    try:
+        final = final_state(link.stored(c, config.params.phi2), c)
+    except ValueError as exc:  # the zero state
+        raise ConfigError(
+            f"the receiving pulse (T2 {link.pulse2.duration / US:.3g} us at "
+            f"{link.pulse2.center / US:.3g} us) stores none of the input state: move "
+            "pulse2.center_us to where the photons arrive or change pulse2.T2_us"
+        ) from exc
+    moduli = np.hypot(c.real, c.imag)
+    p_m1, p_0, p_p1 = (moduli * moduli).T
+    eta_1, eta_2, success_one, success_two, drift = _budget(config.channel)
+    weighted = channel_mod.weighted_success((p_m1, p_0, p_p1), success_one, success_two)
+    theta = link.ends[0]
+    e_full = np.exp(-theta)  # mean_photon_number at theta(inf)
+    n_out = (p_0 + 2.0 * p_m1) * (1.0 - e_full) - p_m1 * theta * e_full
+    return Summary(final, (eta_1, eta_2), n_out, success_one, success_two, weighted, drift,
+                   residual_max)
 
 
-def _budget(ch: ChannelModel) -> tuple[float, float, float, float, float]:
-    """eta_1, eta_2, the one- and two-photon branch successes and the phase drift."""
+def _budget(ch: ChannelModel) -> tuple:
+    """eta_1, eta_2, the one- and two-photon branch successes and the phase drift of ``ch``."""
     eta = [channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, j) for j in (1, 2)]
     drift = channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km)
     return (*eta, ch.branch_success(1), ch.branch_success(2), drift)
-
-
-def run_transfer(config: ScenarioConfig) -> TransferResult:
-    """Full pipeline: send, shape the receiving control, absorb, budget."""
-    return run_transfer_on(build_link(config), config)
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +399,13 @@ def _write_table(path: str | Path, table: dict[str, np.ndarray], config: Scenari
 def write_sender_csv(send: SendResult, path: str | Path) -> Path:
     traj = send.trajectory
     t = send.sender.grid.values
-    table = {
-        "t_s": t,
-        "kt": send.config.params.k * t,
-        "theta": traj.theta,
-        "sigma_m1": traj.sigma_m1,
-        "sigma_0": traj.sigma_0,
-        "sigma_p1": traj.sigma_p1,
-        "re_coh_m1_0": traj.coh_m1_0.real,
-        "im_coh_m1_0": traj.coh_m1_0.imag,
-        "re_coh_0_p1": traj.coh_0_p1.real,
-        "im_coh_0_p1": traj.coh_0_p1.imag,
-        "re_coh_m1_p1": traj.coh_m1_p1.real,
-        "im_coh_m1_p1": traj.coh_m1_p1.imag,
-        "beta2_m1_0": np.abs(traj.beta_m1_0) ** 2,
-        "beta2_0_0": np.abs(traj.beta_0_0) ** 2,
-        "beta2_0_1": np.abs(traj.beta_0_1) ** 2,
-        "beta2_p1_0": np.abs(traj.beta_p1_0) ** 2,
-        "beta2_p1_1": np.abs(traj.beta_p1_1) ** 2,
-        "beta2_p1_2": np.abs(traj.beta_p1_2) ** 2,
-    }
+    table = {"t_s": t, "kt": send.config.params.k * t, "theta": traj.theta,
+             "sigma_m1": traj.sigma_m1, "sigma_0": traj.sigma_0, "sigma_p1": traj.sigma_p1}
+    for pair in ("m1_0", "0_p1", "m1_p1"):
+        coh = getattr(traj, f"coh_{pair}")
+        table[f"re_coh_{pair}"], table[f"im_coh_{pair}"] = coh.real, coh.imag
+    for pair in ("m1_0", "0_0", "0_1", "p1_0", "p1_1", "p1_2"):
+        table[f"beta2_{pair}"] = np.abs(getattr(traj, f"beta_{pair}")) ** 2
     return _write_table(path, table, send.config)
 
 
@@ -431,21 +427,11 @@ def write_photonics_csv(send: SendResult, path: str | Path) -> Path:
 
 def write_receiver_csv(result: TransferResult, path: str | Path) -> Path:
     rec = result.receiver
-    table = {
-        "kt": result.send.config.params.k * result.link.sender.grid.values,
-        "eta": rec.eta,
-        "zeta": rec.zeta,
-        "gamma2_0_0": np.abs(rec.g_0_0) ** 2,
-        "gamma2_1_1": np.abs(rec.g_1_1) ** 2,
-        "gamma2_m1_0": np.abs(rec.g_m1_0) ** 2,
-        "gamma2_0_1": np.abs(rec.g_0_1) ** 2,
-        "gamma2_1_2": np.abs(rec.g_1_2) ** 2,
-        "gamma2_1_0": np.abs(rec.g_1_0) ** 2,
-        "rho_m1": rec.rho_m1,
-        "rho_0": rec.rho_0,
-        "rho_p1": rec.rho_p1,
-        "residual": result.residual,
-    }
+    table = {"kt": result.send.config.params.k * result.link.sender.grid.values,
+             "eta": rec.eta, "zeta": rec.zeta}
+    for pair in ("0_0", "1_1", "m1_0", "0_1", "1_2", "1_0"):
+        table[f"gamma2_{pair}"] = np.abs(getattr(rec, f"g_{pair}")) ** 2
+    table.update(rho_m1=rec.rho_m1, rho_0=rec.rho_0, rho_p1=rec.rho_p1, residual=result.residual)
     return _write_table(path, table, result.send.config)
 
 
@@ -513,66 +499,56 @@ def write_regime_json(send: SendResult, path: str | Path) -> Path:
 # sweeps
 
 
-def _sweep_columns(link: Link, configs: list[ScenarioConfig]) -> dict[str, np.ndarray]:
-    """The ``sweep.csv`` columns after the axis's for ``configs`` sent over ``link``.
+# The sweep.csv columns after the axis's.
+_SWEEP_COLUMNS = ("eta1", "eta2", "weighted_success", "phase_rad", "fidelity", "n_out_inf", "P1_inf",
+                  "P2_inf", "T2_us", "center2_us", "omega2_mhz", "eta_residual", "zeta_residual")
 
-    The closed forms are pointwise in theta, eta and zeta, so they run once
-    for all the samples (a ``StateBatch``) on the link's last two grid
-    samples, and give the floats of a full-grid transfer per sample.
+
+def _sweep_columns(link: Link, samples: ScenarioConfig) -> tuple:
+    """The ``_SWEEP_COLUMNS`` of ``samples`` sent over ``link``: columns, or one value for all.
+
+    P1 and P2 at theta(inf) come from ``amplitudes_beta``'s one- and
+    two-photon amplitudes there, squared as products like
+    ``photon_distribution``'s array squares.
     """
-    end = TimeGrid(link.sender.grid.values[-2], link.sender.grid.values[-1], 2)
-    ends = (link.sender.theta, link.eta, link.zeta)
-    theta, eta, zeta = (SampledFunction(end, f.samples[-2:]) for f in ends)
-    states = StateBatch([cfg.initial_state for cfg in configs])
-    receiver = gamma_analytic(eta, zeta, states, phi2=[cfg.params.phi2 for cfg in configs])
-    budgets = {ch: _budget(ch) for ch in {cfg.channel for cfg in configs}}  # once per channel
-    budget = np.array([budgets[cfg.channel] for cfg in configs]).T
-    summary = summarize(states, receiver, mean_photon_number(theta, states), budget)
-    _, p1, p2 = photon_distribution(amplitudes_beta(theta, states))
-    n = len(configs)
-    return {
-        "eta1": budget[0],
-        "eta2": budget[1],
-        "weighted_success": summary.weighted_success,
-        "phase_rad": summary.phase_drift_rad,
-        "fidelity": summary.final.fidelity,
-        "n_out_inf": summary.n_out_final,
-        "P1_inf": p1[:, -1],
-        "P2_inf": p2[:, -1],
-        "T2_us": np.full(n, link.pulse2.duration / US),
-        "center2_us": np.full(n, link.pulse2.center / US),
-        "omega2_mhz": np.full(n, to_mhz(link.omega2)),
-        "eta_residual": np.full(n, link.eta_residual),
-        "zeta_residual": np.full(n, link.zeta_residual),
-    }
+    summary = summarize(link, samples)
+    theta = link.ends[0]
+    e_full = np.exp(-theta)
+    c = np.asarray(samples.initial_state)
+    m_0_1 = np.abs(c[..., 0] * np.sqrt(np.maximum(theta * e_full, 0.0)))
+    m_p1_1 = np.abs(c[..., 1] * np.sqrt(np.maximum(1.0 - e_full, 0.0)))
+    m_p1_2 = np.abs(c[..., 0] * np.sqrt(np.maximum(1.0 - (1.0 + theta) * e_full, 0.0)))
+    return (*summary.transmission, summary.weighted_success, summary.phase_drift_rad,
+            summary.final.fidelity, summary.n_out_final, m_0_1 * m_0_1 + m_p1_1 * m_p1_1,
+            m_p1_2 * m_p1_2, link.pulse2.duration / US, link.pulse2.center / US,
+            to_mhz(link.omega2), link.eta_residual, link.zeta_residual)
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np.ndarray, int]:
     """The ``sweep.csv`` table and the number of its links whose pulse solve did not converge.
 
     The table has one row per axis sample, in order, and one named column
-    per field.  Every sample is built (``axis_sampler``) before the first
-    link, so a bad value fails before any pulse solve.  Consecutive samples
-    with the same physics share one link and one ``summarize`` pass: an
-    ``initial_state.*``, ``channel.*`` or ``params.phi2_rad`` sweep costs
-    one link.  With ``config.strict`` each new link's regime is checked as
-    it is built (``RegimeFailure``).
+    per field.  Every sample is checked (``axis_sampler``) before the first
+    link, so a bad value fails before any pulse solve.  An
+    ``initial_state.p_m1``, ``channel.*`` or ``params.phi2_rad`` sweep
+    builds one link and reads every sample from it as columns; any other
+    axis builds a link per sample.  With ``config.strict`` each link's
+    regime is checked as it is built (``RegimeFailure``).
     """
-    sample = axis_sampler(config, axis)
-    samples = [sample(float(v)) for v in values]
-    groups = [list(group) for _, group in itertools.groupby(samples, key=_physics)]
-    parts, unconverged = [], 0
-    for group in groups:  # one link alive at a time
-        link = build_link(group[0])
-        parts.append(_sweep_columns(link, group))
-        unconverged += link.converged is False
+    values = np.asarray(values, dtype=float)
+    leaf = axis.split(".")[-1]
     # A summary column named like the axis's leaf (T2_us, omega2_mhz) takes its place.
-    columns = {axis.split(".")[-1]: values}
-    for name in parts[0] if parts else ():
-        columns[name] = np.concatenate([part[name] for part in parts])
-    table = np.empty(len(samples), dtype=[(name, float) for name in columns])
-    for name, column in columns.items():
-        table[name] = column
+    names = [leaf, *(name for name in _SWEEP_COLUMNS if name != leaf)]
+    table = np.empty(len(values), dtype=[(name, float) for name in names])
+    table[leaf] = values
+    samples = axis_sampler(config, axis)(values)
+    size = len(values) // max(len(samples), 1)  # every row on one link, or one row each
+    unconverged = 0
+    for i, sample in enumerate(samples):  # one link alive at a time
+        link = build_link(sample)
+        for name, column in zip(_SWEEP_COLUMNS, _sweep_columns(link, sample)):
+            table[name][i * size:(i + 1) * size] = column
+        unconverged += link.converged is False
     return table, unconverged
 
 

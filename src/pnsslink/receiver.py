@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import PhysicalParams, StateBatch, SuperpositionState
+from .core import PhysicalParams, SuperpositionState
 from .numerics import (
     BracketError,
     SampledFunction,
@@ -71,9 +71,9 @@ class PulseSolveResult(NamedTuple):
 
 
 class FinalState(NamedTuple):
-    """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s rows.
+    """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s last axis.
 
-    A ``StateBatch`` gives a column per field, one entry per state.
+    Many states (a sweep's rows) give a column per field, one entry per state.
     """
 
     state: np.ndarray
@@ -104,19 +104,21 @@ def pulse_areas(
     return eta, zeta
 
 
-def _phase(phi2: float) -> tuple[complex, complex]:
-    # u = exp(i(pi/2 - phi2)) and u**2, exactly 1+0j at phi2 = pi/2.  A batch
-    # forms them per state with these same scalar operations, because numpy's
-    # complex array product can round differently from the scalar one.
-    u = np.exp(1j * (math.pi / 2 - phi2))
-    return complex(u), complex(u * u)
+def phase_factors(phi2: float | np.ndarray) -> tuple:
+    """u = exp(i(pi/2 - phi2)) and u**2 (both 1+0j at pi/2) of a phase or a column of them.
+
+    u**2 is spelled in real parts, the floats of numpy's scalar complex
+    product, which its complex array product does not round alike.
+    """
+    u = np.exp(1j * (math.pi / 2 - np.asarray(phi2)))
+    return u, (u.real * u.real - u.imag * u.imag) + 1j * (u.real * u.imag + u.imag * u.real)
 
 
 def gamma_analytic(
     eta: SampledFunction,
     zeta: SampledFunction,
-    c: SuperpositionState | StateBatch,
-    phi2: float | list[float] = math.pi / 2,
+    c: SuperpositionState,
+    phi2: float = math.pi / 2,
 ) -> ReceiverTrajectory:
     """Closed-form absorption amplitudes at control phase ``phi2``.
 
@@ -126,17 +128,12 @@ def gamma_analytic(
     The vacuum branch of a qutrit input is inert: g_1_0 = c_p1.
     Other phases are a diagonal similarity transform of this: with
     u = exp(i(pi/2 - phi2)), g_0_0 and g_0_1 gain a factor u, g_m1_0 u**2.
-
-    A ``StateBatch`` takes one phase per state in ``phi2`` and gives every
-    amplitude a leading axis, one row per state.
+    The real factors multiply c before the phases, as ``pipeline.Link.stored``
+    reads the end values.
     """
     e = eta.samples
     z = zeta.samples
-    if isinstance(phi2, list):
-        phases = {p: _phase(p) for p in set(phi2)}  # a state sweep has a single phase
-        u, u2 = (np.array(f)[:, None] for f in zip(*map(phases.__getitem__, phi2)))
-    else:
-        u, u2 = _phase(phi2)
+    u, u2 = phase_factors(phi2)
     half_e = 0.5 * e
     cos_z = np.cos(z)
     g_1_1 = c.c_0 * np.cos(half_e)  # complex, as the amplitudes are
@@ -145,7 +142,7 @@ def gamma_analytic(
         zeta=z,
         g_0_0=c.c_0 * np.sin(half_e) * u,
         g_1_1=g_1_1,
-        g_m1_0=0.5 * c.c_m1 * (1.0 - cos_z) * u2,
+        g_m1_0=c.c_m1 * (0.5 * (1.0 - cos_z)) * u2,
         g_0_1=c.c_m1 * np.sin(z) / math.sqrt(2.0) * u,
         g_1_2=0.5 * c.c_m1 * (1.0 + cos_z),
         g_1_0=np.full(g_1_1.shape, c.c_p1, dtype=complex),
@@ -342,32 +339,33 @@ def conservation_check(
 
 
 def final_state(
-    traj: ReceiverTrajectory,
-    c_in: SuperpositionState | StateBatch,
+    stored: np.ndarray,
+    c_in: SuperpositionState | np.ndarray,
     leakage_threshold: float = 1e-3,
 ) -> FinalState:
     """Read out the stored state and compare with the input.
 
-    The retained amplitudes are those with no photons left in the field.
-    Fidelity is computed against the renormalized retained state; the
-    discarded weight is reported as leakage and flagged when it exceeds
-    the threshold.  A ``StateBatch`` is read out in one pass, to the floats
-    of one state at a time: moduli are hypot(re, im), products are spelled
-    out in real parts (numpy's complex abs and product round otherwise)
-    and squares are products (numpy's scalar power rounds otherwise).
+    ``stored`` holds the amplitudes with no photons left in the field and
+    ``c_in`` the input's, c_m1, c_0, c_p1 in the last axis (one row per
+    state for many).  Fidelity is computed against the renormalized
+    retained state; the discarded weight is reported as leakage and flagged
+    when it exceeds the threshold.  Every step is real and elementwise, so
+    a row gets the floats of its state read out alone: moduli are
+    hypot(re, im) (numpy's complex abs rounds otherwise), products are
+    spelled out in real parts and squares are products.
     """
-    ends = np.array([traj.g_m1_0[..., -1], traj.g_0_0[..., -1], traj.g_1_0[..., -1]])
-    m_m1, m_0, m_p1 = np.hypot(ends.real, ends.imag)  # scalars for one state
+    ends = stored.T  # c_m1, c_0, c_p1 in rows
+    c = np.broadcast_to(np.asarray(c_in), stored.shape).T
+    m_m1, m_0, m_p1 = np.hypot(ends.real, ends.imag)
     retained = m_m1 * m_m1 + m_0 * m_0 + m_p1 * m_p1
     if not (retained > 0.0).all():
         raise ValueError("cannot normalize the zero state")
     norm = np.sqrt(retained)
     state = np.empty(ends.shape, dtype=complex)
     state.real, state.imag = ends.real / norm, ends.imag / norm
-    c = np.array([c_in.c_m1, c_in.c_0, c_in.c_p1]).reshape(ends.shape)
     # conj(c) * state per sublevel, summed: <c_in|state>.
     re = c.real * state.real + c.imag * state.imag
     im = c.real * state.imag - c.imag * state.real
     overlap = np.hypot(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
     leakage = 1.0 - retained
-    return FinalState(state, overlap * overlap, leakage, leakage > leakage_threshold)
+    return FinalState(state.T, overlap * overlap, leakage, leakage > leakage_threshold)

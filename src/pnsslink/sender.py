@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import StateBatch, SuperpositionState
+from .core import SuperpositionState
 from .numerics import SampledFunction, TimeGrid, cumulative_integral
 
 
@@ -98,9 +98,7 @@ def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFu
     return SampledFunction(grid, alpha1 * integral.samples)
 
 
-def amplitudes_beta(
-    theta: SampledFunction, c: SuperpositionState | StateBatch
-) -> SenderTrajectory:
+def amplitudes_beta(theta: SampledFunction, c: SuperpositionState) -> SenderTrajectory:
     """Closed-form atomic moments and joint atom-field amplitudes beta_{m,j}(t).
 
     Everything depends on the exposure history theta(t) alone.  The
@@ -116,8 +114,6 @@ def amplitudes_beta(
     sum_j |beta_{m,j}|^2 equals sigma_m at every grid point.  For a
     qutrit input the extra branch is beta_{+1,0}(t) = c_p1, constant,
     because that sublevel never scatters a photon.
-
-    With a ``StateBatch`` every array gains a leading axis, one row per state.
     """
     th = theta.samples
     e_full = np.exp(-th)
@@ -143,9 +139,9 @@ def amplitudes_beta(
         sigma_m1=sigma_m1,
         sigma_0=sigma_0,
         sigma_p1=1.0 - sigma_m1 - sigma_0,
-        coh_m1_0=coh_m1_0.astype(complex),
-        coh_0_p1=coh_0_p1.astype(complex),
-        coh_m1_p1=coh_m1_p1.astype(complex),
+        coh_m1_0=coh_m1_0,
+        coh_0_p1=coh_0_p1,
+        coh_m1_p1=coh_m1_p1,
         beta_m1_0=c.c_m1 * e_half,
         beta_0_0=c.c_0 * e_half,
         beta_0_1=c.c_m1 * one_photon,

@@ -89,3 +89,8 @@ def random_states(count: int, seed: int, qutrit: bool = True) -> list[Superposit
         c_p1 = raw[2] if qutrit else 0j
         states.append(SuperpositionState(complex(raw[0]), complex(raw[1]), complex(c_p1)))
     return states
+
+
+def end_amplitudes(traj) -> np.ndarray:
+    """A receiver trajectory's amplitudes with no photon left at its last sample (c_m1, c_0, c_p1)."""
+    return np.array([traj.g_m1_0[-1], traj.g_0_0[-1], traj.g_1_0[-1]])

@@ -16,7 +16,7 @@ from pnsslink import config as config_mod
 from pnsslink import photonics as photonics_mod
 from pnsslink import pipeline as pipeline_mod
 from pnsslink import receiver as receiver_mod
-from pnsslink.channel import attenuation_length, transmission_efficiency
+from pnsslink.channel import attenuation_length, transmission_efficiency, weighted_success
 from pnsslink.cli import main
 from pnsslink.config import (
     MAX_GRID_POINTS,
@@ -31,7 +31,6 @@ from pnsslink.pipeline import (
     build_link,
     run_sweep,
     run_transfer,
-    run_transfer_on,
 )
 
 from conftest import CONFIGS, load_csv, stock_doc
@@ -67,6 +66,14 @@ def full_grid_row(cfg, axis: str, value: float) -> dict:
         "eta_residual": link.eta_residual,
         "zeta_residual": link.zeta_residual,
     }
+
+
+def _samples_cleanly(config, axis: str, value: float) -> bool:
+    try:
+        sample_config(config, axis, value)
+    except ConfigError:
+        return False
+    return True
 
 
 def write_doc(tmp_path: Path, doc: dict, name: str = "scenario.json") -> Path:
@@ -498,6 +505,38 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and all(key in err for key in named)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    @pytest.mark.parametrize(
+        "pulse2, named",
+        [
+            # Both areas are exactly 0: "cannot normalize the zero state" was uncaught.
+            ({"mode": "explicit", "T2_us": 0.3, "center_us": 100}, "pulse2.center_us"),
+            # (t - center)/T2 overflowed, with two RuntimeWarnings, before that
+            # error or, at center 0, before an exit 0 with fidelity 0.304.
+            ({"mode": "explicit", "T2_us": 1e-300, "center_us": 0.15}, "pulse2.T2_us"),
+            ({"mode": "explicit", "T2_us": 1e-200, "center_us": 0.15}, "pulse2.T2_us"),
+            ({"mode": "explicit", "T2_us": 1e-300, "center_us": 0.0}, "pulse2.T2_us"),
+            # The solver's short bracket end overflowed, then exit 1 or 2.
+            ({"T2_range_us": [1e-300, 20]}, "pulse2.T2_range_us"),
+            ({"free": "center", "T2_range_us": [1e-300, 20]}, "pulse2.T2_range_us"),
+        ],
+        ids=["far-center", "short-T2", "shorter-T2", "short-T2-at-0", "short-range", "short-range-free"],
+    )
+    def test_receiving_pulse_that_stores_nothing_exit_code(self, tmp_path, capsys, command, pulse2, named):
+        doc = stock_doc()
+        doc["pulse2"].update(pulse2)
+        if pulse2.get("free") == "center":
+            del doc["pulse2"]["center_us"]
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
         assert not out.exists()
 
     def test_json_outputs_refuse_non_finite_numbers(self, tmp_path):
@@ -946,24 +985,21 @@ class TestCli:
         assert abs(report["diagnostics"]["eta_residual"]) <= 1e-9
 
     def test_tol_flag_reaches_every_sweep_sample(self, tmp_path, monkeypatch):
-        parsed = []
-        sampler = pipeline_mod.axis_sampler
+        # A channel sweep reads its three samples off one link, built from
+        # the config the flag set.
+        linked = []
+        build = pipeline_mod.build_link
 
-        def recording_sampler(config, axis):
-            sample = sampler(config, axis)
+        def recording_build(config):
+            linked.append(config)
+            return build(config)
 
-            def recording_sample(value):
-                parsed.append(sample(value))
-                return parsed[-1]
-
-            return recording_sample
-
-        monkeypatch.setattr(pipeline_mod, "axis_sampler", recording_sampler)
+        monkeypatch.setattr(pipeline_mod, "build_link", recording_build)
         sweep = ["sweep", "--axis", "channel.L0_km", "--start", "0", "--stop", "5", "--num", "3"]
         path = write_doc(tmp_path, small_doc())
         flag_run = ["--config", str(path), "--out", str(tmp_path / "flag"), "--tol", "1e-9"]
         assert main(sweep + flag_run) == 0
-        assert [cfg.pulse2.tol for cfg in parsed] == [1e-9] * 3
+        assert [cfg.pulse2.tol for cfg in linked] == [1e-9]
         doc = small_doc()
         doc["pulse2"]["tol"] = 1e-9
         path = write_doc(tmp_path, doc, name="tol.json")
@@ -1304,47 +1340,42 @@ class TestSweepSemantics:
 
     @pytest.mark.parametrize(
         "axis, start, stop, num, links",
-        [("initial_state.p_m1", 0.05, 0.9, 41, 1), ("params.g_mhz", 11.5, 12.5, 3, 3)],
+        [
+            ("initial_state.p_m1", 0.05, 0.9, 41, 1),
+            ("params.g_mhz", 11.5, 12.5, 3, 3),
+            ("channel.L0_km", 0.0, 5.0, 41, 1),
+            ("params.phi2_rad", 0.3, 1.4, 41, 1),
+        ],
     )
     def test_sweep_reads_only_terminal_samples(self, monkeypatch, axis, start, stop, num, links):
+        # The link's areas are a sweep's only full-grid arrays: each sample is
+        # read at the grid end, by one readout per link, and an axis that
+        # shares the link builds no config per sample.
         config = parse_config(small_doc())
-        seen = []
-
-        def points(args) -> int:
-            for arg in args:
-                grid = getattr(arg, "grid", None)
-                if grid is not None:
-                    return grid.n_points
-                # A sender or receiver trajectory: its exposure or area row.
-                arg = getattr(arg, "theta", getattr(arg, "eta", arg))
-                if isinstance(arg, np.ndarray):
-                    return arg.size
-            raise AssertionError("no grid-valued argument")
+        seen, sampled = [], []
 
         def recording(name, fn):
             def wrapper(*args, **kwargs):
-                seen.append((name, points(args)))
+                seen.append(name)
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        closed_forms = [
-            "amplitudes_beta",
-            "photon_distribution",
-            "mean_photon_number",
-            "gamma_analytic",
-            "final_state",
-        ]
-        full_grid_only = ["photon_observables", "conservation_check"]
-        for name in ["pulse_areas", *closed_forms, *full_grid_only]:
+        full_grid = ["amplitudes_beta", "mean_photon_number", "photon_fluxes", "photon_observables",
+                     "gamma_analytic", "conservation_check"]
+        for name in ["pulse_areas", "final_state", *full_grid]:
             monkeypatch.setattr(pipeline_mod, name, recording(name, getattr(pipeline_mod, name)))
+        sampler = config_mod._sampler
+
+        def counting_sampler(config, axis):
+            sample = sampler(config, axis)
+            return lambda value: sampled.append(value) or sample(value)
+
+        monkeypatch.setattr(config_mod, "_sampler", counting_sampler)
         rows, _ = run_sweep(config, axis, np.linspace(start, stop, num))
         assert len(rows) == num
-        full = [name for name, n in seen if n == config.grid.n_points()]
-        assert full == ["pulse_areas"] * links  # the link's areas, once per link
-        assert all(n == 2 for name, n in seen if name != "pulse_areas")
-        calls = Counter(name for name, _ in seen)
-        assert calls == {"pulse_areas": links, **{name: links for name in closed_forms}}
+        assert Counter(seen) == {"pulse_areas": links, "final_state": links}
+        assert len(sampled) == (0 if links == 1 else num)
 
     @pytest.mark.parametrize(
         "axis, start, stop, num, links",
@@ -1369,8 +1400,8 @@ class TestSweepSemantics:
         columns, _ = run_sweep(config, axis, np.linspace(start, stop, num))
         assert len(summaries) == links
         assert len(finals) == links  # one columnar readout per link, none per sample
-        assert sum(len(summary.final.fidelity) for summary in summaries) == num
-        fidelities = np.concatenate([x.final.fidelity for x in summaries])
+        assert sum(np.size(summary.final.fidelity) for summary in summaries) == num
+        fidelities = np.concatenate([np.atleast_1d(x.final.fidelity) for x in summaries])
         assert np.array_equal(fidelities, columns["fidelity"])
 
     @given(
@@ -1391,13 +1422,61 @@ class TestSweepSemantics:
             cfg = sample_config(config, axis, float(value))
             assert dict(zip(rows.dtype.names, row.item())) == full_grid_row(cfg, axis, float(value))
 
-    def test_link_refuses_other_physics(self):
+    def test_state_sweep_warns_once_for_its_renormalized_samples(self):
+        # Past p_m1 = 1 (within 1e-12) c_0 is 0 and the norm drifts above 1:
+        # four of the five samples are renormalized, under one warning, and
+        # each row still holds its sample's transfer values.
         config = parse_config(small_doc())
-        link = build_link(config)
-        other = sample_config(config, "initial_state.p_m1", 0.4)
-        assert run_transfer_on(link, other).report.final.fidelity == pytest.approx(1.0, abs=1e-9)
-        with pytest.raises(ValueError, match="physics"):
-            run_transfer_on(link, sample_config(config, "params.g_mhz", 12.5))
+        values = np.linspace(1.0, 1.0 + 5e-13, 5)
+        with pytest.warns(UserWarning, match="renormalized") as caught:
+            rows, _ = run_sweep(config, "initial_state.p_m1", values)
+        assert [str(w.message) for w in caught] == [
+            "initial_state renormalized in 4 of 5 sweep samples (largest norm deviation 5.00e-13)"
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sample_config warns per sample
+            for value, row in zip(values, rows):
+                cfg = sample_config(config, "initial_state.p_m1", float(value))
+                expected = full_grid_row(cfg, "initial_state.p_m1", float(value))
+                assert dict(zip(rows.dtype.names, row.item())) == expected
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("channel.L0_km", [1.0, 0.0, -1.0, -2.0]),
+            ("channel.p_em", [0.5, 1.0, 1.5]),
+            ("channel.p_abs", [0.5, -0.1]),
+            ("channel.atten_db_per_km", [2.0, 0.0]),
+            ("channel.phase_rate", [0.1, math.inf]),
+            ("params.phi2_rad", [0.3, math.nan, 1.0]),
+        ],
+    )
+    def test_bad_column_value_fails_like_its_sample_before_any_solve(self, monkeypatch, axis, values):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a link was built")
+
+        monkeypatch.setattr(pipeline_mod, "build_link", unreachable)
+        config = parse_config(small_doc())
+        bad = next(v for v in values if not _samples_cleanly(config, axis, v))
+        with pytest.raises(ConfigError) as sampled:
+            sample_config(config, axis, bad)
+        with pytest.raises(ConfigError) as swept:
+            run_sweep(config, axis, np.array(values))
+        assert str(swept.value) == str(sampled.value)
+
+    def test_state_columns_square_as_a_sample_does(self):
+        # On a 100 000-point p_m1 linspace, x ** 2 and x * x round apart for
+        # 181 amplitudes: the columns must hold sample_config's states, and
+        # their populations and weighted success those of its states.
+        config = load_config(CONFIGS / "qubit.json")
+        values = np.linspace(0.05, 0.9, 100_000)
+        (samples,) = config_mod.axis_sampler(config, "initial_state.p_m1")(values)
+        states = [sample_config(config, "initial_state.p_m1", v).initial_state for v in values.tolist()]
+        assert np.array_equal(samples.initial_state, np.array(states))
+        summary = pipeline_mod.summarize(build_link(config), samples)
+        _, _, one, two, _ = pipeline_mod._budget(config.channel)
+        weighted = [weighted_success(s.populations, one, two) for s in states]
+        assert np.array_equal(summary.weighted_success, weighted)
 
     def test_default_grid_agrees_with_4x_grid(self):
         # The default grid's discretisation error, estimated against a 4x

@@ -24,7 +24,7 @@ from pnsslink.receiver import (
 from pnsslink.sender import PulseShape, pump_exposure
 
 import oracles
-from conftest import T1, random_states, stock_doc
+from conftest import T1, end_amplitudes, random_states, stock_doc
 from oracles import initial_amplitudes, simulate_receiver_ode
 
 
@@ -458,7 +458,7 @@ class TestFinalState:
         _, phi1, phi2 = modes
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
-        out = final_state(gamma_analytic(eta, zeta, qubit_state), qubit_state)
+        out = final_state(end_amplitudes(gamma_analytic(eta, zeta, qubit_state)), qubit_state)
         assert out.fidelity >= 0.999
         assert out.leakage <= 1e-9
         assert not out.leakage_warning
@@ -467,13 +467,13 @@ class TestFinalState:
         _, phi1, phi2 = modes
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
-        out = final_state(gamma_analytic(eta, zeta, qutrit_state), qutrit_state)
+        out = final_state(end_amplitudes(gamma_analytic(eta, zeta, qutrit_state)), qutrit_state)
         assert out.fidelity >= 0.999
 
     def test_incomplete_transfer_flagged(self, qubit_state):
         grid = TimeGrid(0.0, 1.0, 51)
         traj = gamma_analytic(_ramp(grid, math.pi / 2), _ramp(grid, math.pi / 2), qubit_state)
-        out = final_state(traj, qubit_state)
+        out = final_state(end_amplitudes(traj), qubit_state)
         assert out.fidelity < 1.0
         assert out.leakage > 0.0
         assert out.leakage_warning
@@ -487,8 +487,8 @@ class TestFinalState:
         base = SuperpositionState(math.sqrt(0.6), math.sqrt(0.4))
         phase = complex(math.cos(chi), math.sin(chi))
         rotated = SuperpositionState(phase * base.c_m1, phase * base.c_0)
-        f_base = final_state(gamma_analytic(eta, zeta, base), base).fidelity
-        f_rot = final_state(gamma_analytic(eta, zeta, rotated), rotated).fidelity
+        f_base = final_state(end_amplitudes(gamma_analytic(eta, zeta, base)), base).fidelity
+        f_rot = final_state(end_amplitudes(gamma_analytic(eta, zeta, rotated)), rotated).fidelity
         assert f_rot == pytest.approx(f_base, abs=1e-12)
 
 
