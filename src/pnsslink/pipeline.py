@@ -541,7 +541,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np
     names = [leaf, *(name for name in _SWEEP_COLUMNS if name != leaf)]
     table = np.empty(len(values), dtype=[(name, float) for name in names])
     table[leaf] = values
-    samples = axis_sampler(config, axis)(values)
+    samples = axis_sampler(config, axis)(values) if len(values) else []
     size = len(values) // max(len(samples), 1)  # every row on one link, or one row each
     unconverged = 0
     for i, sample in enumerate(samples):  # one link alive at a time
