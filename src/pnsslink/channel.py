@@ -1,18 +1,16 @@
-"""Fiber-link budget, of scalars or of a sweep's columns element by element."""
+"""Fiber-link budget: attenuation, per-photon-number transmission, phase drift."""
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 PHASE_WARN_THRESHOLD = 0.5  # rad, reporting policy only
 
 
 def attenuation_length(db_per_km: float) -> float:
     """Length over which transmission drops by 1/e, from a dB/km figure."""
-    if not np.all(db_per_km > 0.0):
+    if not db_per_km > 0.0:
         raise ValueError("attenuation must be positive")
     return 10.0 / (db_per_km * math.log(10.0))
 
@@ -21,14 +19,13 @@ def transmission_efficiency(length_km: float, l_att_km: float, j: int) -> float:
     """exp(-j*L0/L_att): every one of the j photons must survive the fiber.
 
     Evaluated as the j-th power of the single-photon efficiency, so
-    eta_2 = eta_1**2 holds exactly in floating point as well.  Each element
-    takes math.exp and the float power (numpy's exp rounds otherwise).
+    eta_2 = eta_1**2 holds exactly in floating point as well.
     """
     if j not in (1, 2):
         raise ValueError("photon number j must be 1 or 2")
-    if np.any(length_km < 0.0) or np.any(l_att_km <= 0.0):
+    if length_km < 0.0 or l_att_km <= 0.0:
         raise ValueError("lengths must be non-negative (attenuation length positive)")
-    return np.float64(np.frompyfunc(lambda x: math.exp(x) ** j, 1, 1)(-length_km / l_att_km))
+    return math.exp(-length_km / l_att_km) ** j
 
 
 def success_probability(p_emission: float, eta_trans: float, p_absorption: float) -> float:
@@ -38,7 +35,7 @@ def success_probability(p_emission: float, eta_trans: float, p_absorption: float
         ("eta_trans", eta_trans),
         ("p_absorption", p_absorption),
     ):
-        if not np.all((0.0 <= p) & (p <= 1.0)):
+        if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
     return p_emission * eta_trans * p_absorption
 

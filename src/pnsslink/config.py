@@ -455,12 +455,12 @@ def axis_sampler(config: ScenarioConfig, axis: str):
         def state_column(values: np.ndarray) -> list[ScenarioConfig]:  # sample_state's steps
             ok = (values >= 0.0) & (values + p_p1 <= 1.0 + 1e-12)
             c_m1, c_0 = np.sqrt(np.where(ok, values, 0.0)), np.sqrt(np.maximum(1.0 - values - p_p1, 0.0))
-            state = np.stack(np.broadcast_arrays(c_m1, c_0, c_p1), axis=-1)
-            squares = np.hypot(state.real, state.imag) ** 2  # abs(c) * abs(c)
-            norm_sq = squares[:, 0] + squares[:, 1] + squares[:, 2]
+            norm_sq = c_m1 * c_m1 + c_0 * c_0 + abs(c_p1) * abs(c_p1)  # abs(c) * abs(c) of each
             ok &= abs(norm_sq - 1.0) < RENORM_TOL
             if not ok.all():
                 sample(float(values[np.argmin(ok)]))  # raises the first bad value's error
+            state = np.empty((len(values), 3), dtype=complex)
+            state[:, 0], state[:, 1], state[:, 2] = c_m1, c_0, c_p1
             renormalized = abs(norm_sq - 1.0) > 1e-15
             if renormalized.any():
                 warnings.warn(f"initial_state renormalized in {renormalized.sum()} of {len(values)} "
@@ -485,7 +485,7 @@ def axis_sampler(config: ScenarioConfig, axis: str):
             return [config._replace(params=config.params._replace(phi2=values))]
         swapped = {row.field: values}
         if key == "atten_db_per_km":
-            swapped["l_att_km"] = attenuation_length(values)
+            swapped["l_att_km"] = np.float64(np.frompyfunc(attenuation_length, 1, 1)(values))
         return [config._replace(channel=config.channel._replace(**swapped))]
 
     return column

@@ -107,8 +107,9 @@ class Link(NamedTuple):
         """
         _, eta, zeta = self.ends
         u, u2 = phase_factors(phi2)
-        real = np.array([0.5 * (1.0 - np.cos(zeta)), np.sin(0.5 * eta), 1.0])
-        return c * real * np.stack(np.broadcast_arrays(u2, u, 1.0), axis=-1)
+        phases = np.empty(np.shape(u) + (3,), dtype=complex)
+        phases[..., 0], phases[..., 1], phases[..., 2] = u2, u, 1.0
+        return c * np.array([0.5 * (1.0 - np.cos(zeta)), np.sin(0.5 * eta), 1.0]) * phases
 
 
 class _SendResultFields(NamedTuple):
@@ -372,7 +373,9 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
         ) from exc
     moduli = np.hypot(c.real, c.imag)
     p_m1, p_0, p_p1 = (moduli * moduli).T
-    eta_1, eta_2, success_one, success_two, drift = _budget(config.channel)
+    # A sweep's channel columns take the scalar budget entry by entry (math.exp: numpy's rounds otherwise).
+    budget = np.frompyfunc(lambda *f: _budget(ChannelModel._make(f)), len(config.channel), 5)(*config.channel)
+    eta_1, eta_2, success_one, success_two, drift = map(np.float64, budget)
     weighted = channel_mod.weighted_success((p_m1, p_0, p_p1), success_one, success_two)
     theta = link.ends[0]
     e_full = np.exp(-theta)  # mean_photon_number at theta(inf)
@@ -381,8 +384,8 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
                    residual_max)
 
 
-def _budget(ch: ChannelModel) -> tuple:
-    """eta_1, eta_2, the one- and two-photon branch successes and the phase drift of ``ch``."""
+def _budget(ch: ChannelModel) -> tuple[float, float, float, float, float]:
+    """eta_1, eta_2, the one- and two-photon branch successes and the phase drift."""
     eta = [channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, j) for j in (1, 2)]
     drift = channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km)
     return (*eta, ch.branch_success(1), ch.branch_success(2), drift)
@@ -451,7 +454,7 @@ def report_document(result: TransferResult) -> dict:
             "end_to_end": final.fidelity * rep.weighted_success,
         },
         "phase_drift_rad": rep.phase_drift_rad,
-        "phase_warning": abs(rep.phase_drift_rad) > channel_mod.PHASE_WARN_THRESHOLD,
+        "phase_warning": bool(abs(rep.phase_drift_rad) > channel_mod.PHASE_WARN_THRESHOLD),
         "diagnostics": {
             "r_sn": link.sender.derived.r_sn,
             "mode_overlap": link.sender.overlap,

@@ -354,18 +354,17 @@ def final_state(
     hypot(re, im) (numpy's complex abs rounds otherwise), products are
     spelled out in real parts and squares are products.
     """
-    ends = stored.T  # c_m1, c_0, c_p1 in rows
-    c = np.broadcast_to(np.asarray(c_in), stored.shape).T
-    m_m1, m_0, m_p1 = np.hypot(ends.real, ends.imag)
+    m_m1, m_0, m_p1 = np.hypot(stored.real, stored.imag).T
     retained = m_m1 * m_m1 + m_0 * m_0 + m_p1 * m_p1
     if not (retained > 0.0).all():
         raise ValueError("cannot normalize the zero state")
-    norm = np.sqrt(retained)
-    state = np.empty(ends.shape, dtype=complex)
-    state.real, state.imag = ends.real / norm, ends.imag / norm
+    norm = np.sqrt(retained)[..., None]
+    state = np.empty(stored.shape, dtype=complex)
+    state.real, state.imag = stored.real / norm, stored.imag / norm
+    c = np.asarray(c_in)
     # conj(c) * state per sublevel, summed: <c_in|state>.
-    re = c.real * state.real + c.imag * state.imag
-    im = c.real * state.imag - c.imag * state.real
+    re = (c.real * state.real + c.imag * state.imag).T
+    im = (c.real * state.imag - c.imag * state.real).T
     overlap = np.hypot(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
     leakage = 1.0 - retained
-    return FinalState(state.T, overlap * overlap, leakage, leakage > leakage_threshold)
+    return FinalState(state, overlap * overlap, leakage, leakage > leakage_threshold)

@@ -1464,6 +1464,19 @@ class TestSweepSemantics:
             run_sweep(config, axis, np.array(values))
         assert str(swept.value) == str(sampled.value)
 
+    @pytest.mark.parametrize(
+        "axis, start, stop",
+        [("channel.L0_km", 0.0, 30.0), ("channel.atten_db_per_km", 0.2, 4.0),
+         ("channel.phase_rate", -1.0, 1.0), ("channel.p_em", 0.0, 1.0), ("channel.p_abs", 0.3, 1.0)],
+    )
+    def test_every_channel_column_equals_full_grid_reports(self, axis, start, stop):
+        config = parse_config(small_doc())
+        values = np.linspace(start, stop, 4)
+        rows, _ = run_sweep(config, axis, values)
+        for value, row in zip(values, rows):
+            cfg = sample_config(config, axis, float(value))
+            assert dict(zip(rows.dtype.names, row.item())) == full_grid_row(cfg, axis, float(value))
+
     def test_state_columns_square_as_a_sample_does(self):
         # On a 100 000-point p_m1 linspace, x ** 2 and x * x round apart for
         # 181 amplitudes: the columns must hold sample_config's states, and
