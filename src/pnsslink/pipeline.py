@@ -373,9 +373,7 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
         ) from exc
     moduli = np.hypot(c.real, c.imag)
     p_m1, p_0, p_p1 = (moduli * moduli).T
-    # A sweep's channel columns take the scalar budget entry by entry (math.exp: numpy's rounds otherwise).
-    budget = np.frompyfunc(lambda *f: _budget(ChannelModel._make(f)), len(config.channel), 5)(*config.channel)
-    eta_1, eta_2, success_one, success_two, drift = map(np.float64, budget)
+    eta_1, eta_2, success_one, success_two, drift = _budget(config.channel)
     weighted = channel_mod.weighted_success((p_m1, p_0, p_p1), success_one, success_two)
     theta = link.ends[0]
     e_full = np.exp(-theta)  # mean_photon_number at theta(inf)
@@ -384,8 +382,10 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
                    residual_max)
 
 
-def _budget(ch: ChannelModel) -> tuple[float, float, float, float, float]:
+def _budget(ch: ChannelModel) -> tuple:
     """eta_1, eta_2, the one- and two-photon branch successes and the phase drift."""
+    if any(isinstance(field, np.ndarray) for field in ch):  # columns: math.exp per entry, not np.exp
+        return tuple(map(np.float64, np.frompyfunc(lambda *f: _budget(ChannelModel._make(f)), len(ch), 5)(*ch)))
     eta = [channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, j) for j in (1, 2)]
     drift = channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km)
     return (*eta, ch.branch_success(1), ch.branch_success(2), drift)

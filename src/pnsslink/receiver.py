@@ -111,7 +111,8 @@ def phase_factors(phi2: float | np.ndarray) -> tuple:
     product, which its complex array product does not round alike.
     """
     u = np.exp(1j * (math.pi / 2 - np.asarray(phi2)))
-    return u, (u.real * u.real - u.imag * u.imag) + 1j * (u.real * u.imag + u.imag * u.real)
+    re, im = u.real, u.imag
+    return u, re * re - im * im + 2j * re * im
 
 
 def gamma_analytic(

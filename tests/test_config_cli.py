@@ -1352,7 +1352,7 @@ class TestSweepSemantics:
         # read at the grid end, by one readout per link, and an axis that
         # shares the link builds no config per sample.
         config = parse_config(small_doc())
-        seen, sampled = [], []
+        seen, made = [], []
 
         def recording(name, fn):
             def wrapper(*args, **kwargs):
@@ -1365,17 +1365,17 @@ class TestSweepSemantics:
                      "gamma_analytic", "conservation_check"]
         for name in ["pulse_areas", "final_state", *full_grid]:
             monkeypatch.setattr(pipeline_mod, name, recording(name, getattr(pipeline_mod, name)))
-        sampler = config_mod._sampler
+        make = config_mod.ScenarioConfig._make  # what _replace builds a config with
 
-        def counting_sampler(config, axis):
-            sample = sampler(config, axis)
-            return lambda value: sampled.append(value) or sample(value)
+        def counting_make(cls, fields):
+            made.append(1)
+            return make(fields)
 
-        monkeypatch.setattr(config_mod, "_sampler", counting_sampler)
+        monkeypatch.setattr(config_mod.ScenarioConfig, "_make", classmethod(counting_make))
         rows, _ = run_sweep(config, axis, np.linspace(start, stop, num))
         assert len(rows) == num
         assert Counter(seen) == {"pulse_areas": links, "final_state": links}
-        assert len(sampled) == (0 if links == 1 else num)
+        assert len(made) == (1 if links == 1 else num)  # one column config, or one per sample
 
     @pytest.mark.parametrize(
         "axis, start, stop, num, links",
