@@ -24,8 +24,8 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
     csv_sender, csv_photonics, csv_receiver, csv_sweep
                          each CSV writer (the sweep's: a 41-point
                          initial_state.p_m1 sweep)
-    sweep_per_sample     (run_sweep of 1 001 initial_state.p_m1 samples - of
-                         1 sample) / 1 000
+    sweep_per_sample     (run_sweep of 100 001 initial_state.p_m1 samples - of
+                         1 sample) / 100 000
     sweep_large          ``pnsslink sweep`` of 100 000 initial_state.p_m1
                          samples in a fresh interpreter: the wall time of the
                          command (imports excluded) and the process's peak
@@ -89,10 +89,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = Path("configs") / "qubit.json"
 SWEEP_NUM = 41
 # Samples of the sweep_per_sample stage's long sweep.  Its difference with a
-# one-sample sweep spans 1 000 samples, so the timing noise of the two
-# sweeps is small beside it (over 40 samples two records of unchanged code
-# differed by a factor of 8).
-SWEEP_PER_SAMPLE_NUM = 1001
+# one-sample sweep spans 100 000 samples, ~0.1 s of per-sample work, so the
+# timing noise of the two sweeps (a few ms each) is small beside it.  Over
+# 1 000 samples, ~0.3 ms of it, four records of nearly the same code read
+# 0.14 to 0.58 us per sample.
+SWEEP_PER_SAMPLE_NUM = 100_001
 # Control phase of the report-only off-phase qutrit transfer.
 OFFPHASE_PHI2_RAD = 0.7
 # Timed calls per stage, after one warm-up.

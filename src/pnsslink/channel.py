@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 PHASE_WARN_THRESHOLD = 0.5  # rad, reporting policy only
 
@@ -53,16 +53,8 @@ def phase_drift(length_km: float, rate_rad_per_km: float = 0.1) -> float:
     return rate_rad_per_km * length_km
 
 
-class _ChannelModelFields(NamedTuple):
-    length_km: float
-    atten_db_per_km: float
-    phase_rate_rad_per_km: float
-    p_emission: float
-    p_absorption: float
-    l_att_km: float
-
-
-class ChannelModel(_ChannelModelFields):
+class ChannelModel(namedtuple("ChannelModel", "length_km atten_db_per_km phase_rate_rad_per_km "
+                                              "p_emission p_absorption l_att_km")):
     """Link length and loss figures, with the derived attenuation length."""
 
     __slots__ = ()

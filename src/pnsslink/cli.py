@@ -53,7 +53,8 @@ EXIT_REGIME = 3
 class _Flag:
     """One command-line flag; ``type`` None makes it a switch (store_true).
 
-    A plain class: a NamedTuple costs ~0.15 ms to create at every import.
+    A plain class: a namedtuple of these six fields costs ~0.07 ms to create
+    at every import, this class ~0.01 ms.
     """
 
     def __init__(self, name: str, type: Any, default: Any = None, required: bool = False,

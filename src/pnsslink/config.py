@@ -14,8 +14,9 @@ import json
 import math
 import sys
 import warnings
+from collections import namedtuple
 from pathlib import Path
-from typing import Any, NamedTuple, Optional
+from typing import Any
 
 import numpy as np
 
@@ -78,17 +79,18 @@ _REQUIRED = object()  # a _Number default: the document must write the key
 _UNSET = object()  # a _Number default: absent is None, and the field is no sweep axis
 
 
-class _Number(NamedTuple):
-    """One number a section reads, and the parsed field it becomes."""
+class _Number(namedtuple("_Number", "key field default above scale count least most",
+                         defaults=(_REQUIRED, -math.inf, 1.0, False, -math.inf, math.inf))):
+    """One number a section reads, and the parsed field it becomes.
 
-    key: str  # document key
-    field: str  # parsed field
-    default: Any = _REQUIRED  # the parsed field when the key is absent
-    above: float = -math.inf  # exclusive lower bound
-    scale: float = 1.0  # factor to internal units
-    count: bool = False  # a whole number, parsed as an int
-    least: float = -math.inf  # inclusive bounds
-    most: float = math.inf
+    ``key`` is the document key and ``field`` the parsed field, which takes
+    ``default`` when the key is absent.  ``above`` is an exclusive lower
+    bound, ``least`` and ``most`` are inclusive bounds, ``scale`` is the
+    factor to internal units, and ``count`` marks a whole number, parsed
+    as an int.
+    """
+
+    __slots__ = ()
 
 
 # Every number the parsers read, by section ("" is the top level).  A
@@ -191,29 +193,32 @@ def _numbers(table: dict, section: str) -> dict[str, Any]:
 
 
 # The parsed sections.  Their numbers' defaults are in _NUMBERS.
-class Pulse1Config(NamedTuple):
-    t1_us: float
-    center_us: float
+class Pulse1Config(namedtuple("Pulse1Config", "t1_us center_us")):
+    """The sending pulse's duration T1 and its centre, in microseconds."""
+
+    __slots__ = ()
 
 
-class Pulse2Config(NamedTuple):
-    mode: str  # "solve" | "explicit"
-    free: str  # "center" | "amplitude"
-    tol: float
-    center_us: Optional[float]
-    t2_range_us: tuple[float, float]
-    center_range_us: Optional[tuple[float, float]]
-    t2_us: Optional[float]
-    omega2_mhz: Optional[float]
-    max_iterations: int
+class Pulse2Config(namedtuple("Pulse2Config", "mode free tol center_us t2_range_us "
+                                              "center_range_us t2_us omega2_mhz max_iterations")):
+    """``mode`` is "solve" or "explicit", ``free`` "center" or "amplitude".
+
+    The ranges are (lo, hi) pairs.  ``center_us``, ``center_range_us``,
+    ``t2_us`` and ``omega2_mhz`` are None where the document leaves them
+    out; ``max_iterations`` is an int.
+    """
+
+    __slots__ = ()
 
 
-class GridConfig(NamedTuple):
-    span_in_t1: float
-    # None: 250 per pulse duration (3 001 at the stock span), where the
-    # fourth-order cumulative areas put the solved T2 within ~2e-11 of a
-    # 4x denser grid.
-    points: Optional[int]
+class GridConfig(namedtuple("GridConfig", "span_in_t1 points")):
+    """``points`` None means 250 per pulse duration (3 001 at the stock span).
+
+    There the fourth-order cumulative areas put the solved T2 within ~2e-11
+    of a 4x denser grid.
+    """
+
+    __slots__ = ()
 
     def n_points(self) -> int:
         if self.points is not None:
@@ -221,21 +226,16 @@ class GridConfig(NamedTuple):
         return int(round(self.span_in_t1 * 250)) + 1
 
 
-class OutputsConfig(NamedTuple):
-    directory: str = "out"
-    which: tuple[str, ...] = ("sender", "photonics", "receiver", "report")
+class OutputsConfig(namedtuple("OutputsConfig", "directory which",
+                               defaults=("out", ("sender", "photonics", "receiver", "report")))):
+    """``which`` is a tuple of output names."""
+
+    __slots__ = ()
 
 
-class ScenarioConfig(NamedTuple):
-    params: PhysicalParams
-    initial_state: SuperpositionState
-    pulse1: Pulse1Config
-    pulse2: Pulse2Config
-    grid: GridConfig
-    channel: ChannelModel
-    outputs: OutputsConfig
-    regime_min_ratio: float
-    strict: bool
+class ScenarioConfig(namedtuple("ScenarioConfig", "params initial_state pulse1 pulse2 grid "
+                                                  "channel outputs regime_min_ratio strict")):
+    __slots__ = ()
 
     def config_hash(self) -> str:
         """Hash of the parsed scenario, recorded in outputs.

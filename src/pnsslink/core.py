@@ -10,7 +10,7 @@ the usual silent factor-of-2*pi mistakes.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 HBAR = 1.054571817e-34  # J s
@@ -30,21 +30,9 @@ def to_mhz(omega: float) -> float:
     return omega / (TWO_PI * 1e6)
 
 
-class _PhysicalParamsFields(NamedTuple):
-    g: float
-    k: float
-    gamma_sp: float
-    omega1: float
-    omega2: float
-    delta: float
-    delta_b_ground: float
-    delta_b_excited: float
-    phi2: float = math.pi / 2
-    atom_mass: float = RB87_MASS
-    wavelength: float = D2_WAVELENGTH
-
-
-class PhysicalParams(_PhysicalParamsFields):
+class PhysicalParams(namedtuple(
+        "PhysicalParams", "g k gamma_sp omega1 omega2 delta delta_b_ground delta_b_excited phi2 "
+        "atom_mass wavelength", defaults=(math.pi / 2, RB87_MASS, D2_WAVELENGTH))):
     """Constants of one atom-cavity node pair.
 
     Attributes
@@ -88,7 +76,7 @@ class PhysicalParams(_PhysicalParamsFields):
         return self
 
 
-class DerivedQuantities(NamedTuple):
+class DerivedQuantities(namedtuple("DerivedQuantities", "G1 alpha1 r_sn omega_rec")):
     """Rates derived from :class:`PhysicalParams`.
 
     G1 = g*omega1/|delta| is the sender's effective two-photon coupling
@@ -99,10 +87,7 @@ class DerivedQuantities(NamedTuple):
     omega_rec = hbar*(2*pi/lambda)**2/(2*m) is the photon recoil frequency.
     """
 
-    G1: float
-    alpha1: float
-    r_sn: float
-    omega_rec: float
+    __slots__ = ()
 
 
 def derive(params: PhysicalParams) -> DerivedQuantities:
@@ -120,14 +105,8 @@ def derive(params: PhysicalParams) -> DerivedQuantities:
 NORM_TOL = 1e-12
 
 
-class _SuperpositionStateFields(NamedTuple):
-    c_m1: complex
-    c_0: complex
-    c_p1: complex
-
-
-class SuperpositionState(_SuperpositionStateFields):
-    """Complex amplitudes over the three ground Zeeman sublevels.
+class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1")):
+    """Complex amplitudes over the three ground Zeeman sublevels, each a ``complex``.
 
     The qubit case has ``c_p1 == 0``; a nonzero ``c_p1`` selects the
     qutrit protocol (a vacuum branch that emits no photons).
@@ -161,19 +140,16 @@ class SuperpositionState(_SuperpositionStateFields):
         return SuperpositionState(c_m1 / norm, c_0 / norm, c_p1 / norm)
 
 
-class RegimeCheck(NamedTuple):
-    name: str
-    left: float
-    right: float
-    ratio: float
-    minimum: float
-    passed: bool
+class RegimeCheck(namedtuple("RegimeCheck", "name left right ratio minimum passed")):
+    """One check: passed when ratio = left/right (inf where right is 0) is at least minimum."""
+
+    __slots__ = ()
 
 
-class RegimeReport(NamedTuple):
-    """Outcome of every separation-of-scales check the model relies on."""
+class RegimeReport(namedtuple("RegimeReport", "checks")):
+    """Outcome of every separation-of-scales check the model relies on: a tuple of RegimeCheck."""
 
-    checks: tuple[RegimeCheck, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

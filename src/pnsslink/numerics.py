@@ -10,7 +10,8 @@ simpler and more reproducible than adaptive control.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 import numpy as np
 
@@ -25,13 +26,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _TimeGridFields(NamedTuple):
-    t_start: float
-    t_end: float
-    n_points: int
-
-
-class TimeGrid(_TimeGridFields):
+class TimeGrid(namedtuple("TimeGrid", "t_start t_end n_points")):
     """Uniform time grid on [t_start, t_end] with n_points samples.
 
     ``values`` (read-only) lives in the instance dict, not in the fields,
@@ -52,13 +47,8 @@ class TimeGrid(_TimeGridFields):
         return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
-class _SampledFunctionFields(NamedTuple):
-    grid: TimeGrid
-    samples: np.ndarray
-
-
-class SampledFunction(_SampledFunctionFields):
-    """Values of a scalar function on a :class:`TimeGrid`."""
+class SampledFunction(namedtuple("SampledFunction", "grid samples")):
+    """Values of a scalar function on a :class:`TimeGrid`: ``samples``, a read-only array."""
 
     __slots__ = ()
 

@@ -11,7 +11,8 @@ alone (``emission_modes``); the input state only weights them
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 import numpy as np
 
@@ -20,26 +21,20 @@ from .numerics import SampledFunction, TimeGrid, quadrature_weights
 from .sender import PulseShape, SenderTrajectory
 
 
-class PhotonObservables(NamedTuple):
-    """Photon-number probabilities, fluxes, n_out and g2 of one input state on a grid."""
+class PhotonObservables(namedtuple("PhotonObservables",
+                                   "p0 p1 p2 flux_total flux_one flux_two n_out g2")):
+    """Photon-number probabilities, fluxes, n_out and g2 of one input state: arrays on a grid."""
 
-    p0: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    flux_total: np.ndarray
-    flux_one: np.ndarray
-    flux_two: np.ndarray
-    n_out: np.ndarray
-    g2: np.ndarray
+    __slots__ = ()
 
 
-class EmissionModes(NamedTuple):
-    """The two temporal modes of one sending pulse; the input state does not enter."""
+class EmissionModes(namedtuple("EmissionModes", "pulse alpha1 phi1 phi2")):
+    """The two temporal modes phi1, phi2 (arrays on the grid) of one sending pulse and its alpha1.
 
-    pulse: PulseShape
-    alpha1: float
-    phi1: np.ndarray
-    phi2: np.ndarray
+    The input state does not enter.
+    """
+
+    __slots__ = ()
 
 
 def photon_distribution(traj: SenderTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,30 +69,24 @@ class RegimeFailure(Exception):
         self.regime = regime
 
 
-class SenderLink(NamedTuple):
+class SenderLink(namedtuple("SenderLink", "derived regime grid pulse1 theta modes overlap")):
     """The sending node's half of a link: no input state enters."""
 
-    derived: DerivedQuantities
-    regime: RegimeReport
-    grid: TimeGrid
-    pulse1: PulseShape
-    theta: SampledFunction
-    modes: EmissionModes
-    overlap: float
+    __slots__ = ()
 
 
-class Link(NamedTuple):
-    """A sender half plus the receiving control pulse and its areas."""
+class Link(namedtuple("Link", "sender pulse2 omega2 solve eta zeta eta_residual zeta_residual "
+                              "converged")):
+    """A sender half plus the receiving control pulse and its areas.
 
-    sender: SenderLink
-    pulse2: PulseShape
-    omega2: float
-    solve: Optional[PulseSolveResult]
-    eta: SampledFunction
-    zeta: SampledFunction
-    eta_residual: float  # eta(inf) - pi, as FinalAreas sums it (not eta's last sample)
-    zeta_residual: float  # zeta(inf) - pi, likewise
-    converged: Optional[bool]  # both residuals within pulse2.tol; None for an explicit pulse
+    ``solve`` is the :class:`PulseSolveResult`, None for an explicit
+    pulse.  ``eta_residual`` and ``zeta_residual`` are eta(inf) - pi and
+    zeta(inf) - pi as ``FinalAreas`` sums them (not the areas' last
+    samples).  ``converged`` says both residuals are within
+    ``pulse2.tol``; it is None for an explicit pulse.
+    """
+
+    __slots__ = ()
 
     @property
     def ends(self) -> tuple[float, float, float]:
@@ -112,12 +107,7 @@ class Link(NamedTuple):
         return c * np.array([0.5 * (1.0 - np.cos(zeta)), np.sin(0.5 * eta), 1.0]) * phases
 
 
-class _SendResultFields(NamedTuple):
-    config: ScenarioConfig
-    sender: SenderLink
-
-
-class SendResult(_SendResultFields):
+class SendResult(namedtuple("SendResult", "config sender")):
     """``config``'s input state sent over ``sender``; figure arrays are built on first read.
 
     No ``__slots__``: each ``cached_property`` keeps its value in the instance dict.
@@ -140,29 +130,28 @@ class SendResult(_SendResultFields):
         return photon_observables(sender.theta, sender.modes, c, self.trajectory, *self.emission)
 
 
-class Summary(NamedTuple):
+class Summary(namedtuple("Summary", "final transmission n_out_final success_one_photon "
+                                    "success_two_photon weighted_success phase_drift_rad "
+                                    "conservation_residual_max", defaults=(None,))):
     """End values of input states sent over one link, as ``summarize`` reads them.
 
     A field holds a scalar for one state (a transfer's report) or a column
-    for a sweep's samples.  The link's values are in ``Link``.
+    for a sweep's samples; ``transmission`` is the pair (eta_1, eta_2).
+    ``conservation_residual_max`` is taken over the full grid, so only a
+    transfer has it (None otherwise).  The link's values are in ``Link``.
     """
 
-    final: FinalState
-    transmission: tuple  # eta_1, eta_2
-    n_out_final: float | np.ndarray
-    success_one_photon: float | np.ndarray
-    success_two_photon: float | np.ndarray
-    weighted_success: float | np.ndarray
-    phase_drift_rad: float | np.ndarray
-    conservation_residual_max: Optional[float] = None  # full grid: a transfer's only
+    __slots__ = ()
 
 
-class TransferResult(NamedTuple):
-    send: SendResult
-    link: Link
-    receiver: ReceiverTrajectory
-    residual: np.ndarray
-    report: Summary  # of the input state, with the full-grid residual maximum
+class TransferResult(namedtuple("TransferResult", "send link receiver residual report")):
+    """One transfer of the input state.
+
+    ``residual`` is the bookkeeping residual on the grid, and ``report``
+    the state's :class:`Summary` with the full-grid residual maximum.
+    """
+
+    __slots__ = ()
 
     # perfbench/make_reference.py reads these two.
     pulse2 = property(lambda self: self.link.pulse2)

@@ -13,7 +13,8 @@ equations.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,21 +30,15 @@ from .numerics import (
 from .sender import PulseShape
 
 
-class ReceiverTrajectory(NamedTuple):
-    """Areas, absorption amplitudes and populations of the second atom.
+class ReceiverTrajectory(namedtuple("ReceiverTrajectory",
+                                    "eta zeta g_0_0 g_1_1 g_m1_0 g_0_1 g_1_2 g_1_0")):
+    """Areas, absorption amplitudes and populations of the second atom, arrays on the grid.
 
     Amplitudes ``g_m_j`` carry (atom sublevel m, photons still in the
     field j); ``rho_*`` are the resulting sublevel populations.
     """
 
-    eta: np.ndarray
-    zeta: np.ndarray
-    g_0_0: np.ndarray
-    g_1_1: np.ndarray
-    g_m1_0: np.ndarray
-    g_0_1: np.ndarray
-    g_1_2: np.ndarray
-    g_1_0: np.ndarray
+    __slots__ = ()
 
     @property
     def rho_m1(self) -> np.ndarray:
@@ -58,28 +53,21 @@ class ReceiverTrajectory(NamedTuple):
         return np.abs(self.g_1_0) ** 2 + np.abs(self.g_1_1) ** 2 + np.abs(self.g_1_2) ** 2
 
 
-class PulseSolveResult(NamedTuple):
+class PulseSolveResult(namedtuple("PulseSolveResult", "pulse omega2 eta_residual zeta_residual "
+                                                      "iterations mode converged")):
     """Control pulse returned by :func:`solve_pulse_shape`."""
 
-    pulse: PulseShape
-    omega2: float
-    eta_residual: float
-    zeta_residual: float
-    iterations: int
-    mode: str
-    converged: bool
+    __slots__ = ()
 
 
-class FinalState(NamedTuple):
+class FinalState(namedtuple("FinalState", "state fidelity leakage leakage_warning")):
     """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s last axis.
 
-    Many states (a sweep's rows) give a column per field, one entry per state.
+    One state gives scalars, many states (a sweep's rows) a column per
+    field, one entry per state.
     """
 
-    state: np.ndarray
-    fidelity: float | np.ndarray
-    leakage: float | np.ndarray
-    leakage_warning: bool | np.ndarray
+    __slots__ = ()
 
 
 def pulse_areas(

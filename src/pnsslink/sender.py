@@ -8,7 +8,7 @@ dynamics.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -16,18 +16,12 @@ from .core import SuperpositionState
 from .numerics import SampledFunction, TimeGrid, cumulative_integral
 
 
-class _PulseShapeFields(NamedTuple):
-    kind: str
-    duration: float
-    center: float = 0.0
-    table: Optional[SampledFunction] = None
-
-
-class PulseShape(_PulseShapeFields):
+class PulseShape(namedtuple("PulseShape", "kind duration center table", defaults=(0.0, None))):
     """Peak-normalized intensity profile of a control pulse.
 
     For the gaussian kind, f(t) = exp(-((t - center)/duration)**2).
-    Tabulated profiles are linearly interpolated and must stay in [0, 1].
+    A tabulated profile is ``table``, a :class:`SampledFunction` (None for
+    the gaussian kind), linearly interpolated; it must stay in [0, 1].
     """
 
     __slots__ = ()
@@ -57,27 +51,18 @@ class PulseShape(_PulseShapeFields):
         )
 
 
-class SenderTrajectory(NamedTuple):
+class SenderTrajectory(namedtuple(
+        "SenderTrajectory", "theta sigma_m1 sigma_0 sigma_p1 coh_m1_0 coh_0_p1 coh_m1_p1 beta_m1_0 "
+        "beta_0_0 beta_0_1 beta_p1_0 beta_p1_1 beta_p1_2")):
     """Atomic populations, coherences and emission amplitudes on a grid.
 
     ``sigma_*`` are the ground-sublevel populations, ``coh_*`` the three
     independent ground-state coherences, and ``beta_m_j`` the joint
-    amplitudes for (atom in sublevel m, j photons emitted).
+    amplitudes for (atom in sublevel m, j photons emitted).  Each field is
+    an array over the grid.
     """
 
-    theta: np.ndarray
-    sigma_m1: np.ndarray
-    sigma_0: np.ndarray
-    sigma_p1: np.ndarray
-    coh_m1_0: np.ndarray
-    coh_0_p1: np.ndarray
-    coh_m1_p1: np.ndarray
-    beta_m1_0: np.ndarray
-    beta_0_0: np.ndarray
-    beta_0_1: np.ndarray
-    beta_p1_0: np.ndarray
-    beta_p1_1: np.ndarray
-    beta_p1_2: np.ndarray
+    __slots__ = ()
 
 
 def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFunction:

@@ -1,4 +1,9 @@
-"""The package's records: no code generated at import, a pinned ``repr``."""
+"""The package's records: ``collections.namedtuple`` classes.
+
+Importing the package runs one small ``eval`` per record and compiles no
+annotation; the records keep a pinned ``repr``, their field order and no
+instance ``__dict__``.
+"""
 
 import dataclasses
 import importlib
@@ -10,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import pnsslink
-from pnsslink.config import load_config
+from pnsslink.config import ScenarioConfig, load_config
+from pnsslink.core import derive, validate_regime
 
 from conftest import CONFIGS
 
@@ -52,14 +58,65 @@ def test_stock_config_repr_and_hash_pinned(name, config_hash):
     assert config.config_hash() == config_hash
 
 
-def test_no_class_is_a_dataclass():
-    # A dataclass compiles its methods with exec when its module is
-    # imported, ~1 ms a class: every record is a NamedTuple or built on one.
+def _classes():
+    """(module name, class name, class) of every class the package's modules define."""
     for info in pkgutil.walk_packages(pnsslink.__path__, "pnsslink."):
         module = importlib.import_module(info.name)
-        found = [name for name, value in vars(module).items()
-                 if isinstance(value, type) and dataclasses.is_dataclass(value)]
-        assert not found, info.name
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == info.name:
+                yield info.name, name, value
+
+
+def _typing_named_tuple(cls) -> bool:
+    # typing.NamedTuple keeps the field annotations on the namedtuple it builds.
+    return any("_fields" in vars(base) and ("__annotations__" in vars(base)
+                                            or "__annotate__" in vars(base))
+               for base in cls.__mro__)
+
+
+def test_no_class_is_a_dataclass():
+    # A dataclass compiles its methods with exec when its module is
+    # imported, ~1 ms a class; typing.NamedTuple evaluates every field's
+    # annotation through its metaclass.  Every record is a
+    # collections.namedtuple or built on one.
+    found = [(module, name) for module, name, cls in _classes()
+             if dataclasses.is_dataclass(cls) or _typing_named_tuple(cls)]
+    assert not found
+
+
+def test_records_keep_their_shape():
+    # A namedtuple subclass without __slots__ = () gains an instance
+    # __dict__ silently.  Only these two keep one on purpose: TimeGrid's
+    # read-only values and SendResult's cached properties.
+    with_dict = {name for _, name, cls in _classes()
+                 if issubclass(cls, tuple) and cls.__dictoffset__}
+    assert with_dict == {"TimeGrid", "SendResult"}
+    config = load_config(CONFIGS / "qubit.json")
+    strict = config._replace(strict=True)
+    assert type(strict) is ScenarioConfig and strict.strict and strict[:-1] == config[:-1]
+    check = validate_regime(config.params, derive(config.params), 3e-7).checks[0]
+    assert list(check._asdict()) == ["name", "left", "right", "ratio", "minimum", "passed"]
+
+
+def test_import_compiles_no_annotation():
+    # typing builds one ForwardRef per string annotation it evaluates (a
+    # typing.NamedTuple field under `from __future__ import annotations`).
+    code = (
+        "import typing\n"
+        "import numpy\n"
+        "count = 0\n"
+        "init = typing.ForwardRef.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    global count\n"
+        "    count += 1\n"
+        "    init(self, *args, **kwargs)\n"
+        "typing.ForwardRef.__init__ = counting\n"
+        "import pnsslink.cli\n"
+        "print(count)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 def test_plain_argv_imports_no_argparse(tmp_path):
