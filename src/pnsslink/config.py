@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import ChannelModel, attenuation_length
+from .channel import ChannelModel
 from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState, rad_per_s
 
 RENORM_TOL = 1e-6
@@ -327,10 +327,26 @@ def _make_grid(**fields) -> GridConfig:
     return grid
 
 
+def _make_channel(**fields) -> ChannelModel:
+    """The channel of checked ``fields``, refused where float64 cannot carry its budget."""
+    channel = ChannelModel(**fields)
+    if not 0.0 < channel.l_att_km < math.inf:  # 0: db * ln 10 overflowed; inf: 10 / it did
+        raise ConfigError(
+            f"channel.atten_db_per_km {channel.atten_db_per_km:g} gives an attenuation length of "
+            f"{channel.l_att_km:g} km, not a positive finite float: keep it within [1e-307, 1e307]"
+        )
+    if not math.isfinite(channel.phase_rate_rad_per_km * channel.length_km):
+        raise ConfigError(
+            f"the phase drift of channel.phase_rate {channel.phase_rate_rad_per_km:g} over "
+            f"channel.L0_km {channel.length_km:g} overflows: lower one of them"
+        )
+    return channel
+
+
 # The builder of each section with numbers, with the checks that span its
 # fields.  The parsers and the sweep sampler both build sections through it.
 _MAKERS = {"params": _make_params, "pulse1": Pulse1Config, "pulse2": Pulse2Config,
-           "grid": _make_grid, "channel": ChannelModel}
+           "grid": _make_grid, "channel": _make_channel}
 
 
 def _parse_outputs(doc: dict) -> OutputsConfig:
@@ -361,7 +377,7 @@ def _parse_strict(doc: dict) -> bool:
 # several faults reports the same one first.
 _PARSERS = {
     "grid": lambda doc: _make_grid(**_numbers(_section(doc, "grid"), "grid")),
-    "channel": lambda doc: ChannelModel(**_numbers(_section(doc, "channel"), "channel")),
+    "channel": lambda doc: _make_channel(**_numbers(_section(doc, "channel"), "channel")),
     "outputs": _parse_outputs,
     "strict": _parse_strict,
     "params": _parse_params,
@@ -415,6 +431,12 @@ def _sampler(config: ScenarioConfig, axis: str):
             return config._replace(initial_state=state)
 
         return sample_state
+    name, build = _field_sampler(config, axis)
+    return lambda value: config._replace(**{name: build(value)})
+
+
+def _field_sampler(config: ScenarioConfig, axis: str):
+    """The ``ScenarioConfig`` field that ``axis`` sets, and that field as a function of the value."""
     section, _, key = axis.rpartition(".")
     if section not in _NUMBERS:
         raise ConfigError(f"sweep axis {axis!r}: no section {section!r} with numbers to sweep")
@@ -423,16 +445,11 @@ def _sampler(config: ScenarioConfig, axis: str):
     if row is None or row.default is _UNSET and getattr(parsed, row.field) is None:
         raise ConfigError(f"sweep axis {axis!r}: no field {key!r} with a number to sweep")
     if not section:
-        return lambda value: config._replace(**{row.field: _check(row, value, "config")})
+        return row.field, lambda value: _check(row, value, "config")
     make = _MAKERS[section]
     fields = parsed._asdict()
     fields.pop("l_att_km", None)  # derived: the channel's maker recomputes it
-
-    def sample(value: float) -> ScenarioConfig:
-        parsed_section = make(**{**fields, row.field: _check(row, value, section)})
-        return config._replace(**{section: parsed_section})
-
-    return sample
+    return section, lambda value: make(**{**fields, row.field: _check(row, value, section)})
 
 
 def axis_sampler(config: ScenarioConfig, axis: str):
@@ -440,14 +457,15 @@ def axis_sampler(config: ScenarioConfig, axis: str):
 
     The samples of ``initial_state.p_m1``, ``channel.*`` and
     ``params.phi2_rad`` share one link: one config whose ``initial_state``
-    (amplitudes in the last axis), channel field or ``params.phi2`` is a
-    column of ``sample_config``'s values, checked and built with numpy on
-    the whole column; renormalized states warn once.  Any other axis gives
-    a ``sample_config`` config per value.  The first bad value raises
-    ``sample_config``'s ``ConfigError`` before any sample is used.
+    (amplitudes in the last axis), channel fields or ``params.phi2`` are
+    columns of ``sample_config``'s values.  A state or phase column is
+    checked and built with numpy on the whole column, and its renormalized
+    states warn once; a channel column holds each entry's sample channel,
+    its fields as columns.  Any other axis gives a ``sample_config``
+    config per value.  The first bad value raises ``sample_config``'s
+    ``ConfigError`` before any sample is used.
     """
     sample = _sampler(config, axis)
-    section, _, key = axis.rpartition(".")
     if axis == "initial_state.p_m1":
         c_p1 = config.initial_state.c_p1
         p_p1 = c_p1.real * c_p1.real + c_p1.imag * c_p1.imag
@@ -472,23 +490,25 @@ def axis_sampler(config: ScenarioConfig, axis: str):
             return [config._replace(initial_state=state)]
 
         return state_column
-    if section != "channel" and axis != "params.phi2_rad":  # each sample needs its own link
-        return lambda values: list(map(sample, values.tolist()))
-    row = next(row for row in _NUMBERS[section] if row.key == key)
+    if axis.startswith("channel."):
+        _, sample_channel = _field_sampler(config, axis)
 
-    def column(values: np.ndarray) -> list[ScenarioConfig]:
-        # _check's test at scale 1.
-        ok = np.isfinite(values) & (values > row.above) & (row.least <= values) & (values <= row.most)
+        def channel_column(values: np.ndarray) -> list[ScenarioConfig]:
+            # Each entry's channel is its sample's, so the first bad entry raises its error.
+            channels = [sample_channel(value) for value in values.tolist()]
+            return [config._replace(channel=ChannelModel._make(map(np.array, zip(*channels))))]
+
+        return channel_column
+    if axis != "params.phi2_rad":  # each sample needs its own link
+        return lambda values: list(map(sample, values.tolist()))
+
+    def phase_column(values: np.ndarray) -> list[ScenarioConfig]:
+        ok = np.isfinite(values)  # _check's test of params.phi2_rad
         if not ok.all():
             sample(float(values[np.argmin(ok)]))  # raises the first bad value's error
-        if section == "params":
-            return [config._replace(params=config.params._replace(phi2=values))]
-        swapped = {row.field: values}
-        if key == "atten_db_per_km":
-            swapped["l_att_km"] = np.float64(np.frompyfunc(attenuation_length, 1, 1)(values))
-        return [config._replace(channel=config.channel._replace(**swapped))]
+        return [config._replace(params=config.params._replace(phi2=values))]
 
-    return column
+    return phase_column
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

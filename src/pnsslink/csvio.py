@@ -1,4 +1,4 @@
-"""Deterministic CSV output: 15 significant digits, '#' comments, no locale.
+"""Deterministic CSV output: 15 significant digits, a '#' config-hash line, no locale.
 
 Every cell is the bytes of ``'%.15g' % float(x)``.  A numpy kernel writes
 them a block of cells at a time:
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -265,13 +265,8 @@ def _format_block(x: np.ndarray, work: _BlockWork) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def write_csv(
-    path: str | Path,
-    columns: Sequence[str],
-    arrays: Sequence[np.ndarray],
-    config_hash: str,
-    comments: Iterable[str] = (),
-) -> Path:
+def write_csv(path: str | Path, columns: Sequence[str], arrays: Sequence[np.ndarray],
+              config_hash: str) -> Path:
     """Write column arrays as CSV with a config-hash comment line.
 
     There must be at least one column, and all columns must have equal
@@ -292,9 +287,8 @@ def write_csv(
     n_cols = len(arrays)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    head = [f"# config_hash: {config_hash}", *(f"# {c}" for c in comments), ",".join(columns)]
     with path.open("wb") as out:
-        out.write(("\n".join(head) + "\n").encode("utf-8"))
+        out.write(f"# config_hash: {config_hash}\n{','.join(columns)}\n".encode("utf-8"))
         if n * n_cols <= PERCENT_MAX_CELLS:
             values = np.empty((n, n_cols))
             for j, a in enumerate(arrays):

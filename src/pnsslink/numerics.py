@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+ROOT_MAX_STEPS = 200  # find_root's steps before it settles for the bracket's midpoint
+
 
 class BracketError(ValueError):
     """Raised when a root bracket does not contain a sign change."""
@@ -109,12 +111,8 @@ def quadrature_weights(grid: TimeGrid) -> np.ndarray:
     return w * (grid.dt / 24.0)
 
 
-def find_root(
-    f: Callable[[float], tuple[float, float]],
-    bracket: tuple[float, float],
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def find_root(f: Callable[[float], tuple[float, float]], bracket: tuple[float, float],
+              tol: float = 1e-12) -> float:
     """Newton root finder on a sign-changing bracket, with bisection as fallback.
 
     ``f(x)`` returns ``(f(x), f'(x))``.  Each step is a Newton step from the
@@ -144,7 +142,7 @@ def find_root(
     xtol = tol * max(abs(a), abs(b))
     # Newton steps start from the end nearer the root.
     x, fx, dx = (a, fa, da) if abs(fa) < abs(fb) else (b, fb, db)
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_STEPS):
         # Newton proposal, demoted to bisection whenever it leaves the bracket.
         x = float(x - fx / dx) if dx else math.nan
         lo, hi = (a, b) if a < b else (b, a)

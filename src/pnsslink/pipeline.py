@@ -45,6 +45,7 @@ from .photonics import (
     photon_observables,
 )
 from .receiver import (
+    LEAKAGE_WARN_THRESHOLD,
     FinalAreas,
     FinalState,
     PulseSolveResult,
@@ -372,12 +373,15 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
 
 
 def _budget(ch: ChannelModel) -> tuple:
-    """eta_1, eta_2, the one- and two-photon branch successes and the phase drift."""
-    if any(isinstance(field, np.ndarray) for field in ch):  # columns: math.exp per entry, not np.exp
-        return tuple(map(np.float64, np.frompyfunc(lambda *f: _budget(ChannelModel._make(f)), len(ch), 5)(*ch)))
-    eta = [channel_mod.transmission_efficiency(ch.length_km, ch.l_att_km, j) for j in (1, 2)]
-    drift = channel_mod.phase_drift(ch.length_km, ch.phase_rate_rad_per_km)
-    return (*eta, ch.branch_success(1), ch.branch_success(2), drift)
+    """``ch.budget()``, or for a channel column the columns of each entry's budget.
+
+    An entry's budget takes ``math.exp``, which numpy's ``exp`` does not
+    round alike, so a column entry holds its sample's values.
+    """
+    if isinstance(ch.length_km, np.ndarray):
+        entries = (ChannelModel._make(entry).budget() for entry in zip(*(field.tolist() for field in ch)))
+        return tuple(map(np.array, zip(*entries)))
+    return ch.budget()
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +469,7 @@ def report_document(result: TransferResult) -> dict:
             "omega2_mhz": to_mhz(link.omega2),
         },
         "state_out": {"c_m1": c_m1, "c_0": c_0, "c_p1": c_p1},
-        "leakage_warning": bool(final.leakage_warning),
+        "leakage_warning": bool(final.leakage > LEAKAGE_WARN_THRESHOLD),
     }
 
 

@@ -29,6 +29,8 @@ from .numerics import (
 )
 from .sender import PulseShape
 
+LEAKAGE_WARN_THRESHOLD = 1e-3  # reporting policy only
+
 
 class ReceiverTrajectory(namedtuple("ReceiverTrajectory",
                                     "eta zeta g_0_0 g_1_1 g_m1_0 g_0_1 g_1_2 g_1_0")):
@@ -60,7 +62,7 @@ class PulseSolveResult(namedtuple("PulseSolveResult", "pulse omega2 eta_residual
     __slots__ = ()
 
 
-class FinalState(namedtuple("FinalState", "state fidelity leakage leakage_warning")):
+class FinalState(namedtuple("FinalState", "state fidelity leakage")):
     """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s last axis.
 
     One state gives scalars, many states (a sweep's rows) a column per
@@ -327,21 +329,17 @@ def conservation_check(
     return traj.rho_0 + 2.0 * traj.rho_m1 - n_out + flux_total / k
 
 
-def final_state(
-    stored: np.ndarray,
-    c_in: SuperpositionState | np.ndarray,
-    leakage_threshold: float = 1e-3,
-) -> FinalState:
+def final_state(stored: np.ndarray, c_in: SuperpositionState | np.ndarray) -> FinalState:
     """Read out the stored state and compare with the input.
 
     ``stored`` holds the amplitudes with no photons left in the field and
     ``c_in`` the input's, c_m1, c_0, c_p1 in the last axis (one row per
     state for many).  Fidelity is computed against the renormalized
-    retained state; the discarded weight is reported as leakage and flagged
-    when it exceeds the threshold.  Every step is real and elementwise, so
-    a row gets the floats of its state read out alone: moduli are
-    hypot(re, im) (numpy's complex abs rounds otherwise), products are
-    spelled out in real parts and squares are products.
+    retained state; the discarded weight is reported as leakage, which
+    the report flags above ``LEAKAGE_WARN_THRESHOLD``.  Every step is real
+    and elementwise, so a row gets the floats of its state read out alone:
+    moduli are hypot(re, im) (numpy's complex abs rounds otherwise),
+    products are spelled out in real parts and squares are products.
     """
     m_m1, m_0, m_p1 = np.hypot(stored.real, stored.imag).T
     retained = m_m1 * m_m1 + m_0 * m_0 + m_p1 * m_p1
@@ -356,4 +354,4 @@ def final_state(
     im = (c.real * state.imag - c.imag * state.real).T
     overlap = np.hypot(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
     leakage = 1.0 - retained
-    return FinalState(state, overlap * overlap, leakage, leakage > leakage_threshold)
+    return FinalState(state, overlap * overlap, leakage)

@@ -25,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from pnsslink.channel import attenuation_length, transmission_efficiency
+from pnsslink.channel import attenuation_length
 from pnsslink.cli import main
 from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState, derive
@@ -321,19 +321,20 @@ def test_09b_conservation_law_residual(qubit_outcome):
 
 def test_10_channel_budget(qubit_outcome):
     l_att = attenuation_length(2.0)
-    eta1 = transmission_efficiency(0.06, l_att, 1)
-    eta2 = transmission_efficiency(0.06, l_att, 2)
+    eta1, eta2 = (math.exp(-j * 0.06 / l_att) for j in (1, 2))
+    reported = qubit_outcome.report.transmission
     weighted = qubit_outcome.report.weighted_success
     ok = (
         abs(l_att - 2.171) <= 1e-3
-        and eta2 == eta1 * eta1
+        and reported == (eta1, eta1 * eta1)
+        and abs(reported[1] - eta2) <= 1e-15
         and abs(weighted - 0.954) <= 1e-3
     )
     check(
         "10 channel budget",
         ok,
-        f"L_att {l_att:.4f} km, eta2 == eta1^2 exactly: {eta2 == eta1 * eta1}, "
-        f"60 m weighted success {weighted:.4f} (target 0.954 +- 0.001)",
+        f"L_att {l_att:.4f} km, 60 m eta (exp(-L0/L_att), its exact square) {reported}, "
+        f"exp(-2 L0/L_att) {eta2!r}, weighted success {weighted:.4f} (target 0.954 +- 0.001)",
     )
 
 

@@ -1,21 +1,23 @@
+import json
 import math
+from itertools import combinations, product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pnsslink.channel import (
-    ChannelModel,
-    attenuation_length,
-    phase_drift,
-    success_probability,
-    transmission_efficiency,
-    weighted_success,
-)
-from pnsslink.config import parse_config
+from pnsslink.channel import ChannelModel, attenuation_length, weighted_success
+from pnsslink.cli import main
+from pnsslink.config import _NUMBERS, parse_config
 from pnsslink.pipeline import report_document, run_transfer
 
-from conftest import stock_doc
+from conftest import load_csv, stock_doc
+
+
+def link(length_km: float, atten_db_per_km: float = 2.0, phase_rate: float = 0.1,
+         p_emission: float = 1.0, p_absorption: float = 1.0) -> ChannelModel:
+    return ChannelModel(length_km, atten_db_per_km, phase_rate, p_emission, p_absorption)
 
 
 class TestAttenuationLength:
@@ -33,78 +35,72 @@ class TestAttenuationLength:
             attenuation_length(0.0)
 
 
-class TestTransmission:
+class TestBudget:
     def test_zero_length(self):
-        assert transmission_efficiency(0.0, 2.171, 1) == 1.0
-        assert transmission_efficiency(0.0, 2.171, 2) == 1.0
+        assert link(0.0).budget() == (1.0, 1.0, 1.0, 1.0, 0.0)
 
     def test_sixty_meters_two_photon(self):
-        l_att = attenuation_length(2.0)
-        assert transmission_efficiency(0.06, l_att, 2) == pytest.approx(0.946, abs=1e-3)
+        _, eta_2, _, _, _ = link(0.06).budget()
+        assert eta_2 == pytest.approx(0.946, abs=1e-3)
 
     def test_one_attenuation_length(self):
-        assert transmission_efficiency(3.0, 3.0, 1) == pytest.approx(1.0 / math.e, rel=1e-12)
+        eta_1, _, _, _, _ = link(attenuation_length(2.0)).budget()
+        assert eta_1 == pytest.approx(1.0 / math.e, rel=1e-12)
 
-    def test_two_photon_is_exact_square(self):
-        for length in (0.0, 0.06, 1.7, 5.3):
-            one = transmission_efficiency(length, 2.171472, 1)
-            two = transmission_efficiency(length, 2.171472, 2)
-            assert two == one * one  # bitwise
+    # 8 km at 2 dB/km is one of the lengths where exp(...) ** 2 rounds
+    # apart from the product.
+    @example(length_km=8.0, atten_db_per_km=2.0)
+    @given(length_km=st.floats(0.0, 50.0), atten_db_per_km=st.floats(1e-3, 1e3))
+    @settings(deadline=None, max_examples=200)
+    def test_two_photon_is_exact_square(self, length_km, atten_db_per_km):
+        eta_1, eta_2, _, _, _ = link(length_km, atten_db_per_km).budget()
+        assert eta_2 == eta_1 * eta_1  # bitwise
 
-    def test_rejects_bad_photon_number(self):
-        with pytest.raises(ValueError):
-            transmission_efficiency(1.0, 2.0, 3)
-
-    @given(
-        l_a=st.floats(0.0, 10.0),
-        l_b=st.floats(0.0, 10.0),
-    )
+    @given(l_a=st.floats(0.0, 10.0), l_b=st.floats(0.0, 10.0))
     @settings(deadline=None, max_examples=40)
     def test_monotone_in_length_and_photon_number(self, l_a, l_b):
         lo, hi = sorted((l_a, l_b))
-        assert transmission_efficiency(hi, 2.171, 1) <= transmission_efficiency(lo, 2.171, 1)
-        assert transmission_efficiency(hi, 2.171, 2) <= transmission_efficiency(hi, 2.171, 1)
+        (lo_1, _, _, _, _), (hi_1, hi_2, _, _, _) = link(lo).budget(), link(hi).budget()
+        assert hi_1 <= lo_1
+        assert hi_2 <= hi_1
 
-
-class TestSuccessProbability:
-    def test_all_unity(self):
-        assert success_probability(1.0, 1.0, 1.0) == 1.0
+    @given(length_km=st.floats(0.0, 50.0), p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
+    @settings(deadline=None, max_examples=40)
+    def test_branch_success_is_emission_transmission_absorption(self, length_km, p, q):
+        eta_1, eta_2, one, two, _ = link(length_km, p_emission=p, p_absorption=q).budget()
+        assert (one, two) == (p * eta_1 * q, p * eta_2 * q)
+        assert 0.0 <= two <= one <= 1.0
 
     def test_emission_limited(self):
-        assert success_probability(0.25, 1.0, 1.0) == 0.25
+        _, _, one, two, _ = link(0.0, p_emission=0.25).budget()
+        assert one == two == 0.25
 
     def test_weighted_sixty_meter_link(self):
-        model = ChannelModel(length_km=0.06, atten_db_per_km=2.0)
-        weighted = weighted_success((0.7, 0.3, 0.0), *map(model.branch_success, (1, 2)))
-        assert weighted == pytest.approx(0.954, abs=1e-3)
+        _, _, one, two, _ = link(0.06).budget()
+        assert weighted_success((0.7, 0.3, 0.0), one, two) == pytest.approx(0.954, abs=1e-3)
 
     def test_vacuum_branch_always_survives(self):
-        model = ChannelModel(length_km=50.0, atten_db_per_km=2.0)
-        assert weighted_success((0.0, 0.0, 1.0), *map(model.branch_success, (1, 2))) == 1.0
+        _, _, one, two, _ = link(50.0).budget()
+        assert weighted_success((0.0, 0.0, 1.0), one, two) == 1.0
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            success_probability(1.2, 1.0, 1.0)
+    @pytest.mark.parametrize("length_km, rate, drift", [(1.0, 0.1, 0.1), (0.0, 0.1, 0.0), (10.0, -0.1, -1.0)])
+    def test_phase_drift(self, length_km, rate, drift):
+        assert link(length_km, phase_rate=rate).budget()[4] == pytest.approx(drift)
 
-    @given(
-        p=st.floats(0.0, 1.0),
-        eta=st.floats(0.0, 1.0),
-        q=st.floats(0.0, 1.0),
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"p_emission": 1.2}, "p_emission"),
+            ({"p_emission": -0.1}, "p_emission"),
+            ({"p_absorption": 1.5}, "p_absorption"),
+            ({"p_absorption": math.nan}, "p_absorption"),
+            ({"length_km": -1.0}, "length"),
+            ({"atten_db_per_km": 0.0}, "attenuation"),
+        ],
     )
-    @settings(deadline=None, max_examples=40)
-    def test_multiplicative_and_order_free(self, p, eta, q):
-        a = success_probability(p, eta, q)
-        b = success_probability(q, p, eta)
-        assert a == pytest.approx(b, rel=1e-12)
-        assert 0.0 <= a <= 1.0
-
-
-class TestPhaseDrift:
-    def test_reference_rate(self):
-        assert phase_drift(1.0, 0.1) == pytest.approx(0.1)
-
-    def test_zero_length(self):
-        assert phase_drift(0.0, 0.1) == 0.0
+    def test_rejects_out_of_range_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            link(**{"length_km": 1.0, **fields})
 
 
 # (L0_km, weighted success, phase warning)
@@ -144,3 +140,53 @@ class TestReport:
         body = report_document(run_transfer(parse_config(doc)))
         assert body["phase_drift_rad"] == pytest.approx(10.0 * rate)
         assert body["phase_warning"] is True
+
+
+# Every channel number alone at each edge value, and each pair of them at
+# each combination of the largest and smallest magnitudes.
+CHANNEL_KEYS = [row.key for row in _NUMBERS["channel"]]
+EDGE_VALUES = (0, -1, 1e-310, 1e-300, 1e-9, 0.5, 1, 2, 1e3, 1e200, 1e300, 1.7e308, -1e300)
+PAIR_VALUES = (1e-310, 1e200, 1.7e308)
+CHANNEL_EDITS = [{key: value} for key in CHANNEL_KEYS for value in EDGE_VALUES] + [
+    dict(zip(keys, values))
+    for keys in combinations(CHANNEL_KEYS, 2)
+    for values in product(PAIR_VALUES, repeat=2)
+]
+
+
+def _finite_numbers(node) -> bool:
+    if isinstance(node, dict):
+        return all(map(_finite_numbers, node.values()))
+    if isinstance(node, list):
+        return all(map(_finite_numbers, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edits", CHANNEL_EDITS, ids=lambda edits: ",".join(f"{k}={v!r}" for k, v in edits.items()))
+def test_channel_edit_is_a_config_error_or_runs_finite(tmp_path, capsys, edits):
+    # A transfer and a 2-sample sweep from the stock value of the first
+    # edited key: each names a key it refuses, or writes finite outputs.
+    doc = stock_doc()
+    doc.update(grid={"span_in_T1": 12.0, "points": 401}, outputs={"which": ["report"]})
+    stock = {row.key: doc["channel"].get(row.key, row.default) for row in _NUMBERS["channel"]}
+    doc["channel"].update(edits)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    key, value = next(iter(edits.items()))
+    sweep = ["--axis", f"channel.{key}", f"--start={stock[key]!r}", f"--stop={value!r}", "--num", "2"]
+    for command, extra, output in (("transfer", [], "report.json"), ("sweep", sweep, "sweep.csv")):
+        out = tmp_path / command
+        code = main([command, "--config", str(path), "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("config error: ")
+            assert any(f"channel.{key}" in err for key in edits)
+            assert not out.exists()
+            continue
+        assert code == 0, err
+        if output == "report.json":
+            assert _finite_numbers(json.loads((out / output).read_text(encoding="utf-8")))
+        else:
+            table = load_csv(out / output)
+            assert all(np.isfinite(table[name]).all() for name in table.dtype.names)

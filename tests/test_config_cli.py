@@ -16,7 +16,7 @@ from pnsslink import config as config_mod
 from pnsslink import photonics as photonics_mod
 from pnsslink import pipeline as pipeline_mod
 from pnsslink import receiver as receiver_mod
-from pnsslink.channel import attenuation_length, transmission_efficiency, weighted_success
+from pnsslink.channel import attenuation_length, weighted_success
 from pnsslink.cli import main
 from pnsslink.config import (
     MAX_GRID_POINTS,
@@ -49,11 +49,11 @@ def full_grid_row(cfg, axis: str, value: float) -> dict:
     result = run_transfer(cfg)
     report, link, obs = result.report, result.link, result.send.observables
     assert link.solve.converged is True
-    l_att = attenuation_length(cfg.channel.atten_db_per_km)
+    eta1 = math.exp(-cfg.channel.length_km / attenuation_length(cfg.channel.atten_db_per_km))
     return {
         axis.split(".")[-1]: float(value),
-        "eta1": transmission_efficiency(cfg.channel.length_km, l_att, 1),
-        "eta2": transmission_efficiency(cfg.channel.length_km, l_att, 2),
+        "eta1": eta1,
+        "eta2": eta1 * eta1,  # exp(-2 L0/L_att), spelled as the exact square of eta1
         "weighted_success": report.weighted_success,
         "phase_rad": report.phase_drift_rad,
         "fidelity": report.final.fidelity,
@@ -490,9 +490,18 @@ class TestCli:
             # The exposure grows with T1 over a finite span: only params keys were named.
             ({"pulse1": {"T1_us": 1e300}, "grid": {"span_in_T1": 1e8, "points": 3001}},
              ("pulse1.T1_us", "params.k_mhz")),
+            # db * ln 10 overflowed to an attenuation length of 0: a ValueError
+            # traceback; 10 / (db * ln 10) overflowed to an infinite one.
+            ({"channel": {"atten_db_per_km": 1e308}}, ("channel.atten_db_per_km",)),
+            ({"channel": {"atten_db_per_km": 1e-310}}, ("channel.atten_db_per_km",)),
+            # The phase drift overflowed: transfer wrote the three figure CSVs,
+            # then failed on inf in report.json.
+            ({"channel": {"L0_km": 2, "phase_rate": 1.7e308}}, ("channel.phase_rate", "channel.L0_km")),
+            ({"channel": {"L0_km": 1e200, "phase_rate": 1e200}}, ("channel.phase_rate", "channel.L0_km")),
         ],
         ids=["heavy-atom", "heavy-atom-ratio", "long-wavelength", "late-center2", "early-center2",
-             "wide-center-range", "long-T1-finite-span"],
+             "wide-center-range", "long-T1-finite-span", "zero-attenuation-length",
+             "infinite-attenuation-length", "drift-overflow", "drift-overflow-long-link"],
     )
     def test_values_float64_cannot_carry_exit_code(self, tmp_path, capsys, command, edits, named):
         doc = stock_doc()
@@ -1441,22 +1450,30 @@ class TestSweepSemantics:
                 assert dict(zip(rows.dtype.names, row.item())) == expected
 
     @pytest.mark.parametrize(
-        "axis, values",
+        "axis, values, channel",
         [
-            ("channel.L0_km", [1.0, 0.0, -1.0, -2.0]),
-            ("channel.p_em", [0.5, 1.0, 1.5]),
-            ("channel.p_abs", [0.5, -0.1]),
-            ("channel.atten_db_per_km", [2.0, 0.0]),
-            ("channel.phase_rate", [0.1, math.inf]),
-            ("params.phi2_rad", [0.3, math.nan, 1.0]),
+            ("channel.L0_km", [1.0, 0.0, -1.0, -2.0], {}),
+            ("channel.p_em", [0.5, 1.0, 1.5], {}),
+            ("channel.p_abs", [0.5, -0.1], {}),
+            ("channel.atten_db_per_km", [2.0, 0.0], {}),
+            ("channel.phase_rate", [0.1, math.inf], {}),
+            ("params.phi2_rad", [0.3, math.nan, 1.0], {}),
+            # Finite entries whose attenuation length is 0 or inf, or whose
+            # phase drift overflows.
+            ("channel.atten_db_per_km", [2.0, 1e308, 1e-310], {}),
+            ("channel.atten_db_per_km", [2.0, 1e-310], {}),
+            ("channel.L0_km", [1.0, 2.0], {"phase_rate": 1.7e308}),
+            ("channel.phase_rate", [0.1, 1e200], {"L0_km": 1e200}),
         ],
     )
-    def test_bad_column_value_fails_like_its_sample_before_any_solve(self, monkeypatch, axis, values):
+    def test_bad_column_value_fails_like_its_sample_before_any_solve(self, monkeypatch, axis, values, channel):
         def unreachable(*args, **kwargs):
             raise AssertionError("a link was built")
 
         monkeypatch.setattr(pipeline_mod, "build_link", unreachable)
-        config = parse_config(small_doc())
+        doc = small_doc()
+        doc["channel"].update(channel)
+        config = parse_config(doc)
         bad = next(v for v in values if not _samples_cleanly(config, axis, v))
         with pytest.raises(ConfigError) as sampled:
             sample_config(config, axis, bad)
@@ -1464,13 +1481,25 @@ class TestSweepSemantics:
             run_sweep(config, axis, np.array(values))
         assert str(swept.value) == str(sampled.value)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "axis, start, stop",
-        [("channel.L0_km", 0.0, 30.0), ("channel.atten_db_per_km", 0.2, 4.0),
-         ("channel.phase_rate", -1.0, 1.0), ("channel.p_em", 0.0, 1.0), ("channel.p_abs", 0.3, 1.0)],
+        "axis, start, stop, channel",
+        [
+            ("channel.L0_km", 0.0, 30.0, {}),
+            ("channel.atten_db_per_km", 0.2, 4.0, {}),
+            ("channel.phase_rate", -1.0, 1.0, {}),
+            ("channel.p_em", 0.0, 1.0, {}),
+            ("channel.p_abs", 0.3, 1.0, {}),
+            # L0 / L_att overflows to inf, and eta to 0: a transfer runs
+            # silently, and numpy's frompyfunc warned on a column entry.
+            ("channel.L0_km", 1.0, 1e200, {"L0_km": 1e200, "atten_db_per_km": 1e200}),
+            ("channel.atten_db_per_km", 1e199, 1e200, {"L0_km": 1e200, "atten_db_per_km": 1e200}),
+        ],
     )
-    def test_every_channel_column_equals_full_grid_reports(self, axis, start, stop):
-        config = parse_config(small_doc())
+    def test_every_channel_column_equals_full_grid_reports(self, axis, start, stop, channel):
+        doc = small_doc()
+        doc["channel"].update(channel)
+        config = parse_config(doc)
         values = np.linspace(start, stop, 4)
         rows, _ = run_sweep(config, axis, values)
         for value, row in zip(values, rows):
