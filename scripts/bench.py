@@ -52,8 +52,11 @@ interpreters.  A CLI op there is the whole op, as a ``pnsslink`` process
 runs it after its imports (parser, kernel tables and first allocations
 included); a CSV writer is its first call after a transfer (or the
 sweep) has been solved.  The record adds the
-commit, the Python and numpy versions, the host's CPU model and
-``src_lines``, the line count of the checkout's ``src/pnsslink/*.py``.
+commit, the Python and numpy versions, the host's CPU model,
+``src_lines``, the line count of the checkout's ``src/pnsslink/*.py``, and
+``src_tokens``, the count of their ``tokenize`` tokens less comments,
+blank-line ``NL``s, the encoding and the end marker (so neither comments
+nor layout count).
 
 With ``--json FILE --record NAME`` the record is stored under NAME in
 FILE (other records are kept), so one file can hold a ``parent`` and a
@@ -80,6 +83,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -157,6 +161,17 @@ def _cpu_model() -> str:
 def _src_lines(checkout: Path) -> int:
     files = (checkout / "src" / "pnsslink").glob("*.py")
     return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+
+
+_LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _src_tokens(checkout: Path) -> int:
+    count = 0
+    for path in (checkout / "src" / "pnsslink").glob("*.py"):
+        with path.open("rb") as file:
+            count += sum(tok.type not in _LAYOUT_TOKENS for tok in tokenize.tokenize(file.readline))
+    return count
 
 
 def _import(checkout: Path):
@@ -409,6 +424,7 @@ def run(checkout: Path) -> dict:
         "numpy": np.__version__,
         "cpu": _cpu_model(),
         "src_lines": _src_lines(checkout),
+        "src_tokens": _src_tokens(checkout),
         "grid_points": points,
         "repeats": REPEATS,
         "stages": stages,

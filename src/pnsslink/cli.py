@@ -9,23 +9,22 @@ written), 2 a solved receiving pulse whose areas miss ``pulse2.tol``
 pulse solve; nothing is written).  Any other exception is a bug and
 propagates with its traceback.
 
-``_FLAGS`` is the one table of the flags.  ``_build_parser`` builds the
-argparse parser from it, and ``_read_argv`` reads a plain argv (a
-command, then its flags as ``--flag value`` or ``--flag=value``) into
-the namespace argparse would give, without building the parser, which
-costs about a millisecond.  Every other argv (``--help``, an abbreviated
-flag, ``--``, a usage error) goes to argparse, so its output and exit
-codes are argparse's.
+``_FLAGS`` is the one table of the flags, and ``_read_argv`` the one
+reader of an argv: a command, then its flags as ``--flag value``,
+``--flag=value`` or a switch alone.  A separate value is the next word
+unless that word starts with ``--``, so ``--stop -1e3`` reads -1e3.
+``-h``/``--help`` prints the usage and the flags' help and exits 0; a
+usage error prints the usage and the reason to stderr and exits 1.
+Flags are never abbreviated.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 import numpy as np
 
@@ -51,16 +50,16 @@ EXIT_REGIME = 3
 
 
 class _Flag:
-    """One command-line flag; ``type`` None makes it a switch (store_true).
+    """One command-line flag; ``type`` None makes it a switch.
 
     A plain class: a namedtuple of these six fields costs ~0.07 ms to create
     at every import, this class ~0.01 ms.
     """
 
-    def __init__(self, name: str, type: Any, default: Any = None, required: bool = False,
-                 help: Optional[str] = None, commands: tuple[str, ...] = ("send", "transfer", "sweep")):
-        self.name, self.type, self.default, self.required = name, type, default, required
-        self.help, self.commands = help, commands
+    def __init__(self, name: str, type: Any, help: str, default: Any = None, required: bool = False,
+                 commands: tuple[str, ...] = ("send", "transfer", "sweep")):
+        self.name, self.type, self.help, self.default = name, type, help, default
+        self.required, self.commands = required, commands
 
 
 _COMMANDS = {
@@ -69,87 +68,82 @@ _COMMANDS = {
     "sweep": "evaluate a scenario across one scalar config axis",
 }
 _FLAGS = (
-    _Flag("--config", str, required=True, help="path to the scenario JSON"),
-    _Flag("--out", str, help="output directory (overrides config)"),
-    _Flag("--strict", None, False, help="abort when any regime check fails"),
-    _Flag("--tol", float, help="override the pulse-solve tolerance"),
-    _Flag("--axis", str, required=True, help="dotted config path, e.g. channel.L0_km", commands=("sweep",)),
-    _Flag("--start", float, required=True, commands=("sweep",)),
-    _Flag("--stop", float, required=True, commands=("sweep",)),
-    _Flag("--num", int, 21, commands=("sweep",)),
+    _Flag("--config", str, "path to the scenario JSON", required=True),
+    _Flag("--out", str, "output directory (overrides config)"),
+    _Flag("--strict", None, "abort when any regime check fails", False),
+    _Flag("--tol", float, "override the pulse-solve tolerance"),
+    _Flag("--axis", str, "dotted config path, e.g. channel.L0_km", required=True, commands=("sweep",)),
+    _Flag("--start", float, "the axis's first value", required=True, commands=("sweep",)),
+    _Flag("--stop", float, "the axis's last value", required=True, commands=("sweep",)),
+    _Flag("--num", int, "the number of samples (21 if absent)", 21, commands=("sweep",)),
 )
+_ABOUT = ("Simulate deterministic atom-to-atom state transfer over a cavity-photon link "
+          "and emit figure-ready CSV files.")
 _COMMAND_FLAGS = {name: {f.name: f for f in _FLAGS if name in f.commands} for name in _COMMANDS}
-# argparse's test for a negative number, the one '-' word it takes as a value.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
-def _build_parser():
-    import argparse  # only for an argv that _read_argv leaves to it
-
-    class _Parser(argparse.ArgumentParser):
-        """Exits with the config-error code on a usage error; 2 means a solver failure here."""
-
-        def error(self, message: str):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-    parser = _Parser(
-        prog="pnsslink",
-        description=(
-            "Simulate deterministic atom-to-atom state transfer over a "
-            "cavity-photon link and emit figure-ready CSV files."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        for flag in _COMMAND_FLAGS[name].values():
-            if flag.type is None:
-                cmd.add_argument(flag.name, action="store_true", help=flag.help)
-            else:
-                cmd.add_argument(flag.name, type=flag.type, default=flag.default,
-                                 required=flag.required, help=flag.help)
-    return parser
+def _usage(command: Optional[str]) -> str:
+    """The usage line of ``command``, or of the program for None."""
+    if command is None:
+        return f"usage: pnsslink [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = []
+    for f in _COMMAND_FLAGS[command].values():
+        word = f"{f.name} {f.name[2:].upper()}" if f.type else f.name
+        words.append(word if f.required else f"[{word}]")
+    return f"usage: pnsslink {command} [-h] {' '.join(words)}"
 
 
-def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
-    """The attributes of ``_build_parser().parse_args(argv)`` for a plain argv, else None.
+def _help(command: Optional[str]) -> NoReturn:
+    print(f"{_usage(command)}\n\n{_COMMANDS.get(command, _ABOUT)}\n")
+    rows = _COMMANDS if command is None else {f.name: f.help for f in _COMMAND_FLAGS[command].values()}
+    for name, text in rows.items():
+        print(f"  {name:<10}{text}")
+    raise SystemExit(EXIT_OK)
 
-    Plain is a command, then its flags as ``--flag value`` or
-    ``--flag=value`` (a switch alone), with every required flag present
-    and each value accepted by its type.  A separate value may start with
-    '-' only as a negative number, and a value after '=' is not '--'
-    (argparse drops it and stores an empty list).
+
+def _refuse(command: Optional[str], reason: str) -> NoReturn:
+    print(f"{_usage(command)}\npnsslink: error: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """The command of ``argv`` and the value of each of its flags, a default where absent.
+
+    Help exits 0, and a usage error exits 1 (the module docstring).
     """
-    if not (argv and all(type(word) is str for word in argv) and argv[0] in _COMMANDS):
-        return None
-    flags = _COMMAND_FLAGS[argv[0]]
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command in ("-h", "--help"):
+            _help(None)
+        _refuse(None, f"unknown command {command!r}" if argv else "a command is required")
+    flags = _COMMAND_FLAGS[command]
     values = {}
-    i = 1
-    while i < len(argv):
-        name, eq, text = argv[i].partition("=")
+    words = iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            _help(command)
+        name, eq, text = word.partition("=")
         flag = flags.get(name)
-        if flag is None or flag.type is None and eq or text == "--":
-            return None
-        i += 1
+        if flag is None:
+            _refuse(command, f"unrecognized argument {name!r}")
         if flag.type is None:
+            if eq:
+                _refuse(command, f"{name} is a switch and takes no value")
             values[name] = True
             continue
         if not eq:
-            if i == len(argv):
-                return None
-            text = argv[i]
-            if text.startswith("-") and not _NEGATIVE_NUMBER(text):
-                return None
-            i += 1
+            text = next(words, "--")  # the argv's end, like a flag, leaves no value
+            if text.startswith("--"):
+                _refuse(command, f"{name} expects a value")
         try:
             values[name] = flag.type(text)
-        except (TypeError, ValueError):
-            return None
-    if any(f.required and name not in values for name, f in flags.items()):
-        return None
+        except ValueError:
+            _refuse(command, f"{name}: invalid {flag.type.__name__} value {text!r}")
+    missing = [name for name, f in flags.items() if f.required and name not in values]
+    if missing:
+        _refuse(command, f"{command} requires {', '.join(missing)}")
     return SimpleNamespace(
-        command=argv[0], **{name[2:]: values.get(name, f.default) for name, f in flags.items()})
+        command=command, **{name[2:]: values.get(name, f.default) for name, f in flags.items()})
 
 
 def _load(args) -> ScenarioConfig:
@@ -236,10 +230,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is None:
-        args = _build_parser().parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     handlers = {
         "send": _cmd_send,
         "transfer": _cmd_transfer,

@@ -137,7 +137,7 @@ def mode_overlap(phi1: np.ndarray, phi2: np.ndarray, grid: TimeGrid) -> float:
     w = quadrature_weights(grid)
     n1 = w @ (phi1 * phi1)
     n2 = w @ (phi2 * phi2)
-    if n1 <= 0.0 or n2 <= 0.0:
+    if not n1 * n2 > 0.0:  # a mode with no weight, or weights whose product underflows
         raise ValueError("mode_overlap needs two nonzero modes")
     return w @ (phi1 * phi2) / np.sqrt(n1 * n2)
 

@@ -165,11 +165,12 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
     The span covers +-(span_in_T1/2) pulse durations around the pulse
     center; at the default 12 durations the gaussian tails are below
     1e-15, which stands in for the infinite integration limits.  A span
-    that overflows is a ``ConfigError``, and so is a center (either
-    pulse's, or an end of ``pulse2.center_range_us``) that leaves the step
-    below 2**26 units in the last place of the larger of it and the grid's
-    largest time: beyond it the rounded samples move the solved T2 by more
-    than the default grid's own error.
+    that overflows is a ``ConfigError``, and so is a span of more than
+    2**512 pulse durations (((t - center)/T1)**2 can overflow) and a center
+    (either pulse's, or an end of ``pulse2.center_range_us``) that leaves
+    the step below 2**26 units in the last place of the larger of it and
+    the grid's largest time: beyond it the rounded samples move the solved
+    T2 by more than the default grid's own error.
     """
     t1 = config.pulse1.t1_us * US
     center = config.pulse1.center_us * US
@@ -178,6 +179,11 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
         raise ConfigError(
             f"the grid's span of pulse1.T1_us {config.pulse1.t1_us:g} times grid.span_in_T1 "
             f"{config.grid.span_in_t1:g} overflows: lower one of them"
+        )
+    if config.grid.span_in_t1 > 2.0**512:
+        raise ConfigError(
+            f"grid.span_in_T1 {config.grid.span_in_t1:g} is too wide for float64 to carry the "
+            f"sending pulse over the grid: lower it below {2.0**512:.3g}"
         )
     half = 0.5 * span
     n = config.grid.n_points()
@@ -189,11 +195,13 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
         if center_us is not None and math.ulp(max(abs(center_us * US), abs(center) + half)) > dt * 2.0**-26:
             raise ConfigError(
                 f"{key} {center_us:g} is too far from 0 for float64 to resolve the {n}-point "
-                f"grid's step of {dt / US:.3g} us: move both pulses' centers nearer 0"
+                f"grid's step of {dt / US:.3g} us: move both pulses' centers nearer 0, or widen "
+                "the step (pulse1.T1_us, grid.span_in_T1, grid.points)"
             )
     return TimeGrid(center - half, center + half, n)
 
 
+_LOG_MAX = math.log(sys.float_info.max)
 # The params keys of each DerivedQuantities rate.
 _RATE_KEYS = {
     "G1": ("g_mhz", "omega1_mhz", "delta_mhz"),
@@ -214,11 +222,14 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
 
     With ``config.strict``, a failed regime check raises ``RegimeFailure``.
     A ``ConfigError`` is raised, before any output exists, for a derived
-    rate or photon mode that overflows and for a sending pulse that emits
-    no photon in floating point (exp(-theta) stays 1) or emits within one
-    grid step (a photon mode vanishes on the grid), then for a receiving
-    pulse duration (``pulse2.T2_us``, ``pulse2.T2_range_us``) so short
-    that ((t - center)/T2)**2 can overflow on the grid.
+    rate, exposure or photon mode that overflows, for a sending pulse that
+    emits no photon in floating point (exp(-theta) stays 1), for a grid so
+    much coarser than the pulse that the exposure dips too far below 0 for
+    alpha1 (1 + |theta|) exp(-theta) to stay finite, and for a pulse that
+    emits within one grid step (a photon mode vanishes on the grid), then
+    for a receiving pulse duration (``pulse2.T2_us``,
+    ``pulse2.T2_range_us``) so short that ((t - center)/T2)**2 can overflow
+    on the grid.
     """
     params = config.params
     derived = derive(params)
@@ -237,7 +248,10 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
         raise RegimeFailure(regime)
     grid = build_grid(config)
     pulse1 = PulseShape(kind="gaussian", duration=t1, center=config.pulse1.center_us * US)
-    theta = pump_exposure(pulse1, derived.alpha1, grid)
+    try:
+        theta = pump_exposure(pulse1, derived.alpha1, grid)
+    except OverflowError as exc:
+        raise _overflow("the sending pulse's exposure", ["alpha1"], "pulse1.T1_us") from exc
     if np.exp(-theta.final) == 1.0:
         raise ConfigError(
             f"the sending pulse emits no photon (exposure {theta.final:.3g}): "
@@ -245,6 +259,15 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
         )
     if not math.isfinite(derived.alpha1 * float(theta.final)):  # bounds alpha1 * f1 * theta
         raise _overflow(f"the photon modes (exposure {theta.final:.3g})", ["alpha1"], "pulse1.T1_us")
+    # The fourth-order rule dips below 0 before a sample it cannot resolve;
+    # (1 + |theta|) exp(-theta) peaks at the lowest dip.
+    low = float(theta.samples.min())
+    if math.log((1.0 + derived.alpha1) * (1.0 - low)) - low > _LOG_MAX:
+        raise ConfigError(
+            f"the {grid.n_points}-point grid's step of {grid.dt / US:.3g} us is too coarse for the "
+            f"sending pulse (its exposure dips to {low:.3g}): raise grid.points or lower "
+            "grid.span_in_T1"
+        )
     modes = emission_modes(theta, pulse1, derived.alpha1)
     try:
         overlap = mode_overlap(modes.phi1, modes.phi2, grid)
@@ -298,8 +321,9 @@ def _resolve_pulse2(
         raise ConfigError(
             f"no control pulse at pulse2.center_us {p2.center_us:g} with a duration in "
             f"pulse2.T2_range_us absorbs the photons of pulse1.T1_us {config.pulse1.t1_us:g} "
-            f"on the {sender.grid.n_points}-point grid ({exc}): move pulse2.center_us to where "
-            "they arrive, widen pulse2.T2_range_us, or change pulse1.T1_us or grid.points"
+            f"at pulse1.center_us {config.pulse1.center_us:g} on the {sender.grid.n_points}-point "
+            f"grid ({exc}): move pulse2.center_us to where they arrive, widen pulse2.T2_range_us, "
+            "or change pulse1.T1_us, grid.span_in_T1 or grid.points"
         ) from exc
     return solve.pulse, solve.omega2, solve
 

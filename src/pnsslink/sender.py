@@ -8,6 +8,7 @@ dynamics.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -74,12 +75,15 @@ def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFu
     path for every pulse kind; on the default grid of a gaussian it is
     within ~4e-12 of the erf closed form.  It is non-decreasing wherever
     the grid resolves the pulse; a grid far coarser than the pulse width
-    can give dips of the size of the unresolved tail.
+    can give dips of the size of the unresolved tail.  An exposure that
+    float64 cannot carry raises ``OverflowError`` before it is scaled.
     """
     if alpha1 < 0.0:
         raise ValueError("alpha1 must be non-negative")
     profile = SampledFunction(grid, np.asarray(pulse.evaluate(grid.values), dtype=float))
     integral = cumulative_integral(profile)
+    if not math.isfinite(alpha1 * float(np.abs(integral.samples).max())):
+        raise OverflowError("the exposure overflows float64")
     return SampledFunction(grid, alpha1 * integral.samples)
 
 

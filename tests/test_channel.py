@@ -190,3 +190,58 @@ def test_channel_edit_is_a_config_error_or_runs_finite(tmp_path, capsys, edits):
         else:
             table = load_csv(out / output)
             assert all(np.isfinite(table[name]).all() for name in table.dtype.names)
+
+
+# The same property over every grid, pulse1, pulse2 and top-level number
+# alone at each edge value, and over grids far coarser than the sending
+# pulse and a sending pulse whose exposure overflows.
+NUMBER_EDITS = [
+    [(section, row.key, value)]
+    for section in ("pulse1", "pulse2", "grid", "")
+    for row in _NUMBERS[section]
+    for value in EDGE_VALUES
+] + [
+    [("grid", "span_in_T1", span), ("grid", "points", points)]
+    for span, points in ((1e5, 401), (1e7, 401), (1e10, 401), (3e154, 401), (1e6, 3001), (1e8, 20001))
+] + [[("pulse1", "T1_us", 1e307)]]
+
+
+def _dotted(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "edits", NUMBER_EDITS, ids=lambda edits: ",".join(f"{_dotted(s, k)}={v!r}" for s, k, v in edits))
+def test_number_edit_is_a_config_error_or_runs_finite(tmp_path, capsys, edits):
+    # A transfer, and a 2-sample sweep from the stock value of the first
+    # edited key where the stock file has one: each names a key it refuses,
+    # or writes finite outputs (exit 2 writes the solver's best effort).
+    doc = stock_doc()
+    doc.update(grid={"span_in_T1": 12.0, "points": 401}, outputs={"which": ["report"]})
+    section, key, value = edits[0]
+    row = next(row for row in _NUMBERS[section] if row.key == key)
+    stock = (doc[section] if section else doc).get(key, row.default)
+    for edit_section, edit_key, edit_value in edits:
+        (doc[edit_section] if edit_section else doc)[edit_key] = edit_value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runs = [("transfer", [], "report.json")]
+    if isinstance(stock, (int, float)):
+        sweep = ["--axis", _dotted(section, key), "--start", repr(stock), "--stop", repr(value), "--num", "2"]
+        runs.append(("sweep", sweep, "sweep.csv"))
+    for command, extra, output in runs:
+        out = tmp_path / command
+        code = main([command, "--config", str(path), "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("config error: ")
+            assert any(_dotted(s, k) in err for s, k, _ in edits), err
+            assert not out.exists()
+            continue
+        assert code in (0, 2), err
+        if output == "report.json":
+            assert _finite_numbers(json.loads((out / output).read_text(encoding="utf-8")))
+        else:
+            table = load_csv(out / output)
+            assert all(np.isfinite(table[name]).all() for name in table.dtype.names)

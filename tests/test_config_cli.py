@@ -238,6 +238,32 @@ class TestConfigParsing:
             load_config(path)
 
 
+# (argv, the namespace fields it reads, or the exit code).
+READER_CASES = [
+    *(
+        (["sweep", "--config", "c.json", "--axis", "a.b", "--start", value, f"--stop={value}",
+          "--tol", value, "--num", "-3"],
+         {"start": float(value), "stop": float(value), "tol": float(value), "num": -3})
+        for value in ("-1", "-.5", "-1e-9", "-1e3", "-1e+300", "-inf")
+    ),
+    (["transfer", "--config", "c.json", "--out", "-x"], {"out": "-x", "strict": False}),
+    (["send", "--config=a.json", "--strict", "--out", "o", "--config", "b.json", "--out=p"],
+     {"config": "b.json", "out": "p", "strict": True, "tol": None}),
+    (["transfer", "--config=--"], {"config": "--"}),
+    (["transfer", "--conf", "c.json"], 1),
+    (["transfer", "--config", "c.json", "--"], 1),
+    (["transfer", "--config", "c.json", "--", "--out", "o"], 1),
+    (["transfer", "--config", "c.json", "--strict=1"], 1),
+    (["transfer", "--config", "c.json", "--out"], 1),
+    (["transfer", "--out", "--config", "c.json"], 1),
+    (["transfer", "--config", "c.json", "--out", "--strict"], 1),
+    (["sweep", "--config", "c.json", "--axis", "a.b", "--start", "0", "--stop", "1", "--num", "2.5"], 1),
+    ([], 1),
+    (["-h"], 0),
+    (["sweep", "--help"], 0),
+]
+
+
 class TestCli:
     def test_transfer_writes_everything(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
@@ -318,29 +344,39 @@ class TestCli:
         assert "usage: pnsslink" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["transfer", "--config", "c.json"],
-            ["send", "--config=c.json", "--out", "o", "--strict", "--tol", "1e-9", "--out=p"],
-            ["sweep", "--axis", "channel.L0_km", "--config", "-1", "--start", "-1", "--stop=-1e-9",
-             "--num", "-3", "--tol", "-.5"],
-        ],
-        ids=["transfer", "send", "sweep"],
-    )
-    def test_plain_argv_read_without_argparse(self, argv):
-        read = cli_mod._read_argv(argv)
-        assert read is not None
-        assert vars(read) == vars(cli_mod._build_parser().parse_args(argv))
+    @pytest.mark.parametrize("argv, expected", READER_CASES,
+                             ids=[" ".join(argv) or "no-argv" for argv, _ in READER_CASES])
+    def test_argv_reader_table(self, capsys, argv, expected):
+        # Negative values in every float form read as values, separate or
+        # after '=', and the last of a repeated flag wins.  An abbreviated
+        # flag, '--', a switch given a value and a missing value are usage
+        # errors: the usage on stderr, exit 1.
+        if isinstance(expected, dict):
+            read = vars(cli_mod._read_argv(argv))
+            assert {name: read[name] for name in expected} == expected
+            return
+        with pytest.raises(SystemExit) as exc:
+            cli_mod._read_argv(argv)
+        assert exc.value.code == expected
+        out, err = capsys.readouterr()
+        if expected:
+            assert out == "" and err.startswith("usage: pnsslink")
+        else:
+            command = argv[0] if argv[0] in cli_mod._COMMANDS else None
+            words = cli_mod._COMMANDS if command is None else cli_mod._COMMAND_FLAGS[command]
+            assert out.startswith("usage: pnsslink") and all(word in out for word in words)
+            assert err == ""
 
-    def test_main_builds_no_parser_for_a_plain_argv(self, tmp_path, monkeypatch):
-        def unreachable():
-            raise AssertionError("argparse parser built")
-
-        monkeypatch.setattr(cli_mod, "_build_parser", unreachable)
-        path = write_doc(tmp_path, small_doc(outputs={"which": ["report"]}))
-        assert main(["transfer", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert (tmp_path / "out" / "report.json").exists()
+    def test_negative_exponent_value_reads_as_after_equals(self, tmp_path):
+        # A separate value in exponent form is the number it is after '='.
+        sweep = ["sweep", "--config", str(CONFIGS / "qubit.json"), "--axis", "channel.phase_rate",
+                 "--start", "0"]
+        texts = []
+        for stop in (["--stop", "-1e3"], ["--stop=-1e3"]):
+            out = tmp_path / stop[-1]
+            assert main([*sweep, *stop, "--out", str(out)]) == 0
+            texts.append((out / "sweep.csv").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1141,9 +1177,9 @@ VALUES = st.one_of(
 _ARGV_COMMANDS = ["send", "transfer", "sweep"] * 3 + ["receive", "--strict", "-h", "x"]
 _ARGV_FLAGS = ["--config", "--out", "--strict", "--tol", "--axis", "--start", "--stop", "--num",
                "--conf", "--st", "--nu", "-h", "--help", "--", "--frobnicate"]
-_ARGV_VALUES = ["-1", "-.5", "-1e-9", "nan", "x", "", "0", "2", "0.5", "1e-9", "-", "--",
-                "-x y", "a=b", "channel.L0_km", "--config"]
-# Flags of the plain grammar with values argparse takes, negative numbers too.
+_ARGV_VALUES = ["-1", "-.5", "-1e-9", "-1e3", "-inf", "nan", "x", "", "0", "2", "0.5", "1e-9", "-",
+                "--", "-x y", "a=b", "channel.L0_km", "--config"]
+# Well-formed flags and values, negative numbers too.
 _PLAIN_PIECES = [["--out", "o"], ["--out=-o"], ["--strict"], ["--tol", "1e-9"], ["--tol", "-.5"],
                  ["--tol=nan"], ["--config", "-2"]]
 _SWEEP_PIECES = [["--num", "-1"], ["--num=3"], ["--start", "-1"], ["--stop=-1e-9"], ["--axis", ""]]
@@ -1174,21 +1210,33 @@ def argvs(draw) -> list[str]:
 
 @settings(deadline=None, max_examples=400)
 @given(argvs())
-@example(["send", "--config=--"])  # argparse stores []
-def test_argv_reader_agrees_with_argparse(argv):
-    # The reader may leave any argv to argparse, but what it reads it reads
-    # as argparse does, and it reads nothing argparse refuses.
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+@example(["send", "--config=--"])
+@example(["sweep", "--axis", "a.b", "--config", "c.json", "--start", "-1e3", "--stop", "-1e+300"])
+def test_argv_reader_reads_or_exits(argv):
+    # Any argv reads to a namespace of the command's flags, or prints help
+    # and exits 0 (only after -h/--help), or prints the usage and a reason
+    # to stderr and exits 1.  Nothing else escapes the reader.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            expected = vars(cli_mod._build_parser().parse_args(argv))
-        except SystemExit:
-            expected = None
-    read = cli_mod._read_argv(argv)
-    if expected is None:
-        assert read is None
-    elif read is not None:
-        # repr: nan equals itself, and 1 differs from 1.0.
-        assert repr(sorted(vars(read).items())) == repr(sorted(expected.items()))
+            read = cli_mod._read_argv(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            code = None
+    if code == 0:
+        assert "-h" in argv or "--help" in argv
+        assert out.getvalue().startswith("usage: pnsslink") and not err.getvalue()
+    elif code == 1:
+        assert err.getvalue().startswith("usage: pnsslink") and not out.getvalue()
+    else:
+        assert code is None and not out.getvalue() + err.getvalue()
+        flags = cli_mod._COMMAND_FLAGS[argv[0]]
+        assert vars(read).keys() == {"command", *(name[2:] for name in flags)}
+        assert read.command == argv[0]
+        for name, flag in flags.items():
+            value = getattr(read, name[2:])
+            assert value is flag.default or type(value) is (flag.type or bool)
 
 
 class TestSampleConfig:

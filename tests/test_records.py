@@ -120,14 +120,21 @@ def test_import_compiles_no_annotation():
 
 
 def test_plain_argv_imports_no_argparse(tmp_path):
-    # Only an argv the plain reader leaves to argparse imports it (and gettext).
-    code = (
+    # One reader reads every argv: a run, help, a usage error and an
+    # abbreviated flag.
+    program = (
         "import sys\n"
         "from pnsslink.cli import main\n"
-        "code = main(sys.argv[1:])\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
         "print(code, 'argparse' in sys.modules)\n"
     )
-    argv = ["send", "--config", str(CONFIGS / "qubit.json"), "--out", str(tmp_path)]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          check=True, env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"})
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    config = str(CONFIGS / "qubit.json")
+    for code, argv in ((0, ["send", "--config", config]), (0, ["transfer", "--help"]),
+                       (1, ["transfer"]), (1, ["transfer", "--conf", config])):
+        proc = subprocess.run([sys.executable, "-c", program, *argv, "--out", str(tmp_path)],
+                              capture_output=True, text=True, check=True,
+                              env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.stdout.splitlines()[-1] == f"{code} False"
