@@ -10,26 +10,14 @@ PHASE_WARN_THRESHOLD = 0.5  # rad, reporting policy only
 
 def attenuation_length(db_per_km: float) -> float:
     """Length over which transmission drops by 1/e, from a dB/km figure."""
-    if not db_per_km > 0.0:
-        raise ValueError("attenuation must be positive")
     return 10.0 / (db_per_km * math.log(10.0))
 
 
 class ChannelModel(namedtuple("ChannelModel", "length_km atten_db_per_km phase_rate_rad_per_km "
                                               "p_emission p_absorption l_att_km")):
-    """Link length and loss figures, with the derived attenuation length."""
+    """Link length and loss figures, with the attenuation length they derive."""
 
     __slots__ = ()
-
-    def __new__(cls, length_km: float, atten_db_per_km: float, phase_rate_rad_per_km: float,
-                p_emission: float, p_absorption: float) -> ChannelModel:
-        if not length_km >= 0.0:
-            raise ValueError("length must be non-negative")
-        for name, p in (("p_emission", p_emission), ("p_absorption", p_absorption)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        return super().__new__(cls, length_km, atten_db_per_km, phase_rate_rad_per_km,
-                               p_emission, p_absorption, attenuation_length(atten_db_per_km))
 
     def budget(self) -> tuple[float, float, float, float, float]:
         """eta_1, eta_2, the one- and two-photon branch successes and the phase drift.

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, attenuation_length
 from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState, rad_per_s
 
 RENORM_TOL = 1e-6
@@ -85,30 +85,31 @@ class _Number(namedtuple("_Number", "key field default above scale count least m
 
     ``key`` is the document key and ``field`` the parsed field, which takes
     ``default`` when the key is absent.  ``above`` is an exclusive lower
-    bound, ``least`` and ``most`` are inclusive bounds, ``scale`` is the
-    factor to internal units, and ``count`` marks a whole number, parsed
-    as an int.
+    bound (in internal units too), ``least`` and ``most`` are inclusive
+    bounds, ``scale`` is the factor to internal units, and ``count`` marks
+    a whole number, parsed as an int.
     """
 
     __slots__ = ()
 
 
-# Every number the parsers read, by section ("" is the top level).  A
-# sweep axis is one of these rows (or the virtual initial_state.p_m1).
+# Every number the parsers read, by section ("" is the top level), with the
+# only statement of its bounds.  A sweep axis is one of these rows (or the
+# virtual initial_state.p_m1).
 # Whether pulse2's center_us, T2_us and omega2_mhz are read depends on
 # pulse2.mode and free, so each is an axis only where the file sets it; an
 # absent grid.points means 250 points per T1 and is an axis.
 _MHZ = rad_per_s(1.0)
 _NUMBERS = {
     "params": (
-        *(
-            _Number(f"{name}_mhz", name, scale=_MHZ)
-            for name in ("g", "k", "gamma_sp", "omega1", "omega2", "delta",
-                         "delta_b_ground", "delta_b_excited")
-        ),
+        *(_Number(f"{name}_mhz", name, above=0.0, scale=_MHZ) for name in ("g", "k", "gamma_sp")),
+        *(_Number(f"{name}_mhz", name, scale=_MHZ, least=0.0) for name in ("omega1", "omega2")),
+        _Number("delta_mhz", "delta", scale=_MHZ),  # nonzero: _make_params checks it
+        *(_Number(f"{name}_mhz", name, above=0.0, scale=_MHZ) for name in ("delta_b_ground",
+                                                                          "delta_b_excited")),
         _Number("phi2_rad", "phi2", math.pi / 2),
-        _Number("atom_mass_kg", "atom_mass", RB87_MASS),
-        _Number("wavelength_nm", "wavelength", D2_WAVELENGTH, scale=1e-9),
+        _Number("atom_mass_kg", "atom_mass", RB87_MASS, 0.0),
+        _Number("wavelength_nm", "wavelength", D2_WAVELENGTH, 0.0, scale=1e-9),
     ),
     "pulse1": (_Number("T1_us", "t1_us", 0.3, 0.0), _Number("center_us", "center_us", 0.0)),
     "pulse2": (
@@ -170,11 +171,13 @@ def _check(row: _Number, value: Any, where: str) -> Any:
         if value == int(value):
             return int(value)
         raise ConfigError(f"{where}.{row.key} must be a whole number, got {value!r}")
-    # A finite number can overflow in internal units (g_mhz 1e303 is inf rad/s).
+    # A finite number can overflow in internal units (g_mhz 1e303 is inf rad/s),
+    # or underflow to 0 (wavelength_nm 5e-324 is 0 m).
     scaled = value * row.scale
-    if abs(scaled) <= sys.float_info.max:
+    if abs(scaled) <= sys.float_info.max and scaled > row.above:
         return scaled
-    raise ConfigError(f"{where}.{row.key} must be finite in internal units, got {value!r}")
+    bound = "finite" if scaled else "above 0"
+    raise ConfigError(f"{where}.{row.key} must be {bound} in internal units, got {value!r}")
 
 
 def _numbers(table: dict, section: str) -> dict[str, Any]:
@@ -264,11 +267,14 @@ def _parse_state(doc: dict) -> SuperpositionState:
 
 def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> SuperpositionState:
     """The state of three parsed amplitudes, after the norm check."""
-    norm_sq = sum(abs(c) * abs(c) for c in (c_m1, c_0, c_p1))
+    try:
+        norm_sq = sum(abs(c) * abs(c) for c in (c_m1, c_0, c_p1))
+    except OverflowError:  # |c| of a complex beyond float64
+        norm_sq = math.inf
     if abs(norm_sq - 1.0) >= RENORM_TOL:
         raise ConfigError(
-            f"initial_state norm is {norm_sq!r}; amplitudes must be "
-            f"normalized to within {RENORM_TOL:g}"
+            f"initial_state norm is {norm_sq!r}; amplitudes initial_state.c_m1, initial_state.c_0 "
+            f"and initial_state.c_p1 must be normalized to within {RENORM_TOL:g}"
         )
     if abs(norm_sq - 1.0) > 1e-15:
         # Decimal-literal drift below the rejection threshold is folded
@@ -282,10 +288,9 @@ def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> Superpositi
 
 
 def _make_params(**fields) -> PhysicalParams:
-    try:
-        return PhysicalParams(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    if not fields["delta"]:
+        raise ConfigError(f"params.delta_mhz must be nonzero, got {fields['delta']!r}")
+    return PhysicalParams(**fields)
 
 
 def _parse_params(doc: dict) -> PhysicalParams:
@@ -329,7 +334,7 @@ def _make_grid(**fields) -> GridConfig:
 
 def _make_channel(**fields) -> ChannelModel:
     """The channel of checked ``fields``, refused where float64 cannot carry its budget."""
-    channel = ChannelModel(**fields)
+    channel = ChannelModel(**fields, l_att_km=attenuation_length(fields["atten_db_per_km"]))
     if not 0.0 < channel.l_att_km < math.inf:  # 0: db * ln 10 overflowed; inf: 10 / it did
         raise ConfigError(
             f"channel.atten_db_per_km {channel.atten_db_per_km:g} gives an attenuation length of "

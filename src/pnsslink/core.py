@@ -33,7 +33,7 @@ def to_mhz(omega: float) -> float:
 class PhysicalParams(namedtuple(
         "PhysicalParams", "g k gamma_sp omega1 omega2 delta delta_b_ground delta_b_excited phi2 "
         "atom_mass wavelength", defaults=(math.pi / 2, RB87_MASS, D2_WAVELENGTH))):
-    """Constants of one atom-cavity node pair.
+    """Constants of one atom-cavity node pair, bounded where a config parses them.
 
     Attributes
     ----------
@@ -60,20 +60,6 @@ class PhysicalParams(namedtuple(
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> PhysicalParams:
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("g", "k", "gamma_sp", "delta_b_ground", "delta_b_excited", "atom_mass",
-                     "wavelength"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
-        for name, value in (("omega1", self.omega1), ("omega2", self.omega2)):
-            if value < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.delta == 0.0:
-            raise ValueError("delta must be nonzero")
-        return self
 
 
 class DerivedQuantities(namedtuple("DerivedQuantities", "G1 alpha1 r_sn omega_rec")):
@@ -102,10 +88,7 @@ def derive(params: PhysicalParams) -> DerivedQuantities:
     return DerivedQuantities(G1, alpha1, r_sn, omega_rec)
 
 
-NORM_TOL = 1e-12
-
-
-class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1")):
+class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1", defaults=(0j,))):
     """Complex amplitudes over the three ground Zeeman sublevels, each a ``complex``.
 
     The qubit case has ``c_p1 == 0``; a nonzero ``c_p1`` selects the
@@ -113,14 +96,6 @@ class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1")):
     """
 
     __slots__ = ()
-
-    def __new__(cls, c_m1: complex, c_0: complex, c_p1: complex = 0j) -> SuperpositionState:
-        self = super().__new__(cls, complex(c_m1), complex(c_0), complex(c_p1))
-        if abs(self.norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state not normalized: |c|^2 = {self.norm_sq!r} (tol {NORM_TOL})"
-            )
-        return self
 
     @property
     def norm_sq(self) -> float:

@@ -202,19 +202,34 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 
 
 _LOG_MAX = math.log(sys.float_info.max)
-# The params keys of each DerivedQuantities rate.
+# The keys (params keys where undotted) of each DerivedQuantities rate and
+# of each regime check's ratio.
 _RATE_KEYS = {
     "G1": ("g_mhz", "omega1_mhz", "delta_mhz"),
     "alpha1": ("g_mhz", "omega1_mhz", "delta_mhz", "k_mhz"),
     "r_sn": ("g_mhz", "k_mhz", "gamma_sp_mhz"),
     "omega_rec": ("wavelength_nm", "atom_mass_kg"),
+    "detuning_vs_cavity_decay": ("delta_mhz", "k_mhz"),
+    "detuning_vs_spontaneous_decay": ("delta_mhz", "gamma_sp_mhz"),
+    "detuning_vs_rabi": ("delta_mhz", "omega1_mhz"),
+    "detuning_vs_zeeman": ("delta_mhz", "delta_b_ground_mhz", "delta_b_excited_mhz"),
+    "cavity_decay_vs_raman_coupling": ("k_mhz", "g_mhz", "omega1_mhz", "delta_mhz"),
+    "zeeman_ground_vs_cavity_decay": ("delta_b_ground_mhz", "k_mhz"),
+    "adiabatic_k_T1": ("k_mhz", "pulse1.T1_us"),
+    "signal_to_noise": ("g_mhz", "k_mhz", "gamma_sp_mhz"),
+    "raman_coupling_vs_recoil": ("g_mhz", "omega1_mhz", "delta_mhz", "wavelength_nm", "atom_mass_kg"),
 }
 
 
+def _rate_keys(rates: list[str], *keys: str) -> str:
+    """The keys of ``rates``, then ``keys``, each once, as an error names them."""
+    named = (key if "." in key else f"params.{key}" for rate in rates for key in _RATE_KEYS[rate])
+    return ", ".join(dict.fromkeys([*named, *keys]))
+
+
 def _overflow(what: str, rates: list[str], *keys: str) -> ConfigError:
-    """The error for ``what`` overflowing, naming the params keys of ``rates``, then ``keys``."""
-    names = dict.fromkeys([*(f"params.{key}" for rate in rates for key in _RATE_KEYS[rate]), *keys])
-    return ConfigError(f"{what} overflow: check {', '.join(names)}")
+    """The error for ``what`` overflowing, naming the keys of ``rates``, then ``keys``."""
+    return ConfigError(f"{what} overflow: check {_rate_keys(rates, *keys)}")
 
 
 def build_sender(config: ScenarioConfig) -> SenderLink:
@@ -229,19 +244,13 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     emits within one grid step (a photon mode vanishes on the grid), then
     for a receiving pulse duration (``pulse2.T2_us``,
     ``pulse2.T2_range_us``) so short that ((t - center)/T2)**2 can overflow
-    on the grid.
+    on the grid, and last for a regime ratio that overflows.
     """
     params = config.params
     derived = derive(params)
     overflow = [name for name, value in derived._asdict().items() if not math.isfinite(value)]
     if overflow:
         raise _overflow(f"derived rates {', '.join(overflow)}", overflow)
-    # The regime report divides the Raman coupling by the recoil frequency.
-    if not (derived.omega_rec >= sys.float_info.min and math.isfinite(derived.G1 / derived.omega_rec)):
-        raise ConfigError(
-            f"the recoil frequency {derived.omega_rec:.3g} rad/s is too small for float64 to "
-            "compare with the Raman coupling: check params.atom_mass_kg, params.wavelength_nm"
-        )
     t1 = config.pulse1.t1_us * US
     regime = validate_regime(params, derived, t1, min_ratio=config.regime_min_ratio)
     if config.strict and not regime.passed:
@@ -254,8 +263,9 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
         raise _overflow("the sending pulse's exposure", ["alpha1"], "pulse1.T1_us") from exc
     if np.exp(-theta.final) == 1.0:
         raise ConfigError(
-            f"the sending pulse emits no photon (exposure {theta.final:.3g}): "
-            "raise params.omega1_mhz or pulse1.T1_us"
+            f"the sending pulse emits no photon (exposure {theta.final:.3g}): raise pulse1.T1_us "
+            f"or the rate alpha1 of {_rate_keys(['alpha1'])}, or resolve the pulse on the grid "
+            "(raise grid.points or lower grid.span_in_T1)"
         )
     if not math.isfinite(derived.alpha1 * float(theta.final)):  # bounds alpha1 * f1 * theta
         raise _overflow(f"the photon modes (exposure {theta.final:.3g})", ["alpha1"], "pulse1.T1_us")
@@ -274,8 +284,8 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     except ValueError as exc:  # a mode with no weight on the grid
         raise ConfigError(
             f"the sending pulse emits within one step of the {grid.n_points}-point grid "
-            f"(exposure {theta.final:.3g}): lower pulse1.T1_us or params.omega1_mhz, "
-            "or raise grid.points"
+            f"(exposure {theta.final:.3g}): lower pulse1.T1_us or the rate alpha1 of "
+            f"{_rate_keys(['alpha1'])}, or raise grid.points"
         ) from exc
     p2 = config.pulse2
     centers = [abs(c) * US for c in (p2.center_us, *(p2.center_range_us or ())) if c is not None]
@@ -284,8 +294,13 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
         if t2_us is not None and far / t2_us > 2.0**511:
             raise ConfigError(
                 f"{key} {t2_us:g} is too short for float64 to carry the receiving pulse over "
-                f"the grid: raise it above {far * 2.0**-511:.3g} us"
+                f"the grid: raise it above {far * 2.0**-511:.3g} us, or narrow the grid "
+                "(pulse1.T1_us, grid.span_in_T1)"
             )
+    # regime.json and report.json hold every ratio, and JSON has no infinity.
+    overflow = [check.name for check in regime.checks if not math.isfinite(check.ratio)]
+    if overflow:
+        raise _overflow(f"the regime ratios {', '.join(overflow)}", overflow)
     return SenderLink(derived, regime, grid, pulse1, theta, modes, overlap)
 
 
@@ -323,7 +338,8 @@ def _resolve_pulse2(
             f"pulse2.T2_range_us absorbs the photons of pulse1.T1_us {config.pulse1.t1_us:g} "
             f"at pulse1.center_us {config.pulse1.center_us:g} on the {sender.grid.n_points}-point "
             f"grid ({exc}): move pulse2.center_us to where they arrive, widen pulse2.T2_range_us, "
-            "or change pulse1.T1_us, grid.span_in_T1 or grid.points"
+            "or change pulse1.T1_us, grid.span_in_T1, grid.points or one of "
+            f"{_rate_keys(['alpha1'], 'params.omega2_mhz')}"
         ) from exc
     return solve.pulse, solve.omega2, solve
 
@@ -383,7 +399,8 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
         raise ConfigError(
             f"the receiving pulse (T2 {link.pulse2.duration / US:.3g} us at "
             f"{link.pulse2.center / US:.3g} us) stores none of the input state: move "
-            "pulse2.center_us to where the photons arrive or change pulse2.T2_us"
+            "pulse2.center_us to where the photons arrive, or change pulse2.T2_us or one of "
+            f"{_rate_keys(['alpha1'], 'params.omega2_mhz')}"
         ) from exc
     moduli = np.hypot(c.real, c.imag)
     p_m1, p_0, p_p1 = (moduli * moduli).T

@@ -31,15 +31,13 @@ class PulseShape(namedtuple("PulseShape", "kind duration center table", defaults
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("gaussian", "tabulated"):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.kind == "gaussian":
-            if not self.duration > 0.0:
-                raise ValueError("gaussian pulse needs duration > 0")
-        else:
+        # A gaussian's duration is bounded where a config parses it (pulse1.T1_us, pulse2.T2_*).
+        if self.kind == "tabulated":
             if self.table is None:
                 raise ValueError("tabulated pulse needs a table")
             samples = self.table.samples
             if np.any(samples < 0.0) or np.any(samples > 1.0):
-                raise ValueError("tabulated profile must lie in [0, 1]")
+                raise ValueError("tabulated profile has samples outside [0, 1]")
         return self
 
     def evaluate(self, t: np.ndarray | float) -> np.ndarray | float:
@@ -77,9 +75,8 @@ def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFu
     the grid resolves the pulse; a grid far coarser than the pulse width
     can give dips of the size of the unresolved tail.  An exposure that
     float64 cannot carry raises ``OverflowError`` before it is scaled.
+    ``alpha1`` is non-negative: the params rows bound g, k and omega1.
     """
-    if alpha1 < 0.0:
-        raise ValueError("alpha1 must be non-negative")
     profile = SampledFunction(grid, np.asarray(pulse.evaluate(grid.values), dtype=float))
     integral = cumulative_integral(profile)
     if not math.isfinite(alpha1 * float(np.abs(integral.samples).max())):

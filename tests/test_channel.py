@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 
 from pnsslink.channel import ChannelModel, attenuation_length, weighted_success
 from pnsslink.cli import main
-from pnsslink.config import _NUMBERS, parse_config
+from pnsslink.config import _NUMBERS, MAX_GRID_POINTS, parse_config
 from pnsslink.pipeline import report_document, run_transfer
 
 from conftest import load_csv, stock_doc
@@ -17,7 +22,8 @@ from conftest import load_csv, stock_doc
 
 def link(length_km: float, atten_db_per_km: float = 2.0, phase_rate: float = 0.1,
          p_emission: float = 1.0, p_absorption: float = 1.0) -> ChannelModel:
-    return ChannelModel(length_km, atten_db_per_km, phase_rate, p_emission, p_absorption)
+    return ChannelModel(length_km, atten_db_per_km, phase_rate, p_emission, p_absorption,
+                        attenuation_length(atten_db_per_km))
 
 
 class TestAttenuationLength:
@@ -29,10 +35,6 @@ class TestAttenuationLength:
 
     def test_telecom_band(self):
         assert attenuation_length(0.2) == pytest.approx(21.71472, abs=1e-5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            attenuation_length(0.0)
 
 
 class TestBudget:
@@ -86,21 +88,6 @@ class TestBudget:
     @pytest.mark.parametrize("length_km, rate, drift", [(1.0, 0.1, 0.1), (0.0, 0.1, 0.0), (10.0, -0.1, -1.0)])
     def test_phase_drift(self, length_km, rate, drift):
         assert link(length_km, phase_rate=rate).budget()[4] == pytest.approx(drift)
-
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"p_emission": 1.2}, "p_emission"),
-            ({"p_emission": -0.1}, "p_emission"),
-            ({"p_absorption": 1.5}, "p_absorption"),
-            ({"p_absorption": math.nan}, "p_absorption"),
-            ({"length_km": -1.0}, "length"),
-            ({"atten_db_per_km": 0.0}, "attenuation"),
-        ],
-    )
-    def test_rejects_out_of_range_at_construction(self, fields, message):
-        with pytest.raises(ValueError, match=message):
-            link(**{"length_km": 1.0, **fields})
 
 
 # (L0_km, weighted success, phase warning)
@@ -162,11 +149,34 @@ def _finite_numbers(node) -> bool:
     return not isinstance(node, float) or math.isfinite(node)
 
 
+def _run(out: Path, command: str, path: Path, extra: list[str], keys) -> tuple[int, str]:
+    """``command`` on the document at ``path``, writing to ``out``: its exit code and stderr.
+
+    Exit 1 must be a config error that names one of ``keys`` and writes
+    nothing; any other exit must leave every CSV cell and JSON number it
+    wrote finite.
+    """
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", str(path), "--out", str(out), *extra])
+    err = stderr.getvalue()
+    if code == 1:
+        assert err.startswith("config error: ") and any(key in err for key in keys), err
+        assert not out.exists()
+    for written in out.iterdir() if out.exists() else ():
+        if written.suffix == ".json":
+            assert _finite_numbers(json.loads(written.read_text(encoding="utf-8"))), written
+        else:
+            table = load_csv(written)
+            assert all(np.isfinite(table[name]).all() for name in table.dtype.names), written
+    return code, err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("edits", CHANNEL_EDITS, ids=lambda edits: ",".join(f"{k}={v!r}" for k, v in edits.items()))
-def test_channel_edit_is_a_config_error_or_runs_finite(tmp_path, capsys, edits):
-    # A transfer and a 2-sample sweep from the stock value of the first
-    # edited key: each names a key it refuses, or writes finite outputs.
+def test_channel_edit_is_a_config_error_or_runs_finite(tmp_path, edits):
+    # A send, a transfer and a 2-sample sweep from the stock value of the
+    # first edited key: each names a key it refuses, or writes finite outputs.
     doc = stock_doc()
     doc.update(grid={"span_in_T1": 12.0, "points": 401}, outputs={"which": ["report"]})
     stock = {row.key: doc["channel"].get(row.key, row.default) for row in _NUMBERS["channel"]}
@@ -175,26 +185,20 @@ def test_channel_edit_is_a_config_error_or_runs_finite(tmp_path, capsys, edits):
     path.write_text(json.dumps(doc), encoding="utf-8")
     key, value = next(iter(edits.items()))
     sweep = ["--axis", f"channel.{key}", f"--start={stock[key]!r}", f"--stop={value!r}", "--num", "2"]
-    for command, extra, output in (("transfer", [], "report.json"), ("sweep", sweep, "sweep.csv")):
-        out = tmp_path / command
-        code = main([command, "--config", str(path), "--out", str(out), *extra])
-        err = capsys.readouterr().err
-        if code == 1:
-            assert err.startswith("config error: ")
-            assert any(f"channel.{key}" in err for key in edits)
-            assert not out.exists()
-            continue
-        assert code == 0, err
-        if output == "report.json":
-            assert _finite_numbers(json.loads((out / output).read_text(encoding="utf-8")))
-        else:
-            table = load_csv(out / output)
-            assert all(np.isfinite(table[name]).all() for name in table.dtype.names)
+    for command, extra in (("send", []), ("transfer", []), ("sweep", sweep)):
+        code, err = _run(tmp_path / command, command, path, extra, [f"channel.{key}" for key in edits])
+        assert code in (0, 1), err
 
 
-# The same property over every grid, pulse1, pulse2 and top-level number
-# alone at each edge value, and over grids far coarser than the sending
-# pulse and a sending pulse whose exposure overflows.
+# The same property over every params, pulse1, pulse2, grid and top-level
+# number and every initial_state amplitude entry alone at each edge value,
+# and over grids far coarser than the sending pulse and a sending pulse
+# whose exposure overflows.  The params and amplitude edits run on both
+# stock documents, the others on the qubit's.
+AMPLITUDE_ENTRIES = [f"{name}[{part}]" for name in ("c_m1", "c_0", "c_p1") for part in (0, 1)]
+STATE_EDITS = [
+    [("params", row.key, value)] for row in _NUMBERS["params"] for value in EDGE_VALUES
+] + [[("initial_state", entry, value)] for entry in AMPLITUDE_ENTRIES for value in EDGE_VALUES]
 NUMBER_EDITS = [
     [(section, row.key, value)]
     for section in ("pulse1", "pulse2", "grid", "")
@@ -204,44 +208,109 @@ NUMBER_EDITS = [
     [("grid", "span_in_T1", span), ("grid", "points", points)]
     for span, points in ((1e5, 401), (1e7, 401), (1e10, 401), (3e154, 401), (1e6, 3001), (1e8, 20001))
 ] + [[("pulse1", "T1_us", 1e307)]]
+NUMBER_CASES = [(qutrit, edits) for edits in STATE_EDITS for qutrit in (False, True)] + [
+    (False, edits) for edits in NUMBER_EDITS
+]
 
 
 def _dotted(section: str, key: str) -> str:
     return f"{section}.{key}" if section else key
 
 
+def _edit(doc: dict, section: str, key: str, value) -> None:
+    """Write ``value`` at ``key`` of ``doc``'s ``section``; a key ``c_m1[1]`` names a pair's entry."""
+    table = doc[section] if section else doc
+    name, _, entry = key.partition("[")
+    if entry:
+        table[name][int(entry[0])] = value
+    else:
+        table[key] = value
+
+
+def _case_id(case) -> str:
+    qutrit, edits = case
+    # The qubit's edits keep the ids they had before the qutrit ran.
+    return ",".join(f"{_dotted(s, k)}={v!r}" for s, k, v in edits) + ("-qutrit" if qutrit else "")
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "edits", NUMBER_EDITS, ids=lambda edits: ",".join(f"{_dotted(s, k)}={v!r}" for s, k, v in edits))
-def test_number_edit_is_a_config_error_or_runs_finite(tmp_path, capsys, edits):
-    # A transfer, and a 2-sample sweep from the stock value of the first
-    # edited key where the stock file has one: each names a key it refuses,
-    # or writes finite outputs (exit 2 writes the solver's best effort).
-    doc = stock_doc()
+@pytest.mark.parametrize("qutrit, edits", NUMBER_CASES, ids=map(_case_id, NUMBER_CASES))
+def test_number_edit_is_a_config_error_or_runs_finite(tmp_path, qutrit, edits):
+    # A send, a transfer and a 2-sample sweep, from the stock value of the
+    # first edited number (over initial_state.p_m1 for an amplitude): each
+    # names a key it refuses, a bound with the value as written, or writes
+    # finite outputs (exit 2 writes the solver's best effort).
+    doc = stock_doc(qutrit)
     doc.update(grid={"span_in_T1": 12.0, "points": 401}, outputs={"which": ["report"]})
     section, key, value = edits[0]
-    row = next(row for row in _NUMBERS[section] if row.key == key)
-    stock = (doc[section] if section else doc).get(key, row.default)
-    for edit_section, edit_key, edit_value in edits:
-        (doc[edit_section] if edit_section else doc)[edit_key] = edit_value
+    row = next((row for row in _NUMBERS.get(section, ()) if row.key == key), None)
+    runs = [("send", []), ("transfer", [])]
+    if row is None:
+        runs.append(("sweep", ["--axis", "initial_state.p_m1", "--start", "0", "--stop", "0.5", "--num", "2"]))
+    elif isinstance(stock := (doc[section] if section else doc).get(key, row.default), (int, float)):
+        runs.append(("sweep", ["--axis", _dotted(section, key), "--start", repr(stock), "--stop", repr(value),
+                               "--num", "2"]))
+    for edit in edits:
+        _edit(doc, *edit)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    runs = [("transfer", [], "report.json")]
-    if isinstance(stock, (int, float)):
-        sweep = ["--axis", _dotted(section, key), "--start", repr(stock), "--stop", repr(value), "--num", "2"]
-        runs.append(("sweep", sweep, "sweep.csv"))
-    for command, extra, output in runs:
-        out = tmp_path / command
-        code = main([command, "--config", str(path), "--out", str(out), *extra])
-        err = capsys.readouterr().err
-        if code == 1:
-            assert err.startswith("config error: ")
-            assert any(_dotted(s, k) in err for s, k, _ in edits), err
-            assert not out.exists()
-            continue
-        assert code in (0, 2), err
-        if output == "report.json":
-            assert _finite_numbers(json.loads((out / output).read_text(encoding="utf-8")))
+    keys = [_dotted(s, k.partition("[")[0]) for s, k, _ in edits]
+    for command, extra in runs:
+        code, err = _run(tmp_path / command, command, path, extra, keys)
+        assert code in (0, 1, 2), err
+        if f"{_dotted(section, key)} must" in err:  # a bound: the value as written, in its units
+            assert err.rstrip().endswith(f"got {float(value)!r}"), err
+
+
+# Several numbers at once: each at an edge value or at its stock value
+# scaled.  grid.points stays at most 2 001, or is refused before any array
+# exists.
+NUMBER_ROWS = [(section, row) for section, rows in _NUMBERS.items() for row in rows]
+GRID_POINTS = st.one_of(st.integers(2, 2001), st.sampled_from([0, -1, 2.5, 1e300, MAX_GRID_POINTS + 1]))
+
+
+@st.composite
+def number_draws(draw) -> list[tuple[str, str, object]]:
+    edits = []
+    for section, row in draw(st.lists(st.sampled_from(NUMBER_ROWS), min_size=2, max_size=4,
+                                      unique_by=lambda pair: (pair[0], pair[1].key))):
+        if row.key == "points":
+            value = draw(GRID_POINTS)
         else:
-            table = load_csv(out / output)
-            assert all(np.isfinite(table[name]).all() for name in table.dtype.names)
+            value = draw(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.25, 4.0).map(lambda f: ("x", f))))
+        edits.append((section, row.key, value))
+    return edits
+
+
+@settings(deadline=None, max_examples=60)
+@given(qutrit=st.booleans(), draws=number_draws())
+def test_several_number_edits_are_a_config_error_or_run_finite(qutrit, draws):
+    # send, transfer and a 2-sample sweep of the first drawn number from its
+    # stock value: each exits 1 naming a drawn key and writing nothing, or
+    # writes finite outputs (exit 2 writes the solver's best effort).  Any
+    # warning is an error; the filter is set here, not by a mark, which would
+    # also turn hypothesis's own report of a failure into a pytest error.
+    doc = stock_doc(qutrit)
+    doc.update(grid={"span_in_T1": 12.0, "points": 401}, outputs={"which": ["report", "regime"]})
+    edits = []
+    for section, key, value in draws:
+        row = next(row for row in _NUMBERS[section] if row.key == key)
+        stock = (doc[section] if section else doc).get(key, row.default)
+        if isinstance(value, tuple):  # a factor of the stock value
+            value = value[1] * stock if isinstance(stock, (int, float)) else value[1]
+        edits.append((section, key, stock, value))
+    for section, key, _, value in edits:
+        _edit(doc, section, key, value)
+    section, key, stock, value = edits[0]
+    runs = [("send", []), ("transfer", [])]
+    if isinstance(stock, (int, float)):
+        runs.append(("sweep", ["--axis", _dotted(section, key), "--start", repr(stock), "--stop", repr(value),
+                               "--num", "2"]))
+    with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(directory) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command, extra in runs:
+            code, err = _run(Path(directory) / command, command, path, extra,
+                             [_dotted(s, k) for s, k, _, _ in edits])
+            assert code in (0, 1, 2), err

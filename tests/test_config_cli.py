@@ -215,7 +215,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("L0_km", -0.01), ("atten_db_per_km", 0.0), ("p_em", 1.5), ("p_abs", -0.1)],
+        [("L0_km", -0.01), ("atten_db_per_km", 0.0), ("p_em", 1.5), ("p_em", -0.1), ("p_abs", -0.1),
+         ("p_abs", 1.5)],
     )
     def test_rejects_out_of_range_channel(self, key, value):
         doc = small_doc()
@@ -420,6 +421,7 @@ class TestCli:
             ("params", "omega1_mhz", float("inf"), "params.omega1_mhz"),
             ("initial_state", "c_0", [float("nan"), 0.0], "initial_state.c_0"),
             ("pulse2", "T2_range_us", [0.02, float("inf")], "pulse2.T2_range_us"),
+            ("channel", "p_abs", float("nan"), "channel.p_abs"),
         ],
     )
     def test_non_finite_number_exit_code(self, tmp_path, capsys, section, key, value, field):
@@ -732,6 +734,14 @@ class TestCli:
             ("pulse2", {"free": "center", "center_range_us": [0.1, 0.1]}, "pulse2.center_range_us"),
             ("pulse2", {"mode": "explicit", "T2_us": 0}, "pulse2.T2_us"),
             ("pulse2", {"mode": "explicit", "T2_us": -0.3}, "pulse2.T2_us"),
+            ("params", {"k_mhz": 0.0}, "params.k_mhz must be > 0, got 0.0"),
+            ("params", {"g_mhz": -1}, "params.g_mhz must be > 0, got -1.0"),
+            ("params", {"omega1_mhz": -2}, "params.omega1_mhz must be >= 0, got -2.0"),
+            ("params", {"delta_mhz": 0}, "params.delta_mhz must be nonzero, got 0.0"),
+            ("params", {"atom_mass_kg": 0}, "params.atom_mass_kg must be > 0, got 0.0"),
+            ("params", {"wavelength_nm": -1}, "params.wavelength_nm must be > 0, got -1.0"),
+            # Positive, but 0 m in internal units.
+            ("params", {"wavelength_nm": 5e-324}, "params.wavelength_nm must be above 0 in internal units"),
         ],
     )
     def test_out_of_range_setting_exit_code(self, tmp_path, capsys, section, value, field):

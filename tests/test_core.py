@@ -82,27 +82,7 @@ class TestDerive:
         assert derive(params).G1 == pytest.approx(rad_per_s(1.2), rel=1e-12)
 
 
-class TestParamValidation:
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError, match="k"):
-            mhz_params(
-                g=12.0, k=0.0, gamma_sp=5.87, omega1=10.0, omega2=10.0, delta=100.0,
-                delta_b_ground=15.0, delta_b_excited=15.0,
-            )
-
-    def test_rejects_zero_detuning(self):
-        with pytest.raises(ValueError, match="delta"):
-            mhz_params(
-                g=12.0, k=3.0, gamma_sp=5.87, omega1=10.0, omega2=10.0, delta=0.0,
-                delta_b_ground=15.0, delta_b_excited=15.0,
-            )
-
-
 class TestSuperpositionState:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            SuperpositionState(0.9, 0.9)
-
     def test_normalized_helper(self):
         s = SuperpositionState.normalized(3.0, 4.0j)
         assert s.populations == pytest.approx((0.36, 0.64, 0.0))
