@@ -229,7 +229,6 @@ def _edit(doc: dict, section: str, key: str, value) -> None:
 
 def _case_id(case) -> str:
     qutrit, edits = case
-    # The qubit's edits keep the ids they had before the qutrit ran.
     return ",".join(f"{_dotted(s, k)}={v!r}" for s, k, v in edits) + ("-qutrit" if qutrit else "")
 
 

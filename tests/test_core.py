@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from pnsslink.core import (
     TWO_PI,
-    PhysicalParams,
     SuperpositionState,
     derive,
     rad_per_s,
