@@ -105,8 +105,7 @@ _NUMBERS = {
         *(_Number(f"{name}_mhz", name, above=0.0, scale=_MHZ) for name in ("g", "k", "gamma_sp")),
         *(_Number(f"{name}_mhz", name, scale=_MHZ, least=0.0) for name in ("omega1", "omega2")),
         _Number("delta_mhz", "delta", scale=_MHZ),  # nonzero: _make_params checks it
-        *(_Number(f"{name}_mhz", name, above=0.0, scale=_MHZ) for name in ("delta_b_ground",
-                                                                          "delta_b_excited")),
+        *(_Number(f"{name}_mhz", name, above=0.0, scale=_MHZ) for name in ("delta_b_ground", "delta_b_excited")),
         _Number("phi2_rad", "phi2", math.pi / 2),
         _Number("atom_mass_kg", "atom_mass", RB87_MASS, 0.0),
         _Number("wavelength_nm", "wavelength", D2_WAVELENGTH, 0.0, scale=1e-9),
@@ -272,10 +271,10 @@ def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> Superpositi
     except OverflowError:  # |c| of a complex beyond float64
         norm_sq = math.inf
     if abs(norm_sq - 1.0) >= RENORM_TOL:
-        raise ConfigError(
-            f"initial_state norm is {norm_sq!r}; amplitudes initial_state.c_m1, initial_state.c_0 "
-            f"and initial_state.c_p1 must be normalized to within {RENORM_TOL:g}"
-        )
+        amplitudes = ", ".join(f"initial_state.{name} [{c.real!r}, {c.imag!r}]"
+                               for name, c in zip(("c_m1", "c_0", "c_p1"), (c_m1, c_0, c_p1)))
+        raise ConfigError(f"initial_state norm is {norm_sq!r}; amplitudes {amplitudes} must be "
+                          f"normalized to within {RENORM_TOL:g}")
     if abs(norm_sq - 1.0) > 1e-15:
         # Decimal-literal drift below the rejection threshold is folded
         # back in, but not silently.
@@ -438,6 +437,22 @@ def _sampler(config: ScenarioConfig, axis: str):
         return sample_state
     name, build = _field_sampler(config, axis)
     return lambda value: config._replace(**{name: build(value)})
+
+
+def written(config: ScenarioConfig, axis: str) -> str:
+    """The number at the dotted path ``axis`` of ``config`` as a document writes it, after its key.
+
+    That is the shortest number of at most 15 digits that parses to the
+    field's value, or else a float within an ulp that does, so documents
+    that parse alike are quoted alike.
+    """
+    section, _, key = axis.rpartition(".")
+    row = next(row for row in _NUMBERS[section] if row.key == key)
+    value = getattr(getattr(config, section) if section else config, row.field)
+    guess = value / row.scale  # a normal value is within an ulp of its parse's
+    fits = [float(f"{guess:.{digits}g}") for digits in range(1, 16)]
+    fits += [guess, math.nextafter(guess, -math.inf), math.nextafter(guess, math.inf)]
+    return f"{axis} {next((x for x in fits if x * row.scale == value), guess)!r}"
 
 
 def _field_sampler(config: ScenarioConfig, axis: str):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from .channel import ChannelModel
-from .config import ConfigError, ScenarioConfig, axis_sampler
+from .config import ConfigError, ScenarioConfig, axis_sampler, written
 from .core import DerivedQuantities, RegimeReport, derive, rad_per_s, to_mhz, validate_regime
 from .csvio import write_csv
 from .numerics import BracketError, SampledFunction, TimeGrid
@@ -202,34 +202,34 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
 
 
 _LOG_MAX = math.log(sys.float_info.max)
-# The keys (params keys where undotted) of each DerivedQuantities rate and
-# of each regime check's ratio.
+# The keys of each DerivedQuantities rate and of each regime check's ratio.
 _RATE_KEYS = {
-    "G1": ("g_mhz", "omega1_mhz", "delta_mhz"),
-    "alpha1": ("g_mhz", "omega1_mhz", "delta_mhz", "k_mhz"),
-    "r_sn": ("g_mhz", "k_mhz", "gamma_sp_mhz"),
-    "omega_rec": ("wavelength_nm", "atom_mass_kg"),
-    "detuning_vs_cavity_decay": ("delta_mhz", "k_mhz"),
-    "detuning_vs_spontaneous_decay": ("delta_mhz", "gamma_sp_mhz"),
-    "detuning_vs_rabi": ("delta_mhz", "omega1_mhz"),
-    "detuning_vs_zeeman": ("delta_mhz", "delta_b_ground_mhz", "delta_b_excited_mhz"),
-    "cavity_decay_vs_raman_coupling": ("k_mhz", "g_mhz", "omega1_mhz", "delta_mhz"),
-    "zeeman_ground_vs_cavity_decay": ("delta_b_ground_mhz", "k_mhz"),
-    "adiabatic_k_T1": ("k_mhz", "pulse1.T1_us"),
-    "signal_to_noise": ("g_mhz", "k_mhz", "gamma_sp_mhz"),
-    "raman_coupling_vs_recoil": ("g_mhz", "omega1_mhz", "delta_mhz", "wavelength_nm", "atom_mass_kg"),
+    "G1": "params.g_mhz params.omega1_mhz params.delta_mhz",
+    "alpha1": "params.g_mhz params.omega1_mhz params.delta_mhz params.k_mhz",
+    "r_sn": "params.g_mhz params.k_mhz params.gamma_sp_mhz",
+    "omega_rec": "params.wavelength_nm params.atom_mass_kg",
+    "detuning_vs_cavity_decay": "params.delta_mhz params.k_mhz",
+    "detuning_vs_spontaneous_decay": "params.delta_mhz params.gamma_sp_mhz",
+    "detuning_vs_rabi": "params.delta_mhz params.omega1_mhz",
+    "detuning_vs_zeeman": "params.delta_mhz params.delta_b_ground_mhz params.delta_b_excited_mhz",
+    "cavity_decay_vs_raman_coupling": "params.k_mhz params.g_mhz params.omega1_mhz params.delta_mhz",
+    "zeeman_ground_vs_cavity_decay": "params.delta_b_ground_mhz params.k_mhz",
+    "adiabatic_k_T1": "params.k_mhz pulse1.T1_us",
+    "signal_to_noise": "params.g_mhz params.k_mhz params.gamma_sp_mhz",
+    "raman_coupling_vs_recoil": "params.g_mhz params.omega1_mhz params.delta_mhz params.wavelength_nm "
+                                "params.atom_mass_kg",
 }
 
 
-def _rate_keys(rates: list[str], *keys: str) -> str:
-    """The keys of ``rates``, then ``keys``, each once, as an error names them."""
-    named = (key if "." in key else f"params.{key}" for rate in rates for key in _RATE_KEYS[rate])
-    return ", ".join(dict.fromkeys([*named, *keys]))
+def _rate_keys(config: ScenarioConfig, rates: list[str], *keys: str) -> str:
+    """The keys of ``rates``, then ``keys``, each once and with its value as written."""
+    named = (key for rate in rates for key in _RATE_KEYS[rate].split())
+    return ", ".join(written(config, key) for key in dict.fromkeys([*named, *keys]))
 
 
-def _overflow(what: str, rates: list[str], *keys: str) -> ConfigError:
+def _overflow(config: ScenarioConfig, what: str, rates: list[str], *keys: str) -> ConfigError:
     """The error for ``what`` overflowing, naming the keys of ``rates``, then ``keys``."""
-    return ConfigError(f"{what} overflow: check {_rate_keys(rates, *keys)}")
+    return ConfigError(f"{what} overflow: check {_rate_keys(config, rates, *keys)}")
 
 
 def build_sender(config: ScenarioConfig) -> SenderLink:
@@ -250,7 +250,7 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     derived = derive(params)
     overflow = [name for name, value in derived._asdict().items() if not math.isfinite(value)]
     if overflow:
-        raise _overflow(f"derived rates {', '.join(overflow)}", overflow)
+        raise _overflow(config, f"derived rates {', '.join(overflow)}", overflow)
     t1 = config.pulse1.t1_us * US
     regime = validate_regime(params, derived, t1, min_ratio=config.regime_min_ratio)
     if config.strict and not regime.passed:
@@ -260,15 +260,16 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     try:
         theta = pump_exposure(pulse1, derived.alpha1, grid)
     except OverflowError as exc:
-        raise _overflow("the sending pulse's exposure", ["alpha1"], "pulse1.T1_us") from exc
+        raise _overflow(config, "the sending pulse's exposure", ["alpha1"], "pulse1.T1_us") from exc
     if np.exp(-theta.final) == 1.0:
         raise ConfigError(
             f"the sending pulse emits no photon (exposure {theta.final:.3g}): raise pulse1.T1_us "
-            f"or the rate alpha1 of {_rate_keys(['alpha1'])}, or resolve the pulse on the grid "
+            f"or the rate alpha1 of {_rate_keys(config, ['alpha1'])}, or resolve the pulse on the grid "
             "(raise grid.points or lower grid.span_in_T1)"
         )
     if not math.isfinite(derived.alpha1 * float(theta.final)):  # bounds alpha1 * f1 * theta
-        raise _overflow(f"the photon modes (exposure {theta.final:.3g})", ["alpha1"], "pulse1.T1_us")
+        raise _overflow(config, f"the photon modes (exposure {theta.final:.3g})", ["alpha1"],
+                        "pulse1.T1_us")
     # The fourth-order rule dips below 0 before a sample it cannot resolve;
     # (1 + |theta|) exp(-theta) peaks at the lowest dip.
     low = float(theta.samples.min())
@@ -285,7 +286,7 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
         raise ConfigError(
             f"the sending pulse emits within one step of the {grid.n_points}-point grid "
             f"(exposure {theta.final:.3g}): lower pulse1.T1_us or the rate alpha1 of "
-            f"{_rate_keys(['alpha1'])}, or raise grid.points"
+            f"{_rate_keys(config, ['alpha1'])}, or raise grid.points"
         ) from exc
     p2 = config.pulse2
     centers = [abs(c) * US for c in (p2.center_us, *(p2.center_range_us or ())) if c is not None]
@@ -300,7 +301,7 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     # regime.json and report.json hold every ratio, and JSON has no infinity.
     overflow = [check.name for check in regime.checks if not math.isfinite(check.ratio)]
     if overflow:
-        raise _overflow(f"the regime ratios {', '.join(overflow)}", overflow)
+        raise _overflow(config, f"the regime ratios {', '.join(overflow)}", overflow)
     return SenderLink(derived, regime, grid, pulse1, theta, modes, overlap)
 
 
@@ -339,7 +340,7 @@ def _resolve_pulse2(
             f"at pulse1.center_us {config.pulse1.center_us:g} on the {sender.grid.n_points}-point "
             f"grid ({exc}): move pulse2.center_us to where they arrive, widen pulse2.T2_range_us, "
             "or change pulse1.T1_us, grid.span_in_T1, grid.points or one of "
-            f"{_rate_keys(['alpha1'], 'params.omega2_mhz')}"
+            f"{_rate_keys(config, ['alpha1'], 'params.omega2_mhz')}"
         ) from exc
     return solve.pulse, solve.omega2, solve
 
@@ -400,7 +401,7 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
             f"the receiving pulse (T2 {link.pulse2.duration / US:.3g} us at "
             f"{link.pulse2.center / US:.3g} us) stores none of the input state: move "
             "pulse2.center_us to where the photons arrive, or change pulse2.T2_us or one of "
-            f"{_rate_keys(['alpha1'], 'params.omega2_mhz')}"
+            f"{_rate_keys(config, ['alpha1'], 'params.omega2_mhz')}"
         ) from exc
     moduli = np.hypot(c.real, c.imag)
     p_m1, p_0, p_p1 = (moduli * moduli).T

@@ -37,7 +37,7 @@ class PulseShape(namedtuple("PulseShape", "kind duration center table", defaults
                 raise ValueError("tabulated pulse needs a table")
             samples = self.table.samples
             if np.any(samples < 0.0) or np.any(samples > 1.0):
-                raise ValueError("tabulated profile has samples outside [0, 1]")
+                raise ValueError("tabulated profile must lie in [0, 1]")
         return self
 
     def evaluate(self, t: np.ndarray | float) -> np.ndarray | float:

@@ -149,12 +149,12 @@ def _finite_numbers(node) -> bool:
     return not isinstance(node, float) or math.isfinite(node)
 
 
-def _run(out: Path, command: str, path: Path, extra: list[str], keys) -> tuple[int, str]:
+def _run(out: Path, command: str, path: Path, extra: list[str], keys, which=("report",)) -> tuple[int, str]:
     """``command`` on the document at ``path``, writing to ``out``: its exit code and stderr.
 
     Exit 1 must be a config error that names one of ``keys`` and writes
-    nothing; any other exit must leave every CSV cell and JSON number it
-    wrote finite.
+    nothing; any other exit must write exactly the files ``command`` writes
+    for the outputs ``which``, with every CSV cell and JSON number finite.
     """
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -163,7 +163,14 @@ def _run(out: Path, command: str, path: Path, extra: list[str], keys) -> tuple[i
     if code == 1:
         assert err.startswith("config error: ") and any(key in err for key in keys), err
         assert not out.exists()
-    for written in out.iterdir() if out.exists() else ():
+        return code, err
+    if command == "sweep":
+        expected = {"sweep.csv"}
+    else:
+        names = ("sender", "photonics", *({"regime"} & set(which))) if command == "send" else which
+        expected = {f"{name}.json" if name in ("report", "regime") else f"{name}.csv" for name in names}
+    assert {written.name for written in out.iterdir()} == expected, err
+    for written in out.iterdir():
         if written.suffix == ".json":
             assert _finite_numbers(json.loads(written.read_text(encoding="utf-8"))), written
         else:
@@ -237,8 +244,10 @@ def _case_id(case) -> str:
 def test_number_edit_is_a_config_error_or_runs_finite(tmp_path, qutrit, edits):
     # A send, a transfer and a 2-sample sweep, from the stock value of the
     # first edited number (over initial_state.p_m1 for an amplitude): each
-    # names a key it refuses, a bound with the value as written, or writes
-    # finite outputs (exit 2 writes the solver's best effort).
+    # names a key it refuses, or writes finite outputs (exit 2 writes the
+    # solver's best effort).  A refusal quotes the value as written: in a
+    # bound of the edited key, and in any message for a params number or an
+    # amplitude.
     doc = stock_doc(qutrit)
     doc.update(grid={"span_in_T1": 12.0, "points": 401}, outputs={"which": ["report"]})
     section, key, value = edits[0]
@@ -251,6 +260,12 @@ def test_number_edit_is_a_config_error_or_runs_finite(tmp_path, qutrit, edits):
                                "--num", "2"]))
     for edit in edits:
         _edit(doc, *edit)
+    quoted = None
+    if section == "params":
+        quoted = f"params.{key} {float(value)!r}"
+    elif section == "initial_state":
+        name = key.partition("[")[0]
+        quoted = f"initial_state.{name} [{', '.join(repr(float(part)) for part in doc[section][name])}]"
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     keys = [_dotted(s, k.partition("[")[0]) for s, k, _ in edits]
@@ -259,6 +274,8 @@ def test_number_edit_is_a_config_error_or_runs_finite(tmp_path, qutrit, edits):
         assert code in (0, 1, 2), err
         if f"{_dotted(section, key)} must" in err:  # a bound: the value as written, in its units
             assert err.rstrip().endswith(f"got {float(value)!r}"), err
+        elif code == 1 and quoted:  # any other refusal of a params number or an amplitude quotes it too
+            assert quoted in err, err
 
 
 # Several numbers at once: each at an edge value or at its stock value
@@ -311,5 +328,5 @@ def test_several_number_edits_are_a_config_error_or_run_finite(qutrit, draws):
         path.write_text(json.dumps(doc), encoding="utf-8")
         for command, extra in runs:
             code, err = _run(Path(directory) / command, command, path, extra,
-                             [_dotted(s, k) for s, k, _, _ in edits])
+                             [_dotted(s, k) for s, k, _, _ in edits], which=("report", "regime"))
             assert code in (0, 1, 2), err

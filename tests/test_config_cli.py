@@ -25,7 +25,7 @@ from pnsslink.config import (
     parse_config,
     sample_config,
 )
-from pnsslink.core import to_mhz
+from pnsslink.core import derive, to_mhz, validate_regime
 from pnsslink.pipeline import (
     US,
     build_link,
@@ -505,8 +505,19 @@ class TestCli:
             argv += ["--axis", "channel.L0_km", "--start", "0", "--stop", "1", "--num", "2"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert named in err and all(f"params.{key}" in err for key in params)
+        assert named in err and all(f"params.{key} {float(value)!r}" in err for key, value in params.items())
         assert not (tmp_path / "out").exists()
+
+    def test_overflow_errors_name_the_keys_of_every_rate_and_regime_check(self):
+        # An overflow error lists the keys of each derived rate or regime
+        # ratio that overflows, with the values as written; a name missing
+        # from _RATE_KEYS, or a key no _NUMBERS row reads, would be a traceback.
+        config = parse_config(small_doc())
+        derived = derive(config.params)
+        names = [*derived._fields, *(check.name for check in validate_regime(config.params, derived, 1e-6).checks)]
+        assert sorted(pipeline_mod._RATE_KEYS) == sorted(names)
+        named = pipeline_mod._rate_keys(config, names)
+        assert "params.g_mhz 12.0" in named and "pulse1.T1_us 0.3" in named
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
