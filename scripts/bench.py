@@ -13,7 +13,8 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
                          qutrit path that reads end values alone)
     config_parse         load_config of the scenario file
     exposure             sender.pump_exposure
-    sender_amplitudes    sender.amplitudes_beta
+    sender_amplitudes    sender.amplitudes_beta + sender.atomic_moments on the
+                         grid (before the two were split, amplitudes_beta alone)
     photon_observables   photonics.photon_observables
     pulse_solve          the receiving pulse's solve (also its iterations)
     pulse_solve_center   the free-center solve of acceptance check 08 (the
@@ -357,13 +358,14 @@ def run(checkout: Path) -> dict:
     from pnsslink.config import load_config
     from pnsslink.photonics import photon_observables
     from pnsslink.receiver import gamma_analytic, pulse_areas
-    from pnsslink.sender import amplitudes_beta, pump_exposure
+    from pnsslink.sender import amplitudes_beta, atomic_moments, pump_exposure
 
     scenario = checkout / SCENARIO
     setup = _setup(checkout)
     config, link, result, _ = setup
     sender = link.sender
     state = config.initial_state
+    theta = sender.theta.samples
     send = result.send
     params = config.params
     g2c = params.g * link.omega2 / abs(params.delta)
@@ -381,11 +383,12 @@ def run(checkout: Path) -> dict:
             **cold,
             "config_parse": lambda: load_config(scenario),
             "exposure": lambda: pump_exposure(sender.pulse1, sender.derived.alpha1, sender.grid),
-            "sender_amplitudes": lambda: amplitudes_beta(sender.theta, state),
+            "sender_amplitudes": lambda: (amplitudes_beta(theta, state), atomic_moments(theta, state)),
             "photon_observables": lambda: photon_observables(sender.theta, sender.modes, state, send.trajectory),
             "pulse_solve": lambda: pipeline._resolve_pulse2(config, sender),
             "pulse_solve_center": lambda: pipeline._resolve_pulse2(config_08, sender_08),
-            "absorb": lambda: gamma_analytic(*pulse_areas(*area_args, sender.grid), state),
+            "absorb": lambda: gamma_analytic(*(area.samples for area in pulse_areas(*area_args, sender.grid)),
+                                             state),
             "report_json": lambda: pipeline.write_report_json(result, out / "report.json"),
         }
         for name, fn in timed.items():

@@ -326,8 +326,9 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
 def _make_grid(**fields) -> GridConfig:
     grid = GridConfig(**fields)
     if not 2 <= grid.n_points() <= MAX_GRID_POINTS:
-        name = "grid.points" if grid.points is not None else "grid.span_in_T1"
-        raise ConfigError(f"{name} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
+        key = (f"grid.points {grid.points:.15g}" if grid.points is not None
+               else f"grid.span_in_T1 {grid.span_in_t1!r}")
+        raise ConfigError(f"{key} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
     return grid
 
 
@@ -336,13 +337,13 @@ def _make_channel(**fields) -> ChannelModel:
     channel = ChannelModel(**fields, l_att_km=attenuation_length(fields["atten_db_per_km"]))
     if not 0.0 < channel.l_att_km < math.inf:  # 0: db * ln 10 overflowed; inf: 10 / it did
         raise ConfigError(
-            f"channel.atten_db_per_km {channel.atten_db_per_km:g} gives an attenuation length of "
+            f"channel.atten_db_per_km {channel.atten_db_per_km!r} gives an attenuation length of "
             f"{channel.l_att_km:g} km, not a positive finite float: keep it within [1e-307, 1e307]"
         )
     if not math.isfinite(channel.phase_rate_rad_per_km * channel.length_km):
         raise ConfigError(
-            f"the phase drift of channel.phase_rate {channel.phase_rate_rad_per_km:g} over "
-            f"channel.L0_km {channel.length_km:g} overflows: lower one of them"
+            f"the phase drift of channel.phase_rate {channel.phase_rate_rad_per_km!r} over "
+            f"channel.L0_km {channel.length_km!r} overflows: lower one of them"
         )
     return channel
 
@@ -444,11 +445,17 @@ def written(config: ScenarioConfig, axis: str) -> str:
 
     That is the shortest number of at most 15 digits that parses to the
     field's value, or else a float within an ulp that does, so documents
-    that parse alike are quoted alike.
+    that parse alike are quoted alike.  A whole number is quoted without a
+    point.  An unset number is named alone, and an unset ``grid.points``
+    with the point count its span gives.
     """
     section, _, key = axis.rpartition(".")
     row = next(row for row in _NUMBERS[section] if row.key == key)
     value = getattr(getattr(config, section) if section else config, row.field)
+    if value is None:
+        return f"{axis} (unset: {config.grid.n_points()} points)" if axis == "grid.points" else axis
+    if row.count:
+        return f"{axis} {value:.15g}"
     guess = value / row.scale  # a normal value is within an ulp of its parse's
     fits = [float(f"{guess:.{digits}g}") for digits in range(1, 16)]
     fits += [guess, math.nextafter(guess, -math.inf), math.nextafter(guess, math.inf)]
@@ -477,10 +484,10 @@ def axis_sampler(config: ScenarioConfig, axis: str):
 
     The samples of ``initial_state.p_m1``, ``channel.*`` and
     ``params.phi2_rad`` share one link: one config whose ``initial_state``
-    (amplitudes in the last axis), channel fields or ``params.phi2`` are
-    columns of ``sample_config``'s values.  A state or phase column is
-    checked and built with numpy on the whole column, and its renormalized
-    states warn once; a channel column holds each entry's sample channel,
+    fields (a ``SuperpositionState`` of columns), channel fields or
+    ``params.phi2`` are columns of ``sample_config``'s values.  A state or
+    phase column is checked and built with numpy on the whole column, and
+    its renormalized states warn once; a channel column holds each entry's sample channel,
     its fields as columns.  Any other axis gives a ``sample_config``
     config per value.  The first bad value raises ``sample_config``'s
     ``ConfigError`` before any sample is used.
@@ -497,16 +504,17 @@ def axis_sampler(config: ScenarioConfig, axis: str):
             ok &= abs(norm_sq - 1.0) < RENORM_TOL
             if not ok.all():
                 sample(float(values[np.argmin(ok)]))  # raises the first bad value's error
-            state = np.empty((len(values), 3), dtype=complex)
-            state[:, 0], state[:, 1], state[:, 2] = c_m1, c_0, c_p1
+            state = SuperpositionState(c_m1.astype(complex), c_0.astype(complex),
+                                       np.full(len(values), c_p1))
             renormalized = abs(norm_sq - 1.0) > 1e-15
             if renormalized.any():
                 warnings.warn(f"initial_state renormalized in {renormalized.sum()} of {len(values)} "
                               f"sweep samples (largest norm deviation {abs(norm_sq - 1.0).max():.2e})",
                               stacklevel=3)
-                norm = np.sqrt(norm_sq[renormalized])[:, None]  # each part, as Python divides
-                state.real[renormalized] /= norm
-                state.imag[renormalized] /= norm
+                norm = np.sqrt(norm_sq[renormalized])
+                for column in state:  # each part, as Python divides
+                    column.real[renormalized] /= norm
+                    column.imag[renormalized] /= norm
             return [config._replace(initial_state=state)]
 
         return state_column

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 HBAR = 1.054571817e-34  # J s
 
@@ -89,10 +91,12 @@ def derive(params: PhysicalParams) -> DerivedQuantities:
 
 
 class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1", defaults=(0j,))):
-    """Complex amplitudes over the three ground Zeeman sublevels, each a ``complex``.
+    """Complex amplitudes over the three ground Zeeman sublevels.
 
-    The qubit case has ``c_p1 == 0``; a nonzero ``c_p1`` selects the
-    qutrit protocol (a vacuum branch that emits no photons).
+    Each field is a ``complex``, or a numpy column of them: a sweep's
+    states, one entry per sample, read by the same closed forms.  The
+    qubit case has ``c_p1 == 0``; a nonzero ``c_p1`` selects the qutrit
+    protocol (a vacuum branch that emits no photons).
     """
 
     __slots__ = ()
@@ -102,9 +106,15 @@ class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1", defau
         return sum(self.populations)
 
     @property
-    def populations(self) -> tuple[float, float, float]:
-        """|c|**2 of each amplitude, spelled |c|*|c| as a sweep's numpy columns square."""
-        return tuple(abs(c) * abs(c) for c in self)
+    def populations(self) -> tuple:
+        """|c|**2 of each amplitude: the modulus hypot(re, im), squared as a product.
+
+        Python's ``abs(complex)`` is hypot, numpy's complex ``abs`` is not
+        (they differ on about a third of random amplitudes), so hypot
+        gives a column entry the floats of its state alone.
+        """
+        m_m1, m_0, m_p1 = [np.hypot(c.real, c.imag) for c in self]
+        return m_m1 * m_m1, m_0 * m_0, m_p1 * m_p1
 
     @staticmethod
     def normalized(c_m1: complex, c_0: complex, c_p1: complex = 0j) -> "SuperpositionState":

@@ -37,16 +37,15 @@ class EmissionModes(namedtuple("EmissionModes", "pulse alpha1 phi1 phi2")):
     __slots__ = ()
 
 
-def photon_distribution(traj: SenderTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P_j(t): probability that j photons have been emitted, j = 0, 1, 2."""
-    p0 = (
-        np.abs(traj.beta_m1_0) ** 2
-        + np.abs(traj.beta_0_0) ** 2
-        + np.abs(traj.beta_p1_0) ** 2
-    )
-    p1 = np.abs(traj.beta_0_1) ** 2 + np.abs(traj.beta_p1_1) ** 2
-    p2 = np.abs(traj.beta_p1_2) ** 2
-    return p0, p1, p2
+def photon_distribution(traj: SenderTrajectory) -> tuple:
+    """P_j: probability that j photons have been emitted, j = 0, 1, 2, in ``traj``'s shape.
+
+    Each |beta|**2 is the modulus squared as a product, which an array's
+    ``** 2`` is and a numpy scalar's is not, so the grid end and a column
+    entry get the floats of the full grid's last sample.
+    """
+    b_m1_0, b_0_0, b_0_1, b_p1_0, b_p1_1, b_p1_2 = (m * m for m in map(np.abs, traj))
+    return b_m1_0 + b_0_0 + b_p1_0, b_0_1 + b_p1_1, b_p1_2
 
 
 def emission_modes(theta: SampledFunction, pulse: PulseShape, alpha1: float) -> EmissionModes:
@@ -89,18 +88,17 @@ def photon_fluxes(
     return flux_total, flux_one, flux_two
 
 
-def mean_photon_number(theta: SampledFunction, c: SuperpositionState) -> np.ndarray:
-    """Mean emitted photon number n_out(t), the time integral of the flux.
+def mean_photon_number(theta: np.ndarray, c: SuperpositionState) -> np.ndarray:
+    """Mean emitted photon number n_out at exposure ``theta``, the time integral of the flux.
 
-    n_out(t) = (|c_0|^2 + 2|c_m1|^2)(1 - e**-theta) - |c_m1|^2 theta e**-theta.
+    n_out = (|c_0|^2 + 2|c_m1|^2)(1 - e**-theta) - |c_m1|^2 theta e**-theta.
     The vacuum branch of a qutrit input emits nothing, so its weight is
     absent; for a two-sublevel input the prefactor is 1 + |c_m1|^2.
     Equals P1 + 2*P2 identically.
     """
-    th = theta.samples
-    e_full = np.exp(-th)
+    e_full = np.exp(-theta)
     p_m1, p_0, _ = c.populations
-    return (p_0 + 2.0 * p_m1) * (1.0 - e_full) - p_m1 * th * e_full
+    return (p_0 + 2.0 * p_m1) * (1.0 - e_full) - p_m1 * theta * e_full
 
 
 def g2_zero_delay(
@@ -160,6 +158,6 @@ def photon_observables(
         flux_total=flux_total,
         flux_one=flux_one,
         flux_two=flux_two,
-        n_out=mean_photon_number(theta, c) if n_out is None else n_out,
+        n_out=mean_photon_number(theta.samples, c) if n_out is None else n_out,
         g2=g2_zero_delay(modes.phi1, modes.phi2, c),
     )

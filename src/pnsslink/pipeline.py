@@ -7,10 +7,11 @@ photon mode functions and their overlap, the receiving control pulse
 (solved or explicit) and its areas eta(t), zeta(t).  The pi-area
 conditions involve only the mode functions, so one solved link serves
 every input state and every fiber channel.  The per-state stage
-(``summarize``) reads input states at the link's end values, through its
-diagonal end map (``Link.stored``): one state for a transfer's report, a
-column of them for a sweep.  ``run_transfer`` adds one state's absorption
-amplitudes and bookkeeping residual on the grid.  Each value has one
+(``summarize``) reads input states at the link's end values
+(``Link.ends``) through the closed forms that give the grid arrays: one
+state for a transfer's report, a column of them for a sweep.
+``run_transfer`` adds one state's absorption amplitudes and bookkeeping
+residual on the grid.  Each value has one
 home: a link's in ``Link`` or ``SenderLink``, a state's in ``Summary``.
 ``SendResult`` builds the sender's emission amplitudes and photon
 statistics only when a CSV writer reads them.  ``run_send`` never solves
@@ -41,6 +42,7 @@ from .photonics import (
     emission_modes,
     mean_photon_number,
     mode_overlap,
+    photon_distribution,
     photon_fluxes,
     photon_observables,
 )
@@ -50,14 +52,14 @@ from .receiver import (
     FinalState,
     PulseSolveResult,
     ReceiverTrajectory,
+    ZeroStateError,
     conservation_check,
     final_state,
     gamma_analytic,
-    phase_factors,
     pulse_areas,
     solve_pulse_shape,
 )
-from .sender import PulseShape, SenderTrajectory, amplitudes_beta, pump_exposure
+from .sender import PulseShape, SenderTrajectory, amplitudes_beta, atomic_moments, pump_exposure
 
 US = 1e-6
 
@@ -94,19 +96,6 @@ class Link(namedtuple("Link", "sender pulse2 omega2 solve eta zeta eta_residual 
         """theta, eta and zeta at the grid end: all that reading out a state takes."""
         return self.sender.theta.samples[-1], self.eta.samples[-1], self.zeta.samples[-1]
 
-    def stored(self, c: np.ndarray, phi2) -> np.ndarray:
-        """D(phi2) c = diag(u**2 (1 - cos zeta)/2, u sin(eta/2), 1) c at the grid end.
-
-        ``c`` holds c_m1, c_0, c_p1 in its last axis, ``phi2`` is a phase or
-        a column.  As in ``gamma_analytic``, whose last sample this is, the
-        real factors multiply c before the phases u = exp(i(pi/2 - phi2)).
-        """
-        _, eta, zeta = self.ends
-        u, u2 = phase_factors(phi2)
-        phases = np.empty(np.shape(u) + (3,), dtype=complex)
-        phases[..., 0], phases[..., 1], phases[..., 2] = u2, u, 1.0
-        return c * np.array([0.5 * (1.0 - np.cos(zeta)), np.sin(0.5 * eta), 1.0]) * phases
-
 
 class SendResult(namedtuple("SendResult", "config sender")):
     """``config``'s input state sent over ``sender``; figure arrays are built on first read.
@@ -119,11 +108,11 @@ class SendResult(namedtuple("SendResult", "config sender")):
         """n_out and the photon fluxes on the grid: a transfer's residual reads them too."""
         c = self.config.initial_state
         theta = self.sender.theta
-        return mean_photon_number(theta, c), photon_fluxes(theta, self.sender.modes, c)
+        return mean_photon_number(theta.samples, c), photon_fluxes(theta, self.sender.modes, c)
 
     @cached_property
     def trajectory(self) -> SenderTrajectory:
-        return amplitudes_beta(self.sender.theta, self.config.initial_state)
+        return amplitudes_beta(self.sender.theta.samples, self.config.initial_state)
 
     @cached_property
     def observables(self) -> PhotonObservables:
@@ -177,12 +166,12 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
     span = config.grid.span_in_t1 * t1
     if not math.isfinite(span):
         raise ConfigError(
-            f"the grid's span of pulse1.T1_us {config.pulse1.t1_us:g} times grid.span_in_T1 "
-            f"{config.grid.span_in_t1:g} overflows: lower one of them"
+            f"the grid's span of {written(config, 'pulse1.T1_us')} times "
+            f"{written(config, 'grid.span_in_T1')} overflows: lower one of them"
         )
     if config.grid.span_in_t1 > 2.0**512:
         raise ConfigError(
-            f"grid.span_in_T1 {config.grid.span_in_t1:g} is too wide for float64 to carry the "
+            f"{written(config, 'grid.span_in_T1')} is too wide for float64 to carry the "
             f"sending pulse over the grid: lower it below {2.0**512:.3g}"
         )
     half = 0.5 * span
@@ -194,14 +183,16 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
     for key, center_us in centers:
         if center_us is not None and math.ulp(max(abs(center_us * US), abs(center) + half)) > dt * 2.0**-26:
             raise ConfigError(
-                f"{key} {center_us:g} is too far from 0 for float64 to resolve the {n}-point "
+                f"{key} {center_us!r} is too far from 0 for float64 to resolve the {n}-point "
                 f"grid's step of {dt / US:.3g} us: move both pulses' centers nearer 0, or widen "
-                "the step (pulse1.T1_us, grid.span_in_T1, grid.points)"
+                f"the step ({_rate_keys(config, [], *_GRID_KEYS)})"
             )
     return TimeGrid(center - half, center + half, n)
 
 
 _LOG_MAX = math.log(sys.float_info.max)
+# The keys that set the grid's step.
+_GRID_KEYS = ("pulse1.T1_us", "grid.span_in_T1", "grid.points")
 # The keys of each DerivedQuantities rate and of each regime check's ratio.
 _RATE_KEYS = {
     "G1": "params.g_mhz params.omega1_mhz params.delta_mhz",
@@ -263,9 +254,10 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
         raise _overflow(config, "the sending pulse's exposure", ["alpha1"], "pulse1.T1_us") from exc
     if np.exp(-theta.final) == 1.0:
         raise ConfigError(
-            f"the sending pulse emits no photon (exposure {theta.final:.3g}): raise pulse1.T1_us "
-            f"or the rate alpha1 of {_rate_keys(config, ['alpha1'])}, or resolve the pulse on the grid "
-            "(raise grid.points or lower grid.span_in_T1)"
+            f"the sending pulse emits no photon (exposure {theta.final:.3g}): raise "
+            f"{written(config, 'pulse1.T1_us')} or the rate alpha1 of {_rate_keys(config, ['alpha1'])}, or "
+            f"resolve the pulse on the grid (raise {written(config, 'grid.points')} or lower "
+            f"{written(config, 'grid.span_in_T1')})"
         )
     if not math.isfinite(derived.alpha1 * float(theta.final)):  # bounds alpha1 * f1 * theta
         raise _overflow(config, f"the photon modes (exposure {theta.final:.3g})", ["alpha1"],
@@ -276,8 +268,8 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     if math.log((1.0 + derived.alpha1) * (1.0 - low)) - low > _LOG_MAX:
         raise ConfigError(
             f"the {grid.n_points}-point grid's step of {grid.dt / US:.3g} us is too coarse for the "
-            f"sending pulse (its exposure dips to {low:.3g}): raise grid.points or lower "
-            "grid.span_in_T1"
+            f"sending pulse (its exposure dips to {low:.3g}): raise {written(config, 'grid.points')} "
+            f"or lower {written(config, 'grid.span_in_T1')}"
         )
     modes = emission_modes(theta, pulse1, derived.alpha1)
     try:
@@ -285,8 +277,8 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     except ValueError as exc:  # a mode with no weight on the grid
         raise ConfigError(
             f"the sending pulse emits within one step of the {grid.n_points}-point grid "
-            f"(exposure {theta.final:.3g}): lower pulse1.T1_us or the rate alpha1 of "
-            f"{_rate_keys(config, ['alpha1'])}, or raise grid.points"
+            f"(exposure {theta.final:.3g}): lower {written(config, 'pulse1.T1_us')} or the rate "
+            f"alpha1 of {_rate_keys(config, ['alpha1'])}, or raise {written(config, 'grid.points')}"
         ) from exc
     p2 = config.pulse2
     centers = [abs(c) * US for c in (p2.center_us, *(p2.center_range_us or ())) if c is not None]
@@ -294,9 +286,9 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     for key, t2_us in (("pulse2.T2_us", p2.t2_us), ("pulse2.T2_range_us", p2.t2_range_us[0])):
         if t2_us is not None and far / t2_us > 2.0**511:
             raise ConfigError(
-                f"{key} {t2_us:g} is too short for float64 to carry the receiving pulse over "
+                f"{key} {t2_us!r} is too short for float64 to carry the receiving pulse over "
                 f"the grid: raise it above {far * 2.0**-511:.3g} us, or narrow the grid "
-                "(pulse1.T1_us, grid.span_in_T1)"
+                f"({written(config, 'pulse1.T1_us')}, {written(config, 'grid.span_in_T1')})"
             )
     # regime.json and report.json hold every ratio, and JSON has no infinity.
     overflow = [check.name for check in regime.checks if not math.isfinite(check.ratio)]
@@ -335,12 +327,11 @@ def _resolve_pulse2(
         )
     except BracketError as exc:  # a fixed center with no pulse to return
         raise ConfigError(
-            f"no control pulse at pulse2.center_us {p2.center_us:g} with a duration in "
-            f"pulse2.T2_range_us absorbs the photons of pulse1.T1_us {config.pulse1.t1_us:g} "
-            f"at pulse1.center_us {config.pulse1.center_us:g} on the {sender.grid.n_points}-point "
-            f"grid ({exc}): move pulse2.center_us to where they arrive, widen pulse2.T2_range_us, "
-            "or change pulse1.T1_us, grid.span_in_T1, grid.points or one of "
-            f"{_rate_keys(config, ['alpha1'], 'params.omega2_mhz')}"
+            f"no control pulse at {written(config, 'pulse2.center_us')} with a duration in "
+            f"pulse2.T2_range_us {list(p2.t2_range_us)} absorbs the photons of the sending pulse "
+            f"at {written(config, 'pulse1.center_us')} on the {sender.grid.n_points}-point grid "
+            f"({exc}): move the receiving pulse to where they arrive, widen its duration range, "
+            f"or change one of {_rate_keys(config, ['alpha1'], *_GRID_KEYS, 'params.omega2_mhz')}"
         ) from exc
     return solve.pulse, solve.omega2, solve
 
@@ -377,7 +368,7 @@ def run_transfer(config: ScenarioConfig) -> TransferResult:
     link = build_link(config)
     send = SendResult(config, link.sender)
     c = config.initial_state
-    receiver = gamma_analytic(link.eta, link.zeta, c, phi2=config.params.phi2)
+    receiver = gamma_analytic(link.eta.samples, link.zeta.samples, c, phi2=config.params.phi2)
     n_out, (flux_total, _, _) = send.emission
     residual = conservation_check(receiver, n_out, flux_total, config.params.k)
     residual_max = float(np.max(np.abs(residual)))
@@ -389,29 +380,26 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
     """The end values of ``config``'s input state sent over ``link``.
 
     A sweep's config may hold a column (``config.axis_sampler``).  Each
-    value is elementwise arithmetic on ``Link.ends``, spelled as the
-    full-grid closed forms spell it, so a sweep row holds exactly a
-    transfer's report values.
+    value is a closed form of ``sender``, ``photonics`` or ``receiver``
+    at ``Link.ends``, the functions that give the grid arrays, so a sweep
+    row holds exactly a transfer's report values.
     """
-    c = np.asarray(config.initial_state)
+    c = config.initial_state
+    theta, eta, zeta = link.ends
     try:
-        final = final_state(link.stored(c, config.params.phi2), c)
-    except ValueError as exc:  # the zero state
+        final = final_state(gamma_analytic(eta, zeta, c, config.params.phi2), c)
+    except ZeroStateError as exc:
         raise ConfigError(
             f"the receiving pulse (T2 {link.pulse2.duration / US:.3g} us at "
             f"{link.pulse2.center / US:.3g} us) stores none of the input state: move "
-            "pulse2.center_us to where the photons arrive, or change pulse2.T2_us or one of "
+            f"{written(config, 'pulse2.center_us')} to where the photons arrive, or change "
+            f"{written(config, 'pulse2.T2_us')} or one of "
             f"{_rate_keys(config, ['alpha1'], 'params.omega2_mhz')}"
         ) from exc
-    moduli = np.hypot(c.real, c.imag)
-    p_m1, p_0, p_p1 = (moduli * moduli).T
     eta_1, eta_2, success_one, success_two, drift = _budget(config.channel)
-    weighted = channel_mod.weighted_success((p_m1, p_0, p_p1), success_one, success_two)
-    theta = link.ends[0]
-    e_full = np.exp(-theta)  # mean_photon_number at theta(inf)
-    n_out = (p_0 + 2.0 * p_m1) * (1.0 - e_full) - p_m1 * theta * e_full
-    return Summary(final, (eta_1, eta_2), n_out, success_one, success_two, weighted, drift,
-                   residual_max)
+    weighted = channel_mod.weighted_success(c.populations, success_one, success_two)
+    return Summary(final, (eta_1, eta_2), mean_photon_number(theta, c), success_one, success_two,
+                   weighted, drift, residual_max)
 
 
 def _budget(ch: ChannelModel) -> tuple:
@@ -435,12 +423,13 @@ def _write_table(path: str | Path, table: dict[str, np.ndarray], config: Scenari
 
 
 def write_sender_csv(send: SendResult, path: str | Path) -> Path:
-    traj = send.trajectory
+    traj, theta = send.trajectory, send.sender.theta.samples
+    moments = atomic_moments(theta, send.config.initial_state)
     t = send.sender.grid.values
-    table = {"t_s": t, "kt": send.config.params.k * t, "theta": traj.theta,
-             "sigma_m1": traj.sigma_m1, "sigma_0": traj.sigma_0, "sigma_p1": traj.sigma_p1}
+    table = {"t_s": t, "kt": send.config.params.k * t, "theta": theta,
+             "sigma_m1": moments.sigma_m1, "sigma_0": moments.sigma_0, "sigma_p1": moments.sigma_p1}
     for pair in ("m1_0", "0_p1", "m1_p1"):
-        coh = getattr(traj, f"coh_{pair}")
+        coh = getattr(moments, f"coh_{pair}")
         table[f"re_coh_{pair}"], table[f"im_coh_{pair}"] = coh.real, coh.imag
     for pair in ("m1_0", "0_0", "0_1", "p1_0", "p1_1", "p1_2"):
         table[f"beta2_{pair}"] = np.abs(getattr(traj, f"beta_{pair}")) ** 2
@@ -477,7 +466,7 @@ def report_document(result: TransferResult) -> dict:
     """The ``report.json`` document of one transfer."""
     rep, link = result.report, result.link
     final, solve = rep.final, link.solve  # solve: None for an explicit receiving pulse
-    c_m1, c_0, c_p1 = ([z.real, z.imag] for z in final.state.tolist())
+    c_m1, c_0, c_p1 = ([z.real, z.imag] for z in map(complex, final.state))
     return {
         "config_hash": result.send.config.config_hash(),
         "regime": link.sender.regime.to_dict(),
@@ -543,23 +532,12 @@ _SWEEP_COLUMNS = ("eta1", "eta2", "weighted_success", "phase_rad", "fidelity", "
 
 
 def _sweep_columns(link: Link, samples: ScenarioConfig) -> tuple:
-    """The ``_SWEEP_COLUMNS`` of ``samples`` sent over ``link``: columns, or one value for all.
-
-    P1 and P2 at theta(inf) come from ``amplitudes_beta``'s one- and
-    two-photon amplitudes there, squared as products like
-    ``photon_distribution``'s array squares.
-    """
+    """The ``_SWEEP_COLUMNS`` of ``samples`` sent over ``link``: columns, or one value for all."""
     summary = summarize(link, samples)
-    theta = link.ends[0]
-    e_full = np.exp(-theta)
-    c = np.asarray(samples.initial_state)
-    m_0_1 = np.abs(c[..., 0] * np.sqrt(np.maximum(theta * e_full, 0.0)))
-    m_p1_1 = np.abs(c[..., 1] * np.sqrt(np.maximum(1.0 - e_full, 0.0)))
-    m_p1_2 = np.abs(c[..., 0] * np.sqrt(np.maximum(1.0 - (1.0 + theta) * e_full, 0.0)))
+    _, p1, p2 = photon_distribution(amplitudes_beta(link.ends[0], samples.initial_state))
     return (*summary.transmission, summary.weighted_success, summary.phase_drift_rad,
-            summary.final.fidelity, summary.n_out_final, m_0_1 * m_0_1 + m_p1_1 * m_p1_1,
-            m_p1_2 * m_p1_2, link.pulse2.duration / US, link.pulse2.center / US,
-            to_mhz(link.omega2), link.eta_residual, link.zeta_residual)
+            summary.final.fidelity, summary.n_out_final, p1, p2, link.pulse2.duration / US,
+            link.pulse2.center / US, to_mhz(link.omega2), link.eta_residual, link.zeta_residual)
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np.ndarray, int]:

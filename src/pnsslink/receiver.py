@@ -63,13 +63,17 @@ class PulseSolveResult(namedtuple("PulseSolveResult", "pulse omega2 eta_residual
 
 
 class FinalState(namedtuple("FinalState", "state fidelity leakage")):
-    """Retained state at the end of a receiver run: c_m1, c_0, c_p1 in ``state``'s last axis.
+    """Retained state at the end of a receiver run, a :class:`SuperpositionState`.
 
     One state gives scalars, many states (a sweep's rows) a column per
     field, one entry per state.
     """
 
     __slots__ = ()
+
+
+class ZeroStateError(ValueError):
+    """The receiver retains none of the input state, so there is no state to normalize."""
 
 
 def pulse_areas(
@@ -94,49 +98,44 @@ def pulse_areas(
     return eta, zeta
 
 
-def phase_factors(phi2: float | np.ndarray) -> tuple:
-    """u = exp(i(pi/2 - phi2)) and u**2 (both 1+0j at pi/2) of a phase or a column of them.
-
-    u**2 is spelled in real parts, the floats of numpy's scalar complex
-    product, which its complex array product does not round alike.
-    """
-    u = np.exp(1j * (math.pi / 2 - np.asarray(phi2)))
-    re, im = u.real, u.imag
-    return u, re * re - im * im + 2j * re * im
-
-
 def gamma_analytic(
-    eta: SampledFunction,
-    zeta: SampledFunction,
+    eta: np.ndarray,
+    zeta: np.ndarray,
     c: SuperpositionState,
-    phi2: float = math.pi / 2,
+    phi2: float | np.ndarray = math.pi / 2,
 ) -> ReceiverTrajectory:
-    """Closed-form absorption amplitudes at control phase ``phi2``.
+    """Closed-form absorption amplitudes at the areas ``eta``, ``zeta`` and control phase ``phi2``.
 
+    The areas are their samples on the grid or their end values alone;
+    ``c``'s fields and ``phi2`` may be columns, one entry per state.
     At pi/2, two-level block: g_0_0 = c_0 sin(eta/2), g_1_1 = c_0 cos(eta/2).
     Three-level block: g_1_2 = c_m1 (1+cos zeta)/2,
     g_0_1 = c_m1 sin(zeta)/sqrt(2), g_m1_0 = c_m1 (1-cos zeta)/2.
     The vacuum branch of a qutrit input is inert: g_1_0 = c_p1.
-    Other phases are a diagonal similarity transform of this: with
-    u = exp(i(pi/2 - phi2)), g_0_0 and g_0_1 gain a factor u, g_m1_0 u**2.
-    The real factors multiply c before the phases, as ``pipeline.Link.stored``
-    reads the end values.
+    Other phases are a diagonal similarity transform of this, the end map
+    D(phi2) = diag(u**2 (1 - cos zeta)/2, u sin(eta/2), 1) on the
+    no-photon amplitudes: with u = exp(i(pi/2 - phi2)), g_0_0 and g_0_1
+    gain a factor u, g_m1_0 u**2.  The real factors multiply c before
+    the phases.  u**2 is spelled in real parts, and the phases multiply
+    through ``np.multiply``, numpy's array product (it fuses a
+    multiply-add): numpy's scalar complex product rounds otherwise, and a
+    state read alone must get the floats of its entry in a column.
     """
-    e = eta.samples
-    z = zeta.samples
-    u, u2 = phase_factors(phi2)
-    half_e = 0.5 * e
-    cos_z = np.cos(z)
-    g_1_1 = c.c_0 * np.cos(half_e)  # complex, as the amplitudes are
+    u = np.exp(1j * (math.pi / 2 - np.asarray(phi2)))
+    re, im = u.real, u.imag
+    u2 = re * re - im * im + 2j * re * im
+    half_e = 0.5 * eta
+    cos_z = np.cos(zeta)
+    g_0_0 = np.multiply(c.c_0 * np.sin(half_e), u)
     return ReceiverTrajectory(
-        eta=e,
-        zeta=z,
-        g_0_0=c.c_0 * np.sin(half_e) * u,
-        g_1_1=g_1_1,
-        g_m1_0=c.c_m1 * (0.5 * (1.0 - cos_z)) * u2,
-        g_0_1=c.c_m1 * np.sin(z) / math.sqrt(2.0) * u,
+        eta=eta,
+        zeta=zeta,
+        g_0_0=g_0_0,
+        g_1_1=c.c_0 * np.cos(half_e),
+        g_m1_0=np.multiply(c.c_m1 * (0.5 * (1.0 - cos_z)), u2),
+        g_0_1=np.multiply(c.c_m1 * np.sin(zeta) / math.sqrt(2.0), u),
         g_1_2=0.5 * c.c_m1 * (1.0 + cos_z),
-        g_1_0=np.full(g_1_1.shape, c.c_p1, dtype=complex),
+        g_1_0=np.full(np.shape(g_0_0), c.c_p1, dtype=complex),
     )
 
 
@@ -329,29 +328,31 @@ def conservation_check(
     return traj.rho_0 + 2.0 * traj.rho_m1 - n_out + flux_total / k
 
 
-def final_state(stored: np.ndarray, c_in: SuperpositionState | np.ndarray) -> FinalState:
-    """Read out the stored state and compare with the input.
+def final_state(traj: ReceiverTrajectory, c_in: SuperpositionState) -> FinalState:
+    """Read out the stored state of ``traj`` and compare with the input ``c_in``.
 
-    ``stored`` holds the amplitudes with no photons left in the field and
-    ``c_in`` the input's, c_m1, c_0, c_p1 in the last axis (one row per
-    state for many).  Fidelity is computed against the renormalized
-    retained state; the discarded weight is reported as leakage, which
-    the report flags above ``LEAKAGE_WARN_THRESHOLD``.  Every step is real
-    and elementwise, so a row gets the floats of its state read out alone:
-    moduli are hypot(re, im) (numpy's complex abs rounds otherwise),
+    ``traj`` holds the amplitudes at the grid end (``gamma_analytic`` at
+    the end areas); the stored state is its no-photon amplitudes g_m1_0,
+    g_0_0 and g_1_0.  Either may hold columns, one entry per state.
+    Fidelity is computed against the renormalized retained state; the
+    discarded weight is reported as leakage, which the report flags above
+    ``LEAKAGE_WARN_THRESHOLD``.  A state with nothing retained raises
+    ``ZeroStateError``.  Every step is real and elementwise, so a column
+    entry gets the floats of its state read out alone: moduli are
+    hypot(re, im), as ``SuperpositionState.populations`` takes them,
     products are spelled out in real parts and squares are products.
     """
-    m_m1, m_0, m_p1 = np.hypot(stored.real, stored.imag).T
-    retained = m_m1 * m_m1 + m_0 * m_0 + m_p1 * m_p1
-    if not (retained > 0.0).all():
-        raise ValueError("cannot normalize the zero state")
-    norm = np.sqrt(retained)[..., None]
-    state = np.empty(stored.shape, dtype=complex)
-    state.real, state.imag = stored.real / norm, stored.imag / norm
-    c = np.asarray(c_in)
-    # conj(c) * state per sublevel, summed: <c_in|state>.
-    re = (c.real * state.real + c.imag * state.imag).T
-    im = (c.real * state.imag - c.imag * state.real).T
-    overlap = np.hypot(re[0] + re[1] + re[2], im[0] + im[1] + im[2])
-    leakage = 1.0 - retained
-    return FinalState(state, overlap * overlap, leakage)
+    stored = SuperpositionState(traj.g_m1_0, traj.g_0_0, traj.g_1_0)
+    p_m1, p_0, p_p1 = stored.populations
+    retained = p_m1 + p_0 + p_p1
+    if not retained.min() > 0.0:  # NaN too
+        raise ZeroStateError("cannot normalize the zero state")
+    norm = np.sqrt(retained)
+    state, re, im = [], 0.0, 0.0
+    for z, c in zip(stored, c_in):  # <c_in|state>: conj(c) * state per sublevel, summed
+        z_re, z_im = z.real / norm, z.imag / norm
+        state.append(np.empty(np.shape(z_re), dtype=complex))
+        state[-1].real, state[-1].imag = z_re, z_im
+        re, im = re + (c.real * z_re + c.imag * z_im), im + (c.real * z_im - c.imag * z_re)
+    overlap = np.hypot(re, im)
+    return FinalState(SuperpositionState(*state), overlap * overlap, 1.0 - retained)

@@ -50,16 +50,19 @@ class PulseShape(namedtuple("PulseShape", "kind duration center table", defaults
         )
 
 
-class SenderTrajectory(namedtuple(
-        "SenderTrajectory", "theta sigma_m1 sigma_0 sigma_p1 coh_m1_0 coh_0_p1 coh_m1_p1 beta_m1_0 "
-        "beta_0_0 beta_0_1 beta_p1_0 beta_p1_1 beta_p1_2")):
-    """Atomic populations, coherences and emission amplitudes on a grid.
+class SenderTrajectory(namedtuple("SenderTrajectory", "beta_m1_0 beta_0_0 beta_0_1 beta_p1_0 beta_p1_1 "
+                                                "beta_p1_2")):
+    """Joint amplitudes beta_m_j for (atom in sublevel m, j photons emitted).
 
-    ``sigma_*`` are the ground-sublevel populations, ``coh_*`` the three
-    independent ground-state coherences, and ``beta_m_j`` the joint
-    amplitudes for (atom in sublevel m, j photons emitted).  Each field is
-    an array over the grid.
+    Each field has the shape of the exposure and the state it is read at:
+    an array over the grid, or one value (or column) at the grid end.
     """
+
+    __slots__ = ()
+
+
+class AtomicMoments(namedtuple("AtomicMoments", "sigma_m1 sigma_0 sigma_p1 coh_m1_0 coh_0_p1 coh_m1_p1")):
+    """Ground-sublevel populations ``sigma_*`` and the three independent coherences ``coh_*``."""
 
     __slots__ = ()
 
@@ -84,54 +87,53 @@ def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFu
     return SampledFunction(grid, alpha1 * integral.samples)
 
 
-def amplitudes_beta(theta: SampledFunction, c: SuperpositionState) -> SenderTrajectory:
-    """Closed-form atomic moments and joint atom-field amplitudes beta_{m,j}(t).
+def atomic_moments(theta: np.ndarray, c: SuperpositionState) -> AtomicMoments:
+    """Closed-form populations and coherences of the sending atom at exposure ``theta``.
 
-    Everything depends on the exposure history theta(t) alone.  The
-    initially populated m=+1 sublevel of a qutrit input neither gains nor
-    loses population, so sigma_p1 generalizes to 1 - sigma_m1 - sigma_0
-    and reduces to the two-level-input expression when c_p1 = 0.  The
-    coherence forms are the unique solutions of the (linear) transfer
-    equations for product initial conditions; the qutrit branch is
-    validated against the moment-equation oracle of the tests rather than
-    asserted independently.
-
-    The squared amplitudes reconstruct the sublevel populations exactly:
-    sum_j |beta_{m,j}|^2 equals sigma_m at every grid point.  For a
-    qutrit input the extra branch is beta_{+1,0}(t) = c_p1, constant,
-    because that sublevel never scatters a photon.
+    The initially populated m=+1 sublevel of a qutrit input neither gains
+    nor loses population, so sigma_p1 generalizes to
+    1 - sigma_m1 - sigma_0 and reduces to the two-level-input expression
+    when c_p1 = 0.  The coherence forms are the unique solutions of the
+    (linear) transfer equations for product initial conditions; the
+    qutrit branch is validated against the moment-equation oracle of the
+    tests rather than asserted independently.
     """
-    th = theta.samples
-    e_full = np.exp(-th)
-    e_half = np.exp(-0.5 * th)
+    e_full = np.exp(-theta)
+    e_half = np.exp(-0.5 * theta)
     p_m1, p_0, _ = c.populations
-
     sigma_m1 = p_m1 * e_full
-    sigma_0 = (p_0 + p_m1 * th) * e_full
-
+    sigma_0 = (p_0 + p_m1 * theta) * e_full
     q_m10 = np.conj(c.c_m1) * c.c_0
     q_0p1 = np.conj(c.c_0) * c.c_p1
     q_m1p1 = np.conj(c.c_m1) * c.c_p1
-    coh_m1_0 = q_m10 * e_full
-    coh_0_p1 = (q_0p1 + 2.0 * q_m10) * e_half - 2.0 * q_m10 * e_full
-    coh_m1_p1 = q_m1p1 * e_half
-
-    one_photon = np.sqrt(np.maximum(th * e_full, 0.0))
-    survive_1 = np.sqrt(np.maximum(1.0 - e_full, 0.0))
-    survive_2 = np.sqrt(np.maximum(1.0 - (1.0 + th) * e_full, 0.0))
-
-    return SenderTrajectory(
-        theta=th,
+    return AtomicMoments(
         sigma_m1=sigma_m1,
         sigma_0=sigma_0,
         sigma_p1=1.0 - sigma_m1 - sigma_0,
-        coh_m1_0=coh_m1_0,
-        coh_0_p1=coh_0_p1,
-        coh_m1_p1=coh_m1_p1,
+        coh_m1_0=q_m10 * e_full,
+        coh_0_p1=(q_0p1 + 2.0 * q_m10) * e_half - 2.0 * q_m10 * e_full,
+        coh_m1_p1=q_m1p1 * e_half,
+    )
+
+
+def amplitudes_beta(theta: np.ndarray, c: SuperpositionState) -> SenderTrajectory:
+    """Closed-form joint atom-field amplitudes beta_{m,j} at exposure ``theta``.
+
+    ``theta`` is the exposure's samples on the grid or its end value alone,
+    and ``c``'s fields are amplitudes or columns of them.  The squared
+    amplitudes reconstruct the sublevel populations of
+    :func:`atomic_moments`: sum_j |beta_{m,j}|^2 equals sigma_m.  For a
+    qutrit input the extra branch is beta_{+1,0} = c_p1, constant, because
+    that sublevel never scatters a photon.
+    """
+    e_full = np.exp(-theta)
+    e_half = np.exp(-0.5 * theta)
+    beta_0_0 = c.c_0 * e_half
+    return SenderTrajectory(
         beta_m1_0=c.c_m1 * e_half,
-        beta_0_0=c.c_0 * e_half,
-        beta_0_1=c.c_m1 * one_photon,
-        beta_p1_0=np.full(sigma_m1.shape, c.c_p1, dtype=complex),
-        beta_p1_1=c.c_0 * survive_1,
-        beta_p1_2=c.c_m1 * survive_2,
+        beta_0_0=beta_0_0,
+        beta_0_1=c.c_m1 * np.sqrt(np.maximum(theta * e_full, 0.0)),
+        beta_p1_0=np.full(np.shape(beta_0_0), c.c_p1, dtype=complex),
+        beta_p1_1=c.c_0 * np.sqrt(np.maximum(1.0 - e_full, 0.0)),
+        beta_p1_2=c.c_m1 * np.sqrt(np.maximum(1.0 - (1.0 + theta) * e_full, 0.0)),
     )

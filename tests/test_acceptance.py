@@ -31,10 +31,10 @@ from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState, derive
 from pnsslink.photonics import emission_modes, photon_observables
 from pnsslink.pipeline import run_transfer, write_photonics_csv
-from pnsslink.receiver import final_state, gamma_analytic, pulse_areas
-from pnsslink.sender import amplitudes_beta
+from pnsslink.receiver import ReceiverTrajectory, final_state, gamma_analytic, pulse_areas
+from pnsslink.sender import amplitudes_beta, atomic_moments
 
-from conftest import CONFIGS, end_amplitudes, load_csv, random_states, stock_doc
+from conftest import CONFIGS, load_csv, random_states, stock_doc
 from oracles import (
     MOMENTS,
     initial_amplitudes,
@@ -69,7 +69,8 @@ def sender_ode_qubit(qubit_outcome):
 
 
 def test_01_population_conservation(qubit_outcome, sender_ode_qubit):
-    traj = qubit_outcome.send.trajectory
+    send = qubit_outcome.send
+    traj = atomic_moments(send.sender.theta.samples, send.config.initial_state)
     analytic_dev = float(np.max(np.abs(traj.sigma_m1 + traj.sigma_0 + traj.sigma_p1 - 1.0)))
     ode = sender_ode_qubit
     ode_dev = float(np.max(np.abs(ode["sigma_m1"] + ode["sigma_0"] + ode["sigma_p1"] - 1.0)))
@@ -83,10 +84,10 @@ def test_01_population_conservation(qubit_outcome, sender_ode_qubit):
 def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
     send = qubit_outcome.send
     sender = send.sender
-    theta = sender.theta
+    theta = sender.theta.samples
 
     def closed_form_dev(ode_traj, state):
-        ana = amplitudes_beta(theta, state)
+        ana = atomic_moments(theta, state)
         return max(float(np.max(np.abs(ode_traj[f] - getattr(ana, f)))) for f in MOMENTS)
 
     worst = closed_form_dev(sender_ode_qubit, send.config.initial_state)
@@ -95,7 +96,7 @@ def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
     batch = np.stack([initial_moments(s) for s in states])
     traj = simulate_sender_ode(sender.pulse1, sender.derived.alpha1, batch, sender.grid)
     for i, state in enumerate(states):
-        ana = amplitudes_beta(theta, state)
+        ana = atomic_moments(theta, state)
         stacked = np.stack(
             [
                 ana.sigma_m1.astype(complex),
@@ -152,7 +153,7 @@ def test_05_antibunching(qubit_outcome):
     send = qubit_outcome.send
     sender = send.sender
     single = SuperpositionState(0.0, 1.0)
-    single_traj = amplitudes_beta(sender.theta, single)
+    single_traj = amplitudes_beta(sender.theta.samples, single)
     single_modes = emission_modes(sender.theta, sender.pulse1, sender.derived.alpha1)
     single_obs = photon_observables(sender.theta, single_modes, single, single_traj)
     all_zero = bool(np.all(single_obs.g2 == 0.0))
@@ -175,7 +176,7 @@ def test_06_receiver_unitarity_blocks(qubit_outcome):
     states = random_states(20, seed=777)
     worst_analytic = 0.0
     for state in states:
-        traj = gamma_analytic(eta, zeta, state)
+        traj = gamma_analytic(eta.samples, zeta.samples, state)
         two = np.abs(traj.g_0_0) ** 2 + np.abs(traj.g_1_1) ** 2 - abs(state.c_0) ** 2
         three = (
             np.abs(traj.g_1_2) ** 2
@@ -221,7 +222,7 @@ def test_07_receiver_oracle_equivalence(qubit_outcome):
     eta, zeta = pulse_areas(
         qubit_outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k, sender.grid
     )
-    ana = gamma_analytic(eta, zeta, state)
+    ana = gamma_analytic(eta.samples, zeta.samples, state)
     worst = max(
         float(np.max(np.abs(getattr(ode, f) - getattr(ana, f))))
         for f in ("g_0_0", "g_1_1", "g_m1_0", "g_0_1", "g_1_2")
@@ -265,7 +266,7 @@ def test_08_pulse_solve_with_equal_amplitudes():
     ode = simulate_receiver_ode(
         outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k, math.pi / 2, state, sender.grid
     )
-    stored = final_state(end_amplitudes(ode), state)
+    stored = final_state(ReceiverTrajectory._make(field[-1] for field in ode), state)
     ok = (
         outcome.link.solve.converged
         and outcome.omega2 == params.omega1

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from itertools import combinations, product
@@ -149,12 +150,38 @@ def _finite_numbers(node) -> bool:
     return not isinstance(node, float) or math.isfinite(node)
 
 
+def _quotes_each_named_number(err: str, doc: dict, axis: str) -> None:
+    """Assert that each number of ``doc`` that ``err`` names carries its value as written.
+
+    The quoted number must parse to the value that ``doc``'s parses to.  A
+    bound of the key itself (``<key> must ...``) ends with the value
+    instead, an unset number is named alone, and an unset grid.points
+    with the point count its span gives.  A sweep's ``axis`` is quoted
+    at a sample's value, not the document's, and is not checked.
+    """
+    for section, rows in _NUMBERS.items():
+        table = doc.get(section, {}) if section else doc
+        for row in rows:
+            key = f"{section}.{row.key}" if section else row.key
+            value = table.get(row.key, row.default)
+            for match in re.finditer(rf"(?<![\w.]){re.escape(key)}(?![\w\[])( \S*)?", err):
+                word = (match[1] or "").strip(" ,;:)")
+                if word == "must" or key == axis or not isinstance(value, (int, float)) and value is not None:
+                    continue
+                if value is None:
+                    assert word == "(unset" and key == "grid.points", err
+                else:
+                    number = re.fullmatch(r"[-+]?[\d.]+(e[-+]?\d+)?", word)
+                    assert number and float(word) * row.scale == float(value) * row.scale, (key, err)
+
+
 def _run(out: Path, command: str, path: Path, extra: list[str], keys, which=("report",)) -> tuple[int, str]:
     """``command`` on the document at ``path``, writing to ``out``: its exit code and stderr.
 
-    Exit 1 must be a config error that names one of ``keys`` and writes
-    nothing; any other exit must write exactly the files ``command`` writes
-    for the outputs ``which``, with every CSV cell and JSON number finite.
+    Exit 1 must be a config error that names one of ``keys``, quotes the
+    value of each number it names, and writes nothing; any other exit
+    must write exactly the files ``command`` writes for the outputs
+    ``which``, with every CSV cell and JSON number finite.
     """
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -162,6 +189,8 @@ def _run(out: Path, command: str, path: Path, extra: list[str], keys, which=("re
     err = stderr.getvalue()
     if code == 1:
         assert err.startswith("config error: ") and any(key in err for key in keys), err
+        axis = extra[extra.index("--axis") + 1] if "--axis" in extra else None
+        _quotes_each_named_number(err, json.loads(path.read_text(encoding="utf-8")), axis)
         assert not out.exists()
         return code, err
     if command == "sweep":

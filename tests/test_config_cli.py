@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -32,6 +33,7 @@ from pnsslink.pipeline import (
     run_sweep,
     run_transfer,
 )
+from pnsslink.sender import atomic_moments
 
 from conftest import CONFIGS, load_csv, stock_doc
 
@@ -597,6 +599,22 @@ class TestCli:
         assert err.startswith("config error: ") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["transfer", "sweep"])
+    def test_other_readout_value_error_is_a_traceback(self, monkeypatch, tmp_path, command):
+        # Only the zero state is a config error: any other ValueError of the
+        # readout, such as a broadcasting bug, is a programming error and
+        # propagates instead of exiting 1 as "stores none of the input state".
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together with shapes (41,) (3,)")
+
+        monkeypatch.setattr(pipeline_mod, "final_state", broken)
+        argv = [command, "--config", str(write_doc(tmp_path, small_doc())), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "initial_state.p_m1", "--start", "0", "--stop", "1", "--num", "41"]
+        with pytest.raises(ValueError, match="could not be broadcast") as raised:
+            main(argv)
+        assert not isinstance(raised.value, ConfigError)
+
     def test_json_outputs_refuse_non_finite_numbers(self, tmp_path):
         with pytest.raises(ValueError, match="JSON compliant"):
             pipeline_mod._write_json(tmp_path / "x.json", {"ratio": math.inf})
@@ -616,6 +634,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "pulse1.T1_us" in err and "4001-point grid" in err and "grid.points" in err
         assert not (tmp_path / "out").exists()
+
+    def test_unset_grid_points_are_quoted_as_their_count(self, tmp_path, capsys):
+        # An error found after the parse quotes each key it names with its
+        # value; an unset grid.points with the point count its span gives.
+        doc = stock_doc()
+        doc["pulse1"]["T1_us"] = 1e30
+        assert main(["send", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "lower pulse1.T1_us 1e+30 or" in err
+        assert err.rstrip().endswith("or raise grid.points (unset: 3001 points)")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["send", "transfer", "sweep"])
@@ -971,15 +999,17 @@ class TestCli:
 
     def test_full_transfer_computes_emission_once(self, monkeypatch, tmp_path):
         # n_out and the photon fluxes on the grid feed both the residual and
-        # photonics.csv; they are computed once.
+        # photonics.csv; they are formed on the grid once (the report reads
+        # n_out at the grid end alone).
         doc = small_doc()
         points = doc["grid"]["points"]
         seen = Counter()
 
         def counting(name, fn):
-            def wrapper(theta, *args):
-                seen[name] += theta.grid.n_points == points
-                return fn(theta, *args)
+            def wrapper(*args):
+                formed = fn(*args)
+                seen[name] += np.size(formed[0] if isinstance(formed, tuple) else formed) == points
+                return formed
 
             return wrapper
 
@@ -1426,23 +1456,47 @@ class TestSweepSemantics:
         ],
     )
     def test_sweep_reads_only_terminal_samples(self, monkeypatch, axis, start, stop, num, links):
-        # The link's areas are a sweep's only full-grid arrays: each sample is
-        # read at the grid end, by one readout per link, and an axis that
-        # shares the link builds no config per sample.
+        # The link stage's arrays are a sweep's only full-grid arrays: outside
+        # it, every closed form of sender, photonics and receiver sees end
+        # values alone (one per link, or a column of the samples), in one
+        # readout per link, and an axis that shares the link builds no
+        # config per sample.
         config = parse_config(small_doc())
-        seen, made = [], []
+        points = config.grid.n_points()
+        sizes, made = Counter(), []
+        in_link = []
 
-        def recording(name, fn):
+        def sizing(fn):
             def wrapper(*args, **kwargs):
-                seen.append(name)
+                if not in_link:
+                    for arg in (*args, *kwargs.values()):
+                        for value in arg if isinstance(arg, tuple) else (arg,):
+                            sizes[np.size(value) if isinstance(value, (np.ndarray, np.generic)) else 1] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        full_grid = ["amplitudes_beta", "mean_photon_number", "photon_fluxes", "photon_observables",
-                     "gamma_analytic", "conservation_check"]
-        for name in ["pulse_areas", "final_state", *full_grid]:
-            monkeypatch.setattr(pipeline_mod, name, recording(name, getattr(pipeline_mod, name)))
+        def link_stage(*args, **kwargs):
+            in_link.append(1)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                in_link.pop()
+
+        build = pipeline_mod.build_link
+        layers = {"pnsslink.sender", "pnsslink.photonics", "pnsslink.receiver"}
+        for name, fn in vars(pipeline_mod).copy().items():
+            if inspect.isfunction(fn) and fn.__module__ in layers:
+                monkeypatch.setattr(pipeline_mod, name, sizing(fn))
+        monkeypatch.setattr(pipeline_mod, "build_link", link_stage)
+        readouts = Counter()
+        columns = pipeline_mod._sweep_columns
+
+        def counting_readout(link, samples):
+            readouts[id(link)] += 1
+            return columns(link, samples)
+
+        monkeypatch.setattr(pipeline_mod, "_sweep_columns", counting_readout)
         make = config_mod.ScenarioConfig._make  # what _replace builds a config with
 
         def counting_make(cls, fields):
@@ -1452,7 +1506,8 @@ class TestSweepSemantics:
         monkeypatch.setattr(config_mod.ScenarioConfig, "_make", classmethod(counting_make))
         rows, _ = run_sweep(config, axis, np.linspace(start, stop, num))
         assert len(rows) == num
-        assert Counter(seen) == {"pulse_areas": links, "final_state": links}
+        assert sizes and set(sizes) <= {1, num // links} and points not in sizes
+        assert sorted(readouts.values()) == [1] * links  # one readout per link
         assert len(made) == (1 if links == 1 else num)  # one column config, or one per sample
 
     @pytest.mark.parametrize(
@@ -1489,16 +1544,27 @@ class TestSweepSemantics:
         ),
         ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
         num=st.integers(1, 3),
+        phases=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3),
+        phi2=st.floats(0.0, 2.0 * math.pi),
     )
-    @settings(deadline=None, max_examples=12)
-    def test_sweep_columns_equal_full_grid_reports(self, qutrit, case, ends, num):
+    @settings(deadline=None, max_examples=20)
+    def test_sweep_columns_equal_full_grid_reports(self, qutrit, case, ends, num, phases, phi2):
+        # A phase on each amplitude and any control phase: the shared
+        # readout's complex products give each row the floats of a full-grid
+        # transfer of its sample.  A p_m1 sample keeps only c_p1's phase.
         axis, low, high = case
-        config = load_config(CONFIGS / ("qutrit.json" if qutrit else "qubit.json"))
+        doc = stock_doc(qutrit)
+        doc["params"]["phi2_rad"] = phi2
+        for (name, (modulus, _)), chi in zip(doc["initial_state"].items(), phases):
+            doc["initial_state"][name] = [modulus * math.cos(chi), modulus * math.sin(chi)]
         values = np.linspace(*(low + (high - low) * end for end in ends), num)
-        rows, _ = run_sweep(config, axis, values)
-        for value, row in zip(values, rows):
-            cfg = sample_config(config, axis, float(value))
-            assert dict(zip(rows.dtype.names, row.item())) == full_grid_row(cfg, axis, float(value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a phase can leave the norm 1e-15 off: renormalized
+            config = parse_config(doc)
+            rows, _ = run_sweep(config, axis, values)
+            for value, row in zip(values, rows):
+                cfg = sample_config(config, axis, float(value))
+                assert dict(zip(rows.dtype.names, row.item())) == full_grid_row(cfg, axis, float(value))
 
     def test_state_sweep_warns_once_for_its_renormalized_samples(self):
         # Past p_m1 = 1 (within 1e-12) c_0 is 0 and the norm drifts above 1:
@@ -1583,7 +1649,8 @@ class TestSweepSemantics:
         values = np.linspace(0.05, 0.9, 100_000)
         (samples,) = config_mod.axis_sampler(config, "initial_state.p_m1")(values)
         states = [sample_config(config, "initial_state.p_m1", v).initial_state for v in values.tolist()]
-        assert np.array_equal(samples.initial_state, np.array(states))
+        for column, amplitudes in zip(samples.initial_state, zip(*states)):
+            assert np.array_equal(column, amplitudes)
         summary = pipeline_mod.summarize(build_link(config), samples)
         _, _, one, two, _ = pipeline_mod._budget(config.channel)
         weighted = [weighted_success(s.populations, one, two) for s in states]
@@ -1608,7 +1675,7 @@ class TestSweepSemantics:
         halved = parse_config(small_doc(grid={"span_in_T1": 12.0, "points": 2001}))
         for cfg, slack in ((config, 1.0), (halved, 4.0)):
             result = run_transfer(cfg)
-            traj = result.send.trajectory
+            traj = atomic_moments(result.send.sender.theta.samples, cfg.initial_state)
             total = traj.sigma_m1 + traj.sigma_0 + traj.sigma_p1
             assert np.max(np.abs(total - 1.0)) <= slack * 1e-10
             obs = result.send.observables

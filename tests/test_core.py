@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from pnsslink.core import (
     validate_regime,
 )
 
-from conftest import mhz_params
+from conftest import mhz_params, random_states
 
 T1 = 0.3e-6
 
@@ -96,6 +97,16 @@ class TestSuperpositionState:
         overlap = (s.c_m1.conjugate() * rotated.c_m1 + s.c_0.conjugate() * rotated.c_0
                    + s.c_p1.conjugate() * rotated.c_p1)
         assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_populations_square_the_moduli_python_takes(self):
+        # Python's abs(complex) is hypot, which numpy's complex abs is not on
+        # about a third of random amplitudes: a state's populations and a
+        # column's entries both square hypot moduli as products.
+        states = random_states(1000, seed=3)
+        columns = SuperpositionState(*map(np.array, zip(*states))).populations
+        for i, state in enumerate(states):
+            assert [p[i] for p in columns] == list(state.populations) == [abs(c) * abs(c) for c in state]
 
 
 class TestValidateRegime:

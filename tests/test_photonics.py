@@ -25,7 +25,7 @@ from conftest import make_grid
 def scenario(stock_derived, grid, pulse1, qubit_state):
     theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
     modes = emission_modes(theta, pulse1, stock_derived.alpha1)
-    obs = photon_observables(theta, modes, qubit_state, amplitudes_beta(theta, qubit_state))
+    obs = photon_observables(theta, modes, qubit_state, amplitudes_beta(theta.samples, qubit_state))
     return theta, modes, obs
 
 
@@ -48,14 +48,14 @@ class TestPhotonDistribution:
 
     def test_qutrit_sum_includes_vacuum_branch(self, stock_derived, grid, pulse1, qutrit_state):
         theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
-        traj = amplitudes_beta(theta, qutrit_state)
+        traj = amplitudes_beta(theta.samples, qutrit_state)
         p0, p1, p2 = photon_distribution(traj)
         assert np.max(np.abs(p0 + p1 + p2 - 1.0)) <= 1e-10
         assert p0[-1] >= 0.2  # vacuum branch never emits
 
     def test_no_two_photon_without_cm1(self, stock_derived, grid, pulse1):
         theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
-        traj = amplitudes_beta(theta, SuperpositionState(0.0, 1.0))
+        traj = amplitudes_beta(theta.samples, SuperpositionState(0.0, 1.0))
         _, _, p2 = photon_distribution(traj)
         assert np.all(p2 == 0.0)
 
@@ -115,7 +115,7 @@ class TestMeanPhotonNumber:
 
     def test_qutrit_counts_identity(self, stock_derived, grid, pulse1, qutrit_state):
         theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
-        traj = amplitudes_beta(theta, qutrit_state)
+        traj = amplitudes_beta(theta.samples, qutrit_state)
         obs = photon_observables(
             theta, emission_modes(theta, pulse1, stock_derived.alpha1), qutrit_state, traj
         )
@@ -125,13 +125,13 @@ class TestMeanPhotonNumber:
         # n_out tracks the exposure itself while it stays below 0.1.
         grid = make_grid(4001)
         theta = pump_exposure(pulse1, stock_derived.alpha1 * 0.01, grid)
-        n_out = mean_photon_number(theta, qubit_state)
+        n_out = mean_photon_number(theta.samples, qubit_state)
         sel = (theta.samples > 1e-4) & (theta.samples <= 0.1)
         assert np.all(np.abs(n_out[sel] / theta.samples[sel] - 1.0) <= 0.05)
 
     def test_single_photon_branch(self, stock_derived, grid, pulse1):
         theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
-        n_out = mean_photon_number(theta, SuperpositionState(0.0, 1.0))
+        n_out = mean_photon_number(theta.samples, SuperpositionState(0.0, 1.0))
         assert n_out[-1] == pytest.approx(1.0 - math.exp(-theta.final), rel=1e-10)
 
     def test_flux_is_derivative(self, scenario):

@@ -11,7 +11,7 @@ import pnsslink
 from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import BracketError, SampledFunction, TimeGrid, quadrature_weights
-from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes
+from pnsslink.photonics import emission_modes, mean_photon_number, photon_distribution, photon_fluxes
 from pnsslink.pipeline import build_link, build_sender, report_document, run_transfer
 from pnsslink.receiver import (
     LEAKAGE_WARN_THRESHOLD,
@@ -22,10 +22,10 @@ from pnsslink.receiver import (
     pulse_areas,
     solve_pulse_shape,
 )
-from pnsslink.sender import PulseShape, pump_exposure
+from pnsslink.sender import PulseShape, amplitudes_beta, pump_exposure
 
 import oracles
-from conftest import T1, end_amplitudes, random_states, stock_doc
+from conftest import T1, random_states, stock_doc
 from oracles import initial_amplitudes, simulate_receiver_ode
 
 
@@ -54,8 +54,8 @@ def _summed_residuals(solve, phi1, phi2, grid, params) -> tuple[float, float]:
     return 2.0 * a1 - math.pi, a1 + a2 - math.pi
 
 
-def _ramp(grid: TimeGrid, final: float) -> SampledFunction:
-    return SampledFunction(grid, np.linspace(0.0, final, grid.n_points))
+def _ramp(grid: TimeGrid, final: float) -> np.ndarray:
+    return np.linspace(0.0, final, grid.n_points)
 
 
 class TestPulseAreas:
@@ -121,7 +121,7 @@ class TestGammaAnalytic:
             solved.pulse, phi1, phi2, g2c, stock_params.k, phase, qutrit_state, grid
         )
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
-        ana = gamma_analytic(eta, zeta, qutrit_state, phi2=phase)
+        ana = gamma_analytic(eta.samples, zeta.samples, qutrit_state, phi2=phase)
         for field in ("g_0_0", "g_1_1", "g_m1_0", "g_0_1", "g_1_2", "g_1_0"):
             dev = np.max(np.abs(getattr(ode, field) - getattr(ana, field)))
             assert dev <= 1e-6, field
@@ -159,7 +159,7 @@ class TestReceiverOde:
             stock_params.g * solved.omega2 / abs(stock_params.delta),
             stock_params.k, grid,
         )
-        ana = gamma_analytic(eta, zeta, qubit_state)
+        ana = gamma_analytic(eta.samples, zeta.samples, qubit_state)
         for field in ("g_0_0", "g_1_1", "g_m1_0", "g_0_1", "g_1_2"):
             dev = np.max(np.abs(getattr(ode, field) - getattr(ana, field)))
             assert dev <= 1e-6, field
@@ -179,7 +179,7 @@ class TestReceiverOde:
             args = (outcome.pulse2, modes.phi1, modes.phi2, g2c, params.k)
             grid = send.sender.grid
             ode = simulate_receiver_ode(*args, math.pi / 2, state, grid)
-            ana = gamma_analytic(*pulse_areas(*args, grid), state)
+            ana = gamma_analytic(*(area.samples for area in pulse_areas(*args, grid)), state)
             return max(
                 float(np.max(np.abs(getattr(ode, f) - getattr(ana, f))))
                 for f in ("g_0_0", "g_1_1", "g_m1_0", "g_0_1", "g_1_2")
@@ -430,10 +430,10 @@ class TestConservationCheck:
         theta, phi1, phi2 = modes
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
-        traj = gamma_analytic(eta, zeta, qubit_state)
+        traj = gamma_analytic(eta.samples, zeta.samples, qubit_state)
         emitted = emission_modes(theta, pulse1, stock_derived.alpha1)
         flux, _, _ = photon_fluxes(theta, emitted, qubit_state)
-        n_out = mean_photon_number(theta, qubit_state)
+        n_out = mean_photon_number(theta.samples, qubit_state)
         residual = conservation_check(traj, n_out, flux, stock_params.k)
         assert abs(residual[0]) <= 1e-12
 
@@ -445,10 +445,10 @@ class TestConservationCheck:
         theta, phi1, phi2 = modes
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
-        traj = gamma_analytic(eta, zeta, qubit_state)
+        traj = gamma_analytic(eta.samples, zeta.samples, qubit_state)
         emitted = emission_modes(theta, pulse1, stock_derived.alpha1)
         flux, _, _ = photon_fluxes(theta, emitted, qubit_state)
-        n_out = mean_photon_number(theta, qubit_state)
+        n_out = mean_photon_number(theta.samples, qubit_state)
         residual = conservation_check(traj, n_out, flux, stock_params.k)
         deficit = 1.7 - n_out[-1]
         assert residual[-1] == pytest.approx(deficit, abs=1e-9)
@@ -459,7 +459,7 @@ class TestFinalState:
         _, phi1, phi2 = modes
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
-        out = final_state(end_amplitudes(gamma_analytic(eta, zeta, qubit_state)), qubit_state)
+        out = final_state(gamma_analytic(eta.final, zeta.final, qubit_state), qubit_state)
         assert out.fidelity >= 0.999
         assert out.leakage <= 1e-9
 
@@ -467,13 +467,11 @@ class TestFinalState:
         _, phi1, phi2 = modes
         g2c = stock_params.g * solved.omega2 / abs(stock_params.delta)
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
-        out = final_state(end_amplitudes(gamma_analytic(eta, zeta, qutrit_state)), qutrit_state)
+        out = final_state(gamma_analytic(eta.final, zeta.final, qutrit_state), qutrit_state)
         assert out.fidelity >= 0.999
 
     def test_incomplete_transfer_flagged(self, qubit_state):
-        grid = TimeGrid(0.0, 1.0, 51)
-        traj = gamma_analytic(_ramp(grid, math.pi / 2), _ramp(grid, math.pi / 2), qubit_state)
-        out = final_state(end_amplitudes(traj), qubit_state)
+        out = final_state(gamma_analytic(math.pi / 2, math.pi / 2, qubit_state), qubit_state)
         assert out.fidelity < 1.0
         assert out.leakage > LEAKAGE_WARN_THRESHOLD  # the report flags it
 
@@ -498,8 +496,8 @@ class TestFinalState:
         base = SuperpositionState(math.sqrt(0.6), math.sqrt(0.4))
         phase = complex(math.cos(chi), math.sin(chi))
         rotated = SuperpositionState(phase * base.c_m1, phase * base.c_0)
-        f_base = final_state(end_amplitudes(gamma_analytic(eta, zeta, base)), base).fidelity
-        f_rot = final_state(end_amplitudes(gamma_analytic(eta, zeta, rotated)), rotated).fidelity
+        f_base = final_state(gamma_analytic(eta[-1], zeta[-1], base), base).fidelity
+        f_rot = final_state(gamma_analytic(eta[-1], zeta[-1], rotated), rotated).fidelity
         assert f_rot == pytest.approx(f_base, abs=1e-12)
 
 
@@ -511,6 +509,26 @@ def test_unitarity_for_any_areas(eta_f, zeta_f):
     traj = gamma_analytic(_ramp(grid, eta_f), _ramp(grid, zeta_f), state)
     total = traj.rho_m1 + traj.rho_0 + traj.rho_p1
     assert np.max(np.abs(total - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("phi2", [math.pi / 2, 0.7])
+def test_column_entries_read_as_their_states_alone(phi2):
+    # At the grid end a sweep reads a column of states through the closed
+    # forms a transfer reads one state through: each entry gets the floats
+    # of its state read alone (squares as products, moduli as hypot, the
+    # phases through numpy's array product).
+    theta, eta, zeta = 6.4147, 3.1, 3.2
+    states = random_states(1000, seed=5)
+    column = SuperpositionState(*map(np.array, zip(*states)))
+
+    def readout(c):
+        final = final_state(gamma_analytic(eta, zeta, c, phi2), c)
+        return (*photon_distribution(amplitudes_beta(theta, c)), mean_photon_number(theta, c),
+                final.fidelity, final.leakage, *final.state)
+
+    columns = readout(column)
+    for i, state in enumerate(states):
+        assert [entry[i] for entry in columns] == list(readout(state))
 
 
 def _block_propagator(hamiltonian: np.ndarray, area: float) -> np.ndarray:

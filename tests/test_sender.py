@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import SampledFunction, TimeGrid
-from pnsslink.sender import PulseShape, amplitudes_beta, pump_exposure
+from pnsslink.sender import PulseShape, amplitudes_beta, atomic_moments, pump_exposure
 
 from conftest import T1, make_grid
 from oracles import MOMENTS, initial_moments, simulate_sender_ode
@@ -58,9 +58,7 @@ class TestPumpExposure:
 
 class TestPopulationsAnalytic:
     def test_initial_values_at_zero_exposure(self, qutrit_state):
-        grid = TimeGrid(0.0, 1.0, 5)
-        theta = SampledFunction(grid, np.zeros(5))
-        traj = amplitudes_beta(theta, qutrit_state)
+        traj = atomic_moments(np.zeros(5), qutrit_state)
         p = qutrit_state.populations
         assert traj.sigma_m1[0] == pytest.approx(p[0], abs=1e-15)
         assert traj.sigma_0[0] == pytest.approx(p[1], abs=1e-15)
@@ -73,19 +71,19 @@ class TestPopulationsAnalytic:
         )
 
     def test_terminal_population_transfer(self, stock_derived, grid, pulse1, qubit_state):
-        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qubit_state)
+        traj = atomic_moments(_theta(stock_derived, grid, pulse1).samples, qubit_state)
         assert traj.sigma_p1[-1] == pytest.approx(1.0, abs=1e-2)
         assert np.all(np.diff(traj.sigma_m1) <= 1e-15)
 
     def test_conservation(self, stock_derived, grid, pulse1, qutrit_state):
-        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qutrit_state)
+        traj = atomic_moments(_theta(stock_derived, grid, pulse1).samples, qutrit_state)
         total = traj.sigma_m1 + traj.sigma_0 + traj.sigma_p1
         assert np.max(np.abs(total - 1.0)) <= 1e-10
 
     def test_coherence_bound(self, stock_derived, grid, pulse1, qubit_state):
         # |<m|rho|m'>|^2 <= population product, saturated by the lowest
         # coherence at zero exposure.
-        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qubit_state)
+        traj = atomic_moments(_theta(stock_derived, grid, pulse1).samples, qubit_state)
         pairs = [
             (traj.coh_m1_0, traj.sigma_m1, traj.sigma_0),
             (traj.coh_0_p1, traj.sigma_0, traj.sigma_p1),
@@ -100,25 +98,25 @@ class TestPopulationsAnalytic:
         tabulated = PulseShape(kind="tabulated", duration=T1, table=table)
         theta_a = pump_exposure(gaussian, stock_derived.alpha1, grid)
         theta_b = pump_exposure(tabulated, stock_derived.alpha1, grid)
-        a = amplitudes_beta(theta_a, qubit_state)
-        b = amplitudes_beta(theta_b, qubit_state)
+        a = atomic_moments(theta_a.samples, qubit_state)
+        b = atomic_moments(theta_b.samples, qubit_state)
         assert np.max(np.abs(a.sigma_0 - b.sigma_0)) <= 1e-12
 
 
 class TestAmplitudesBeta:
     def test_terminal_amplitudes(self, stock_derived, grid, pulse1, qubit_state):
-        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qubit_state)
+        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1).samples, qubit_state)
         assert abs(traj.beta_p1_1[-1]) ** 2 == pytest.approx(0.3, abs=1.5e-2)
         assert abs(traj.beta_p1_2[-1]) ** 2 == pytest.approx(0.7, abs=1.5e-2)
 
     def test_no_two_photon_branch_without_cm1(self, stock_derived, grid, pulse1):
         state = SuperpositionState(0.0, 1.0)
-        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), state)
+        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1).samples, state)
         assert np.all(traj.beta_0_1 == 0.0)
         assert np.all(traj.beta_p1_2 == 0.0)
 
     def test_qutrit_normalization(self, stock_derived, grid, pulse1, qutrit_state):
-        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qutrit_state)
+        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1).samples, qutrit_state)
         total = sum(
             np.abs(b) ** 2
             for b in (
@@ -133,23 +131,24 @@ class TestAmplitudesBeta:
         assert np.max(np.abs(total - 1.0)) <= 1e-10
 
     def test_population_reconstruction(self, stock_derived, grid, pulse1, qutrit_state):
-        traj = amplitudes_beta(_theta(stock_derived, grid, pulse1), qutrit_state)
-        assert np.max(np.abs(np.abs(traj.beta_m1_0) ** 2 - traj.sigma_m1)) <= 1e-10
+        theta = _theta(stock_derived, grid, pulse1).samples
+        traj, moments = amplitudes_beta(theta, qutrit_state), atomic_moments(theta, qutrit_state)
+        assert np.max(np.abs(np.abs(traj.beta_m1_0) ** 2 - moments.sigma_m1)) <= 1e-10
         rec_0 = np.abs(traj.beta_0_0) ** 2 + np.abs(traj.beta_0_1) ** 2
-        assert np.max(np.abs(rec_0 - traj.sigma_0)) <= 1e-10
+        assert np.max(np.abs(rec_0 - moments.sigma_0)) <= 1e-10
         rec_1 = (
             np.abs(traj.beta_p1_0) ** 2
             + np.abs(traj.beta_p1_1) ** 2
             + np.abs(traj.beta_p1_2) ** 2
         )
-        assert np.max(np.abs(rec_1 - traj.sigma_p1)) <= 1e-10
+        assert np.max(np.abs(rec_1 - moments.sigma_p1)) <= 1e-10
 
 
 class TestSenderOde:
     def test_matches_closed_forms(self, stock_derived, pulse1, qubit_state):
         grid = make_grid(16001)
         ode = simulate_sender_ode(pulse1, stock_derived.alpha1, qubit_state, grid)
-        ana = amplitudes_beta(pump_exposure(pulse1, stock_derived.alpha1, grid), qubit_state)
+        ana = atomic_moments(pump_exposure(pulse1, stock_derived.alpha1, grid).samples, qubit_state)
         for field in MOMENTS:
             dev = np.max(np.abs(ode[field] - getattr(ana, field)))
             assert dev <= 1e-6, field
@@ -157,7 +156,7 @@ class TestSenderOde:
     def test_qutrit_matches_closed_forms(self, stock_derived, pulse1, qutrit_state):
         grid = make_grid(16001)
         ode = simulate_sender_ode(pulse1, stock_derived.alpha1, qutrit_state, grid)
-        ana = amplitudes_beta(pump_exposure(pulse1, stock_derived.alpha1, grid), qutrit_state)
+        ana = atomic_moments(pump_exposure(pulse1, stock_derived.alpha1, grid).samples, qutrit_state)
         for field in MOMENTS:
             dev = np.max(np.abs(ode[field] - getattr(ana, field)))
             assert dev <= 1e-6, field
@@ -190,11 +189,11 @@ class TestSenderOde:
 def test_global_phase_invariance(stock_derived, chi):
     grid = make_grid(2001)
     pulse = PulseShape(kind="gaussian", duration=T1, center=0.0)
-    theta = pump_exposure(pulse, stock_derived.alpha1, grid)
+    theta = pump_exposure(pulse, stock_derived.alpha1, grid).samples
     base = SuperpositionState(math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2))
     phase = complex(math.cos(chi), math.sin(chi))
     rotated = SuperpositionState(phase * base.c_m1, phase * base.c_0, phase * base.c_p1)
     a = amplitudes_beta(theta, base)
     b = amplitudes_beta(theta, rotated)
-    assert np.max(np.abs(a.sigma_0 - b.sigma_0)) <= 1e-12
+    assert np.max(np.abs(atomic_moments(theta, base).sigma_0 - atomic_moments(theta, rotated).sigma_0)) <= 1e-12
     assert np.max(np.abs(np.abs(a.beta_p1_2) - np.abs(b.beta_p1_2))) <= 1e-12
