@@ -117,8 +117,8 @@ def gamma_analytic(
     no-photon amplitudes: with u = exp(i(pi/2 - phi2)), g_0_0 and g_0_1
     gain a factor u, g_m1_0 u**2.  The real factors multiply c before
     the phases.  u**2 is spelled in real parts, and the phases multiply
-    through ``np.multiply``, numpy's array product (it fuses a
-    multiply-add): numpy's scalar complex product rounds otherwise, and a
+    through ``np.multiply``, numpy's array product (its loop can fuse a
+    multiply-add), as its scalar complex product rounds otherwise and a
     state read alone must get the floats of its entry in a column.
     """
     u = np.exp(1j * (math.pi / 2 - np.asarray(phi2)))
