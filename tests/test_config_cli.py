@@ -1466,12 +1466,15 @@ class TestSweepSemantics:
         sizes, made = Counter(), []
         in_link = []
 
+        def size(value) -> int:  # the largest array in value, records searched field by field
+            if isinstance(value, tuple):
+                return max(map(size, value), default=1)
+            return np.size(value) if isinstance(value, (np.ndarray, np.generic)) else 1
+
         def sizing(fn):
             def wrapper(*args, **kwargs):
                 if not in_link:
-                    for arg in (*args, *kwargs.values()):
-                        for value in arg if isinstance(arg, tuple) else (arg,):
-                            sizes[np.size(value) if isinstance(value, (np.ndarray, np.generic)) else 1] += 1
+                    sizes.update(map(size, (*args, *kwargs.values())))
                 return fn(*args, **kwargs)
 
             return wrapper
