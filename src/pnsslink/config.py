@@ -328,7 +328,7 @@ def _make_grid(**fields) -> GridConfig:
     if not 2 <= grid.n_points() <= MAX_GRID_POINTS:
         key = (f"grid.points {grid.points:.15g}" if grid.points is not None
                else f"grid.span_in_T1 {grid.span_in_t1!r}")
-        raise ConfigError(f"{key} gives {grid.n_points()} points, not in [2, {MAX_GRID_POINTS}]")
+        raise ConfigError(f"{key} gives {grid.n_points():.15g} points, not in [2, {MAX_GRID_POINTS}]")
     return grid
 
 
