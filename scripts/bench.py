@@ -15,7 +15,9 @@ checkout) and the receiver ODE oracle from its ``tests/``, then times, on
     exposure             sender.pump_exposure
     sender_amplitudes    sender.amplitudes_beta + sender.atomic_moments on the
                          grid (before the two were split, amplitudes_beta alone)
-    photon_observables   photonics.photon_observables
+    photon_observables   photonics.photon_observables with the n_out and
+                         total flux it takes (photonics.mean_photon_number,
+                         photonics.photon_fluxes), all on the grid
     pulse_solve          the receiving pulse's solve (also its iterations)
     pulse_solve_center   the free-center solve of acceptance check 08 (the
                          stock physics with g raised 25 %, ``free: center``,
@@ -356,7 +358,7 @@ def run(checkout: Path) -> dict:
     from oracles import simulate_receiver_ode, simulate_sender_ode
     from pnsslink import pipeline
     from pnsslink.config import load_config
-    from pnsslink.photonics import photon_observables
+    from pnsslink.photonics import mean_photon_number, photon_fluxes, photon_observables
     from pnsslink.receiver import gamma_analytic, pulse_areas
     from pnsslink.sender import amplitudes_beta, atomic_moments, pump_exposure
 
@@ -368,8 +370,9 @@ def run(checkout: Path) -> dict:
     theta = sender.theta.samples
     send = result.send
     params = config.params
-    g2c = params.g * link.omega2 / abs(params.delta)
-    area_args = (link.pulse2, sender.modes.phi1, sender.modes.phi2, g2c, params.k)
+    control = link.control
+    g2c = params.g * control.omega2 / abs(params.delta)
+    area_args = (control.pulse, sender.modes.phi1, sender.modes.phi2, g2c, params.k)
     p_m1 = np.linspace(0.0, 1.0, SWEEP_PER_SAMPLE_NUM)
     points = sender.grid.n_points
     config_08 = _check_08_config(checkout)
@@ -384,7 +387,9 @@ def run(checkout: Path) -> dict:
             "config_parse": lambda: load_config(scenario),
             "exposure": lambda: pump_exposure(sender.pulse1, sender.derived.alpha1, sender.grid),
             "sender_amplitudes": lambda: (amplitudes_beta(theta, state), atomic_moments(theta, state)),
-            "photon_observables": lambda: photon_observables(sender.theta, sender.modes, state, send.trajectory),
+            "photon_observables": lambda: photon_observables(
+                sender.modes, state, send.trajectory, mean_photon_number(theta, state),
+                photon_fluxes(sender.theta, sender.modes, state)),
             "pulse_solve": lambda: pipeline._resolve_pulse2(config, sender),
             "pulse_solve_center": lambda: pipeline._resolve_pulse2(config_08, sender_08),
             "absorb": lambda: gamma_analytic(*(area.samples for area in pulse_areas(*area_args, sender.grid)),
@@ -396,9 +401,8 @@ def run(checkout: Path) -> dict:
     for name in cold:
         stages[name].update(fresh_call(checkout, name))
 
-    stages["pulse_solve"]["iterations"] = link.solve.iterations
-    _, _, solve_08 = pipeline._resolve_pulse2(config_08, sender_08)
-    stages["pulse_solve_center"]["iterations"] = solve_08.iterations
+    stages["pulse_solve"]["iterations"] = control.iterations
+    stages["pulse_solve_center"]["iterations"] = pipeline._resolve_pulse2(config_08, sender_08).iterations
     many = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1))
     one = measure(lambda: pipeline.run_sweep(config, "initial_state.p_m1", p_m1[:1]))
     stages["sweep_per_sample"] = {

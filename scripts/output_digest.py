@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Print a SHA-256 digest of every CLI output for the stock scenarios.
 
-Runs ``pnsslink transfer`` on ``configs/qubit.json`` and
-``configs/qutrit.json``, ``pnsslink send`` on ``configs/qutrit.json``, a
+Runs ``pnsslink transfer`` on ``configs/qubit.json``, on
+``configs/qutrit.json`` and on the qubit scenario with an explicit
+receiving pulse (``pulse2`` mode ``explicit``, whose areas end short of
+pi), ``pnsslink send`` on ``configs/qutrit.json``, a
 short ``channel.L0_km`` sweep of the qutrit scenario, a 41-point
 ``initial_state.p_m1`` sweep of the qubit scenario and one of the qutrit
 scenario at an off-resonant control phase (``params.phi2_rad`` = 0.7,
@@ -41,10 +43,14 @@ from pnsslink.cli import main as cli_main  # noqa: E402
 # configs/qutrit.json with params.phi2_rad set to this, written at run time.
 OFFPHASE_CONFIG = "qutrit-offphase.json"
 OFFPHASE_PHI2_RAD = 0.7
+# configs/qubit.json with this receiving pulse, written at run time.
+EXPLICIT_CONFIG = "qubit-explicit.json"
+EXPLICIT_PULSE2 = {"mode": "explicit", "T2_us": 0.3, "center_us": 0.15}
 
 RUNS = {
     "qubit": ["transfer", "--config", str(ROOT / "configs" / "qubit.json")],
     "qutrit": ["transfer", "--config", str(ROOT / "configs" / "qutrit.json")],
+    "qubit-explicit": ["transfer", "--config", EXPLICIT_CONFIG],
     "qutrit-send": ["send", "--config", str(ROOT / "configs" / "qutrit.json")],
     "qutrit-sweep": [
         "sweep", "--config", str(ROOT / "configs" / "qutrit.json"),
@@ -73,16 +79,22 @@ RUNS = {
 }
 
 
+def _stock(name: str) -> dict:
+    return json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+
+
 def digest_lines() -> list[str]:
     """One ``sha256  file`` line per output of the runs, sorted by file."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as config_dir:
-        offphase = Path(config_dir) / OFFPHASE_CONFIG
-        doc = json.loads((ROOT / "configs" / "qutrit.json").read_text(encoding="utf-8"))
-        doc["params"]["phi2_rad"] = OFFPHASE_PHI2_RAD
-        offphase.write_text(json.dumps(doc), encoding="utf-8")
+        offphase, explicit = _stock("qutrit.json"), _stock("qubit.json")
+        offphase["params"]["phi2_rad"] = OFFPHASE_PHI2_RAD
+        explicit["pulse2"] = EXPLICIT_PULSE2
+        written = {OFFPHASE_CONFIG: offphase, EXPLICIT_CONFIG: explicit}
+        for name, doc in written.items():
+            (Path(config_dir) / name).write_text(json.dumps(doc), encoding="utf-8")
         for name, argv in RUNS.items():
-            argv = [str(offphase) if arg == OFFPHASE_CONFIG else arg for arg in argv]
+            argv = [str(Path(config_dir) / arg) if arg in written else arg for arg in argv]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main(argv + ["--out", str(Path(tmp) / name)])
             if code != 0:

@@ -56,15 +56,15 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = []
     for name, doc in scenarios():
-        link = build_link(parse_config(doc))
-        worse = max(abs(link.eta_residual), abs(link.zeta_residual))
+        control = build_link(parse_config(doc)).control
+        worse = max(abs(control.eta_residual), abs(control.zeta_residual))
         rows.append({
             "scenario": name,
             "converged": worse <= doc["pulse2"]["tol"],
-            "evaluations": link.solve.iterations,
+            "evaluations": control.iterations,
             "worse_residual": worse,
-            "T2_us": link.pulse2.duration * 1e6,
-            "center_us": link.pulse2.center * 1e6,
+            "T2_us": control.pulse.duration * 1e6,
+            "center_us": control.pulse.center * 1e6,
         })
     evaluations = [row["evaluations"] for row in rows]
     print(f"scenarios {len(rows)}, converged {sum(row['converged'] for row in rows)}, "

@@ -198,10 +198,10 @@ def _cmd_transfer(args) -> int:
     for name, (write, what) in writers.items():
         if name.split(".")[0] in config.outputs.which:
             print(f"wrote {write(what, out / name)}")
-    link = result.link
+    control = result.link.control
     print(f"fidelity: {result.report.final.fidelity:.6f}")
-    print(f"area residuals: eta {link.eta_residual:.3e}, zeta {link.zeta_residual:.3e}")
-    if link.converged is False:
+    print(f"area residuals: eta {control.eta_residual:.3e}, zeta {control.zeta_residual:.3e}")
+    if control.converged is False:
         print("pulse solve did not converge; report carries best residuals", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK

@@ -12,7 +12,6 @@ alone (``emission_modes``); the input state only weights them
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional
 
 import numpy as np
 
@@ -70,22 +69,17 @@ def _rate_and_decay(
     return rate, np.exp(-theta.samples)
 
 
-def photon_fluxes(
-    theta: SampledFunction, modes: EmissionModes, c: SuperpositionState
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Photon fluxes ``(flux_total, flux_one, flux_two)`` of input ``c``.
+def photon_fluxes(theta: SampledFunction, modes: EmissionModes, c: SuperpositionState) -> np.ndarray:
+    """Total photon flux of input ``c``: alpha1 f1 (|c_m1|^2 (1 + theta) + |c_0|^2) exp(-theta).
 
-    The branch weights satisfy
-    flux_total = (|c_m1|^2 + |c_0|^2)*phi1^2 + |c_m1|^2*phi2^2,
-    which for a two-sublevel input is the plain mode-decomposition
-    identity flux_total = phi1^2 + |c_m1|^2*phi2^2.
+    It equals the sum of the branch fluxes that ``photon_observables``
+    forms, (|c_m1|^2 + |c_0|^2)*phi1^2 + |c_m1|^2*phi2^2, which for a
+    two-sublevel input is the plain mode-decomposition identity
+    flux_total = phi1^2 + |c_m1|^2*phi2^2.
     """
     rate, decay = _rate_and_decay(theta, modes.pulse, modes.alpha1)
     p_m1, p_0, _ = c.populations
-    flux_one = (p_m1 + p_0) * modes.phi1**2
-    flux_two = p_m1 * modes.phi2**2
-    flux_total = rate * (p_m1 * (1.0 + theta.samples) + p_0) * decay
-    return flux_total, flux_one, flux_two
+    return rate * (p_m1 * (1.0 + theta.samples) + p_0) * decay
 
 
 def mean_photon_number(theta: np.ndarray, c: SuperpositionState) -> np.ndarray:
@@ -141,23 +135,26 @@ def mode_overlap(phi1: np.ndarray, phi2: np.ndarray, grid: TimeGrid) -> float:
 
 
 def photon_observables(
-    theta: SampledFunction,
     modes: EmissionModes,
     c: SuperpositionState,
     traj: SenderTrajectory,
-    n_out: Optional[np.ndarray] = None,
-    fluxes: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    n_out: np.ndarray,
+    flux_total: np.ndarray,
 ) -> PhotonObservables:
-    """Every output-field observable of input ``c``; pass ``n_out`` and ``fluxes`` if computed."""
+    """Every output-field observable of input ``c``, given its ``n_out`` and ``flux_total``.
+
+    The branch fluxes are the first photon's, (|c_m1|^2 + |c_0|^2)*phi1^2,
+    and the second's, |c_m1|^2*phi2^2.
+    """
     p0, p1, p2 = photon_distribution(traj)
-    flux_total, flux_one, flux_two = fluxes or photon_fluxes(theta, modes, c)
+    p_m1, p_0, _ = c.populations
     return PhotonObservables(
         p0=p0,
         p1=p1,
         p2=p2,
         flux_total=flux_total,
-        flux_one=flux_one,
-        flux_two=flux_two,
-        n_out=mean_photon_number(theta.samples, c) if n_out is None else n_out,
+        flux_one=(p_m1 + p_0) * modes.phi1**2,
+        flux_two=p_m1 * modes.phi2**2,
+        n_out=n_out,
         g2=g2_zero_delay(modes.phi1, modes.phi2, c),
     )

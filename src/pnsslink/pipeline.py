@@ -3,16 +3,17 @@
 A transfer runs in two stages.  The link stage (``build_link``) holds
 everything that depends only on the physics: derived rates, regime
 checks, the grid, the sending pulse, its exposure theta(t), the two
-photon mode functions and their overlap, the receiving control pulse
-(solved or explicit) and its areas eta(t), zeta(t).  The pi-area
-conditions involve only the mode functions, so one solved link serves
-every input state and every fiber channel.  The per-state stage
-(``summarize``) reads input states at the link's end values
-(``Link.ends``) through the closed forms that give the grid arrays: one
-state for a transfer's report, a column of them for a sweep.
-``run_transfer`` adds one state's absorption amplitudes and bookkeeping
-residual on the grid.  Each value has one
-home: a link's in ``Link`` or ``SenderLink``, a state's in ``Summary``.
+photon mode functions and their overlap, and the receiving control
+pulse (solved or explicit) with the end areas eta(inf), zeta(inf) it is
+judged by (``ControlPulse``).  The pi-area conditions involve only the
+mode functions, so one solved link serves every input state and every
+fiber channel.  The per-state stage (``summarize``) reads input states
+at the link's end values (``Link.ends``) through the closed forms that
+give the grid arrays: one state for a transfer's report, a column of
+them for a sweep.  Only ``run_transfer`` builds the areas eta(t),
+zeta(t) on the grid, for one state's absorption amplitudes and
+bookkeeping residual.  Each value has one home: a link's in
+``SenderLink`` or ``ControlPulse``, a state's in ``Summary``.
 ``SendResult`` builds the sender's emission amplitudes and photon
 statistics only when a CSV writer reads them.  ``run_send`` never solves
 a pulse.
@@ -26,18 +27,16 @@ import sys
 from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import channel as channel_mod
 from .channel import ChannelModel
 from .config import ConfigError, ScenarioConfig, axis_sampler, written
-from .core import DerivedQuantities, RegimeReport, derive, rad_per_s, to_mhz, validate_regime
+from .core import RegimeReport, derive, rad_per_s, to_mhz, validate_regime
 from .csvio import write_csv
-from .numerics import BracketError, SampledFunction, TimeGrid
+from .numerics import BracketError, TimeGrid
 from .photonics import (
-    EmissionModes,
     PhotonObservables,
     emission_modes,
     mean_photon_number,
@@ -48,10 +47,8 @@ from .photonics import (
 )
 from .receiver import (
     LEAKAGE_WARN_THRESHOLD,
+    ControlPulse,
     FinalAreas,
-    FinalState,
-    PulseSolveResult,
-    ReceiverTrajectory,
     ZeroStateError,
     conservation_check,
     final_state,
@@ -78,23 +75,21 @@ class SenderLink(namedtuple("SenderLink", "derived regime grid pulse1 theta mode
     __slots__ = ()
 
 
-class Link(namedtuple("Link", "sender pulse2 omega2 solve eta zeta eta_residual zeta_residual "
-                              "converged")):
-    """A sender half plus the receiving control pulse and its areas.
-
-    ``solve`` is the :class:`PulseSolveResult`, None for an explicit
-    pulse.  ``eta_residual`` and ``zeta_residual`` are eta(inf) - pi and
-    zeta(inf) - pi as ``FinalAreas`` sums them (not the areas' last
-    samples).  ``converged`` says both residuals are within
-    ``pulse2.tol``; it is None for an explicit pulse.
-    """
+class Link(namedtuple("Link", "sender control")):
+    """A sender half plus the receiving :class:`ControlPulse` (solved or explicit)."""
 
     __slots__ = ()
 
     @property
     def ends(self) -> tuple[float, float, float]:
-        """theta, eta and zeta at the grid end: all that reading out a state takes."""
-        return self.sender.theta.samples[-1], self.eta.samples[-1], self.zeta.samples[-1]
+        """theta, eta and zeta at the grid end: all that reading out a state takes.
+
+        eta and zeta are the sums the pulse was judged by, pi plus each
+        residual, so the readout, the verdict and the report read one pair.
+        """
+        control = self.control
+        return (self.sender.theta.samples[-1], math.pi + control.eta_residual,
+                math.pi + control.zeta_residual)
 
 
 class SendResult(namedtuple("SendResult", "config sender")):
@@ -104,8 +99,8 @@ class SendResult(namedtuple("SendResult", "config sender")):
     """
 
     @cached_property
-    def emission(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """n_out and the photon fluxes on the grid: a transfer's residual reads them too."""
+    def emission(self) -> tuple[np.ndarray, np.ndarray]:
+        """n_out and the total photon flux on the grid: a transfer's residual reads them too."""
         c = self.config.initial_state
         theta = self.sender.theta
         return mean_photon_number(theta.samples, c), photon_fluxes(theta, self.sender.modes, c)
@@ -116,8 +111,8 @@ class SendResult(namedtuple("SendResult", "config sender")):
 
     @cached_property
     def observables(self) -> PhotonObservables:
-        c, sender = self.config.initial_state, self.sender
-        return photon_observables(sender.theta, sender.modes, c, self.trajectory, *self.emission)
+        return photon_observables(self.sender.modes, self.config.initial_state, self.trajectory,
+                                  *self.emission)
 
 
 class Summary(namedtuple("Summary", "final transmission n_out_final success_one_photon "
@@ -144,8 +139,8 @@ class TransferResult(namedtuple("TransferResult", "send link receiver residual r
     __slots__ = ()
 
     # perfbench/make_reference.py reads these two.
-    pulse2 = property(lambda self: self.link.pulse2)
-    omega2 = property(lambda self: self.link.omega2)
+    pulse2 = property(lambda self: self.link.control.pulse)
+    omega2 = property(lambda self: self.link.control.omega2)
 
 
 def build_grid(config: ScenarioConfig) -> TimeGrid:
@@ -302,18 +297,19 @@ def run_send(config: ScenarioConfig) -> SendResult:
     return SendResult(config, build_sender(config))
 
 
-def _resolve_pulse2(
-    config: ScenarioConfig, sender: SenderLink
-) -> tuple[PulseShape, float, Optional[PulseSolveResult]]:
+def _resolve_pulse2(config: ScenarioConfig, sender: SenderLink) -> ControlPulse:
+    """The receiving pulse: an explicit one with its ``FinalAreas`` sums, or the solved one."""
     p2 = config.pulse2
     if p2.mode == "explicit":
         omega2 = config.params.omega2 if p2.omega2_mhz is None else rad_per_s(p2.omega2_mhz)
         center = (p2.center_us if p2.center_us is not None else 0.0) * US
         pulse = PulseShape(kind="gaussian", duration=p2.t2_us * US, center=center)
-        return pulse, omega2, None
+        ends = FinalAreas(sender.modes.phi1, sender.modes.phi2, sender.grid, config.params)
+        eta_inf, zeta_inf = ends(pulse.duration, pulse.center, omega2)
+        return ControlPulse(pulse, omega2, eta_inf - math.pi, zeta_inf - math.pi, None, "explicit", None)
     center_bracket = None if p2.center_range_us is None else tuple(c * US for c in p2.center_range_us)
     try:
-        solve = solve_pulse_shape(
+        return solve_pulse_shape(
             sender.modes.phi1,
             sender.modes.phi2,
             sender.grid,
@@ -333,44 +329,24 @@ def _resolve_pulse2(
             f"({exc}): move the receiving pulse to where they arrive, widen its duration range, "
             f"or change one of {_rate_keys(config, ['alpha1'], *_GRID_KEYS, 'params.omega2_mhz')}"
         ) from exc
-    return solve.pulse, solve.omega2, solve
 
 
 def build_link(config: ScenarioConfig) -> Link:
-    """The state-free stage of a transfer: sender half, receiving pulse, areas."""
+    """The state-free stage of a transfer: sender half and receiving pulse."""
     sender = build_sender(config)
-    pulse2, omega2, solve = _resolve_pulse2(config, sender)
-    params = config.params
-    g2_coupling = params.g * omega2 / abs(params.delta)
-    modes = sender.modes
-    eta, zeta = pulse_areas(pulse2, modes.phi1, modes.phi2, g2_coupling, params.k, sender.grid)
-    if solve is None:  # an explicit pulse, summed as the solver sums the pulses it judges
-        ends = FinalAreas(modes.phi1, modes.phi2, sender.grid, params)
-        eta_inf, zeta_inf = ends(pulse2.duration, pulse2.center, omega2)
-        eta_residual, zeta_residual = eta_inf - math.pi, zeta_inf - math.pi
-    else:  # the solver's own sums at the pulse it returned
-        eta_residual, zeta_residual = solve.eta_residual, solve.zeta_residual
-    return Link(
-        sender=sender,
-        pulse2=pulse2,
-        omega2=omega2,
-        solve=solve,
-        eta=eta,
-        zeta=zeta,
-        eta_residual=eta_residual,
-        zeta_residual=zeta_residual,
-        converged=None if solve is None else solve.converged,
-    )
+    return Link(sender, _resolve_pulse2(config, sender))
 
 
 def run_transfer(config: ScenarioConfig) -> TransferResult:
     """Full pipeline: send, shape the receiving control, absorb, budget."""
     link = build_link(config)
     send = SendResult(config, link.sender)
-    c = config.initial_state
-    receiver = gamma_analytic(link.eta.samples, link.zeta.samples, c, phi2=config.params.phi2)
-    n_out, (flux_total, _, _) = send.emission
-    residual = conservation_check(receiver, n_out, flux_total, config.params.k)
+    params, control, sender = config.params, link.control, link.sender
+    g2_coupling = params.g * control.omega2 / abs(params.delta)
+    eta, zeta = pulse_areas(control.pulse, sender.modes.phi1, sender.modes.phi2, g2_coupling,
+                            params.k, sender.grid)
+    receiver = gamma_analytic(eta.samples, zeta.samples, config.initial_state, phi2=params.phi2)
+    residual = conservation_check(receiver, *send.emission, params.k)
     residual_max = float(np.max(np.abs(residual)))
     report = summarize(link, config, residual_max)
     return TransferResult(send=send, link=link, receiver=receiver, residual=residual, report=report)
@@ -389,9 +365,10 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
     try:
         final = final_state(gamma_analytic(eta, zeta, c, config.params.phi2), c)
     except ZeroStateError as exc:
+        pulse = link.control.pulse
         raise ConfigError(
-            f"the receiving pulse (T2 {link.pulse2.duration / US:.3g} us at "
-            f"{link.pulse2.center / US:.3g} us) stores none of the input state: move "
+            f"the receiving pulse (T2 {pulse.duration / US:.3g} us at "
+            f"{pulse.center / US:.3g} us) stores none of the input state: move "
             f"{written(config, 'pulse2.center_us')} to where the photons arrive, or change "
             f"{written(config, 'pulse2.T2_us')} or one of "
             f"{_rate_keys(config, ['alpha1'], 'params.omega2_mhz')}"
@@ -465,7 +442,7 @@ def write_receiver_csv(result: TransferResult, path: str | Path) -> Path:
 def report_document(result: TransferResult) -> dict:
     """The ``report.json`` document of one transfer."""
     rep, link = result.report, result.link
-    final, solve = rep.final, link.solve  # solve: None for an explicit receiving pulse
+    final, control = rep.final, link.control
     c_m1, c_0, c_p1 = ([z.real, z.imag] for z in map(complex, final.state))
     return {
         "config_hash": result.send.config.config_hash(),
@@ -482,22 +459,22 @@ def report_document(result: TransferResult) -> dict:
         "diagnostics": {
             "r_sn": link.sender.derived.r_sn,
             "mode_overlap": link.sender.overlap,
-            "eta_residual": link.eta_residual,
-            "zeta_residual": link.zeta_residual,
+            "eta_residual": control.eta_residual,
+            "zeta_residual": control.zeta_residual,
             "leakage": final.leakage,
             "conservation_residual_max": rep.conservation_residual_max,
             "n_out_final": rep.n_out_final,
         },
         "solved_pulse": {
-            "duration_s": link.pulse2.duration,
-            "center_s": link.pulse2.center,
-            "omega2_rad_per_s": link.omega2,
-            "iterations": solve.iterations if solve else None,
-            "mode": solve.mode if solve else "explicit",
-            "converged": link.converged,
-            "T2_us": link.pulse2.duration / US,
-            "center_us": link.pulse2.center / US,
-            "omega2_mhz": to_mhz(link.omega2),
+            "duration_s": control.pulse.duration,
+            "center_s": control.pulse.center,
+            "omega2_rad_per_s": control.omega2,
+            "iterations": control.iterations,
+            "mode": control.mode,
+            "converged": control.converged,
+            "T2_us": control.pulse.duration / US,
+            "center_us": control.pulse.center / US,
+            "omega2_mhz": to_mhz(control.omega2),
         },
         "state_out": {"c_m1": c_m1, "c_0": c_0, "c_p1": c_p1},
         "leakage_warning": bool(final.leakage > LEAKAGE_WARN_THRESHOLD),
@@ -533,11 +510,12 @@ _SWEEP_COLUMNS = ("eta1", "eta2", "weighted_success", "phase_rad", "fidelity", "
 
 def _sweep_columns(link: Link, samples: ScenarioConfig) -> tuple:
     """The ``_SWEEP_COLUMNS`` of ``samples`` sent over ``link``: columns, or one value for all."""
-    summary = summarize(link, samples)
+    summary, control = summarize(link, samples), link.control
     _, p1, p2 = photon_distribution(amplitudes_beta(link.ends[0], samples.initial_state))
     return (*summary.transmission, summary.weighted_success, summary.phase_drift_rad,
-            summary.final.fidelity, summary.n_out_final, p1, p2, link.pulse2.duration / US,
-            link.pulse2.center / US, to_mhz(link.omega2), link.eta_residual, link.zeta_residual)
+            summary.final.fidelity, summary.n_out_final, p1, p2, control.pulse.duration / US,
+            control.pulse.center / US, to_mhz(control.omega2), control.eta_residual,
+            control.zeta_residual)
 
 
 def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -564,7 +542,7 @@ def run_sweep(config: ScenarioConfig, axis: str, values: np.ndarray) -> tuple[np
         link = build_link(sample)
         for name, column in zip(_SWEEP_COLUMNS, _sweep_columns(link, sample)):
             table[name][i * size:(i + 1) * size] = column
-        unconverged += link.converged is False
+        unconverged += link.control.converged is False
     return table, unconverged
 
 

@@ -55,9 +55,17 @@ class ReceiverTrajectory(namedtuple("ReceiverTrajectory",
         return np.abs(self.g_1_0) ** 2 + np.abs(self.g_1_1) ** 2 + np.abs(self.g_1_2) ** 2
 
 
-class PulseSolveResult(namedtuple("PulseSolveResult", "pulse omega2 eta_residual zeta_residual "
-                                                      "iterations mode converged")):
-    """Control pulse returned by :func:`solve_pulse_shape`."""
+class ControlPulse(namedtuple("ControlPulse", "pulse omega2 eta_residual zeta_residual "
+                                              "iterations mode converged")):
+    """A receiving control pulse and the end areas it is judged by.
+
+    ``eta_residual`` and ``zeta_residual`` are eta(inf) - pi and
+    zeta(inf) - pi as :class:`FinalAreas` sums them; pi plus each is the
+    sum itself whenever it lies in [pi/2, 2 pi] (Sterbenz).
+    :func:`solve_pulse_shape` returns one with its evaluation count, its
+    mode and whether both residuals are within its ``tol``; an explicit
+    pulse has ``iterations`` and ``converged`` None and ``mode`` "explicit".
+    """
 
     __slots__ = ()
 
@@ -142,8 +150,8 @@ def gamma_analytic(
 class FinalAreas:
     """eta and zeta at the grid end of gaussian control pulses, summed with the quadrature weights.
 
-    The pulse solver and ``pipeline.build_link`` both judge a control pulse
-    by these sums.  ``rows`` holds how eta, zeta and zeta - eta weight the
+    The pulse solver and ``pipeline``, for an explicit pulse, both judge a
+    control pulse by these sums.  ``rows`` holds how eta, zeta and zeta - eta weight the
     control envelope exp(-u**2/2), times the weights; ``evals`` counts the calls.
     """
 
@@ -186,7 +194,7 @@ def solve_pulse_shape(
     duration_bracket: tuple[float, float] = (0.02e-6, 20e-6),
     center_bracket: Optional[tuple[float, float]] = None,
     max_iterations: int = 80,
-) -> PulseSolveResult:
+) -> ControlPulse:
     """Shape the receiving control pulse so both areas reach pi.
 
     Two solve modes over a gaussian family:
@@ -280,7 +288,7 @@ def solve_pulse_shape(
         _, duration, t_center, eta_inf, zeta_inf = best
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
-    return PulseSolveResult(
+    return ControlPulse(
         pulse=PulseShape(kind="gaussian", duration=duration, center=t_center),
         omega2=omega2,
         eta_residual=eta_inf - math.pi,

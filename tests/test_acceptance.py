@@ -29,7 +29,7 @@ from pnsslink.channel import attenuation_length
 from pnsslink.cli import main
 from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState, derive
-from pnsslink.photonics import emission_modes, photon_observables
+from pnsslink.photonics import emission_modes, mean_photon_number, photon_fluxes, photon_observables
 from pnsslink.pipeline import run_transfer, write_photonics_csv
 from pnsslink.receiver import ReceiverTrajectory, final_state, gamma_analytic, pulse_areas
 from pnsslink.sender import amplitudes_beta, atomic_moments
@@ -155,7 +155,9 @@ def test_05_antibunching(qubit_outcome):
     single = SuperpositionState(0.0, 1.0)
     single_traj = amplitudes_beta(sender.theta.samples, single)
     single_modes = emission_modes(sender.theta, sender.pulse1, sender.derived.alpha1)
-    single_obs = photon_observables(sender.theta, single_modes, single, single_traj)
+    single_obs = photon_observables(single_modes, single, single_traj,
+                                    mean_photon_number(sender.theta.samples, single),
+                                    photon_fluxes(sender.theta, single_modes, single))
     all_zero = bool(np.all(single_obs.g2 == 0.0))
     check(
         "05 antibunching",
@@ -268,7 +270,7 @@ def test_08_pulse_solve_with_equal_amplitudes():
     )
     stored = final_state(ReceiverTrajectory._make(field[-1] for field in ode), state)
     ok = (
-        outcome.link.solve.converged
+        outcome.link.control.converged
         and outcome.omega2 == params.omega1
         and eta_err <= tol
         and zeta_err <= tol
@@ -279,7 +281,7 @@ def test_08_pulse_solve_with_equal_amplitudes():
         "08 equal-amplitude pulse solve",
         ok,
         f"g {params.g / (2e6 * math.pi):.1f} MHz, omega2 == omega1: "
-        f"{outcome.omega2 == params.omega1}, converged {outcome.link.solve.converged}, "
+        f"{outcome.omega2 == params.omega1}, converged {outcome.link.control.converged}, "
         f"T2 {outcome.pulse2.duration * 1e6:.3f} us, center "
         f"{outcome.pulse2.center * 1e6:.3f} us, |eta-pi| {eta_err:.1e}, "
         f"|zeta-pi| {zeta_err:.1e} (tol {tol:g}); ODE oracle: fidelity "

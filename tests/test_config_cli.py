@@ -50,7 +50,7 @@ def full_grid_row(cfg, axis: str, value: float) -> dict:
     """The sweep row of one sample, read off an independent full-grid transfer."""
     result = run_transfer(cfg)
     report, link, obs = result.report, result.link, result.send.observables
-    assert link.solve.converged is True
+    assert link.control.converged is True
     eta1 = math.exp(-cfg.channel.length_km / attenuation_length(cfg.channel.atten_db_per_km))
     return {
         axis.split(".")[-1]: float(value),
@@ -65,8 +65,8 @@ def full_grid_row(cfg, axis: str, value: float) -> dict:
         "T2_us": result.pulse2.duration / US,
         "center2_us": result.pulse2.center / US,
         "omega2_mhz": to_mhz(result.omega2),
-        "eta_residual": link.eta_residual,
-        "zeta_residual": link.zeta_residual,
+        "eta_residual": link.control.eta_residual,
+        "zeta_residual": link.control.zeta_residual,
     }
 
 
@@ -680,8 +680,9 @@ class TestCli:
                 build_link(parse_config(doc))
             return
         moved = build_link(parse_config(doc))
+        moved, base = moved.control, base.control
         assert moved.converged
-        assert moved.pulse2.duration == pytest.approx(base.pulse2.duration, rel=2.1e-11)
+        assert moved.pulse.duration == pytest.approx(base.pulse.duration, rel=2.1e-11)
         assert moved.omega2 == pytest.approx(base.omega2, rel=2.1e-11)
 
     @pytest.mark.filterwarnings("error")
@@ -1460,7 +1461,8 @@ class TestSweepSemantics:
         # it, every closed form of sender, photonics and receiver sees end
         # values alone (one per link, or a column of the samples), in one
         # readout per link, and an axis that shares the link builds no
-        # config per sample.
+        # config per sample.  No sweep builds the grid areas eta(t), zeta(t);
+        # a transfer builds them once.
         config = parse_config(small_doc())
         points = config.grid.n_points()
         sizes, made = Counter(), []
@@ -1492,6 +1494,13 @@ class TestSweepSemantics:
             if inspect.isfunction(fn) and fn.__module__ in layers:
                 monkeypatch.setattr(pipeline_mod, name, sizing(fn))
         monkeypatch.setattr(pipeline_mod, "build_link", link_stage)
+        areas, area_calls = pipeline_mod.pulse_areas, []
+
+        def counting_areas(*args, **kwargs):
+            area_calls.append(1)
+            return areas(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "pulse_areas", counting_areas)
         readouts = Counter()
         columns = pipeline_mod._sweep_columns
 
@@ -1512,6 +1521,9 @@ class TestSweepSemantics:
         assert sizes and set(sizes) <= {1, num // links} and points not in sizes
         assert sorted(readouts.values()) == [1] * links  # one readout per link
         assert len(made) == (1 if links == 1 else num)  # one column config, or one per sample
+        assert not area_calls
+        run_transfer(config)
+        assert len(area_calls) == 1
 
     @pytest.mark.parametrize(
         "axis, start, stop, num, links",

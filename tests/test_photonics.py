@@ -25,8 +25,13 @@ from conftest import make_grid
 def scenario(stock_derived, grid, pulse1, qubit_state):
     theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
     modes = emission_modes(theta, pulse1, stock_derived.alpha1)
-    obs = photon_observables(theta, modes, qubit_state, amplitudes_beta(theta.samples, qubit_state))
-    return theta, modes, obs
+    return theta, modes, _observables(theta, modes, qubit_state)
+
+
+def _observables(theta, modes, c):
+    """``photon_observables`` of ``c`` with its n_out and total flux on the grid."""
+    return photon_observables(modes, c, amplitudes_beta(theta.samples, c),
+                              mean_photon_number(theta.samples, c), photon_fluxes(theta, modes, c))
 
 
 class TestPhotonDistribution:
@@ -77,8 +82,8 @@ class TestFluxesAndModes:
         off = PulseShape(kind="tabulated", duration=1.0, table=SampledFunction(grid, np.zeros(51)))
         theta = pump_exposure(off, stock_derived.alpha1, grid)
         modes = emission_modes(theta, off, stock_derived.alpha1)
-        fluxes = photon_fluxes(theta, modes, qubit_state)
-        for arr in (*fluxes, modes.phi1, modes.phi2):
+        obs = _observables(theta, modes, qubit_state)
+        for arr in (obs.flux_total, obs.flux_one, obs.flux_two, modes.phi1, modes.phi2):
             assert np.all(arr == 0.0)
 
     def test_second_photon_lags_first(self, scenario):
@@ -115,10 +120,7 @@ class TestMeanPhotonNumber:
 
     def test_qutrit_counts_identity(self, stock_derived, grid, pulse1, qutrit_state):
         theta = pump_exposure(pulse1, stock_derived.alpha1, grid)
-        traj = amplitudes_beta(theta.samples, qutrit_state)
-        obs = photon_observables(
-            theta, emission_modes(theta, pulse1, stock_derived.alpha1), qutrit_state, traj
-        )
+        obs = _observables(theta, emission_modes(theta, pulse1, stock_derived.alpha1), qutrit_state)
         assert np.max(np.abs(obs.n_out - obs.p1 - 2.0 * obs.p2)) <= 1e-8
 
     def test_small_exposure_linear(self, stock_derived, pulse1, qubit_state):

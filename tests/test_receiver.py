@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import pkgutil
 
@@ -12,7 +13,7 @@ from pnsslink.config import parse_config
 from pnsslink.core import SuperpositionState
 from pnsslink.numerics import BracketError, SampledFunction, TimeGrid, quadrature_weights
 from pnsslink.photonics import emission_modes, mean_photon_number, photon_distribution, photon_fluxes
-from pnsslink.pipeline import build_link, build_sender, report_document, run_transfer
+from pnsslink.pipeline import build_link, build_sender, report_document, run_transfer, write_report_json
 from pnsslink.receiver import (
     LEAKAGE_WARN_THRESHOLD,
     ReceiverTrajectory,
@@ -285,7 +286,7 @@ class TestSolvePulseShape:
         doc["params"]["g_mhz"] = 1.25 * doc["params"]["g_mhz"]
         doc["pulse2"]["free"] = "center"
         doc["pulse2"]["tol"] = 1e-6
-        solve = build_link(parse_config(doc)).solve
+        solve = build_link(parse_config(doc)).control
         assert solve.converged
         assert solve.iterations <= 30
         assert solve.pulse.duration == pytest.approx(0.510232e-6, rel=1e-5)
@@ -298,7 +299,7 @@ class TestSolvePulseShape:
         doc["params"].update(g_mhz=25.0, omega2_mhz=11.0)
         doc["pulse1"]["T1_us"] = 0.5
         doc["pulse2"]["free"] = "center"
-        solve = build_link(parse_config(doc)).solve
+        solve = build_link(parse_config(doc)).control
         assert solve.converged
         assert max(abs(solve.eta_residual), abs(solve.zeta_residual)) <= 1e-6
         assert solve.iterations <= 100
@@ -313,7 +314,7 @@ class TestSolvePulseShape:
         doc["pulse2"] = {"mode": "solve", "free": "center", "tol": 1e-6}
         config = parse_config(doc)
         link = build_link(config)
-        solve, modes = link.solve, link.sender.modes
+        solve, modes = link.control, link.sender.modes
         assert solve.converged is False
         assert solve.pulse.duration == 0.02e-6
         assert max(abs(solve.eta_residual), abs(solve.zeta_residual)) == pytest.approx(1.68359, abs=1e-5)
@@ -351,8 +352,8 @@ class TestSolvePulseShape:
         assert all(-0.135e-6 <= c <= -0.125e-6 for c in centers)
         assert solve.pulse.center == pytest.approx(-0.129833e-6, rel=1e-5)
         link = build_link(config)
-        assert link.converged
-        assert link.pulse2 == solve.pulse
+        assert link.control.converged
+        assert link.control.pulse == solve.pulse
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -432,7 +433,7 @@ class TestConservationCheck:
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
         traj = gamma_analytic(eta.samples, zeta.samples, qubit_state)
         emitted = emission_modes(theta, pulse1, stock_derived.alpha1)
-        flux, _, _ = photon_fluxes(theta, emitted, qubit_state)
+        flux = photon_fluxes(theta, emitted, qubit_state)
         n_out = mean_photon_number(theta.samples, qubit_state)
         residual = conservation_check(traj, n_out, flux, stock_params.k)
         assert abs(residual[0]) <= 1e-12
@@ -447,7 +448,7 @@ class TestConservationCheck:
         eta, zeta = pulse_areas(solved.pulse, phi1, phi2, g2c, stock_params.k, grid)
         traj = gamma_analytic(eta.samples, zeta.samples, qubit_state)
         emitted = emission_modes(theta, pulse1, stock_derived.alpha1)
-        flux, _, _ = photon_fluxes(theta, emitted, qubit_state)
+        flux = photon_fluxes(theta, emitted, qubit_state)
         n_out = mean_photon_number(theta.samples, qubit_state)
         residual = conservation_check(traj, n_out, flux, stock_params.k)
         deficit = 1.7 - n_out[-1]
@@ -486,6 +487,26 @@ class TestFinalState:
         body = report_document(run_transfer(parse_config(doc)))
         assert bool(body["diagnostics"]["leakage"] > LEAKAGE_WARN_THRESHOLD) is flagged
         assert body["leakage_warning"] is flagged
+
+    def test_explicit_pulse_reads_the_areas_it_is_judged_by(self, tmp_path):
+        # The readout takes eta(inf) and zeta(inf) as pi plus the reported
+        # residuals, the sums the pulse is judged by, not the cumulative
+        # areas' last samples; at this pulse the two readouts differ.
+        doc = stock_doc()
+        doc["pulse2"] = {"mode": "explicit", "T2_us": 0.3, "center_us": 0.15}
+        config = parse_config(doc)
+        result = run_transfer(config)
+        body = json.loads(write_report_json(result, tmp_path / "report.json").read_text())
+        c, phi2 = config.initial_state, config.params.phi2
+        diag = body["diagnostics"]
+        areas = math.pi + diag["eta_residual"], math.pi + diag["zeta_residual"]
+        expected = final_state(gamma_analytic(*areas, c, phi2), c)
+        assert body["fidelity"] == expected.fidelity
+        assert body["state_out"] == {
+            key: [complex(z).real, complex(z).imag] for key, z in zip(("c_m1", "c_0", "c_p1"), expected.state)
+        }
+        cumulative = final_state(gamma_analytic(result.receiver.eta[-1], result.receiver.zeta[-1], c, phi2), c)
+        assert cumulative.fidelity != expected.fidelity
 
     @given(chi=st.floats(0.0, 2.0 * math.pi))
     @settings(deadline=None, max_examples=15)
