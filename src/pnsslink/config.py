@@ -2,9 +2,14 @@
 
 A scenario is one JSON document with nested sections.  All frequencies
 are entered in MHz (implicit 2*pi), times in microseconds and lengths in
-kilometers; conversion to internal SI/rad-s units happens here and
-nowhere else.  The parsed ``ScenarioConfig`` is the one form of a
-scenario: its hash, its sweep samples and the CLI flags all act on it.
+kilometers.  Only ``params`` is converted to internal SI/rad-s units
+here: the parsed record's ``repr`` is the scenario's hash, so it keeps
+pulse and grid times in microseconds, ``pulse2.omega2_mhz`` in MHz and
+channel lengths in kilometers (the channel model's unit).  ``pipeline``
+converts the pulse values to seconds and rad/s where it builds the
+pulses, and back for ``report.json`` and ``sweep.csv``.  The parsed
+``ScenarioConfig`` is the one form of a scenario: its hash, its sweep
+samples and the CLI flags all act on it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from .channel import ChannelModel, attenuation_length
 from .core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState, rad_per_s
 
 RENORM_TOL = 1e-6
-# ~0.7 kB per grid point (67 MB peak at 48 001, 201 MB at 240 001): at most ~0.7 GB.
+# ~0.4 kB per grid point: the tracemalloc peak of run_transfer plus the three
+# figure CSVs on configs/qubit.json is 20.8 MB at 48 001 points and 96.1 MB at
+# 240 001 (ru_maxrss 54 and 127 MB), so at most ~0.4 GB.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -46,32 +53,16 @@ def _section(doc: dict, name: str) -> dict:
     return raw
 
 
-def _finite(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    # json parses NaN and +-Infinity; NaN and ints beyond float range fail too.
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
-def _above(value: Any, name: str, above: float) -> float:
-    value = _finite(value, name)
-    if not value > above:
-        raise ConfigError(f"{name} must be > {above:g}, got {value!r}")
-    return value
-
-
-def _pair(raw: Any, name: str, above: float = -math.inf) -> tuple[float, float]:
+def _pair(raw: Any, section: str, key: str, above: float = -math.inf) -> tuple[float, float]:
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ConfigError(f"{name} must be a pair of numbers")
-    return _above(raw[0], f"{name}[0]", above), _above(raw[1], f"{name}[1]", above)
+        raise ConfigError(f"{section}.{key} must be a pair of numbers")
+    return tuple(_check(_Number(f"{key}[{i}]", None, above=above), x, section) for i, x in enumerate(raw))
 
 
-def _range(raw: Any, name: str, above: float = -math.inf) -> tuple[float, float]:
-    lo, hi = _pair(raw, name, above)
+def _range(raw: Any, section: str, key: str, above: float = -math.inf) -> tuple[float, float]:
+    lo, hi = _pair(raw, section, key, above)
     if not lo < hi:
-        raise ConfigError(f"{name} must be an increasing pair [lo, hi], got [{lo:g}, {hi:g}]")
+        raise ConfigError(f"{section}.{key} must be an increasing pair [lo, hi], got [{lo:g}, {hi:g}]")
     return lo, hi
 
 
@@ -162,9 +153,17 @@ def _check(row: _Number, value: Any, where: str) -> Any:
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max and value > row.above
             and row.least <= value <= row.most):
-        value = _above(value, f"{where}.{row.key}", row.above)  # raises this value's error, or
+        name = f"{where}.{row.key}"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        # json parses NaN and +-Infinity; NaN and ints beyond float range fail too.
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        value = float(value)
+        if not value > row.above:
+            raise ConfigError(f"{name} must be > {row.above:g}, got {value!r}")
         bound = f"be >= {row.least:g}" if row.most == math.inf else f"lie in [{row.least:g}, {row.most:g}]"
-        raise ConfigError(f"{where}.{row.key} must {bound}, got {value!r}")
+        raise ConfigError(f"{name} must {bound}, got {value!r}")
     value = float(value)
     if row.count:
         if value == int(value):
@@ -185,10 +184,8 @@ def _numbers(table: dict, section: str) -> dict[str, Any]:
     where = section or "config"
     fields = {}
     for row in _NUMBERS[section]:
-        if row.key in table:
-            fields[row.field] = _check(row, table[row.key], where)
-        elif row.default is _REQUIRED:
-            raise ConfigError(f"missing field {where}.{row.key}")
+        if row.key in table or row.default is _REQUIRED:
+            fields[row.field] = _check(row, _require(table, row.key, where), where)
         else:
             fields[row.field] = None if row.default is _UNSET else row.default
     return fields
@@ -249,19 +246,14 @@ class ScenarioConfig(namedtuple("ScenarioConfig", "params initial_state pulse1 p
         return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
 
 
-def _parse_amplitude(raw: Any, name: str) -> complex:
-    return complex(*_pair(raw, f"initial_state.{name}"))
-
-
 def _parse_state(doc: dict) -> SuperpositionState:
     raw = _require(doc, "initial_state", "config")
     if not isinstance(raw, dict):
         raise ConfigError("initial_state must be a table of [re, im] pairs")
     _refuse_unknown_keys(raw, "initial_state")
-    c_m1 = _parse_amplitude(_require(raw, "c_m1", "initial_state"), "c_m1")
-    c_0 = _parse_amplitude(_require(raw, "c_0", "initial_state"), "c_0")
-    c_p1 = _parse_amplitude(raw.get("c_p1", [0.0, 0.0]), "c_p1")
-    return _normalized_state(c_m1, c_0, c_p1)
+    raw = {"c_p1": [0.0, 0.0], **raw}
+    return _normalized_state(*(complex(*_pair(_require(raw, key, "initial_state"), "initial_state", key))
+                               for key in _OTHER_KEYS["initial_state"]))
 
 
 def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> SuperpositionState:
@@ -282,7 +274,8 @@ def _normalized_state(c_m1: complex, c_0: complex, c_p1: complex) -> Superpositi
             f"initial_state renormalized (norm deviation {norm_sq - 1.0:.2e})",
             stacklevel=3,
         )
-        return SuperpositionState.normalized(c_m1, c_0, c_p1)
+        norm = math.sqrt(norm_sq)
+        return SuperpositionState(c_m1 / norm, c_0 / norm, c_p1 / norm)
     return SuperpositionState(c_m1, c_0, c_p1)
 
 
@@ -311,8 +304,8 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
     cfg = Pulse2Config(
         mode=mode,
         free=free,
-        t2_range_us=_range(raw.get("T2_range_us", [0.02, 20.0]), "pulse2.T2_range_us", 0.0),
-        center_range_us=None if center_range is None else _range(center_range, "pulse2.center_range_us"),
+        t2_range_us=_range(raw.get("T2_range_us", [0.02, 20.0]), "pulse2", "T2_range_us", 0.0),
+        center_range_us=None if center_range is None else _range(center_range, "pulse2", "center_range_us"),
         **_numbers(raw, "pulse2"),
     )
     # A sweep sample sets only a number that is there, so it cannot fail these.
@@ -357,14 +350,15 @@ _MAKERS = {"params": _make_params, "pulse1": Pulse1Config, "pulse2": Pulse2Confi
 def _parse_outputs(doc: dict) -> OutputsConfig:
     raw = _section(doc, "outputs")
     _refuse_unknown_keys(raw, "outputs")
-    which = raw.get("which", ["sender", "photonics", "receiver", "report"])
+    default = OutputsConfig()
+    which = raw.get("which", default.which)
     if not isinstance(which, (list, tuple)):
         raise ConfigError("outputs.which must be a list")
-    known = {"sender", "photonics", "receiver", "report", "regime"}
+    known = (*default.which, "regime")
     for item in which:
         if not isinstance(item, str) or item not in known:
             raise ConfigError(f"outputs.which contains unknown entry {item!r}")
-    directory = raw.get("directory", "out")
+    directory = raw.get("directory", default.directory)
     if not isinstance(directory, str):
         raise ConfigError(f"outputs.directory must be a string, got {directory!r}")
     return OutputsConfig(directory=directory, which=tuple(which))

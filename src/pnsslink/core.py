@@ -34,7 +34,7 @@ def to_mhz(omega: float) -> float:
 
 class PhysicalParams(namedtuple(
         "PhysicalParams", "g k gamma_sp omega1 omega2 delta delta_b_ground delta_b_excited phi2 "
-        "atom_mass wavelength", defaults=(math.pi / 2, RB87_MASS, D2_WAVELENGTH))):
+        "atom_mass wavelength")):
     """Constants of one atom-cavity node pair, bounded where a config parses them.
 
     Attributes
@@ -102,10 +102,6 @@ class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1", defau
     __slots__ = ()
 
     @property
-    def norm_sq(self) -> float:
-        return sum(self.populations)
-
-    @property
     def populations(self) -> tuple:
         """|c|**2 of each amplitude: the modulus hypot(re, im), squared as a product.
 
@@ -115,14 +111,6 @@ class SuperpositionState(namedtuple("SuperpositionState", "c_m1 c_0 c_p1", defau
         """
         m_m1, m_0, m_p1 = [np.hypot(c.real, c.imag) for c in self]
         return m_m1 * m_m1, m_0 * m_0, m_p1 * m_p1
-
-    @staticmethod
-    def normalized(c_m1: complex, c_0: complex, c_p1: complex = 0j) -> "SuperpositionState":
-        """Construct after dividing out the norm (which must be nonzero)."""
-        norm = math.sqrt(sum(abs(c) * abs(c) for c in (c_m1, c_0, c_p1)))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return SuperpositionState(c_m1 / norm, c_0 / norm, c_p1 / norm)
 
 
 class RegimeCheck(namedtuple("RegimeCheck", "name left right ratio minimum passed")):

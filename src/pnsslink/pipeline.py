@@ -143,8 +143,8 @@ class TransferResult(namedtuple("TransferResult", "send link receiver residual r
     omega2 = property(lambda self: self.link.control.omega2)
 
 
-def build_grid(config: ScenarioConfig) -> TimeGrid:
-    """Uniform grid spanning the sending pulse, in seconds.
+def build_grid(config: ScenarioConfig, pulse1: PulseShape) -> TimeGrid:
+    """Uniform grid spanning the sending pulse ``pulse1``, in seconds.
 
     The span covers +-(span_in_T1/2) pulse durations around the pulse
     center; at the default 12 durations the gaussian tails are below
@@ -156,9 +156,8 @@ def build_grid(config: ScenarioConfig) -> TimeGrid:
     the grid's largest time: beyond it the rounded samples move the solved
     T2 by more than the default grid's own error.
     """
-    t1 = config.pulse1.t1_us * US
-    center = config.pulse1.center_us * US
-    span = config.grid.span_in_t1 * t1
+    center = pulse1.center
+    span = config.grid.span_in_t1 * pulse1.duration
     if not math.isfinite(span):
         raise ConfigError(
             f"the grid's span of {written(config, 'pulse1.T1_us')} times "
@@ -241,8 +240,8 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     regime = validate_regime(params, derived, t1, min_ratio=config.regime_min_ratio)
     if config.strict and not regime.passed:
         raise RegimeFailure(regime)
-    grid = build_grid(config)
     pulse1 = PulseShape(kind="gaussian", duration=t1, center=config.pulse1.center_us * US)
+    grid = build_grid(config, pulse1)
     try:
         theta = pump_exposure(pulse1, derived.alpha1, grid)
     except OverflowError as exc:

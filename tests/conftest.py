@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnsslink.core import PhysicalParams, SuperpositionState, derive, rad_per_s
+from pnsslink.core import D2_WAVELENGTH, RB87_MASS, PhysicalParams, SuperpositionState, derive, rad_per_s
 from pnsslink.numerics import TimeGrid
 from pnsslink.sender import PulseShape
 
@@ -20,8 +20,12 @@ def stock_doc(qutrit: bool = False) -> dict:
 
 
 def mhz_params(**mhz: float) -> PhysicalParams:
-    """Parameters from frequencies in MHz (implicit 2*pi), as configs give them."""
-    return PhysicalParams(**{name: rad_per_s(value) for name, value in mhz.items()})
+    """Parameters from frequencies in MHz (implicit 2*pi), as configs give them.
+
+    The phase, mass and wavelength are a config's defaults.
+    """
+    return PhysicalParams(**{name: rad_per_s(value) for name, value in mhz.items()},
+                          phi2=math.pi / 2, atom_mass=RB87_MASS, wavelength=D2_WAVELENGTH)
 
 
 @pytest.fixture(scope="session")

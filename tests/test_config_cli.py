@@ -170,7 +170,7 @@ class TestConfigParsing:
         doc["initial_state"]["c_m1"] = [math.sqrt(0.7) * (1 + eps), 0.0]
         with pytest.warns(UserWarning, match="renormalized"):
             config = parse_config(doc)
-        assert config.initial_state.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert sum(config.initial_state.populations) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_output_kind(self):
         doc = small_doc()
@@ -239,6 +239,95 @@ class TestConfigParsing:
         path.write_text('{"params": }', encoding="utf-8")
         with pytest.raises(ConfigError, match="broken.json:1"):
             load_config(path)
+
+
+def _with_number(doc: dict, path: str, value) -> dict:
+    """``doc`` with ``value`` at ``path``: a dotted key, or an entry ``key[i]`` of a pair."""
+    path, _, index = path.partition("[")
+    section, _, key = path.rpartition(".")
+    table = doc[section] if section else doc
+    if index:
+        value = [value if i == int(index[0]) else x for i, x in enumerate(table.get(key, [-0.5, 0.5]))]
+    table[key] = value
+    return doc
+
+
+_BIG = 10**400  # an int beyond float range
+
+
+# (path, value, the ConfigError message; or for a renormalized state the
+# state's repr, the config hash and the warning).
+@pytest.mark.parametrize("path, value, expected", [
+    # Not a number.
+    ("params.g_mhz", True, "params.g_mhz must be a number, got True"),
+    ("pulse1.T1_us", "0.3", "pulse1.T1_us must be a number, got '0.3'"),
+    ("pulse2.tol", None, "pulse2.tol must be a number, got None"),
+    ("grid.points", True, "grid.points must be a number, got True"),
+    ("channel.p_em", "1", "channel.p_em must be a number, got '1'"),
+    ("regime_min_ratio", [5.0], "config.regime_min_ratio must be a number, got [5.0]"),
+    ("pulse2.T2_range_us[0]", True, "pulse2.T2_range_us[0] must be a number, got True"),
+    ("pulse2.center_range_us[1]", "0.5", "pulse2.center_range_us[1] must be a number, got '0.5'"),
+    ("initial_state.c_m1[0]", None, "initial_state.c_m1[0] must be a number, got None"),
+    ("initial_state.c_p1[1]", False, "initial_state.c_p1[1] must be a number, got False"),
+    # Not finite.
+    ("params.phi2_rad", math.nan, "params.phi2_rad must be finite, got nan"),
+    ("pulse1.center_us", math.inf, "pulse1.center_us must be finite, got inf"),
+    ("pulse2.max_iterations", -math.inf, "pulse2.max_iterations must be finite, got -inf"),
+    ("grid.span_in_T1", _BIG, f"grid.span_in_T1 must be finite, got {_BIG}"),
+    ("channel.atten_db_per_km", math.nan, "channel.atten_db_per_km must be finite, got nan"),
+    ("regime_min_ratio", -_BIG, f"config.regime_min_ratio must be finite, got {-_BIG}"),
+    ("pulse2.T2_range_us[0]", math.nan, "pulse2.T2_range_us[0] must be finite, got nan"),
+    ("pulse2.center_range_us[1]", _BIG, f"pulse2.center_range_us[1] must be finite, got {_BIG}"),
+    ("initial_state.c_m1[0]", math.inf, "initial_state.c_m1[0] must be finite, got inf"),
+    ("initial_state.c_p1[1]", -_BIG, f"initial_state.c_p1[1] must be finite, got {-_BIG}"),
+    # Not above the exclusive bound.
+    ("params.k_mhz", 0, "params.k_mhz must be > 0, got 0.0"),
+    ("params.gamma_sp_mhz", -0.0, "params.gamma_sp_mhz must be > 0, got -0.0"),
+    ("pulse1.T1_us", -1, "pulse1.T1_us must be > 0, got -1.0"),
+    ("pulse2.tol", 0.0, "pulse2.tol must be > 0, got 0.0"),
+    ("pulse2.T2_us", -0.3, "pulse2.T2_us must be > 0, got -0.3"),
+    ("grid.points", 0, "grid.points must be > 0, got 0.0"),
+    ("grid.span_in_T1", -5e-324, "grid.span_in_T1 must be > 0, got -5e-324"),
+    ("channel.atten_db_per_km", 0, "channel.atten_db_per_km must be > 0, got 0.0"),
+    ("pulse2.T2_range_us[0]", 0, "pulse2.T2_range_us[0] must be > 0, got 0.0"),
+    ("pulse2.T2_range_us[0]", -0.0, "pulse2.T2_range_us[0] must be > 0, got -0.0"),
+    # Outside [least, most].
+    ("params.omega1_mhz", -2, "params.omega1_mhz must be >= 0, got -2.0"),
+    ("params.omega2_mhz", -5e-324, "params.omega2_mhz must be >= 0, got -5e-324"),
+    ("channel.L0_km", -1, "channel.L0_km must be >= 0, got -1.0"),
+    ("channel.p_em", 1.5, "channel.p_em must lie in [0, 1], got 1.5"),
+    ("channel.p_abs", -1e-300, "channel.p_abs must lie in [0, 1], got -1e-300"),
+    # Not whole.
+    ("grid.points", 4000.5, "grid.points must be a whole number, got 4000.5"),
+    ("pulse2.max_iterations", 2.5, "pulse2.max_iterations must be a whole number, got 2.5"),
+    ("pulse2.max_iterations", 1e-300, "pulse2.max_iterations must be a whole number, got 1e-300"),
+    # Overflowing (or underflowing to 0) in internal units.
+    ("params.g_mhz", 1e303, "params.g_mhz must be finite in internal units, got 1e+303"),
+    ("params.delta_mhz", -1e303, "params.delta_mhz must be finite in internal units, got -1e+303"),
+    ("params.delta_b_ground_mhz", 1e308,
+     "params.delta_b_ground_mhz must be finite in internal units, got 1e+308"),
+    ("params.wavelength_nm", 5e-324, "params.wavelength_nm must be above 0 in internal units, got 5e-324"),
+    # Norms 1 + 1e-9 and 1 - 1e-9, renormalized (a -0.0 part comes out as 0.0).
+    ("initial_state", {"c_m1": [math.sqrt(0.7 + 1e-9), 0.0], "c_0": [math.sqrt(0.3), 0.0]},
+     ("SuperpositionState(c_m1=(0.8366600267133598+0j), c_0=(0.5477225572313048+0j), c_p1=0j)",
+      "f0d826c312c0c064", "initial_state renormalized (norm deviation 1.00e-09)")),
+    ("initial_state", {"c_m1": [math.sqrt(0.3), -math.sqrt(0.1)], "c_0": [-0.0, math.sqrt(0.35)],
+                       "c_p1": [math.sqrt(0.125), math.sqrt(0.125 - 1e-9)]},
+     ("SuperpositionState(c_m1=(0.5477225577790273-0.31622776617495185j), c_0=0.5916079786057656j, "
+      "c_p1=(0.3535533907700505+0.3535533893558369j))",
+      "2cdb197d62331f09", "initial_state renormalized (norm deviation -1.00e-09)")),
+])
+def test_number_messages_and_renormalized_states_are_pinned(path, value, expected):
+    doc = _with_number(stock_doc(), path, value)
+    if isinstance(expected, str):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(doc)
+        assert str(caught.value) == expected
+        return
+    with pytest.warns(UserWarning) as caught:
+        config = parse_config(doc)
+    assert (repr(config.initial_state), config.config_hash(), str(caught[0].message)) == expected
+    assert len(caught) == 1
 
 
 # (argv, the namespace fields it reads, or the exit code).

@@ -83,10 +83,6 @@ class TestDerive:
 
 
 class TestSuperpositionState:
-    def test_normalized_helper(self):
-        s = SuperpositionState.normalized(3.0, 4.0j)
-        assert s.populations == pytest.approx((0.36, 0.64, 0.0))
-
     @given(chi=st.floats(0.0, TWO_PI))
     @settings(deadline=None, max_examples=30)
     def test_global_phase_leaves_populations(self, chi):

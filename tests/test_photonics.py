@@ -158,7 +158,7 @@ class TestG2:
 
     def test_equality_case(self):
         # With phi1^2 = |c_m1|^2 phi2^2 the value is exactly 1.
-        state = SuperpositionState.normalized(math.sqrt(0.4), math.sqrt(0.6))
+        state = SuperpositionState(math.sqrt(0.4), math.sqrt(0.6))
         phi2 = np.linspace(0.5, 2.0, 20)
         phi1 = abs(state.c_m1) * phi2
         g2 = g2_zero_delay(phi1, phi2, state)
@@ -176,7 +176,7 @@ class TestG2:
         t = np.linspace(0.0, 1.0, 200)
         phi1 = np.exp(-((t - 0.3) ** 2) / 0.02)
         phi2 = np.exp(-((t - 0.6) ** 2) / 0.03)
-        state = SuperpositionState.normalized(math.sqrt(weight), math.sqrt(1.0 - weight))
+        state = SuperpositionState(math.sqrt(weight), math.sqrt(1.0 - weight))
         g2 = g2_zero_delay(phi1, phi2, state)
         assert np.all(g2 <= 1.0 + 1e-12)
         assert np.all(g2 >= 0.0)
