@@ -385,7 +385,7 @@ def run(checkout: Path) -> dict:
         timed = {
             **cold,
             "config_parse": lambda: load_config(scenario),
-            "exposure": lambda: pump_exposure(sender.pulse1, sender.derived.alpha1, sender.grid),
+            "exposure": lambda: pump_exposure(sender.modes.pulse, sender.derived.alpha1, sender.grid),
             "sender_amplitudes": lambda: (amplitudes_beta(theta, state), atomic_moments(theta, state)),
             "photon_observables": lambda: photon_observables(
                 sender.modes, state, send.trajectory, mean_photon_number(theta, state),
@@ -413,7 +413,7 @@ def run(checkout: Path) -> dict:
     stages["sweep_large"] = sweep_large(checkout)
     oracles = {
         "oracle_sender_per_step": lambda: simulate_sender_ode(
-            sender.pulse1, sender.derived.alpha1, state, sender.grid),
+            sender.modes.pulse, sender.derived.alpha1, state, sender.grid),
         "oracle_receiver_per_step": lambda: simulate_receiver_ode(
             *area_args, math.pi / 2, state, sender.grid),
     }

@@ -12,7 +12,9 @@ which exercises the any-phase receiver closed form), a 3-point
 ``params.g_mhz`` sweep of the qubit scenario (three links, one row
 each), a 9-point ``params.phi2_rad`` sweep of the qutrit scenario and
 a 1 001-point ``channel.L0_km`` sweep of the qubit scenario (its
-transmission columns take math.exp and the float power per sample),
+transmission columns take math.exp and the float power per sample), and
+a ``transfer`` and a ``send`` of the qubit scenario whose ``outputs.which``
+asks for ``regime.json`` (``["report", "regime"]`` and ``["regime"]``),
 in-process and into a temporary directory, then prints one
 ``sha256  file`` line per output.  The package is imported from this
 checkout's ``src/``, so running the script in two checkouts and diffing
@@ -46,11 +48,15 @@ OFFPHASE_PHI2_RAD = 0.7
 # configs/qubit.json with this receiving pulse, written at run time.
 EXPLICIT_CONFIG = "qubit-explicit.json"
 EXPLICIT_PULSE2 = {"mode": "explicit", "T2_us": 0.3, "center_us": 0.15}
+# configs/qubit.json with each of these outputs.which, written at run time.
+REGIME_WHICH = {"qubit-report-regime.json": ["report", "regime"], "qubit-regime.json": ["regime"]}
 
 RUNS = {
     "qubit": ["transfer", "--config", str(ROOT / "configs" / "qubit.json")],
     "qutrit": ["transfer", "--config", str(ROOT / "configs" / "qutrit.json")],
     "qubit-explicit": ["transfer", "--config", EXPLICIT_CONFIG],
+    "qubit-report-regime": ["transfer", "--config", "qubit-report-regime.json"],
+    "qubit-send-regime": ["send", "--config", "qubit-regime.json"],
     "qutrit-send": ["send", "--config", str(ROOT / "configs" / "qutrit.json")],
     "qutrit-sweep": [
         "sweep", "--config", str(ROOT / "configs" / "qutrit.json"),
@@ -91,6 +97,9 @@ def digest_lines() -> list[str]:
         offphase["params"]["phi2_rad"] = OFFPHASE_PHI2_RAD
         explicit["pulse2"] = EXPLICIT_PULSE2
         written = {OFFPHASE_CONFIG: offphase, EXPLICIT_CONFIG: explicit}
+        for name, which in REGIME_WHICH.items():
+            written[name] = _stock("qubit.json")
+            written[name]["outputs"]["which"] = which
         for name, doc in written.items():
             (Path(config_dir) / name).write_text(json.dumps(doc), encoding="utf-8")
         for name, argv in RUNS.items():

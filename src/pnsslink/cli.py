@@ -170,19 +170,27 @@ def _print_regime(regime: RegimeReport) -> None:
         print(f"  {'pass' if c.passed else 'FAIL'}  {c.name}: ratio {c.ratio:.3g} (minimum {c.minimum:g})")
 
 
+def _write(out: Path, which, send, result=None) -> None:
+    """Write each output file that ``which`` names and the run has, in one order.
+
+    ``send`` is a run's ``SendResult``, and ``result`` a transfer's
+    ``TransferResult`` (None for ``send``, which has no receiver or report).
+    """
+    # Built per call, so that a writer rebound on this module at run time is the one called.
+    writers = {"sender.csv": (write_sender_csv, send), "photonics.csv": (write_photonics_csv, send),
+               "receiver.csv": (write_receiver_csv, result), "report.json": (write_report_json, result),
+               "regime.json": (write_regime_json, send)}
+    for name, (write, what) in writers.items():
+        if what is not None and name.split(".")[0] in which:
+            print(f"wrote {write(what, out / name)}")
+
+
 def _cmd_send(args) -> int:
     config = _load(args)
-    result = run_send(config)
-    _print_regime(result.sender.regime)
-    out = _out_dir(args, config)
-    wrote = [
-        write_sender_csv(result, out / "sender.csv"),
-        write_photonics_csv(result, out / "photonics.csv"),
-    ]
-    if "regime" in config.outputs.which:
-        wrote.append(write_regime_json(result, out / "regime.json"))
-    for path in wrote:
-        print(f"wrote {path}")
+    send = run_send(config)
+    _print_regime(send.sender.regime)
+    # The figure CSVs are send's own outputs, whatever outputs.which says.
+    _write(_out_dir(args, config), {"sender", "photonics", *config.outputs.which}, send)
     return EXIT_OK
 
 
@@ -190,14 +198,7 @@ def _cmd_transfer(args) -> int:
     config = _load(args)
     result = run_transfer(config)
     _print_regime(result.link.sender.regime)
-    out = _out_dir(args, config)
-    writers = {"sender.csv": (write_sender_csv, result.send),
-               "photonics.csv": (write_photonics_csv, result.send),
-               "receiver.csv": (write_receiver_csv, result), "report.json": (write_report_json, result),
-               "regime.json": (write_regime_json, result.send)}
-    for name, (write, what) in writers.items():
-        if name.split(".")[0] in config.outputs.which:
-            print(f"wrote {write(what, out / name)}")
+    _write(_out_dir(args, config), config.outputs.which, result.send, result)
     control = result.link.control
     print(f"fidelity: {result.report.final.fidelity:.6f}")
     print(f"area residuals: eta {control.eta_residual:.3e}, zeta {control.zeta_residual:.3e}")

@@ -318,10 +318,12 @@ def _parse_pulse2(doc: dict) -> Pulse2Config:
 
 def _make_grid(**fields) -> GridConfig:
     grid = GridConfig(**fields)
-    if not 2 <= grid.n_points() <= MAX_GRID_POINTS:
+    # A span above ~7.2e305 durations gives an infinite count, which cannot be rounded.
+    n = grid.n_points() if grid.points is not None or grid.span_in_t1 * 250 < math.inf else math.inf
+    if not 2 <= n <= MAX_GRID_POINTS:
         key = (f"grid.points {grid.points:.15g}" if grid.points is not None
                else f"grid.span_in_T1 {grid.span_in_t1!r}")
-        raise ConfigError(f"{key} gives {grid.n_points():.15g} points, not in [2, {MAX_GRID_POINTS}]")
+        raise ConfigError(f"{key} gives {n:.15g} points, not in [2, {MAX_GRID_POINTS}]")
     return grid
 
 

@@ -65,7 +65,7 @@ def _rate_and_decay(
     # alpha1*f1(t) and exp(-theta).  Recomputed per call, not kept in
     # EmissionModes: a link keeps its modes while every state is sent over
     # it, and two more grid arrays would raise a transfer's peak memory.
-    rate = alpha1 * np.asarray(pulse.evaluate(theta.grid.values), dtype=float)
+    rate = alpha1 * pulse.evaluate(theta.grid.values)
     return rate, np.exp(-theta.samples)
 
 

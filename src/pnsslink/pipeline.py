@@ -69,8 +69,8 @@ class RegimeFailure(Exception):
         self.regime = regime
 
 
-class SenderLink(namedtuple("SenderLink", "derived regime grid pulse1 theta modes overlap")):
-    """The sending node's half of a link: no input state enters."""
+class SenderLink(namedtuple("SenderLink", "derived regime grid theta modes overlap")):
+    """The sending node's half of a link (its pulse is ``modes.pulse``): no input state enters."""
 
     __slots__ = ()
 
@@ -116,14 +116,13 @@ class SendResult(namedtuple("SendResult", "config sender")):
 
 
 class Summary(namedtuple("Summary", "final transmission n_out_final success_one_photon "
-                                    "success_two_photon weighted_success phase_drift_rad "
-                                    "conservation_residual_max", defaults=(None,))):
+                                    "success_two_photon weighted_success phase_drift_rad")):
     """End values of input states sent over one link, as ``summarize`` reads them.
 
     A field holds a scalar for one state (a transfer's report) or a column
     for a sweep's samples; ``transmission`` is the pair (eta_1, eta_2).
-    ``conservation_residual_max`` is taken over the full grid, so only a
-    transfer has it (None otherwise).  The link's values are in ``Link``.
+    The link's values are in ``Link``, and a transfer's grid arrays in
+    ``TransferResult``.
     """
 
     __slots__ = ()
@@ -132,8 +131,9 @@ class Summary(namedtuple("Summary", "final transmission n_out_final success_one_
 class TransferResult(namedtuple("TransferResult", "send link receiver residual report")):
     """One transfer of the input state.
 
-    ``residual`` is the bookkeeping residual on the grid, and ``report``
-    the state's :class:`Summary` with the full-grid residual maximum.
+    ``receiver`` holds the absorption amplitudes and ``residual`` the
+    bookkeeping residual on the grid (``report.json`` takes its maximum);
+    ``report`` is the state's :class:`Summary`.
     """
 
     __slots__ = ()
@@ -240,7 +240,7 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     regime = validate_regime(params, derived, t1, min_ratio=config.regime_min_ratio)
     if config.strict and not regime.passed:
         raise RegimeFailure(regime)
-    pulse1 = PulseShape(kind="gaussian", duration=t1, center=config.pulse1.center_us * US)
+    pulse1 = PulseShape(duration=t1, center=config.pulse1.center_us * US)
     grid = build_grid(config, pulse1)
     try:
         theta = pump_exposure(pulse1, derived.alpha1, grid)
@@ -288,7 +288,7 @@ def build_sender(config: ScenarioConfig) -> SenderLink:
     overflow = [check.name for check in regime.checks if not math.isfinite(check.ratio)]
     if overflow:
         raise _overflow(config, f"the regime ratios {', '.join(overflow)}", overflow)
-    return SenderLink(derived, regime, grid, pulse1, theta, modes, overlap)
+    return SenderLink(derived, regime, grid, theta, modes, overlap)
 
 
 def run_send(config: ScenarioConfig) -> SendResult:
@@ -302,7 +302,7 @@ def _resolve_pulse2(config: ScenarioConfig, sender: SenderLink) -> ControlPulse:
     if p2.mode == "explicit":
         omega2 = config.params.omega2 if p2.omega2_mhz is None else rad_per_s(p2.omega2_mhz)
         center = (p2.center_us if p2.center_us is not None else 0.0) * US
-        pulse = PulseShape(kind="gaussian", duration=p2.t2_us * US, center=center)
+        pulse = PulseShape(duration=p2.t2_us * US, center=center)
         ends = FinalAreas(sender.modes.phi1, sender.modes.phi2, sender.grid, config.params)
         eta_inf, zeta_inf = ends(pulse.duration, pulse.center, omega2)
         return ControlPulse(pulse, omega2, eta_inf - math.pi, zeta_inf - math.pi, None, "explicit", None)
@@ -346,12 +346,10 @@ def run_transfer(config: ScenarioConfig) -> TransferResult:
                             params.k, sender.grid)
     receiver = gamma_analytic(eta.samples, zeta.samples, config.initial_state, phi2=params.phi2)
     residual = conservation_check(receiver, *send.emission, params.k)
-    residual_max = float(np.max(np.abs(residual)))
-    report = summarize(link, config, residual_max)
-    return TransferResult(send=send, link=link, receiver=receiver, residual=residual, report=report)
+    return TransferResult(send, link, receiver, residual, summarize(link, config))
 
 
-def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
+def summarize(link: Link, config: ScenarioConfig) -> Summary:
     """The end values of ``config``'s input state sent over ``link``.
 
     A sweep's config may hold a column (``config.axis_sampler``).  Each
@@ -375,7 +373,7 @@ def summarize(link: Link, config: ScenarioConfig, residual_max=None) -> Summary:
     eta_1, eta_2, success_one, success_two, drift = _budget(config.channel)
     weighted = channel_mod.weighted_success(c.populations, success_one, success_two)
     return Summary(final, (eta_1, eta_2), mean_photon_number(theta, c), success_one, success_two,
-                   weighted, drift, residual_max)
+                   weighted, drift)
 
 
 def _budget(ch: ChannelModel) -> tuple:
@@ -461,7 +459,7 @@ def report_document(result: TransferResult) -> dict:
             "eta_residual": control.eta_residual,
             "zeta_residual": control.zeta_residual,
             "leakage": final.leakage,
-            "conservation_residual_max": rep.conservation_residual_max,
+            "conservation_residual_max": float(np.max(np.abs(result.residual))),
             "n_out_final": rep.n_out_final,
         },
         "solved_pulse": {

@@ -99,7 +99,7 @@ def pulse_areas(
     Propagation delay between the nodes is taken as zero throughout
     (cascaded-source convention), so the sender grid is shared.
     """
-    sqrt_f2 = np.sqrt(np.asarray(pulse2.evaluate(grid.values), dtype=float))
+    sqrt_f2 = np.sqrt(pulse2.evaluate(grid.values))
     pref = abs(G2) / math.sqrt(k)
     eta = cumulative_integral(SampledFunction(grid, 2.0 * pref * sqrt_f2 * phi1))
     zeta = cumulative_integral(SampledFunction(grid, pref * sqrt_f2 * (phi1 + phi2)))
@@ -289,7 +289,7 @@ def solve_pulse_shape(
     else:
         raise ValueError(f"unknown solve mode {mode!r}")
     return ControlPulse(
-        pulse=PulseShape(kind="gaussian", duration=duration, center=t_center),
+        pulse=PulseShape(duration=duration, center=t_center),
         omega2=omega2,
         eta_residual=eta_inf - math.pi,
         zeta_residual=zeta_inf - math.pi,

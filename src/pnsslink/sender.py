@@ -17,37 +17,20 @@ from .core import SuperpositionState
 from .numerics import SampledFunction, TimeGrid, cumulative_integral
 
 
-class PulseShape(namedtuple("PulseShape", "kind duration center table", defaults=(0.0, None))):
-    """Peak-normalized intensity profile of a control pulse.
+class PulseShape(namedtuple("PulseShape", "duration center")):
+    """Peak-normalized gaussian intensity profile of a control pulse.
 
-    For the gaussian kind, f(t) = exp(-((t - center)/duration)**2).
-    A tabulated profile is ``table``, a :class:`SampledFunction` (None for
-    the gaussian kind), linearly interpolated; it must stay in [0, 1].
+    f(t) = exp(-((t - center)/duration)**2).  Both pulses of the link are
+    gaussians; a config bounds the duration (``pulse1.T1_us``,
+    ``pulse2.T2_*``).
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> PulseShape:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("gaussian", "tabulated"):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-        # A gaussian's duration is bounded where a config parses it (pulse1.T1_us, pulse2.T2_*).
-        if self.kind == "tabulated":
-            if self.table is None:
-                raise ValueError("tabulated pulse needs a table")
-            samples = self.table.samples
-            if np.any(samples < 0.0) or np.any(samples > 1.0):
-                raise ValueError("tabulated profile must lie in [0, 1]")
-        return self
-
     def evaluate(self, t: np.ndarray | float) -> np.ndarray | float:
-        """Intensity profile f(t), in [0, 1]."""
-        if self.kind == "gaussian":
-            u = (np.asarray(t) - self.center) / self.duration
-            return np.exp(-u * u)
-        return np.interp(
-            np.asarray(t), self.table.grid.values, self.table.samples, left=0.0, right=0.0
-        )
+        """Intensity profile f(t), in [0, 1], as float64."""
+        u = (np.asarray(t) - self.center) / self.duration
+        return np.exp(-u * u)
 
 
 class SenderTrajectory(namedtuple("SenderTrajectory", "beta_m1_0 beta_0_0 beta_0_1 beta_p1_0 beta_p1_1 "
@@ -72,15 +55,15 @@ def pump_exposure(pulse: PulseShape, alpha1: float, grid: TimeGrid) -> SampledFu
 
     theta is dimensionless, starts at 0 and its final value is
     proportional to the total pulse energy.  The integral is the
-    fourth-order cumulative rule (``numerics.cumulative_integral``), one
-    path for every pulse kind; on the default grid of a gaussian it is
-    within ~4e-12 of the erf closed form.  It is non-decreasing wherever
-    the grid resolves the pulse; a grid far coarser than the pulse width
-    can give dips of the size of the unresolved tail.  An exposure that
-    float64 cannot carry raises ``OverflowError`` before it is scaled.
+    fourth-order cumulative rule (``numerics.cumulative_integral``); on
+    the default grid it is within ~4e-12 of the gaussian's erf closed
+    form.  It is non-decreasing wherever the grid resolves the pulse; a
+    grid far coarser than the pulse width can give dips of the size of
+    the unresolved tail.  An exposure that float64 cannot carry raises
+    ``OverflowError`` before it is scaled.
     ``alpha1`` is non-negative: the params rows bound g, k and omega1.
     """
-    profile = SampledFunction(grid, np.asarray(pulse.evaluate(grid.values), dtype=float))
+    profile = SampledFunction(grid, pulse.evaluate(grid.values))
     integral = cumulative_integral(profile)
     if not math.isfinite(alpha1 * float(np.abs(integral.samples).max())):
         raise OverflowError("the exposure overflows float64")

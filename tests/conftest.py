@@ -59,7 +59,7 @@ def qutrit_state() -> SuperpositionState:
 
 @pytest.fixture(scope="session")
 def pulse1() -> PulseShape:
-    return PulseShape(kind="gaussian", duration=T1, center=0.0)
+    return PulseShape(duration=T1, center=0.0)
 
 
 def make_grid(n_points: int = 16001, span_t1: float = 12.0) -> TimeGrid:

@@ -64,7 +64,7 @@ def sender_ode_qubit(qubit_outcome):
     send = qubit_outcome.send
     sender = send.sender
     return simulate_sender_ode(
-        sender.pulse1, sender.derived.alpha1, send.config.initial_state, sender.grid
+        sender.modes.pulse, sender.derived.alpha1, send.config.initial_state, sender.grid
     )
 
 
@@ -94,7 +94,7 @@ def test_02_sender_oracle_equivalence(qubit_outcome, sender_ode_qubit):
 
     states = random_states(20, seed=20240817)
     batch = np.stack([initial_moments(s) for s in states])
-    traj = simulate_sender_ode(sender.pulse1, sender.derived.alpha1, batch, sender.grid)
+    traj = simulate_sender_ode(sender.modes.pulse, sender.derived.alpha1, batch, sender.grid)
     for i, state in enumerate(states):
         ana = atomic_moments(theta, state)
         stacked = np.stack(
@@ -154,7 +154,7 @@ def test_05_antibunching(qubit_outcome):
     sender = send.sender
     single = SuperpositionState(0.0, 1.0)
     single_traj = amplitudes_beta(sender.theta.samples, single)
-    single_modes = emission_modes(sender.theta, sender.pulse1, sender.derived.alpha1)
+    single_modes = emission_modes(sender.theta, sender.modes.pulse, sender.derived.alpha1)
     single_obs = photon_observables(single_modes, single, single_traj,
                                     mean_photon_number(sender.theta.samples, single),
                                     photon_fluxes(sender.theta, single_modes, single))

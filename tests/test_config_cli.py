@@ -366,6 +366,9 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["fidelity"] >= 0.999
         assert abs(report["diagnostics"]["eta_residual"]) <= 1e-6
+        # The report's residual maximum is the largest |cell| of receiver.csv's residual column.
+        residual = load_csv(tmp_path / "out" / "receiver.csv")["residual"]
+        assert float("%.15g" % report["diagnostics"]["conservation_residual_max"]) == np.max(np.abs(residual))
 
     def test_transfer_deterministic(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
@@ -871,6 +874,8 @@ class TestCli:
             ("params", {"wavelength_nm": -1}, "params.wavelength_nm must be > 0, got -1.0"),
             # Positive, but 0 m in internal units.
             ("params", {"wavelength_nm": 5e-324}, "params.wavelength_nm must be above 0 in internal units"),
+            # 250 points per duration overflow float64: refused before rounding.
+            ("grid", {"span_in_T1": 1e308}, "grid.span_in_T1"),
         ],
     )
     def test_out_of_range_setting_exit_code(self, tmp_path, capsys, section, value, field):
@@ -1391,6 +1396,20 @@ class TestSampleConfig:
     def test_bad_value_raises_the_parse_error(self, qutrit, axis, value):
         assert isinstance(check_sample(qutrit, axis, value), ConfigError)
 
+    @pytest.mark.parametrize("span, count", [(1e4, "2500001"), (1e300, "2.5e+302"), (1e308, "inf")])
+    def test_span_without_points_raises_the_parse_error(self, span, count):
+        # An unset grid.points is 250 per duration, which past a span of
+        # ~7.2e305 is infinite: refused before it is rounded.
+        doc = stock_doc()
+        config = parse_config(doc)
+        doc["grid"]["span_in_T1"] = span
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(doc)
+        with pytest.raises(ConfigError) as sampled:
+            sample_config(config, "grid.span_in_T1", span)
+        expected = f"grid.span_in_T1 {span!r} gives {count} points, not in [2, {MAX_GRID_POINTS}]"
+        assert str(parsed.value) == str(sampled.value) == expected
+
     @given(qutrit=st.booleans(), axis=st.sampled_from(AXES), value=VALUES)
     @settings(deadline=None, max_examples=400)
     def test_every_axis_samples_like_the_edited_doc(self, qutrit, axis, value):
@@ -1770,8 +1789,8 @@ class TestSweepSemantics:
         default, dense = run_transfer(config), run_transfer(parse_config(dense_doc))
         assert default.pulse2.duration == pytest.approx(dense.pulse2.duration, rel=1e-9)
         assert default.omega2 == pytest.approx(dense.omega2, rel=1e-9)
-        assert default.report.conservation_residual_max == pytest.approx(
-            dense.report.conservation_residual_max, rel=0.0, abs=1e-9
+        assert np.max(np.abs(default.residual)) == pytest.approx(
+            np.max(np.abs(dense.residual)), rel=0.0, abs=1e-9
         )
 
     def test_halved_grid_keeps_invariants(self):

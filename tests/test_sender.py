@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnsslink.core import SuperpositionState
-from pnsslink.numerics import SampledFunction, TimeGrid
+from pnsslink.numerics import TimeGrid
 from pnsslink.sender import PulseShape, amplitudes_beta, atomic_moments, pump_exposure
 
 from conftest import T1, make_grid
@@ -22,15 +23,6 @@ class TestPulseShape:
         assert pulse1.evaluate(0.0) == pytest.approx(1.0)
         assert pulse1.evaluate(T1) == pytest.approx(math.exp(-1.0))
 
-    def test_tabulated_bounds_checked(self):
-        grid = TimeGrid(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            PulseShape(kind="tabulated", duration=1.0, table=SampledFunction(grid, np.full(11, 1.5)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PulseShape(kind="square", duration=1.0)
-
 
 class TestPumpExposure:
     def test_zero_rate(self, pulse1, grid):
@@ -45,9 +37,9 @@ class TestPumpExposure:
         assert theta.final == pytest.approx(6.41471, abs=2e-4)
 
     def test_energy_linearity(self, stock_derived):
-        twice = PulseShape(kind="gaussian", duration=2 * T1, center=0.0)
+        twice = PulseShape(duration=2 * T1, center=0.0)
         grid = TimeGrid(-12 * T1, 12 * T1, 8001)
-        base = pump_exposure(PulseShape(kind="gaussian", duration=T1, center=0.0), stock_derived.alpha1, grid)
+        base = pump_exposure(PulseShape(duration=T1, center=0.0), stock_derived.alpha1, grid)
         doubled = pump_exposure(twice, stock_derived.alpha1, grid)
         assert doubled.final == pytest.approx(2.0 * base.final, rel=1e-6)
 
@@ -93,9 +85,9 @@ class TestPopulationsAnalytic:
             assert np.all(np.abs(coh) ** 2 <= pa * pb + 1e-12)
 
     def test_pulse_shape_enters_only_through_exposure(self, stock_derived, grid, qubit_state):
-        gaussian = PulseShape(kind="gaussian", duration=T1, center=0.0)
-        table = SampledFunction(grid, np.asarray(gaussian.evaluate(grid.values)))
-        tabulated = PulseShape(kind="tabulated", duration=T1, table=table)
+        gaussian = PulseShape(duration=T1, center=0.0)
+        samples = gaussian.evaluate(grid.values)
+        tabulated = SimpleNamespace(evaluate=lambda t: np.interp(t, grid.values, samples))
         theta_a = pump_exposure(gaussian, stock_derived.alpha1, grid)
         theta_b = pump_exposure(tabulated, stock_derived.alpha1, grid)
         a = atomic_moments(theta_a.samples, qubit_state)
@@ -163,9 +155,7 @@ class TestSenderOde:
 
     def test_zero_pulse_is_constant(self, stock_derived, qutrit_state):
         grid = TimeGrid(0.0, 1e-6, 101)
-        off = PulseShape(
-            kind="tabulated", duration=1.0, table=SampledFunction(grid, np.zeros(101))
-        )
+        off = SimpleNamespace(evaluate=np.zeros_like)
         traj = simulate_sender_ode(off, stock_derived.alpha1, qutrit_state, grid)
         assert traj["sigma_m1"][-1] == pytest.approx(traj["sigma_m1"][0], abs=1e-15)
         assert traj["coh_0_p1"][-1] == pytest.approx(traj["coh_0_p1"][0], abs=1e-15)
@@ -188,7 +178,7 @@ class TestSenderOde:
 @settings(deadline=None, max_examples=10)
 def test_global_phase_invariance(stock_derived, chi):
     grid = make_grid(2001)
-    pulse = PulseShape(kind="gaussian", duration=T1, center=0.0)
+    pulse = PulseShape(duration=T1, center=0.0)
     theta = pump_exposure(pulse, stock_derived.alpha1, grid).samples
     base = SuperpositionState(math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2))
     phase = complex(math.cos(chi), math.sin(chi))
